@@ -35,8 +35,6 @@ from .poset import (
 )
 from .report import CheckReport
 
-ApproxReport = CheckReport
-
 
 def _lap_mask(r: AuxRelation, bits: int) -> int:
     out = 0

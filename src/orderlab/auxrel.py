@@ -28,6 +28,7 @@ from .poset import (
     _down_mask,
     _is_directed_mask,
     _supremum_mask,
+    _upper_masks,
     bottom,
 )
 
@@ -276,45 +277,31 @@ def _leq_pairs(p: Poset) -> list[tuple[int, int]]:
     return [(i, j) for i in range(p.n) for j in iter_bits(p.up[i])]
 
 
-def _is_aux_sec(p: Poset, sec: list[int], bot: int | None) -> bool:
-    for j in range(p.n):
-        if sec[j] & ~p.down[j]:
-            return False
-    for z in range(p.n):
-        required = 0
-        for y in iter_bits(p.down[z]):
-            required |= _down_mask(p, sec[y])
-        if required & ~sec[z]:
-            return False
-    if bot is not None:
-        for x in range(p.n):
-            if not sec[x] >> bot & 1:
-                return False
-    return True
-
-
 def enumerate_aux(p: Poset, budget: int | None = None) -> Iterator[AuxRelation]:
     """Every auxiliary relation, ascending by pair-subset encoding.
 
-    Candidates are the subsets of the order pairs; a subset is kept
-    exactly when it satisfies the axioms, so each relation appears once.
+    Bit b of the encoding stands for the order pair ``_leq_pairs(p)[b]``.
+    The relations are exactly the upper sets of the pair order
+    (x, y) <= (u, z) iff u <= x and y <= z that contain the bottom pairs,
+    so the output-sensitive upper-set enumerator lists them with no cap
+    on the number of pairs.
     """
     pairs = _leq_pairs(p)
-    if len(pairs) > 16:
-        raise BudgetExceeded(f"{len(pairs)} order pairs is beyond the subset sweep")
+    index = {pair: b for b, pair in enumerate(pairs)}
+    pair_order = Poset(
+        sum(1 << index[u, z] for u in iter_bits(p.down[x]) for z in iter_bits(p.up[y]))
+        for x, y in pairs
+    )
     bot = bottom(p)
-    emitted = 0
-    for mask in range(1 << len(pairs)):
-        sec = [0] * p.n
-        for b in range(len(pairs)):
-            if mask >> b & 1:
-                i, j = pairs[b]
-                sec[j] |= 1 << i
-        if not _is_aux_sec(p, sec, bot):
-            continue
-        emitted += 1
+    start = 0 if bot is None else sum(1 << index[bot, y] for y in range(p.n))
+    masks = _upper_masks(pair_order.up, pair_order.down, start)
+    for emitted, mask in enumerate(masks, 1):
         if budget is not None and emitted > budget:
             raise BudgetExceeded(f"more than {budget} auxiliary relations")
+        sec = [0] * p.n
+        for b in iter_bits(mask):
+            i, j = pairs[b]
+            sec[j] |= 1 << i
         yield AuxRelation(p, tuple(sec))
 
 

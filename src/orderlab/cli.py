@@ -75,6 +75,12 @@ def _default_seed() -> int:
         raise BadParameters(f"ORDERLAB_SEED must be an integer, got {raw!r}")
 
 
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _load_poset_arg(path: str) -> Poset:
     try:
         return load_poset(path)
@@ -667,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = top.add_parser("check", help="run law suites over a scope")
     sp.add_argument("--suite", choices=("all",) + SUITES, default="all")
     _add_scope_flags(sp)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     sp.add_argument("--timing", action="store_true")
     _fmt(sp, ("json", "text"), "json")
     sp.set_defaults(func=_cmd_check)
@@ -681,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = top.add_parser("verify", help="run every suite; alias for check")
     sp.add_argument("--suite", choices=("all",) + SUITES, default="all")
     _add_scope_flags(sp)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     sp.add_argument("--timing", action="store_true")
     _fmt(sp, ("json", "text"), "json")
     sp.set_defaults(func=_cmd_check)

@@ -23,8 +23,6 @@ from .approx import _uap_mask
 from .report import CheckReport
 from .topology import _directed_sups, closure, interior, scott_topology
 
-ClosureReport = CheckReport
-
 
 def _gate(p: Poset) -> None:
     if p.n > MAX_DIRECTED_UNIVERSE:
@@ -88,7 +86,7 @@ def is_meet_continuous(p: Poset) -> bool:
     return True
 
 
-def check_sec5_theorems(p: Poset) -> ClosureReport:
+def check_sec5_theorems(p: Poset) -> CheckReport:
     """Laws tying the one-step operator to down closure and Scott closure."""
     _gate(p)
     sigma = scott_topology(p)

@@ -35,8 +35,6 @@ from .errors import (
 from .poset import Poset, from_rows
 from .report import CheckReport
 
-ClosureReport = CheckReport
-
 MAX_WINDOW = 240
 
 _TERM_RE = re.compile(
@@ -276,7 +274,7 @@ def _window_one_step_mask(w: Window, bits: int) -> int:
     return out
 
 
-def verify_window_soundness(f: Family, m: int, n: int) -> ClosureReport:
+def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
     """Check the analytic family answers against a computed finite window."""
     w = window(f, m, n)
     p = w.poset

@@ -36,7 +36,7 @@ from .auxrel import (
 from .bitset import ElementSet
 from .closures import check_sec5_theorems, has_one_step_closure
 from .errors import BadParameters, BudgetExceeded
-from .poset import Poset, enumerate_posets, from_rows, poset_to_json
+from .poset import Poset, _axiom_check, enumerate_posets, from_rows, poset_to_json
 from .report import CheckReport
 from .topology import (
     check_chain_of_containments,
@@ -178,6 +178,9 @@ def fingerprint(inst: Instance) -> str:
 def parse_fingerprint(fp: str) -> Instance:
     try:
         suite, rows, rel, subset, rel2 = json.loads(bytes.fromhex(fp).decode("ascii"))
+        if not all(type(r) is int and 0 <= r < 1 << len(rows) for r in rows):
+            raise ValueError("rows do not fit the universe")
+        _axiom_check(rows, len(rows))
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
     return Instance(

@@ -303,30 +303,55 @@ def top(p: Poset) -> int | None:
 # -- enumerations -------------------------------------------------------
 
 
-def enumerate_upper_sets(p: Poset, budget: int | None = None) -> Iterator[ElementSet]:
-    """All upper sets, ascending by bit value. Includes the empty set."""
+def _upper_masks(
+    up: tuple[int, ...], down: tuple[int, ...], start: int = 0
+) -> Iterator[int]:
+    """Every upper set containing the upper set ``start``, ascending.
+
+    Depth-first over the highest undecided element: excluding it rules
+    out its down-set, including it takes in its up-set.  Both choices
+    always extend to an upper set, so the work is proportional to the
+    output and the stack never holds more than n + 1 entries.
+    """
+    full = (1 << len(up)) - 1
+    stack = [(start, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        free = full & ~(inside | outside)
+        if not free:
+            yield inside
+            continue
+        x = free.bit_length() - 1
+        stack.append((inside | up[x], outside))
+        stack.append((inside, outside | down[x]))
+
+
+def _budgeted_sets(
+    p: Poset, up: tuple[int, ...], down: tuple[int, ...], budget: int | None, what: str
+) -> Iterator[ElementSet]:
     if p.n > MAX_UNIVERSE:
         raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_UNIVERSE}")
-    emitted = 0
-    for mask in range(1 << p.n):
-        if _is_upper_mask(p, mask):
-            emitted += 1
-            if budget is not None and emitted > budget:
-                raise BudgetExceeded(f"more than {budget} upper sets")
-            yield ElementSet(mask, p.n)
+    for emitted, mask in enumerate(_upper_masks(up, down), 1):
+        if budget is not None and emitted > budget:
+            raise BudgetExceeded(f"more than {budget} {what}")
+        yield ElementSet(mask, p.n)
+
+
+def enumerate_upper_sets(p: Poset, budget: int | None = None) -> Iterator[ElementSet]:
+    """All upper sets, ascending by bit value. Includes the empty set.
+
+    Output-sensitive: the work is proportional to the number of upper
+    sets, not to the 2^n subsets.
+    """
+    yield from _budgeted_sets(p, p.up, p.down, budget, "upper sets")
 
 
 def enumerate_lower_sets(p: Poset, budget: int | None = None) -> Iterator[ElementSet]:
-    """All lower sets, ascending by bit value. Includes the empty set."""
-    if p.n > MAX_UNIVERSE:
-        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_UNIVERSE}")
-    emitted = 0
-    for mask in range(1 << p.n):
-        if _is_lower_mask(p, mask):
-            emitted += 1
-            if budget is not None and emitted > budget:
-                raise BudgetExceeded(f"more than {budget} lower sets")
-            yield ElementSet(mask, p.n)
+    """All lower sets, ascending by bit value. Includes the empty set.
+
+    Output-sensitive, as the upper sets of the dual order.
+    """
+    yield from _budgeted_sets(p, p.down, p.up, budget, "lower sets")
 
 
 def enumerate_directed_subsets(
@@ -566,9 +591,13 @@ def poset_from_json(doc: dict) -> Poset:
         pairs = [tuple(pair) for pair in relation["pairs"]]
     except (KeyError, TypeError) as exc:
         raise BadParameters(f"malformed poset document: {exc}") from exc
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise BadParameters("n must be an integer")
     labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise BadParameters("labels must be a list of strings")
     for pair in pairs:
         if len(pair) != 2 or not all(isinstance(x, int) for x in pair):
             raise BadParameters(f"malformed pair {pair!r}")

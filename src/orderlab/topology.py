@@ -30,6 +30,7 @@ from .poset import (
     _is_directed_mask,
     _is_upper_mask,
     _supremum_mask,
+    _upper_masks,
 )
 from .report import CheckReport
 
@@ -95,11 +96,7 @@ def mu_topology(r: AuxRelation) -> Topology:
     cls = classify(r)
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
-    masks = []
-    for mask in range(1 << p.n):
-        if _is_upper_mask(p, mask) and _lap_mask(r, mask) == mask:
-            masks.append(mask)
-    return Topology(p, masks)
+    return Topology(p, [m for m in _upper_masks(p.up, p.down) if _lap_mask(r, m) == m])
 
 
 @lru_cache(maxsize=2048)
@@ -131,9 +128,7 @@ def is_scott_open(p: Poset, u: ElementSet) -> bool:
 def _scott_masks(p: Poset) -> tuple[int, ...]:
     pairs = _directed_sups(p)
     masks = []
-    for mask in range(1 << p.n):
-        if not _is_upper_mask(p, mask):
-            continue
+    for mask in _upper_masks(p.up, p.down):
         ok = True
         for d, s in pairs:
             if mask >> s & 1 and d & mask == 0:
@@ -322,7 +317,7 @@ def check_mu_way_below_is_scott(p: Poset) -> CheckReport:
         if mu.masks == sigma.masks
         else {"mu-opens": len(mu.masks), "scott-opens": len(sigma.masks)},
     )
-    uppers = tuple(sorted(m for m in range(1 << p.n) if _is_upper_mask(p, m)))
+    uppers = tuple(_upper_masks(p.up, p.down))
     rep.add(
         "chain.scott-is-all-upper-sets",
         sigma.masks == uppers,
@@ -345,7 +340,7 @@ def check_continuity_characterization(
     wb = way_below(p)
     sigma = scott_topology(p)
     full = (1 << p.n) - 1
-    uppers = [m for m in range(1 << p.n) if _is_upper_mask(p, m)]
+    uppers = list(_upper_masks(p.up, p.down))
     lowers = [full ^ m for m in uppers]
 
     s1 = is_continuous(p)
@@ -542,11 +537,10 @@ def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
 
     if cls.approximating:
         ok, witness = True, None
-        for mask in range(1 << p.n):
-            if _is_upper_mask(p, mask) and inaccessible(mask):
-                if mask not in mu._mask_set:
-                    ok, witness = False, {"set": _set_text(mask)}
-                    break
+        for mask in _upper_masks(p.up, p.down):
+            if inaccessible(mask) and mask not in mu._mask_set:
+                ok, witness = False, {"set": _set_text(mask)}
+                break
         rep.add("mu.inaccessible-implies-open", ok, witness)
     else:
         rep.add(

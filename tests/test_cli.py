@@ -305,6 +305,24 @@ def test_malformed_json_is_a_usage_error(files, capsys):
     assert err.startswith("orderlab: error: ") and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("field, value", [("labels", 5), ("labels", [0]), ("n", True)])
+def test_bad_poset_field_is_a_usage_error(files, capsys, field, value):
+    doc = {"n": 1, "relation": {"mode": "covers", "pairs": []}, field: value}
+    bad = files["dir"] / "bad_field.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "poset", "validate", "--poset", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("orderlab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, jobs", [("check", "0"), ("verify", "-3")])
+def test_jobs_below_one_is_rejected_by_the_parser(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--suite", "partition", "--max-n", "1", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_malformed_relation_pair_is_a_usage_error(files, capsys):
     ragged = files["dir"] / "ragged.json"
     ragged.write_text(json.dumps({"pairs": [[0, 1, 2]]}), encoding="utf-8")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from orderlab.errors import BadParameters
+from orderlab.errors import AxiomViolation, BadParameters
 from orderlab.harness import (
     PROPERTIES,
     Instance,
@@ -131,6 +131,15 @@ def test_fingerprint_rejects_garbage():
         parse_fingerprint("zzzz")
     with pytest.raises(BadParameters):
         parse_fingerprint("ff00")
+
+
+def test_replay_rejects_a_fingerprint_whose_rows_are_not_an_order():
+    loop = ((0, 0), (0, 1), (1, 0), (1, 1))
+    cyclic = fingerprint(Instance("int-char", (0b11, 0b11), loop, None, None))
+    with pytest.raises(AxiomViolation):
+        replay(cyclic)
+    with pytest.raises(BadParameters):
+        parse_fingerprint(fingerprint(Instance("int-char", (0b101,))))
 
 
 def test_findings_replay_to_the_same_verdict():
