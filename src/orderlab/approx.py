@@ -70,29 +70,32 @@ def uap(r: AuxRelation, a: ElementSet) -> ElementSet:
 
 
 def uap_lower_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
-    """Least lower set whose upper approximation contains b."""
+    """Least lower set whose upper approximation contains b: its sections' union."""
     p = r.poset
     _check_universe(p, b)
     if not _is_lower_mask(p, b.bits):
         raise NotLower(f"{b!r} is not a lower set")
-    meet = (1 << p.n) - 1
-    for a in enumerate_lower_sets(p):
-        if b.bits & ~_uap_mask(r, a.bits) == 0:
-            meet &= a.bits
-    return ElementSet(meet, p.n)
+    out = 0
+    for x in iter_bits(b.bits):
+        out |= r.sec[x]
+    return ElementSet(out, p.n)
 
 
 def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
-    """Greatest upper set whose lower approximation stays inside b."""
+    """Greatest upper set whose lower approximation stays inside b.
+
+    These are the elements whose section above lies in b, so the ones in no
+    section of an element outside b.
+    """
     p = r.poset
     _check_universe(p, b)
     if not _is_upper_mask(p, b.bits):
         raise NotUpper(f"{b!r} is not an upper set")
-    join = 0
-    for a in enumerate_upper_sets(p):
-        if _lap_mask(r, a.bits) & ~b.bits == 0:
-            join |= a.bits
-    return ElementSet(join, p.n)
+    full = (1 << p.n) - 1
+    outside = 0
+    for y in iter_bits(b.bits ^ full):
+        outside |= r.sec[y]
+    return ElementSet(full & ~outside, p.n)
 
 
 # -- report helpers ----------------------------------------------------------

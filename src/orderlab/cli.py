@@ -670,27 +670,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_family)
 
     # check / search / verify
-    sp = top.add_parser("check", help="run law suites over a scope")
-    sp.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    _add_scope_flags(sp)
-    sp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
-    sp.add_argument("--timing", action="store_true")
-    _fmt(sp, ("json", "text"), "json")
-    sp.set_defaults(func=_cmd_check)
+    for name, help_text in (
+        ("check", "run law suites over a scope"),
+        ("verify", "run every suite; alias for check"),
+    ):
+        sp = top.add_parser(name, help=help_text)
+        sp.add_argument("--suite", choices=("all",) + SUITES, default="all")
+        _add_scope_flags(sp)
+        sp.add_argument(
+            "--jobs", type=_jobs, default=1,
+            help="accepted for compatibility; has no effect (campaigns run serially)",
+        )
+        sp.add_argument("--timing", action="store_true")
+        _fmt(sp, ("json", "text"), "json")
+        sp.set_defaults(func=_cmd_check)
 
     sp = top.add_parser("search", help="first counterexample in scope order")
     sp.add_argument("--property", required=True, choices=tuple(sorted(PROPERTIES)))
     _add_scope_flags(sp)
     _fmt(sp, ("json", "text"), "json")
     sp.set_defaults(func=_cmd_search)
-
-    sp = top.add_parser("verify", help="run every suite; alias for check")
-    sp.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    _add_scope_flags(sp)
-    sp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
-    sp.add_argument("--timing", action="store_true")
-    _fmt(sp, ("json", "text"), "json")
-    sp.set_defaults(func=_cmd_check)
 
     return parser
 

@@ -1,9 +1,9 @@
 """Campaign runner: law suites over (poset x relation x subset) scopes.
 
 Instances are generated in a fixed order (suites alphabetically, posets in
-scope order, relations in enumeration order, subsets ascending), so two
-runs with the same scope and seed produce byte-identical reports, with any
-number of worker threads.  Each failure or finding carries a fingerprint
+scope order, relations in enumeration order, subsets ascending), and run
+serially in that order, so two runs with the same scope and seed produce
+byte-identical reports.  Each failure or finding carries a fingerprint
 that reconstructs the instance exactly; replay re-executes it in
 isolation.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -100,7 +99,7 @@ class Scope:
                 raise BadParameters(f"unknown builtin relation {name!r}")
         if self.max_instances is not None and self.max_instances < 1:
             raise BadParameters("max_instances must be positive")
-        if self.wall_time_s is not None and self.wall_time_s <= 0:
+        if self.wall_time_s is not None and not self.wall_time_s > 0:
             raise BadParameters("wall_time_s must be positive")
 
 
@@ -178,9 +177,16 @@ def fingerprint(inst: Instance) -> str:
 def parse_fingerprint(fp: str) -> Instance:
     try:
         suite, rows, rel, subset, rel2 = json.loads(bytes.fromhex(fp).decode("ascii"))
+        if type(suite) is not str or type(subset) not in (int, type(None)):
+            raise ValueError("suite must be a string and subset an integer or null")
         if not all(type(r) is int and 0 <= r < 1 << len(rows) for r in rows):
             raise ValueError("rows do not fit the universe")
         _axiom_check(rows, len(rows))
+        for pairs in (rel, rel2):
+            if type(pairs) not in (list, type(None)) or any(
+                list(map(type, pr)) != [int, int] for pr in pairs or ()
+            ):
+                raise ValueError("relation is not a list of integer pairs")
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
     return Instance(
@@ -324,67 +330,49 @@ class RunReport:
 
 
 def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
+    """Run and tally each instance as it is generated, in one serial pass.
+
+    The cap and the deadline (which starts before generation) are checked
+    before each instance.  ``jobs`` is accepted for compatibility and ignored.
+    """
     suite_list = tuple(sorted(set(suites)))
     for s in suite_list:
         if s not in SUITES:
             raise BadParameters(f"unknown suite {s!r}")
-    posets = _scope_posets(scope)
-    instances: list[Instance] = []
-    incomplete = False
-    try:
-        for suite in suite_list:
-            for pi, p in enumerate(posets):
-                for inst in _instances_for(suite, scope, p, pi):
-                    if (
-                        scope.max_instances is not None
-                        and len(instances) >= scope.max_instances
-                    ):
-                        incomplete = True
-                        raise StopIteration
-                    instances.append(inst)
-    except StopIteration:
-        pass
-    except BudgetExceeded:
-        incomplete = True
-
     start = time.monotonic()
     deadline = start + scope.wall_time_s if scope.wall_time_s else None
-    executed: list[tuple[Instance, CheckReport]] = []
-    if jobs <= 1:
-        for inst in instances:
-            if deadline is not None and time.monotonic() > deadline:
-                incomplete = True
-                break
-            executed.append((inst, _run_instance(inst)))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending = []
-            for inst in instances:
-                if deadline is not None and time.monotonic() > deadline:
-                    incomplete = True
-                    break
-                pending.append((inst, pool.submit(_run_instance, inst)))
-            executed = [(inst, fut.result()) for inst, fut in pending]
-
+    posets = _scope_posets(scope)
+    instances = (
+        inst
+        for suite in suite_list
+        for pi, p in enumerate(posets)
+        for inst in _instances_for(suite, scope, p, pi)
+    )
+    attempted = passed = 0
     failures: list[dict] = []
     findings: list[dict] = []
-    passed = 0
-    for inst, rep in executed:
-        fp = fingerprint(inst)
-        bad = rep.failures
-        for v in bad:
-            failures.append(
-                {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
-            )
-        for v in rep.findings:
-            findings.append(
-                {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
-            )
+    incomplete = False
+    for inst in instances:
+        if attempted == scope.max_instances or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            incomplete = True
+            break
+        rep = _run_instance(inst)
+        attempted += 1
+        bad, flagged = rep.failures, rep.findings
         if not bad:
             passed += 1
+        if bad or flagged:
+            fp = fingerprint(inst)
+            for out, verdicts in ((failures, bad), (findings, flagged)):
+                out.extend(
+                    {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
+                    for v in verdicts
+                )
     return RunReport(
         suites=suite_list,
-        attempted=len(executed),
+        attempted=attempted,
         passed=passed,
         failures=failures,
         findings=findings,

@@ -251,13 +251,7 @@ def opens_completely_distributive(t: Topology) -> bool:
 
 def is_continuous(p: Poset) -> bool:
     """Every element is the directed supremum of what is way below it."""
-    wb = way_below(p)
-    for x in range(p.n):
-        if not _is_directed_mask(p, wb.sec[x]):
-            return False
-        if _supremum_mask(p, wb.sec[x]) != x:
-            return False
-    return True
+    return classify(way_below(p)).approximating
 
 
 # -- theorem checkers ----------------------------------------------------------

@@ -166,6 +166,33 @@ def test_galois_laws_quantified_over_the_sublattices():
                     assert (lap(r, a) <= b) == (a <= h)
 
 
+def test_closed_form_adjoints_match_the_enumerating_meet_and_join():
+    # Oracle: the literal definitions, a meet over the lower sets whose uap
+    # contains b and a join over the upper sets whose lap stays inside b.
+    relations = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            lowers = [l.bits for l in enumerate_lower_sets(p)]
+            uppers = [u.bits for u in enumerate_upper_sets(p)]
+            for r in enumerate_aux(p):
+                relations += 1
+                uaps = {a: uap(r, ElementSet(a, n)).bits for a in lowers}
+                laps = {a: lap(r, ElementSet(a, n)).bits for a in uppers}
+                for b in lowers:
+                    meet = (1 << n) - 1
+                    for a in lowers:
+                        if b & ~uaps[a] == 0:
+                            meet &= a
+                    assert uap_lower_adjoint(r, ElementSet(b, n)).bits == meet
+                for b in uppers:
+                    join = 0
+                    for a in uppers:
+                        if laps[a] & ~b == 0:
+                            join |= a
+                    assert lap_upper_adjoint(r, ElementSet(b, n)).bits == join
+    assert relations == 5560
+
+
 def test_check_adjunction_passes_on_samples(r1, r_bot, leq3):
     for r in (r1, r_bot, leq3):
         rep = check_adjunction(r)

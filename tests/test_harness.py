@@ -41,6 +41,11 @@ def test_scope_rejects_bad_parameters():
         Scope(wall_time_s=0.0)
 
 
+def test_scope_rejects_a_nan_wall_time():
+    with pytest.raises(BadParameters):
+        Scope(max_n=2, wall_time_s=float("nan"))
+
+
 def test_sample_counts_are_ignored_when_not_sampling():
     Scope(rel_sample=0, subset_sample=0)
 
@@ -81,6 +86,12 @@ def test_instance_cap_marks_the_report_incomplete():
     rep = run_suite(Scope(max_n=2, max_instances=3), ["partition"])
     assert rep.incomplete
     assert rep.attempted == 3
+
+
+def test_wall_time_cap_marks_the_report_incomplete():
+    rep = run_suite(Scope(max_n=3, wall_time_s=1e-6), ["partition"])
+    assert rep.incomplete
+    assert rep.attempted < run_suite(Scope(max_n=3), ["partition"]).attempted
 
 
 def test_report_json_shape_and_timing_flag():
@@ -140,6 +151,30 @@ def test_replay_rejects_a_fingerprint_whose_rows_are_not_an_order():
         replay(cyclic)
     with pytest.raises(BadParameters):
         parse_fingerprint(fingerprint(Instance("int-char", (0b101,))))
+
+
+def _encode(doc) -> str:
+    return json.dumps(doc, separators=(",", ":")).encode("ascii").hex()
+
+
+def test_fingerprint_rejects_a_ragged_relation_pair():
+    with pytest.raises(BadParameters):
+        parse_fingerprint(_encode(["partition", [1], [[0]], 0, None]))
+
+
+def test_fingerprint_rejects_a_string_subset():
+    with pytest.raises(BadParameters):
+        parse_fingerprint(_encode(["partition", [1], [[0, 0]], "x", None]))
+
+
+def test_fingerprint_rejects_a_non_string_suite():
+    with pytest.raises(BadParameters):
+        parse_fingerprint(_encode([5, [1], [[0, 0]], 0, None]))
+
+
+def test_fingerprint_rejects_a_boolean_subset():
+    with pytest.raises(BadParameters):
+        parse_fingerprint(_encode(["partition", [1], [[0, 0]], True, None]))
 
 
 def test_findings_replay_to_the_same_verdict():
