@@ -3,15 +3,14 @@
 A relation ``R`` here is a strengthening of the order: it must sit
 inside <=, absorb <= on both sides (u <= x R y <= z implies u R z), and
 relate the bottom element to everything when a bottom exists.  The
-way-below relation is the canonical example and is computed from its
-raw directed-subset definition so it can serve as an oracle.
+way-below relation is the canonical example; on a finite poset it is the
+order itself, and ``reference`` keeps its directed-subset definition.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .bitset import ElementSet, iter_bits
@@ -23,7 +22,6 @@ from .errors import (
     SeedViolatesOrder,
 )
 from .poset import (
-    MAX_DIRECTED_UNIVERSE,
     Poset,
     _down_mask,
     _is_directed_mask,
@@ -157,33 +155,14 @@ def aux_closure(p: Poset, seed_pairs: Iterable[tuple[int, int]]) -> AuxRelation:
 # -- way-below ------------------------------------------------------------
 
 
-@lru_cache(maxsize=2048)
-def _way_below_rows(p: Poset) -> tuple[int, ...]:
-    full = (1 << p.n) - 1
-    rows = [full] * p.n
-    for mask in range(1, 1 << p.n):
-        if not _is_directed_mask(p, mask):
-            continue
-        s = _supremum_mask(p, mask)
-        if s is None:
-            continue
-        down_d = _down_mask(p, mask)
-        for y in iter_bits(p.down[s]):
-            rows[y] &= down_d
-    return tuple(rows)
-
-
-def way_below(p: Poset, budget: int | None = None) -> AuxRelation:
+def way_below(p: Poset) -> AuxRelation:
     """x way-below y: every directed set with a supremum >= y reaches x.
 
-    Computed literally from the definition by enumerating directed
-    subsets, so this is deliberately the slow reference path.
+    On a finite poset every directed set contains its supremum, so this
+    is the order itself; ``reference.way_below`` keeps the literal
+    definition.
     """
-    if p.n > MAX_DIRECTED_UNIVERSE:
-        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-    if budget is not None and (1 << p.n) > budget:
-        raise BudgetExceeded(f"2^{p.n} candidate subsets exceed budget {budget}")
-    return AuxRelation(p, _way_below_rows(p))
+    return AuxRelation(p, p.down)
 
 
 # -- sections and classification -------------------------------------------

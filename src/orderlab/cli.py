@@ -299,7 +299,7 @@ def _cmd_aux_classify(args) -> int:
 
 def _cmd_aux_way_below(args) -> int:
     p = _load_poset_arg(args.poset)
-    r = way_below(p, budget=args.budget)
+    r = way_below(p)
     print(_dump({"pairs": [list(pr) for pr in r.pairs()]}))
     return 0
 
@@ -567,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_aux_classify)
     sp = asub.add_parser("way-below")
     sp.add_argument("--poset", required=True)
-    sp.add_argument("--budget", type=int, default=None)
     sp.set_defaults(func=_cmd_aux_way_below)
     sp = asub.add_parser("enumerate")
     sp.add_argument("--poset", required=True)

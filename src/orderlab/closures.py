@@ -2,46 +2,32 @@
 
 The operator sends a set to all suprema of directed subsets of its down
 closure.  On a finite universe every directed set has a greatest element,
-which collapses several of the laws below to exact equalities; the checks
-still compute both sides from the definitions rather than assuming the
-collapse.
+which collapses several of the laws below to exact equalities.  These
+laws exist to exercise the definitions, so one step, way-below and the
+Scott topology all come from the directed-subset sweep in ``reference``
+rather than from the closed forms.
 """
 
 from __future__ import annotations
 
-from .auxrel import section_above, way_below
-from .bitset import ElementSet
-from .errors import BudgetExceeded, OrderlabError
-from .poset import (
-    MAX_DIRECTED_UNIVERSE,
-    Poset,
-    _check_universe,
-    _down_mask,
-    _up_mask,
-)
+from . import reference
 from .approx import _uap_mask
+from .auxrel import section_above
+from .bitset import ElementSet
+from .errors import OrderlabError
+from .poset import Poset, _check_universe, _down_mask, _up_mask
 from .report import CheckReport
-from .topology import _directed_sups, closure, interior, scott_topology
+from .topology import Topology, closure, interior
 
 
-def _gate(p: Poset) -> None:
-    if p.n > MAX_DIRECTED_UNIVERSE:
-        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-
-
-def _one_step_mask(p: Poset, bits: int) -> int:
-    out = _down_mask(p, bits)
-    for mask, s in _directed_sups(p):
-        if mask & ~out == 0:
-            out |= 1 << s
-    return out
+def _scott(p: Poset) -> Topology:
+    return Topology(p, reference.scott_masks(p))
 
 
 def one_step(p: Poset, a: ElementSet) -> ElementSet:
     """Suprema of directed subsets of the down closure of a."""
     _check_universe(p, a)
-    _gate(p)
-    return ElementSet(_one_step_mask(p, a.bits), p.n)
+    return ElementSet(reference.one_step_mask(p, a.bits), p.n)
 
 
 def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
@@ -51,13 +37,12 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     closedness of every image.  The two readings are equivalent, so a
     disagreement is an internal error rather than a result.
     """
-    _gate(p)
-    sigma = scott_topology(p)
+    sigma = _scott(p)
     via_closure = True
     via_fixed = True
     witness = None
     for bits in range(1 << p.n):
-        step = _one_step_mask(p, bits)
+        step = reference.one_step_mask(p, bits)
         if step != closure(sigma, ElementSet(bits, p.n)).bits:
             if via_closure:
                 witness = {"set": ElementSet(bits, p.n).text()}
@@ -74,9 +59,8 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
 
 def is_meet_continuous(p: Poset) -> bool:
     """Below a directed supremum, the element is reached from below the set."""
-    _gate(p)
-    sigma = scott_topology(p)
-    for mask, s in _directed_sups(p):
+    sigma = _scott(p)
+    for mask, s in reference.directed_sups(p):
         below = _down_mask(p, mask)
         for x in range(p.n):
             if not p.up[x] >> s & 1:
@@ -88,9 +72,8 @@ def is_meet_continuous(p: Poset) -> bool:
 
 def check_sec5_theorems(p: Poset) -> CheckReport:
     """Laws tying the one-step operator to down closure and Scott closure."""
-    _gate(p)
-    sigma = scott_topology(p)
-    wb = way_below(p)
+    sigma = _scott(p)
+    wb = reference.way_below(p)
     full = (1 << p.n) - 1
     rep = CheckReport(f"poset n={p.n}", f"all {1 << p.n} subsets")
 
@@ -100,7 +83,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
     down_ok, down_witness = True, None
     for bits in range(1 << p.n):
         down = _down_mask(p, bits)
-        step = _one_step_mask(p, bits)
+        step = reference.one_step_mask(p, bits)
         cl = closure(sigma, ElementSet(bits, p.n)).bits
         if not (bits & ~down == 0 and down & ~step == 0 and step & ~cl == 0):
             if sandwich_ok:

@@ -35,7 +35,14 @@ from .auxrel import (
 from .bitset import ElementSet
 from .closures import check_sec5_theorems, has_one_step_closure
 from .errors import BadParameters, BudgetExceeded
-from .poset import Poset, _axiom_check, enumerate_posets, from_rows, poset_to_json
+from .poset import (
+    MAX_UNIVERSE,
+    Poset,
+    _axiom_check,
+    enumerate_posets,
+    from_rows,
+    poset_to_json,
+)
 from .report import CheckReport
 from .topology import (
     check_chain_of_containments,
@@ -62,9 +69,10 @@ SUITES = (
     "sec5",
 )
 
+_REL_SUITES = ("algebra", "cspace", "int-char", "mu-topology", "partition")
 _REL_MODES = ("enumerate", "sample", "builtins")
 _SUBSET_MODES = ("all", "sample")
-_BUILTIN_RELS = ("leq", "bottom", "way-below")
+_BUILTIN_RELS = {"leq": leq_aux, "bottom": bottom_aux, "way-below": way_below}
 
 
 @dataclass(frozen=True)
@@ -112,24 +120,14 @@ def _scope_posets(scope: Scope) -> list[Poset]:
     return out
 
 
-def _builtin_rel(p: Poset, name: str) -> AuxRelation | None:
-    if name == "leq":
-        return leq_aux(p)
-    if name == "bottom":
-        return bottom_aux(p)
-    if p.n > 20:
-        return None
-    return way_below(p)
-
-
 def _scope_relations(scope: Scope, p: Poset, pi: int) -> list[AuxRelation]:
     if scope.rel_mode == "enumerate":
         return list(enumerate_aux(p))
     if scope.rel_mode == "builtins":
         rels = []
         for name in scope.rel_builtins:
-            r = _builtin_rel(p, name)
-            if r is not None and not any(r.sec == q.sec for q in rels):
+            r = _BUILTIN_RELS[name](p)
+            if not any(r.sec == q.sec for q in rels):
                 rels.append(r)
         return rels
     rels = []
@@ -179,6 +177,8 @@ def parse_fingerprint(fp: str) -> Instance:
         suite, rows, rel, subset, rel2 = json.loads(bytes.fromhex(fp).decode("ascii"))
         if type(suite) is not str or type(subset) not in (int, type(None)):
             raise ValueError("suite must be a string and subset an integer or null")
+        if not 1 <= len(rows) <= MAX_UNIVERSE:
+            raise ValueError(f"rows must have 1..{MAX_UNIVERSE} entries")
         if not all(type(r) is int and 0 <= r < 1 << len(rows) for r in rows):
             raise ValueError("rows do not fit the universe")
         _axiom_check(rows, len(rows))
@@ -187,6 +187,14 @@ def parse_fingerprint(fp: str) -> Instance:
                 list(map(type, pr)) != [int, int] for pr in pairs or ()
             ):
                 raise ValueError("relation is not a list of integer pairs")
+        needs_rel = suite in _REL_SUITES
+        if suite.startswith("property:") and suite[9:] in PROPERTIES:
+            needs_rel = PROPERTIES[suite[9:]].needs_relation
+        if rel is None and needs_rel:
+            raise ValueError(f"suite {suite!r} needs a relation")
+        needs_subset = suite == "partition" or suite == "chain" and rel is not None
+        if subset is None and needs_subset:
+            raise ValueError(f"suite {suite!r} needs a subset")
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
     return Instance(

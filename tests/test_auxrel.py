@@ -1,7 +1,10 @@
 """Auxiliary relations: axioms, closure, way-below, classification, the relation lattice."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orderlab import reference
 from orderlab.auxrel import (
     aux_closure,
     aux_intersection,
@@ -18,18 +21,22 @@ from orderlab.auxrel import (
     way_below,
 )
 from orderlab.bitset import ElementSet
+from orderlab.closures import one_step
 from orderlab.errors import AxiomViolation, PosetMismatch, SeedViolatesOrder
 from orderlab.poset import (
     antichain,
     chain,
     diamond,
+    down_closure,
     enumerate_directed_subsets,
     enumerate_posets,
     from_rows,
     is_directed,
     is_lower,
+    random_poset,
     supremum,
 )
+from orderlab.topology import is_scott_open, scott_topology
 
 R1_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 2)]
 
@@ -95,10 +102,36 @@ def test_closure_output_is_always_valid(c3, d4):
 # -- way-below -------------------------------------------------------------------
 
 
+def _closed_forms_match_the_reference(p):
+    assert way_below(p).sec == reference.way_below(p).sec == p.down
+    scott = reference.scott_masks(p)
+    assert scott_topology(p).masks == scott
+    for bits in range(1 << p.n):
+        a = ElementSet(bits, p.n)
+        assert is_scott_open(p, a) == (bits in scott)
+        assert one_step(p, a) == down_closure(p, a)
+
+
 def test_way_below_equals_the_order_on_small_posets():
-    for n in (1, 2, 3):
+    """The closed forms against the directed-subset sweep: every labeled
+    poset with n <= 5, then hypothesis-sampled posets with n <= 12."""
+    for n in range(1, 6):
         for p in enumerate_posets(n):
-            assert way_below(p).pairs() == leq_aux(p).pairs()
+            _closed_forms_match_the_reference(p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.builds(
+            random_poset,
+            n=st.integers(min_value=1, max_value=12),
+            p=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+            seed=st.integers(min_value=0, max_value=10**6),
+        )
+    )
+    def sampled(p):
+        _closed_forms_match_the_reference(p)
+
+    sampled()
 
 
 def test_way_below_on_singleton():

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -265,6 +266,16 @@ def test_verify_never_reports_failures_and_is_reproducible(capsys):
     assert doc["failures"] == []
     code3, out3, _ = run(capsys, "verify", "--max-n", "2", "--jobs", "8")
     assert code3 == code1 and out3 == out1
+
+
+def test_verify_report_matches_the_golden_digest(capsys):
+    """The whole ``--max-n 3`` report, pinned so that any drift in a law,
+    a witness or the report layout shows up."""
+    _, out, _ = run(capsys, "verify", "--max-n", "3", "--suite", "all",
+                    "--seed", "0", "--format", "json")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6ea2495dd310ef7545c67675e280384871c207e40aa86e381714b350779bec9d"
+    )
 
 
 def test_search_reports_a_witness_with_exit_3(capsys):

@@ -177,6 +177,26 @@ def test_fingerprint_rejects_a_boolean_subset():
         parse_fingerprint(_encode(["partition", [1], [[0, 0]], True, None]))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["int-char", [1], None, None, None],
+        ["partition", [1], None, 0, None],
+        ["algebra", [1], None, None, [[0, 0]]],
+        ["cspace", [1], None, None, None],
+        ["mu-topology", [1], None, None, None],
+        ["property:cspace-implies-approximating", [1], None, None, None],
+        ["partition", [1], [[0, 0]], None, None],
+        ["chain", [1], [[0, 0]], None, None],
+        ["chain", [], None, None, None],
+        ["chain", [1 << i for i in range(25)], None, None, None],
+    ],
+)
+def test_replay_rejects_an_under_specified_fingerprint(doc):
+    with pytest.raises(BadParameters):
+        replay(_encode(doc))
+
+
 def test_findings_replay_to_the_same_verdict():
     rep = run_suite(
         Scope(posets=(chain(3),), rel_mode="builtins", rel_builtins=("bottom",)),
