@@ -82,7 +82,6 @@ from .harness import (
 )
 from .poset import (
     Poset,
-    PosetKind,
     antichain,
     boolean,
     bottom,
@@ -94,7 +93,6 @@ from .poset import (
     enumerate_posets,
     export_dot,
     from_rows,
-    generate,
     hasse,
     infimum,
     is_directed,

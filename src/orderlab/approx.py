@@ -11,7 +11,7 @@ and upper sets, and executable checks for the laws they satisfy.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .auxrel import (
     AuxRelation,
@@ -22,7 +22,7 @@ from .auxrel import (
     leq_aux,
     section_above,
 )
-from .bitset import ElementSet, iter_bits
+from .bitset import ElementSet, iter_bits, mask_text
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     _check_universe,
@@ -105,14 +105,6 @@ def _subject(r: AuxRelation) -> str:
     return f"n={r.poset.n};rel={r.pairs()}"
 
 
-def _set_text(p, bits: int) -> str:
-    return ",".join(str(i) for i in iter_bits(bits))
-
-
-def _default_sets(p) -> list[int]:
-    return list(range(1 << p.n))
-
-
 # -- partition ---------------------------------------------------------------
 
 
@@ -129,15 +121,13 @@ def check_partition(r: AuxRelation, a: ElementSet) -> CheckReport:
         lap_a | uap_rest == full,
         None
         if lap_a | uap_rest == full
-        else {"lap": _set_text(p, lap_a), "uap-of-rest": _set_text(p, uap_rest)},
+        else {"lap": mask_text(lap_a), "uap-of-rest": mask_text(uap_rest)},
     )
     if _is_upper_mask(p, a.bits):
         rep.add(
             "partition.disjoint-on-upper",
             lap_a & uap_rest == 0,
-            None
-            if lap_a & uap_rest == 0
-            else {"overlap": _set_text(p, lap_a & uap_rest)},
+            None if lap_a & uap_rest == 0 else {"overlap": mask_text(lap_a & uap_rest)},
         )
     else:
         rep.add("partition.disjoint-on-upper", True, note="vacuous: set not upper")
@@ -145,6 +135,13 @@ def check_partition(r: AuxRelation, a: ElementSet) -> CheckReport:
 
 
 # -- interpolation characterization -------------------------------------------
+
+
+def _not_idempotent(op, r: AuxRelation, masks: list[int]) -> Iterator[str]:
+    for m in masks:
+        once = op(r, m)
+        if op(r, once) != once:
+            yield mask_text(m)
 
 
 def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool], dict]:
@@ -155,51 +152,35 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     (5) uap a closure operator on the lower-set lattice.
     """
     p = r.poset
-    witnesses: dict = {}
-    s1 = classify(r).has_int
-
     uppers = [u.bits for u in enumerate_upper_sets(p)]
     lowers = [l.bits for l in enumerate_lower_sets(p)]
-
-    s2 = True
-    for u in uppers:
-        one = _lap_mask(r, u)
-        if _lap_mask(r, one) != one:
-            s2 = False
-            witnesses["lap-idempotent"] = _set_text(p, u)
-            break
-
-    deflationary = all(_lap_mask(r, u) & ~u == 0 for u in uppers)
-    monotone_l = True
-    for u in uppers:
-        for v in uppers:
-            if u & ~v == 0 and _lap_mask(r, u) & ~_lap_mask(r, v):
-                monotone_l = False
-                break
-        if not monotone_l:
-            break
-    s3 = deflationary and monotone_l and s2
-
-    s4 = True
-    for l in lowers:
-        one = _uap_mask(r, l)
-        if _uap_mask(r, one) != one:
-            s4 = False
-            witnesses["uap-idempotent"] = _set_text(p, l)
-            break
-
-    inflationary = all(l & ~_uap_mask(r, l) == 0 for l in lowers)
-    monotone_u = True
-    for l in lowers:
-        for m in lowers:
-            if l & ~m == 0 and _uap_mask(r, l) & ~_uap_mask(r, m):
-                monotone_u = False
-                break
-        if not monotone_u:
-            break
-    s5 = inflationary and monotone_u and s4
-
-    return (s1, s2, s3, s4, s5), witnesses
+    lap_bad = next(_not_idempotent(_lap_mask, r, uppers), None)
+    uap_bad = next(_not_idempotent(_uap_mask, r, lowers), None)
+    s2, s4 = lap_bad is None, uap_bad is None
+    witnesses = {
+        k: v
+        for k, v in (("lap-idempotent", lap_bad), ("uap-idempotent", uap_bad))
+        if v is not None
+    }
+    s3 = (
+        s2
+        and all(_lap_mask(r, u) & ~u == 0 for u in uppers)
+        and not any(
+            u & ~v == 0 and _lap_mask(r, u) & ~_lap_mask(r, v)
+            for u in uppers
+            for v in uppers
+        )
+    )
+    s5 = (
+        s4
+        and all(l & ~_uap_mask(r, l) == 0 for l in lowers)
+        and not any(
+            l & ~m == 0 and _uap_mask(r, l) & ~_uap_mask(r, m)
+            for l in lowers
+            for m in lowers
+        )
+    )
+    return (classify(r).has_int, s2, s3, s4, s5), witnesses
 
 
 def check_int_equivalences(r: AuxRelation) -> CheckReport:
@@ -230,76 +211,61 @@ def check_int_equivalences(r: AuxRelation) -> CheckReport:
 def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -> CheckReport:
     """Sandwich, invariance, upper/lower facts and the whole-space equivalence."""
     p = r.poset
-    masks = (
-        [s.bits for s in sets] if sets is not None else _default_sets(p)
-    )
+    masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
     full = (1 << p.n) - 1
     r_leq = leq_aux(p)
 
-    def law(name, pred_and_witness):
-        ok, witness = True, None
-        for bits in masks:
-            failed = pred_and_witness(bits)
-            if failed is not None:
-                ok, witness = False, failed
-                break
-        rep.add(name, ok, witness)
-
-    def sandwich(bits):
-        la, ua = _lap_mask(r, bits), _uap_mask(r, bits)
-        if la & ~bits or bits & ~ua:
-            return {"set": _set_text(p, bits)}
-        return None
-
-    law("basic.sandwich", sandwich)
-
-    def down_invariance(bits):
-        if _uap_mask(r, bits) != _uap_mask(r, _down_mask(p, bits)):
-            return {"set": _set_text(p, bits)}
-        return None
-
-    law("basic.uap-down-invariance", down_invariance)
-
-    def uap_lower(bits):
-        if not _is_lower_mask(p, _uap_mask(r, bits)):
-            return {"set": _set_text(p, bits)}
-        return None
-
-    law("basic.uap-lower", uap_lower)
-
-    def lap_upper(bits):
-        if _is_upper_mask(p, bits) and not _is_upper_mask(p, _lap_mask(r, bits)):
-            return {"set": _set_text(p, bits)}
-        return None
-
-    law("basic.lap-preserves-upper", lap_upper)
-
-    def leq_identities(bits):
-        if _lap_mask(r_leq, bits) != bits:
-            return {"set": _set_text(p, bits), "op": "lap"}
-        if _uap_mask(r_leq, bits) != _down_mask(p, bits):
-            return {"set": _set_text(p, bits), "op": "uap"}
-        return None
-
-    law("basic.leq-identities", leq_identities)
-
-    def membership(bits):
-        la = _lap_mask(r, bits)
-        for x in range(p.n):
-            stated = bool(bits >> x & 1) and bool(r.sec[x] & bits)
-            if bool(la >> x & 1) != stated:
-                return {"set": _set_text(p, bits), "element": x}
-        return None
-
-    law("basic.membership-characterization", membership)
-
-    principal_ok, principal_witness = True, None
-    for a in range(p.n):
-        if _lap_mask(r, p.up[a]) != section_above(r, a).bits:
-            principal_ok, principal_witness = False, {"element": a}
-            break
-    rep.add("basic.principal-upper-section", principal_ok, principal_witness)
+    rep.law(
+        "basic.sandwich",
+        ({"set": mask_text(b)} for b in masks if _lap_mask(r, b) & ~b or b & ~_uap_mask(r, b)),
+    )
+    rep.law(
+        "basic.uap-down-invariance",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _uap_mask(r, b) != _uap_mask(r, _down_mask(p, b))
+        ),
+    )
+    rep.law(
+        "basic.uap-lower",
+        ({"set": mask_text(b)} for b in masks if not _is_lower_mask(p, _uap_mask(r, b))),
+    )
+    rep.law(
+        "basic.lap-preserves-upper",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _is_upper_mask(p, b) and not _is_upper_mask(p, _lap_mask(r, b))
+        ),
+    )
+    rep.law(
+        "basic.leq-identities",
+        (
+            {"set": mask_text(b), "op": "lap" if _lap_mask(r_leq, b) != b else "uap"}
+            for b in masks
+            if _lap_mask(r_leq, b) != b or _uap_mask(r_leq, b) != _down_mask(p, b)
+        ),
+    )
+    rep.law(
+        "basic.membership-characterization",
+        (
+            {"set": mask_text(b), "element": x}
+            for b in masks
+            for la in [_lap_mask(r, b)]
+            for x in range(p.n)
+            if bool(la >> x & 1) != (bool(b >> x & 1) and bool(r.sec[x] & b))
+        ),
+    )
+    rep.law(
+        "basic.principal-upper-section",
+        (
+            {"element": a}
+            for a in range(p.n)
+            if _lap_mask(r, p.up[a]) != section_above(r, a).bits
+        ),
+    )
 
     sections_nonempty = all(r.sec[x] for x in range(p.n))
     three_way = (
@@ -314,8 +280,8 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
         if three_way
         else {
             "sections-nonempty": sections_nonempty,
-            "uap-empty": _set_text(p, _uap_mask(r, 0)),
-            "lap-full": _set_text(p, _lap_mask(r, full)),
+            "uap-empty": mask_text(_uap_mask(r, 0)),
+            "lap-full": mask_text(_lap_mask(r, full)),
         },
     )
     rep.add("basic.lap-of-empty", _lap_mask(r, 0) == 0)
@@ -332,20 +298,21 @@ def check_algebra(
     if r1.poset != r2.poset:
         raise PosetMismatch("relations live on different posets")
     p = r1.poset
-    masks = [s.bits for s in sets] if sets is not None else _default_sets(p)
+    masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
     rep = CheckReport(
         f"n={p.n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
     )
 
     if aux_subset(r1, r2):
-        ok, witness = True, None
-        for bits in masks:
-            if _lap_mask(r1, bits) & ~_lap_mask(r2, bits) or _uap_mask(
-                r2, bits
-            ) & ~_uap_mask(r1, bits):
-                ok, witness = False, {"set": _set_text(p, bits)}
-                break
-        rep.add("algebra.monotone-in-relation", ok, witness)
+        rep.law(
+            "algebra.monotone-in-relation",
+            (
+                {"set": mask_text(b)}
+                for b in masks
+                if _lap_mask(r1, b) & ~_lap_mask(r2, b)
+                or _uap_mask(r2, b) & ~_uap_mask(r1, b)
+            ),
+        )
     else:
         rep.add(
             "algebra.monotone-in-relation", True, note="vacuous: rel1 not below rel2"
@@ -353,57 +320,52 @@ def check_algebra(
 
     union = aux_union(r1, r2)
     meet = aux_intersection(r1, r2)
-
-    ok, witness = True, None
-    for bits in masks:
-        if _lap_mask(union, bits) != _lap_mask(r1, bits) | _lap_mask(r2, bits):
-            ok, witness = False, {"set": _set_text(p, bits)}
-            break
-    rep.add("algebra.lap-of-union", ok, witness)
-
-    ok, witness = True, None
-    for bits in masks:
-        if _uap_mask(union, bits) != _uap_mask(r1, bits) & _uap_mask(r2, bits):
-            ok, witness = False, {"set": _set_text(p, bits)}
-            break
-    rep.add("algebra.uap-of-union", ok, witness)
-
-    ok, witness = True, None
-    for bits in masks:
-        if not _is_filtered_mask(p, bits):
-            continue
-        if _lap_mask(meet, bits) != _lap_mask(r1, bits) & _lap_mask(r2, bits):
-            ok, witness = False, {"set": _set_text(p, bits)}
-            break
-    rep.add("algebra.lap-of-intersection-on-filtered", ok, witness)
+    rep.law(
+        "algebra.lap-of-union",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _lap_mask(union, b) != _lap_mask(r1, b) | _lap_mask(r2, b)
+        ),
+    )
+    rep.law(
+        "algebra.uap-of-union",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _uap_mask(union, b) != _uap_mask(r1, b) & _uap_mask(r2, b)
+        ),
+    )
+    rep.law(
+        "algebra.lap-of-intersection-on-filtered",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _is_filtered_mask(p, b)
+            and _lap_mask(meet, b) != _lap_mask(r1, b) & _lap_mask(r2, b)
+        ),
+    )
 
     lowers = [l.bits for l in enumerate_lower_sets(p)]
-    ok, witness = True, None
-    for b1 in lowers:
-        for b2 in lowers:
-            if _uap_mask(r1, b1 & b2) != _uap_mask(r1, b1) & _uap_mask(r1, b2):
-                ok, witness = False, {
-                    "set1": _set_text(p, b1),
-                    "set2": _set_text(p, b2),
-                }
-                break
-        if not ok:
-            break
-    rep.add("algebra.uap-preserves-lower-meets", ok, witness)
-
+    rep.law(
+        "algebra.uap-preserves-lower-meets",
+        (
+            {"set1": mask_text(b1), "set2": mask_text(b2)}
+            for b1 in lowers
+            for b2 in lowers
+            if _uap_mask(r1, b1 & b2) != _uap_mask(r1, b1) & _uap_mask(r1, b2)
+        ),
+    )
     uppers = [u.bits for u in enumerate_upper_sets(p)]
-    ok, witness = True, None
-    for u1 in uppers:
-        for u2 in uppers:
-            if _lap_mask(r1, u1 | u2) != _lap_mask(r1, u1) | _lap_mask(r1, u2):
-                ok, witness = False, {
-                    "set1": _set_text(p, u1),
-                    "set2": _set_text(p, u2),
-                }
-                break
-        if not ok:
-            break
-    rep.add("algebra.lap-preserves-upper-joins", ok, witness)
+    rep.law(
+        "algebra.lap-preserves-upper-joins",
+        (
+            {"set1": mask_text(u1), "set2": mask_text(u2)}
+            for u1 in uppers
+            for u2 in uppers
+            if _lap_mask(r1, u1 | u2) != _lap_mask(r1, u1) | _lap_mask(r1, u2)
+        ),
+    )
     return rep
 
 
@@ -413,30 +375,24 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     rep = CheckReport(_subject(r), "all lower and upper sets")
     lowers = [l.bits for l in enumerate_lower_sets(p)]
     uppers = [u.bits for u in enumerate_upper_sets(p)]
-
-    ok, witness = True, None
-    for b in lowers:
-        g_b = uap_lower_adjoint(r, ElementSet(b, p.n)).bits
-        for a in lowers:
-            left = b & ~_uap_mask(r, a) == 0
-            right = g_b & ~a == 0
-            if left != right:
-                ok, witness = False, {"b": _set_text(p, b), "a": _set_text(p, a)}
-                break
-        if not ok:
-            break
-    rep.add("adjoint.lower-galois", ok, witness)
-
-    ok, witness = True, None
-    for b in uppers:
-        h_b = lap_upper_adjoint(r, ElementSet(b, p.n)).bits
-        for a in uppers:
-            left = _lap_mask(r, a) & ~b == 0
-            right = a & ~h_b == 0
-            if left != right:
-                ok, witness = False, {"b": _set_text(p, b), "a": _set_text(p, a)}
-                break
-        if not ok:
-            break
-    rep.add("adjoint.upper-galois", ok, witness)
+    g = [(b, uap_lower_adjoint(r, ElementSet(b, p.n)).bits) for b in lowers]
+    h = [(b, lap_upper_adjoint(r, ElementSet(b, p.n)).bits) for b in uppers]
+    rep.law(
+        "adjoint.lower-galois",
+        (
+            {"b": mask_text(b), "a": mask_text(a)}
+            for b, g_b in g
+            for a in lowers
+            if (b & ~_uap_mask(r, a) == 0) != (g_b & ~a == 0)
+        ),
+    )
+    rep.law(
+        "adjoint.upper-galois",
+        (
+            {"b": mask_text(b), "a": mask_text(a)}
+            for b, h_b in h
+            for a in uppers
+            if (_lap_mask(r, a) & ~b == 0) != (a & ~h_b == 0)
+        ),
+    )
     return rep

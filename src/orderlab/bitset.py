@@ -22,6 +22,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_text(mask: int) -> str:
+    """The members of ``mask`` as "0,2", the form witnesses and the CLI use."""
+    return ",".join(map(str, iter_bits(mask)))
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """Yield every nonempty submask of ``mask`` (descending order)."""
     sub = mask
@@ -88,7 +93,7 @@ class ElementSet:
         return tuple(iter_bits(self.bits))
 
     def text(self) -> str:
-        return ",".join(str(i) for i in self.indices())
+        return mask_text(self.bits)
 
     def __repr__(self):
         return f"ElementSet([{self.text()}], n={self.n})"

@@ -283,36 +283,30 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
 
     rep.add("window.order-axioms", True, note="validated at construction")
 
-    embed_ok, embed_witness = True, None
-    for xi, x in enumerate(w.elements):
-        for yi, y in enumerate(w.elements):
-            if bool(p.up[xi] >> yi & 1) != f.leq(x, y):
-                embed_ok, embed_witness = False, {"x": str(x), "y": str(y)}
-                break
-        if not embed_ok:
-            break
-    rep.add("window.order-embedding", embed_ok, embed_witness)
+    rep.law(
+        "window.order-embedding",
+        (
+            {"x": str(x), "y": str(y)}
+            for xi, x in enumerate(w.elements)
+            for yi, y in enumerate(w.elements)
+            if bool(p.up[xi] >> yi & 1) != f.leq(x, y)
+        ),
+    )
 
-    sup_ok, sup_witness = True, None
-    for chain in f.chains(m, n):
-        si = w.index(chain.sup)
-        for k, e in enumerate(w.elements):
-            if chain.contains(e) and not p.up[k] >> si & 1:
-                sup_ok, sup_witness = False, {"chain": chain.name, "member": str(e)}
-            if chain.is_upper_bound(e):
-                if not p.up[si] >> k & 1:
-                    sup_ok, sup_witness = False, {
-                        "chain": chain.name,
-                        "bound": str(e),
-                    }
-                for ci, c in enumerate(w.elements):
-                    if chain.contains(c) and not p.up[ci] >> k & 1:
-                        sup_ok, sup_witness = False, {
-                            "chain": chain.name,
-                            "bound": str(e),
-                            "member": str(c),
-                        }
-    rep.add("window.declared-suprema", sup_ok, sup_witness)
+    def unsound_suprema():
+        for chain in f.chains(m, n):
+            si = w.index(chain.sup)
+            for k, e in enumerate(w.elements):
+                if chain.contains(e) and not p.up[k] >> si & 1:
+                    yield {"chain": chain.name, "member": str(e)}
+                if chain.is_upper_bound(e):
+                    if not p.up[si] >> k & 1:
+                        yield {"chain": chain.name, "bound": str(e)}
+                    for ci, c in enumerate(w.elements):
+                        if chain.contains(c) and not p.up[ci] >> k & 1:
+                            yield {"chain": chain.name, "bound": str(e), "member": str(c)}
+
+    rep.law("window.declared-suprema", unsound_suprema())
 
     if isinstance(f, LadderFamily):
         a_bits = 0
@@ -320,12 +314,14 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
             if f.member("A", e):
                 a_bits |= 1 << k
         step = _window_one_step_mask(w, a_bits)
-        one_ok, one_witness = True, None
-        for k, e in enumerate(w.elements):
-            if step >> k & 1 and not f.member("Aprime", e):
-                one_ok, one_witness = False, {"element": str(e)}
-                break
-        rep.add("window.one-step-consistency", one_ok, one_witness)
+        rep.law(
+            "window.one-step-consistency",
+            (
+                {"element": str(e)}
+                for k, e in enumerate(w.elements)
+                if step >> k & 1 and not f.member("Aprime", e)
+            ),
+        )
 
         top = FamilyElement("top")
         rep.add(
@@ -355,17 +351,16 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
                 note="window too large for the computed relation; skipped",
             )
         else:
-            agree_ok, agree_witness = True, None
-            for xi, x in enumerate(w.elements):
-                for yi, y in enumerate(w.elements):
-                    if x.kind == y.kind == "omega":
-                        continue
-                    if f.way_below(x, y) != wb.holds(xi, yi):
-                        agree_ok, agree_witness = False, {
-                            "x": str(x),
-                            "y": str(y),
-                        }
-            rep.add("window.way-below-agreement", agree_ok, agree_witness)
+            rep.law(
+                "window.way-below-agreement",
+                (
+                    {"x": str(x), "y": str(y)}
+                    for xi, x in enumerate(w.elements)
+                    for yi, y in enumerate(w.elements)
+                    if not x.kind == y.kind == "omega"
+                    and f.way_below(x, y) != wb.holds(xi, yi)
+                ),
+            )
 
         chain = f.chains(m, n)[0]
         witness_ok = chain.sup == omega_el and not any(
@@ -391,17 +386,11 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
             "window.up-of-omega-is-singleton",
             all((e == omega_el) == f.leq(omega_el, e) for e in w.elements),
         )
-        cont_ok = True
-        for k, e in enumerate(w.elements):
-            if e.kind == "nat" and not f.way_below(e, e):
-                cont_ok = False
-        if not (chain.sup == omega_el and all(
-            f.way_below(e, omega_el) for e in w.elements if chain.contains(e)
-        )):
-            cont_ok = False
         rep.add(
             "window.family-continuity",
-            cont_ok,
+            chain.sup == omega_el
+            and all(f.way_below(e, e) for e in w.elements if e.kind == "nat")
+            and all(f.way_below(e, omega_el) for e in w.elements if chain.contains(e)),
             note="finite stages compact; omega reached by its declared chain",
         )
 

@@ -40,7 +40,6 @@ from .poset import (
     Poset,
     _axiom_check,
     enumerate_posets,
-    from_rows,
     poset_to_json,
 )
 from .report import CheckReport
@@ -207,7 +206,7 @@ def parse_fingerprint(fp: str) -> Instance:
 
 
 def _run_instance(inst: Instance) -> CheckReport:
-    p = from_rows(inst.rows, check=False)
+    p = Poset(inst.rows)
     r = validate_aux(p, inst.rel) if inst.rel is not None else None
     a = ElementSet(inst.subset, p.n) if inst.subset is not None else None
     suite = inst.suite

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .bitset import ElementSet, iter_bits
+from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
     AxiomViolation,
     BadParameters,
@@ -109,20 +108,14 @@ def _transitive_close(rows: list[int], n: int) -> list[int]:
     return rows
 
 
-def from_rows(
-    rows: Iterable[int],
-    labels: Iterable[str] | None = None,
-    *,
-    check: bool = True,
-) -> Poset:
+def from_rows(rows: Iterable[int], labels: Iterable[str] | None = None) -> Poset:
     """Build a poset from up-rows, validating the order axioms.
 
     No universe-size cap is applied here; ``validate_poset`` is the
     capped public entry point for external input.
     """
     rows = tuple(rows)
-    if check:
-        _axiom_check(rows, len(rows))
+    _axiom_check(rows, len(rows))
     return Poset(rows, labels)
 
 
@@ -372,92 +365,59 @@ def enumerate_directed_subsets(
 # -- generators ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PosetKind:
-    """Parameter record for ``generate``."""
-
-    tag: str
-    n: int | None = None
-    k: int | None = None
-    seed: int | None = None
-    p: float | None = None
-    pairs: tuple[tuple[int, int], ...] | None = None
-    mode: str = "covers"
+def _check_n(kind: str, n: int) -> None:
+    if not 1 <= n <= MAX_UNIVERSE:
+        raise BadParameters(f"{kind} needs 1 <= n <= {MAX_UNIVERSE}, got {n}")
 
 
 def chain(n: int) -> Poset:
-    return generate(PosetKind("chain", n=n))
+    _check_n("chain", n)
+    return Poset([((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
 
 
 def antichain(n: int) -> Poset:
-    return generate(PosetKind("antichain", n=n))
+    _check_n("antichain", n)
+    return Poset([1 << i for i in range(n)])
 
 
 def diamond() -> Poset:
-    return generate(PosetKind("diamond"))
+    """0 below 1 and 2 (incomparable), both below 3."""
+    return Poset((0b1111, 0b1010, 0b1100, 0b1000))
 
 
 def boolean(k: int) -> Poset:
-    return generate(PosetKind("boolean", k=k))
+    """The subsets of a k-set under inclusion, labeled "{0,2}" and so on."""
+    if not 0 <= k <= 5:
+        raise BadParameters(f"boolean needs 0 <= k <= 5, got {k}")
+    n = 1 << k
+    if n > MAX_UNIVERSE:
+        raise BadParameters(f"boolean k={k} yields n={n} > {MAX_UNIVERSE}")
+    rows = []
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if i & j == i:
+                row |= 1 << j
+        rows.append(row)
+    labels = ["{" + mask_text(i) + "}" for i in range(n)]
+    return Poset(rows, labels)
 
 
 def random_poset(n: int, p: float, seed: int) -> Poset:
-    return generate(PosetKind("random", n=n, p=p, seed=seed))
-
-
-def generate(kind: PosetKind) -> Poset:
-    """Build one of the stock posets; raises BadParameters out of bounds."""
-    tag = kind.tag
-    if tag in ("chain", "antichain"):
-        n = kind.n
-        if n is None or not 1 <= n <= MAX_UNIVERSE:
-            raise BadParameters(f"{tag} needs 1 <= n <= {MAX_UNIVERSE}, got {n}")
-        if tag == "chain":
-            rows = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
-        else:
-            rows = [1 << i for i in range(n)]
-        return Poset(rows)
-    if tag == "diamond":
-        # 0 below 1 and 2 (incomparable), both below 3
-        return Poset((0b1111, 0b1010, 0b1100, 0b1000))
-    if tag == "boolean":
-        k = kind.k
-        if k is None or not 0 <= k <= 5:
-            raise BadParameters(f"boolean needs 0 <= k <= 5, got {k}")
-        n = 1 << k
-        if n > MAX_UNIVERSE:
-            raise BadParameters(f"boolean k={k} yields n={n} > {MAX_UNIVERSE}")
-        rows = []
-        for i in range(n):
-            row = 0
-            for j in range(n):
-                if i & j == i:
-                    row |= 1 << j
-            rows.append(row)
-        labels = ["{" + ",".join(str(b) for b in iter_bits(i)) + "}" for i in range(n)]
-        return Poset(rows, labels)
-    if tag == "random":
-        n, p_edge, seed = kind.n, kind.p, kind.seed
-        if n is None or not 1 <= n <= MAX_UNIVERSE:
-            raise BadParameters(f"random needs 1 <= n <= {MAX_UNIVERSE}, got {n}")
-        if p_edge is None or not 0.0 <= p_edge <= 1.0:
-            raise BadParameters(f"random needs 0 <= p <= 1, got {p_edge}")
-        if seed is None:
-            raise BadParameters("random needs a seed")
-        rng = random.Random(seed)
-        rows = [1 << i for i in range(n)]
-        # edges only from lower to higher index, so antisymmetry is free
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p_edge:
-                    rows[i] |= 1 << j
-        _transitive_close(rows, n)
-        return Poset(rows)
-    if tag == "explicit":
-        if kind.n is None or kind.pairs is None:
-            raise BadParameters("explicit needs n and pairs")
-        return validate_poset(kind.n, kind.pairs, kind.mode)
-    raise BadParameters(f"unknown poset kind {tag!r}")
+    """Edges i < j drawn with probability p, then closed transitively."""
+    _check_n("random", n)
+    if not 0.0 <= p <= 1.0:
+        raise BadParameters(f"random needs 0 <= p <= 1, got {p}")
+    if seed is None:
+        raise BadParameters("random needs a seed")
+    rng = random.Random(seed)
+    rows = [1 << i for i in range(n)]
+    # edges only from lower to higher index, so antisymmetry is free
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                rows[i] |= 1 << j
+    return Poset(_transitive_close(rows, n))
 
 
 # -- exhaustive enumeration ----------------------------------------------

@@ -3,11 +3,16 @@
 A verdict is either a hard assertion (failure when false), a finding
 (recorded when false but never a failure), or informational (excluded
 from aggregation entirely).
+
+A law that quantifies over a family of sets is decided by scanning the
+family for a counterexample (``CheckReport.law``).  Its witness is the
+first counterexample in scan order, and the scan stops there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -51,6 +56,12 @@ class CheckReport:
             LawVerdict(law, passed, witness, finding, informational, note)
         )
         return self
+
+    def law(self, law: str, counterexamples: Iterable[dict], **kw) -> "CheckReport":
+        """Add ``law``, failed by the first of the lazy ``counterexamples``,
+        which is its witness; keywords go to ``add``."""
+        witness = next(iter(counterexamples), None)
+        return self.add(law, witness is None, witness, **kw)
 
     @property
     def failures(self) -> list[LawVerdict]:

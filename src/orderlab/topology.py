@@ -18,7 +18,7 @@ from typing import Iterable
 from . import reference
 from .approx import _lap_mask, _uap_mask
 from .auxrel import AuxRelation, classify, leq_aux, section_above, way_below
-from .bitset import ElementSet, iter_bits
+from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -29,7 +29,6 @@ from .poset import (
     MAX_DIRECTED_UNIVERSE,
     Poset,
     _check_universe,
-    _down_mask,
     _is_upper_mask,
     _supremum_mask,
     _upper_masks,
@@ -76,16 +75,14 @@ def check_topology_invariants(t: Topology) -> CheckReport:
     rep = CheckReport(f"topology on n={p.n}", f"{len(t.masks)} opens")
     rep.add("topology.contains-empty", 0 in t._mask_set)
     rep.add("topology.contains-full", full in t._mask_set)
-    inter_ok, inter_witness = True, None
-    union_ok, union_witness = True, None
-    for u in t.masks:
-        for v in t.masks:
-            if u & v not in t._mask_set and inter_ok:
-                inter_ok, inter_witness = False, {"u": u, "v": v}
-            if u | v not in t._mask_set and union_ok:
-                union_ok, union_witness = False, {"u": u, "v": v}
-    rep.add("topology.binary-intersection", inter_ok, inter_witness)
-    rep.add("topology.binary-union", union_ok, union_witness)
+    rep.law(
+        "topology.binary-intersection",
+        ({"u": u, "v": v} for u in t.masks for v in t.masks if u & v not in t._mask_set),
+    )
+    rep.law(
+        "topology.binary-union",
+        ({"u": u, "v": v} for u in t.masks for v in t.masks if u | v not in t._mask_set),
+    )
     return rep
 
 
@@ -165,14 +162,9 @@ def specialization_order(t: Topology) -> SpecializationOrder:
             if m >> x & 1:
                 acc &= m
         rows.append(acc)
-    t0 = True
-    for x in range(p.n):
-        for y in range(x + 1, p.n):
-            if rows[x] >> y & 1 and rows[y] >> x & 1:
-                t0 = False
-                break
-        if not t0:
-            break
+    t0 = not any(
+        rows[x] >> y & 1 and rows[y] >> x & 1 for x in range(p.n) for y in range(x + 1, p.n)
+    )
     return SpecializationOrder(tuple(rows), t0)
 
 
@@ -232,10 +224,6 @@ def is_continuous(p: Poset) -> bool:
 # -- theorem checkers ----------------------------------------------------------
 
 
-def _set_text(bits: int) -> str:
-    return ",".join(str(i) for i in iter_bits(bits))
-
-
 def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
     """Scott interior up to Scott closure, with the approximations between."""
     p = r.poset
@@ -260,7 +248,7 @@ def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
     rep.add(
         "chain.values",
         True,
-        {name: _set_text(bits) for name, bits in chain},
+        {name: mask_text(bits) for name, bits in chain},
         informational=True,
     )
     for (name1, bits1), (name2, bits2) in zip(chain, chain[1:]):
@@ -269,7 +257,7 @@ def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
             bits1 & ~bits2 == 0,
             None
             if bits1 & ~bits2 == 0
-            else {name1: _set_text(bits1), name2: _set_text(bits2)},
+            else {name1: mask_text(bits1), name2: mask_text(bits2)},
         )
     return rep
 
@@ -361,18 +349,15 @@ def check_continuity_characterization(
             note="given relation only; does not affect the theorem verdict",
         )
 
-    ok, witness = True, None
-    for bits in range(1 << p.n):
-        cl = closure(sigma, ElementSet(bits, p.n)).bits
-        down_a = _down_mask(p, bits)
-        for x in range(p.n):
-            stated = wb.sec[x] & ~down_a == 0
-            if bool(cl >> x & 1) != stated:
-                ok, witness = False, {"set": _set_text(bits), "element": x}
-                break
-        if not ok:
-            break
-    rep.add("continuity.scott-closure-criterion", ok, witness)
+    rep.law(
+        "continuity.scott-closure-criterion",
+        (
+            {"set": mask_text(bits), "element": next(iter_bits(diff))}
+            for bits in range(1 << p.n)
+            for diff in [closure(sigma, ElementSet(bits, p.n)).bits ^ _uap_mask(wb, bits)]
+            if diff
+        ),
+    )
     return rep
 
 
@@ -389,22 +374,21 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
         cs, witness = is_c_space(mu)
         rep.add("cspace.int-implies-cspace", cs, witness)
 
-        base_ok, base_witness = True, None
         sections = [section_above(r, x).bits for x in range(p.n)]
-        for s in sections:
-            if s not in mu._mask_set:
-                base_ok, base_witness = False, {"section": _set_text(s)}
-                break
-        if base_ok:
+
+        def not_a_base():
+            for s in sections:
+                if s not in mu._mask_set:
+                    yield {"section": mask_text(s)}
             for u in mu.masks:
                 cover = 0
                 for y in iter_bits(u):
                     if sections[y] & ~u == 0:
                         cover |= sections[y]
                 if cover != u:
-                    base_ok, base_witness = False, {"open": _set_text(u)}
-                    break
-        rep.add("cspace.sections-form-base", base_ok, base_witness)
+                    yield {"open": mask_text(u)}
+
+        rep.law("cspace.sections-form-base", not_a_base())
     else:
         rep.add(
             "cspace.int-implies-cspace", True, note="vacuous: no interpolation"
@@ -474,20 +458,23 @@ def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
         return True
 
     rep = CheckReport(f"n={p.n};rel={r.pairs()}", "all upper sets")
-    ok, witness = True, None
-    for u in mu.masks:
-        if not _is_upper_mask(p, u) or not inaccessible(u):
-            ok, witness = False, {"open": _set_text(u)}
-            break
-    rep.add("mu.open-implies-inaccessible", ok, witness)
-
+    rep.law(
+        "mu.open-implies-inaccessible",
+        (
+            {"open": mask_text(u)}
+            for u in mu.masks
+            if not _is_upper_mask(p, u) or not inaccessible(u)
+        ),
+    )
     if cls.approximating:
-        ok, witness = True, None
-        for mask in _upper_masks(p.up, p.down):
-            if inaccessible(mask) and mask not in mu._mask_set:
-                ok, witness = False, {"set": _set_text(mask)}
-                break
-        rep.add("mu.inaccessible-implies-open", ok, witness)
+        rep.law(
+            "mu.inaccessible-implies-open",
+            (
+                {"set": mask_text(m)}
+                for m in _upper_masks(p.up, p.down)
+                if inaccessible(m) and m not in mu._mask_set
+            ),
+        )
     else:
         rep.add(
             "mu.inaccessible-implies-open",

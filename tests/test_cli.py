@@ -203,6 +203,16 @@ def test_closure_one_step(files, capsys):
     assert code == 0 and out == "0,1,2\n"
 
 
+def test_closure_one_step_beyond_the_directed_sweep(tmp_path, capsys):
+    """One step is the down closure, so it needs no directed-subset sweep."""
+    path = tmp_path / "a21.json"
+    assert main(["poset", "gen", "--kind", "antichain", "--n", "21",
+                 "--out", str(path)]) == 0
+    code, out, _ = run(capsys, "closure", "one-step", "--poset", str(path),
+                       "--set", "0,20")
+    assert code == 0 and out == "0,20\n"
+
+
 def test_closure_meet_continuous(files, capsys):
     code, out, _ = run(capsys, "closure", "meet-continuous",
                        "--poset", str(files["d4"]))

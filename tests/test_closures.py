@@ -94,7 +94,7 @@ def test_theorem_bundle_everywhere_small():
 
 def test_directed_enumeration_budget_guard():
     big = from_rows(tuple(1 << i for i in range(21)))
-    with pytest.raises(BudgetExceeded):
-        one_step(big, ElementSet.empty(21))
+    assert one_step(big, ElementSet.from_indices(21, [3, 20])) == ElementSet.from_indices(21, [3, 20])
+    assert one_step(chain(21), ElementSet.single(21, 5)) == ElementSet.from_indices(21, range(6))
     with pytest.raises(BudgetExceeded):
         has_one_step_closure(big)
