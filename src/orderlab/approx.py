@@ -377,13 +377,15 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     uppers = [u.bits for u in enumerate_upper_sets(p)]
     g = [(b, uap_lower_adjoint(r, ElementSet(b, p.n)).bits) for b in lowers]
     h = [(b, lap_upper_adjoint(r, ElementSet(b, p.n)).bits) for b in uppers]
+    uap_of = [(a, _uap_mask(r, a)) for a in lowers]
+    lap_of = [(a, _lap_mask(r, a)) for a in uppers]
     rep.law(
         "adjoint.lower-galois",
         (
             {"b": mask_text(b), "a": mask_text(a)}
             for b, g_b in g
-            for a in lowers
-            if (b & ~_uap_mask(r, a) == 0) != (g_b & ~a == 0)
+            for a, uap_a in uap_of
+            if (b & ~uap_a == 0) != (g_b & ~a == 0)
         ),
     )
     rep.law(
@@ -391,8 +393,8 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
         (
             {"b": mask_text(b), "a": mask_text(a)}
             for b, h_b in h
-            for a in uppers
-            if (_lap_mask(r, a) & ~b == 0) != (a & ~h_b == 0)
+            for a, lap_a in lap_of
+            if (lap_a & ~b == 0) != (a & ~h_b == 0)
         ),
     )
     return rep

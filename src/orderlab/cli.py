@@ -18,10 +18,8 @@ from .bitset import ElementSet
 from .auxrel import (
     AuxRelation,
     aux_closure,
-    bottom_aux,
     classify,
     enumerate_aux,
-    leq_aux,
     validate_aux,
     way_below,
 )
@@ -40,6 +38,7 @@ from .harness import (
     PROPERTIES,
     SUITES,
     Scope,
+    _BUILTIN_RELS,
     run_suite,
     search_counterexample,
 )
@@ -117,14 +116,12 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
 
 
 def _load_rel(p: Poset, spec: str) -> AuxRelation:
-    if spec == "builtin:leq":
-        return leq_aux(p)
-    if spec == "builtin:bottom":
-        return bottom_aux(p)
-    if spec in ("builtin:way-below", "builtin:wb"):
-        return way_below(p)
     if spec.startswith("builtin:"):
-        raise BadParameters(f"--rel {spec}: unknown builtin relation")
+        name = spec[8:]
+        make = _BUILTIN_RELS.get("way-below" if name == "wb" else name)
+        if make is None:
+            raise BadParameters(f"--rel {spec}: unknown builtin relation")
+        return make(p)
     path = spec[5:] if spec.startswith("file:") else spec
     try:
         return validate_aux(p, _read_pairs(path))

@@ -42,12 +42,17 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     disagreement is an internal error rather than a result.
     """
     sigma = _scott(p)
+    steps = [reference.one_step_mask(p, bits) for bits in range(1 << p.n)]
+    return _one_step_closure(p, sigma, steps)
+
+
+def _one_step_closure(p: Poset, sigma: Topology, steps: list[int]) -> tuple[bool, dict | None]:
+    """``has_one_step_closure`` given the Scott opens and every subset's step."""
     via_closure = True
     via_fixed = True
     witness = None
     full = (1 << p.n) - 1
-    for bits in range(1 << p.n):
-        step = reference.one_step_mask(p, bits)
+    for bits, step in enumerate(steps):
         if step != closure(sigma, ElementSet(bits, p.n)).bits:
             if via_closure:
                 witness = {"set": mask_text(bits)}
@@ -107,7 +112,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         note="finite-trivial: every directed set on a finite universe has a greatest element",
     )
 
-    one_step_prop, osc_witness = has_one_step_closure(p)
+    one_step_prop, osc_witness = _one_step_closure(p, sigma, steps)
     rep.add("onestep.one-step-closure", one_step_prop, osc_witness, informational=True)
     mc = is_meet_continuous(p)
     rep.add(

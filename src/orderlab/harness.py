@@ -3,9 +3,12 @@
 Instances are generated in a fixed order (suites alphabetically, posets in
 scope order, relations in enumeration order, subsets ascending), and run
 serially in that order, so two runs with the same scope and seed produce
-byte-identical reports.  Each failure or finding carries a fingerprint
-that reconstructs the instance exactly; replay re-executes it in
-isolation.
+byte-identical reports.  A campaign hands the objects it generates (poset,
+relation, subset, second relation) straight to the checkers; each relation
+is validated once, where it is generated.  Each failure or finding carries
+a fingerprint that reconstructs the instance exactly; replay is the only
+code that decodes one, and it re-validates what it decodes before
+re-executing the instance in isolation.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .approx import (
 )
 from .auxrel import (
     AuxRelation,
+    _axiom_check_aux,
     bottom_aux,
     classify,
     enumerate_aux,
@@ -120,23 +124,19 @@ def _scope_posets(scope: Scope) -> list[Poset]:
 
 
 def _scope_relations(scope: Scope, p: Poset, pi: int) -> list[AuxRelation]:
+    """The scope's distinct relations on p, each checked against the axioms once."""
     if scope.rel_mode == "enumerate":
-        return list(enumerate_aux(p))
-    if scope.rel_mode == "builtins":
-        rels = []
-        for name in scope.rel_builtins:
-            r = _BUILTIN_RELS[name](p)
-            if not any(r.sec == q.sec for q in rels):
-                rels.append(r)
-        return rels
-    rels = []
-    seen = set()
-    for k in range(scope.rel_sample):
-        r = sample_aux(p, seed=scope.seed * 1000003 + pi * 1009 + k)
-        if r.sec not in seen:
-            seen.add(r.sec)
-            rels.append(r)
-    return rels
+        rels = enumerate_aux(p)
+    elif scope.rel_mode == "builtins":
+        rels = (_BUILTIN_RELS[name](p) for name in scope.rel_builtins)
+    else:
+        seeds = (scope.seed * 1000003 + pi * 1009 + k for k in range(scope.rel_sample))
+        rels = (sample_aux(p, seed=seed) for seed in seeds)
+    distinct: dict[tuple[int, ...], AuxRelation] = {}
+    for r in rels:
+        _axiom_check_aux(p, r.sec)
+        distinct.setdefault(r.sec, r)
+    return list(distinct.values())
 
 
 def _scope_subsets(scope: Scope, p: Poset, pi: int) -> list[int]:
@@ -161,13 +161,7 @@ class Instance:
 
 
 def fingerprint(inst: Instance) -> str:
-    doc = [
-        inst.suite,
-        list(inst.rows),
-        [list(pr) for pr in inst.rel] if inst.rel is not None else None,
-        inst.subset,
-        [list(pr) for pr in inst.rel2] if inst.rel2 is not None else None,
-    ]
+    doc = _jsonable([inst.suite, inst.rows, inst.rel, inst.subset, inst.rel2])
     return json.dumps(doc, separators=(",", ":")).encode("ascii").hex()
 
 
@@ -196,26 +190,26 @@ def parse_fingerprint(fp: str) -> Instance:
             raise ValueError(f"suite {suite!r} needs a subset")
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
-    return Instance(
-        suite,
-        tuple(rows),
-        tuple((a, b) for a, b in rel) if rel is not None else None,
-        subset,
-        tuple((a, b) for a, b in rel2) if rel2 is not None else None,
-    )
+    rel, rel2 = (tuple(map(tuple, x)) if x is not None else None for x in (rel, rel2))
+    return Instance(suite, tuple(rows), rel, subset, rel2)
 
 
-def _run_instance(inst: Instance) -> CheckReport:
-    p = Poset(inst.rows)
-    r = validate_aux(p, inst.rel) if inst.rel is not None else None
-    a = ElementSet(inst.subset, p.n) if inst.subset is not None else None
-    suite = inst.suite
+def _fingerprint_of(
+    suite: str, p: Poset, r: AuxRelation | None, bits: int | None, r2: AuxRelation | None
+) -> str:
+    """The fingerprint of an instance given by its live objects."""
+    rel, rel2 = (tuple(x.pairs()) if x is not None else None for x in (r, r2))
+    return fingerprint(Instance(suite, p.up, rel, bits, rel2))
+
+
+def _check(
+    suite: str, p: Poset, r: AuxRelation | None, bits: int | None, r2: AuxRelation | None
+) -> CheckReport:
+    """Run one instance's suite on live objects: the one check dispatcher."""
+    a = ElementSet(bits, p.n) if bits is not None else None
     if suite.startswith("property:"):
         prop_id = suite.split(":", 1)[1]
-        prop = PROPERTIES.get(prop_id)
-        if prop is None:
-            raise BadParameters(f"unknown property {prop_id!r}")
-        detail = prop.test(p, r) if prop.needs_relation else prop.test(p)
+        detail = _property(prop_id).detail(p, r)
         rep = CheckReport(f"property {prop_id}", "single instance")
         rep.add(
             f"property.{prop_id}",
@@ -230,8 +224,8 @@ def _run_instance(inst: Instance) -> CheckReport:
     if suite == "partition":
         return check_partition(r, a)
     if suite == "algebra":
-        if inst.rel2 is not None:
-            return check_algebra(r, validate_aux(p, inst.rel2))
+        if r2 is not None:
+            return check_algebra(r, r2)
         if a is not None:
             return check_basic_laws(r, sets=[a])
         return check_adjunction(r)
@@ -250,37 +244,32 @@ def _run_instance(inst: Instance) -> CheckReport:
     raise BadParameters(f"unknown suite {suite!r}")
 
 
-def _instances_for(
-    suite: str, scope: Scope, p: Poset, pi: int
-) -> Iterable[Instance]:
-    rows = p.up
+def _instances_for(suite: str, scope: Scope, p: Poset, pi: int) -> Iterable[tuple]:
+    """The (relation, subset, second relation) of each instance on p."""
     if suite in ("continuity", "sec5"):
-        yield Instance(suite, rows)
+        yield None, None, None
         return
     if suite == "chain":
-        yield Instance(suite, rows)
+        yield None, None, None
     rels = _scope_relations(scope, p, pi)
     subsets = _scope_subsets(scope, p, pi)
+    leq = leq_aux(p)
     for r in rels:
-        pairs = tuple(r.pairs())
-        cls = classify(r)
         if suite == "int-char":
-            yield Instance(suite, rows, pairs)
+            yield r, None, None
         elif suite == "partition":
             for bits in subsets:
-                yield Instance(suite, rows, pairs, bits)
+                yield r, bits, None
         elif suite == "algebra":
-            yield Instance(suite, rows, pairs)
-            yield Instance(suite, rows, pairs, rel2=tuple(leq_aux(p).pairs()))
+            yield r, None, None
+            yield r, None, leq
             for bits in subsets:
-                yield Instance(suite, rows, pairs, bits)
-        elif suite == "chain":
-            if cls.approximating:
-                for bits in subsets:
-                    yield Instance(suite, rows, pairs, bits)
-        elif suite in ("cspace", "mu-topology"):
-            if cls.pre_approximating:
-                yield Instance(suite, rows, pairs)
+                yield r, bits, None
+        elif suite == "chain" and classify(r).approximating:
+            for bits in subsets:
+                yield r, bits, None
+        elif suite in ("cspace", "mu-topology") and classify(r).pre_approximating:
+            yield r, None, None
 
 
 def _jsonable(value):
@@ -350,7 +339,7 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     deadline = start + scope.wall_time_s if scope.wall_time_s else None
     posets = _scope_posets(scope)
     instances = (
-        inst
+        (suite, p, *inst)
         for suite in suite_list
         for pi, p in enumerate(posets)
         for inst in _instances_for(suite, scope, p, pi)
@@ -365,13 +354,13 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
         ):
             incomplete = True
             break
-        rep = _run_instance(inst)
+        rep = _check(*inst)
         attempted += 1
         bad, flagged = rep.failures, rep.findings
         if not bad:
             passed += 1
         if bad or flagged:
-            fp = fingerprint(inst)
+            fp = _fingerprint_of(*inst)
             for out, verdicts in ((failures, bad), (findings, flagged)):
                 out.extend(
                     {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
@@ -392,7 +381,13 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
 def replay(entry: dict | str) -> CheckReport:
     """Re-execute the instance behind a failure/finding in isolation."""
     fp = entry["fingerprint"] if isinstance(entry, dict) else entry
-    return _run_instance(parse_fingerprint(fp))
+    inst = parse_fingerprint(fp)
+    p = Poset(inst.rows)
+    r, r2 = (
+        validate_aux(p, pairs) if pairs is not None else None
+        for pairs in (inst.rel, inst.rel2)
+    )
+    return _check(inst.suite, p, r, inst.subset, r2)
 
 
 # -- counterexample search -----------------------------------------------------
@@ -403,8 +398,19 @@ class PropertySpec:
     needs_relation: bool
     test: Callable
 
+    def detail(self, p: Poset, r: AuxRelation | None) -> dict | None:
+        """The property's counterexample detail on (p, r), or None."""
+        return self.test(p, r) if self.needs_relation else self.test(p)
+
 
 PROPERTIES: dict[str, PropertySpec] = {}
+
+
+def _property(name: str) -> PropertySpec:
+    prop = PROPERTIES.get(name)
+    if prop is None:
+        raise BadParameters(f"unknown property {name!r}")
+    return prop
 
 
 def register_property(name: str, needs_relation: bool, test: Callable) -> None:
@@ -453,65 +459,32 @@ def _prop_int_equivalence_break(p: Poset, r: AuxRelation) -> dict | None:
     return None
 
 
-PROPERTIES["cspace-implies-approximating"] = PropertySpec(
-    True, _prop_cspace_implies_approximating
-)
-PROPERTIES["cdl-implies-approximating"] = PropertySpec(
-    True, _prop_cdl_implies_approximating
-)
-PROPERTIES["one-step-without-continuity"] = PropertySpec(
-    False, _prop_one_step_without_continuity
-)
-PROPERTIES["int-equivalence-break"] = PropertySpec(
-    True, _prop_int_equivalence_break
-)
+register_property("cspace-implies-approximating", True, _prop_cspace_implies_approximating)
+register_property("cdl-implies-approximating", True, _prop_cdl_implies_approximating)
+register_property("one-step-without-continuity", False, _prop_one_step_without_continuity)
+register_property("int-equivalence-break", True, _prop_int_equivalence_break)
 
 
 def search_counterexample(property_id: str, scope: Scope) -> dict | None:
     """First witness in deterministic scope order, or None."""
-    prop = PROPERTIES.get(property_id)
-    if prop is None:
-        raise BadParameters(f"unknown property {property_id!r}")
-    posets = _scope_posets(scope)
-    deadline = (
-        time.monotonic() + scope.wall_time_s if scope.wall_time_s else None
-    )
+    prop = _property(property_id)
+    deadline = time.monotonic() + scope.wall_time_s if scope.wall_time_s else None
     tested = 0
-
-    def budget_gate():
-        nonlocal tested
-        tested += 1
-        if scope.max_instances is not None and tested > scope.max_instances:
-            raise BudgetExceeded("instance cap reached during search")
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("wall time exhausted during search")
-
-    for pi, p in enumerate(posets):
-        if prop.needs_relation:
-            for r in _scope_relations(scope, p, pi):
-                budget_gate()
-                detail = prop.test(p, r)
-                if detail is not None:
-                    inst = Instance(
-                        f"property:{property_id}", p.up, tuple(r.pairs())
-                    )
-                    return {
-                        "property": property_id,
-                        "fingerprint": fingerprint(inst),
-                        "poset": poset_to_json(p),
-                        "relation": [list(pr) for pr in r.pairs()],
-                        "detail": _jsonable(detail),
-                    }
-        else:
-            budget_gate()
-            detail = prop.test(p)
+    for pi, p in enumerate(_scope_posets(scope)):
+        for r in _scope_relations(scope, p, pi) if prop.needs_relation else (None,):
+            tested += 1
+            if scope.max_instances is not None and tested > scope.max_instances:
+                raise BudgetExceeded("instance cap reached during search")
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("wall time exhausted during search")
+            detail = prop.detail(p, r)
             if detail is not None:
-                inst = Instance(f"property:{property_id}", p.up)
+                fp = _fingerprint_of(f"property:{property_id}", p, r, None, None)
                 return {
                     "property": property_id,
-                    "fingerprint": fingerprint(inst),
+                    "fingerprint": fp,
                     "poset": poset_to_json(p),
-                    "relation": None,
+                    "relation": _jsonable(r.pairs()) if r is not None else None,
                     "detail": _jsonable(detail),
                 }
     return None

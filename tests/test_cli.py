@@ -91,6 +91,24 @@ def test_aux_validate_builtin(files, capsys):
     assert doc["ok"] is True and len(doc["pairs"]) == 6
 
 
+@pytest.mark.parametrize("name", ["way-below", "wb"])
+def test_aux_validate_builtin_way_below_is_the_order(files, capsys, name):
+    code, out, _ = run(capsys, "aux", "validate", "--poset", str(files["d4"]),
+                       "--rel", f"builtin:{name}")
+    assert code == 0
+    assert json.loads(out)["pairs"] == [
+        [0, 0], [0, 1], [0, 2], [0, 3], [1, 1], [1, 3], [2, 2], [2, 3], [3, 3]
+    ]
+
+
+def test_unknown_builtin_relation_is_a_usage_error(files, capsys):
+    code, out, err = run(capsys, "aux", "validate", "--poset", str(files["c3"]),
+                         "--rel", "builtin:nope")
+    assert code == 2 and out == ""
+    assert err.startswith("orderlab: error: ") and err.count("\n") == 1
+    assert err.count("orderlab: error:") == 1
+
+
 def test_aux_close_seed(files, capsys):
     code, out, _ = run(capsys, "aux", "close", "--poset", str(files["c3"]),
                        "--seed-rel", str(files["seed"]))

@@ -4,11 +4,18 @@ import json
 
 import pytest
 
+from orderlab import harness
+from orderlab.auxrel import AuxRelation
 from orderlab.errors import AxiomViolation, BadParameters
 from orderlab.harness import (
     PROPERTIES,
+    SUITES,
     Instance,
     Scope,
+    _check,
+    _fingerprint_of,
+    _instances_for,
+    _scope_posets,
     fingerprint,
     parse_fingerprint,
     register_property,
@@ -92,6 +99,15 @@ def test_wall_time_cap_marks_the_report_incomplete():
     rep = run_suite(Scope(max_n=3, wall_time_s=1e-6), ["partition"])
     assert rep.incomplete
     assert rep.attempted < run_suite(Scope(max_n=3), ["partition"]).attempted
+
+
+def test_an_invalid_generated_relation_stops_the_campaign(monkeypatch):
+    # The empty relation on a chain lacks bottom-to-everything (aux-3); it is
+    # not pre-approximating either, so the cspace suite yields no instance on it.
+    monkeypatch.setitem(harness._BUILTIN_RELS, "leq", lambda p: AuxRelation(p, (0,) * p.n))
+    scope = Scope(posets=(chain(2),), rel_mode="builtins", rel_builtins=("leq",))
+    with pytest.raises(AxiomViolation):
+        run_suite(scope, ["cspace"])
 
 
 def test_report_json_shape_and_timing_flag():
@@ -207,6 +223,19 @@ def test_findings_replay_to_the_same_verdict():
     verdict = replayed.verdict(entry["law"])
     assert verdict.finding and not verdict.passed
     assert replay(entry["fingerprint"]).verdict(entry["law"]).passed == verdict.passed
+
+
+def test_live_instances_and_their_replays_give_the_same_reports():
+    scope = Scope(max_n=3)
+    checked = 0
+    for suite in SUITES:
+        for pi, p in enumerate(_scope_posets(scope)):
+            for r, bits, r2 in _instances_for(suite, scope, p, pi):
+                live = _check(suite, p, r, bits, r2).to_dict()
+                replayed = replay(_fingerprint_of(suite, p, r, bits, r2)).to_dict()
+                assert replayed == live, (suite, p.up, bits)
+                checked += 1
+    assert checked == 3289
 
 
 # -- counterexample search --------------------------------------------------------------
