@@ -15,12 +15,12 @@ from typing import Iterable, Iterator
 
 from .auxrel import (
     AuxRelation,
+    _above_mask,
     aux_intersection,
     aux_subset,
     aux_union,
     classify,
     leq_aux,
-    section_above,
 )
 from .bitset import ElementSet, iter_bits, mask_text
 from .errors import NotLower, NotUpper, PosetMismatch
@@ -30,8 +30,7 @@ from .poset import (
     _is_filtered_mask,
     _is_lower_mask,
     _is_upper_mask,
-    enumerate_lower_sets,
-    enumerate_upper_sets,
+    _upper_masks,
 )
 from .report import CheckReport
 
@@ -69,16 +68,25 @@ def uap(r: AuxRelation, a: ElementSet) -> ElementSet:
 # -- adjoints ---------------------------------------------------------------
 
 
+def _uap_lower_adjoint_mask(r: AuxRelation, bits: int) -> int:
+    out = 0
+    for x in iter_bits(bits):
+        out |= r.sec[x]
+    return out
+
+
+def _lap_upper_adjoint_mask(r: AuxRelation, bits: int) -> int:
+    full = (1 << r.poset.n) - 1
+    return full & ~_uap_lower_adjoint_mask(r, bits ^ full)
+
+
 def uap_lower_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     """Least lower set whose upper approximation contains b: its sections' union."""
     p = r.poset
     _check_universe(p, b)
     if not _is_lower_mask(p, b.bits):
         raise NotLower(f"{b!r} is not a lower set")
-    out = 0
-    for x in iter_bits(b.bits):
-        out |= r.sec[x]
-    return ElementSet(out, p.n)
+    return ElementSet(_uap_lower_adjoint_mask(r, b.bits), p.n)
 
 
 def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
@@ -91,11 +99,7 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     _check_universe(p, b)
     if not _is_upper_mask(p, b.bits):
         raise NotUpper(f"{b!r} is not an upper set")
-    full = (1 << p.n) - 1
-    outside = 0
-    for y in iter_bits(b.bits ^ full):
-        outside |= r.sec[y]
-    return ElementSet(full & ~outside, p.n)
+    return ElementSet(_lap_upper_adjoint_mask(r, b.bits), p.n)
 
 
 # -- report helpers ----------------------------------------------------------
@@ -152,8 +156,8 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     (5) uap a closure operator on the lower-set lattice.
     """
     p = r.poset
-    uppers = [u.bits for u in enumerate_upper_sets(p)]
-    lowers = [l.bits for l in enumerate_lower_sets(p)]
+    uppers = list(_upper_masks(p.up, p.down))
+    lowers = list(_upper_masks(p.down, p.up))
     lap_bad = next(_not_idempotent(_lap_mask, r, uppers), None)
     uap_bad = next(_not_idempotent(_uap_mask, r, lowers), None)
     s2, s4 = lap_bad is None, uap_bad is None
@@ -260,11 +264,7 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     )
     rep.law(
         "basic.principal-upper-section",
-        (
-            {"element": a}
-            for a in range(p.n)
-            if _lap_mask(r, p.up[a]) != section_above(r, a).bits
-        ),
+        ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != _above_mask(r, a)),
     )
 
     sections_nonempty = all(r.sec[x] for x in range(p.n))
@@ -346,7 +346,7 @@ def check_algebra(
         ),
     )
 
-    lowers = [l.bits for l in enumerate_lower_sets(p)]
+    lowers = list(_upper_masks(p.down, p.up))
     rep.law(
         "algebra.uap-preserves-lower-meets",
         (
@@ -356,7 +356,7 @@ def check_algebra(
             if _uap_mask(r1, b1 & b2) != _uap_mask(r1, b1) & _uap_mask(r1, b2)
         ),
     )
-    uppers = [u.bits for u in enumerate_upper_sets(p)]
+    uppers = list(_upper_masks(p.up, p.down))
     rep.law(
         "algebra.lap-preserves-upper-joins",
         (
@@ -373,10 +373,10 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     """Both Galois laws, quantified over the full lattices."""
     p = r.poset
     rep = CheckReport(_subject(r), "all lower and upper sets")
-    lowers = [l.bits for l in enumerate_lower_sets(p)]
-    uppers = [u.bits for u in enumerate_upper_sets(p)]
-    g = [(b, uap_lower_adjoint(r, ElementSet(b, p.n)).bits) for b in lowers]
-    h = [(b, lap_upper_adjoint(r, ElementSet(b, p.n)).bits) for b in uppers]
+    lowers = list(_upper_masks(p.down, p.up))
+    uppers = list(_upper_masks(p.up, p.down))
+    g = [(b, _uap_lower_adjoint_mask(r, b)) for b in lowers]
+    h = [(b, _lap_upper_adjoint_mask(r, b)) for b in uppers]
     uap_of = [(a, _uap_mask(r, a)) for a in lowers]
     lap_of = [(a, _lap_mask(r, a)) for a in uppers]
     rep.law(

@@ -32,9 +32,12 @@ from .poset import (
 
 
 class AuxRelation:
-    """A relation stored column-wise: sec[j] is the mask of {i : i R j}."""
+    """A relation stored column-wise: sec[j] is the mask of {i : i R j}.
 
-    __slots__ = ("poset", "sec")
+    Immutable, so its sorted pairs and its ``classify`` result are memoized.
+    """
+
+    __slots__ = ("poset", "sec", "_pairs", "_class")
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
         self.poset = poset
@@ -43,11 +46,12 @@ class AuxRelation:
             raise PosetMismatch(
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
+        self._pairs = self._class = None
 
     def pairs(self) -> list[tuple[int, int]]:
-        out = [(i, j) for j in range(self.poset.n) for i in iter_bits(self.sec[j])]
-        out.sort()
-        return out
+        if self._pairs is None:
+            self._pairs = sorted((i, j) for j, sec in enumerate(self.sec) for i in iter_bits(sec))
+        return list(self._pairs)
 
     def holds(self, i: int, j: int) -> bool:
         n = self.poset.n
@@ -175,16 +179,16 @@ def section_below(r: AuxRelation, x: int) -> ElementSet:
     return ElementSet(r.sec[x], r.poset.n)
 
 
+def _above_mask(r: AuxRelation, x: int) -> int:
+    return sum(1 << y for y, sec in enumerate(r.sec) if sec >> x & 1)
+
+
 def section_above(r: AuxRelation, x: int) -> ElementSet:
     """Everything x is related up into (an upper set by the axioms)."""
     p = r.poset
     if not 0 <= x < p.n:
         raise IndexOutOfRange(f"element {x} outside universe of {p.n}")
-    mask = 0
-    for y in range(p.n):
-        if r.sec[y] >> x & 1:
-            mask |= 1 << y
-    return ElementSet(mask, p.n)
+    return ElementSet(_above_mask(r, x), p.n)
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,8 @@ class AuxClass:
 
 def classify(r: AuxRelation) -> AuxClass:
     """Directedness of sections, join-back, and interpolation."""
+    if r._class is not None:
+        return r._class
     p = r.poset
     witnesses: dict = {}
     pre = True
@@ -214,10 +220,7 @@ def classify(r: AuxRelation) -> AuxClass:
                 app = False
                 witnesses["approximating"] = x
                 break
-    above = [0] * p.n
-    for y in range(p.n):
-        for i in iter_bits(r.sec[y]):
-            above[i] |= 1 << y
+    above = [_above_mask(r, x) for x in range(p.n)]
     has_int = True
     for z in range(p.n):
         for x in iter_bits(r.sec[z]):
@@ -227,7 +230,8 @@ def classify(r: AuxRelation) -> AuxClass:
                 break
         if not has_int:
             break
-    return AuxClass(pre, app, has_int, witnesses)
+    r._class = AuxClass(pre, app, has_int, witnesses)
+    return r._class
 
 
 # -- lattice structure ------------------------------------------------------

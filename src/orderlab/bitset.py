@@ -1,9 +1,10 @@
 """Subsets of a finite universe stored as bit masks.
 
-An ``ElementSet`` pairs an integer mask with the size ``n`` of its
-universe; bit ``i`` set means element ``i`` is a member.  All set
-algebra is plain integer arithmetic, so subsets of posets up to the
-supported sizes cost one machine word each.
+Inside the library a set is an int mask (bit ``i`` set means element
+``i`` is a member) and each set operation has one mask-level function.
+``ElementSet``, a mask plus its universe size ``n``, is the public
+boundary type: a public function validates it, calls the mask-level
+code and boxes the result once.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .approx import lap, lap_upper_adjoint, uap, uap_lower_adjoint
-from .bitset import ElementSet
+from .bitset import mask_text
 from .auxrel import (
     AuxRelation,
     aux_closure,
@@ -51,7 +51,7 @@ from .poset import (
     enumerate_posets,
     export_dot,
     hasse,
-    load_poset,
+    poset_from_json,
     poset_to_json,
     random_poset,
 )
@@ -80,25 +80,29 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
-def _load_poset_arg(path: str) -> Poset:
+def _read_json(path: str, what: str):
+    """The JSON document at path; a missing, non-UTF-8 or malformed file is a usage error."""
     try:
-        return load_poset(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except FileNotFoundError:
-        raise BadParameters(f"--poset {path}: file not found")
+        raise BadParameters(f"{what}: file not found")
+    except UnicodeDecodeError:
+        raise BadParameters(f"{what}: not UTF-8 text")
     except json.JSONDecodeError as exc:
-        raise BadParameters(f"--poset {path}: invalid JSON ({exc.msg})")
+        raise BadParameters(f"{what}: invalid JSON ({exc.msg})")
+
+
+def _load_poset_arg(path: str) -> Poset:
+    doc = _read_json(path, f"--poset {path}")
+    try:
+        return poset_from_json(doc)
     except OrderlabError as exc:
         raise BadParameters(f"--poset {path}: {exc}")
 
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise BadParameters(f"{path}: file not found")
-    except json.JSONDecodeError as exc:
-        raise BadParameters(f"{path}: invalid JSON ({exc.msg})")
+    doc = _read_json(path, path)
     if isinstance(doc, dict):
         doc = doc.get("pairs")
     if not isinstance(doc, list):
@@ -108,7 +112,7 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not all(type(x) is int for x in item)
         ):
             raise BadParameters(f"{path}: malformed pair {item!r}")
         pairs.append((item[0], item[1]))
@@ -174,7 +178,7 @@ def _opens_dot(t: Topology) -> str:
         raise BudgetExceeded(f"{len(masks)} opens is too many to render")
     lines = ["digraph opens {", "  rankdir=BT;"]
     for k, m in enumerate(masks):
-        lines.append(f'  {k} [label="{{{ElementSet(m, t.poset.n).text()}}}"];')
+        lines.append(f'  {k} [label="{{{mask_text(m)}}}"];')
     for a, ma in enumerate(masks):
         for b, mb in enumerate(masks):
             if ma == mb or ma & ~mb:
@@ -695,14 +699,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except OrderlabError as exc:
-        print(f"orderlab: error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"orderlab: error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (OrderlabError, OSError) as exc:
+        message = str(exc)
+    except Exception as exc:
+        message = f"internal: {type(exc).__name__}: {exc}"
+    print(f"orderlab: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

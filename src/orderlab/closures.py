@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from . import reference
 from .approx import _uap_mask
-from .auxrel import section_above
+from .auxrel import _above_mask
 from .bitset import ElementSet, mask_text
 from .errors import OrderlabError
-from .poset import Poset, _down_mask, _up_mask, down_closure
+from .poset import Poset, _down_mask, down_closure
 from .report import CheckReport
-from .topology import Topology, closure, interior
+from .topology import Topology, _closure_mask, _interior_mask
 
 
 def _scott(p: Poset) -> Topology:
@@ -53,7 +53,7 @@ def _one_step_closure(p: Poset, sigma: Topology, steps: list[int]) -> tuple[bool
     witness = None
     full = (1 << p.n) - 1
     for bits, step in enumerate(steps):
-        if step != closure(sigma, ElementSet(bits, p.n)).bits:
+        if step != _closure_mask(sigma, bits):
             if via_closure:
                 witness = {"set": mask_text(bits)}
             via_closure = False
@@ -74,7 +74,7 @@ def is_meet_continuous(p: Poset) -> bool:
         for x in range(p.n):
             if not p.up[x] >> s & 1:
                 continue
-            if not closure(sigma, ElementSet(below & p.down[x], p.n)).bits >> x & 1:
+            if not _closure_mask(sigma, below & p.down[x]) >> x & 1:
                 return False
     return True
 
@@ -92,7 +92,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
 
     def unsandwiched(b, step):
         down = _down_mask(p, b)
-        return b & ~down or down & ~step or step & ~closure(sigma, ElementSet(b, p.n)).bits
+        return b & ~down or down & ~step or step & ~_closure_mask(sigma, b)
 
     discriminating = "discriminating: exercises the literal quantifier oracle"
     rep.law("onestep.sandwich", failing(unsandwiched), note=discriminating)
@@ -127,8 +127,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         (
             {"element": x}
             for x in range(p.n)
-            if interior(sigma, ElementSet(_up_mask(p, 1 << x), p.n)).bits
-            != section_above(wb, x).bits
+            if _interior_mask(sigma, p.up[x]) != _above_mask(wb, x)
         ),
         note="finite-trivial: both sides collapse to the principal upper set",
     )

@@ -347,19 +347,20 @@ def enumerate_lower_sets(p: Poset, budget: int | None = None) -> Iterator[Elemen
     yield from _budgeted_sets(p, p.down, p.up, budget, "lower sets")
 
 
+def _directed_masks(p: Poset) -> Iterator[int]:
+    if p.n > MAX_DIRECTED_UNIVERSE:
+        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
+    return (mask for mask in range(1, 1 << p.n) if _is_directed_mask(p, mask))
+
+
 def enumerate_directed_subsets(
     p: Poset, budget: int | None = None
 ) -> Iterator[ElementSet]:
     """All nonempty directed subsets, ascending by bit value."""
-    if p.n > MAX_DIRECTED_UNIVERSE:
-        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-    emitted = 0
-    for mask in range(1, 1 << p.n):
-        if _is_directed_mask(p, mask):
-            emitted += 1
-            if budget is not None and emitted > budget:
-                raise BudgetExceeded(f"more than {budget} directed subsets")
-            yield ElementSet(mask, p.n)
+    for emitted, mask in enumerate(_directed_masks(p), 1):
+        if budget is not None and emitted > budget:
+            raise BudgetExceeded(f"more than {budget} directed subsets")
+        yield ElementSet(mask, p.n)
 
 
 # -- generators ---------------------------------------------------------
@@ -551,7 +552,7 @@ def poset_from_json(doc: dict) -> Poset:
         pairs = [tuple(pair) for pair in relation["pairs"]]
     except (KeyError, TypeError) as exc:
         raise BadParameters(f"malformed poset document: {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int:
         raise BadParameters("n must be an integer")
     labels = doc.get("labels")
     if labels is not None and not (
@@ -559,7 +560,7 @@ def poset_from_json(doc: dict) -> Poset:
     ):
         raise BadParameters("labels must be a list of strings")
     for pair in pairs:
-        if len(pair) != 2 or not all(isinstance(x, int) for x in pair):
+        if len(pair) != 2 or not all(type(x) is int for x in pair):
             raise BadParameters(f"malformed pair {pair!r}")
     return validate_poset(n, pairs, mode, labels)
 

@@ -17,10 +17,10 @@ from .auxrel import AuxRelation
 from .bitset import iter_bits
 from .poset import (
     Poset,
+    _directed_masks,
     _down_mask,
     _supremum_mask,
     _upper_masks,
-    enumerate_directed_subsets,
 )
 
 
@@ -30,12 +30,8 @@ def directed_sups(p: Poset) -> tuple[tuple[int, int], ...]:
 
     Raises ``BudgetExceeded`` beyond ``MAX_DIRECTED_UNIVERSE`` elements.
     """
-    out = []
-    for d in enumerate_directed_subsets(p):
-        s = _supremum_mask(p, d.bits)
-        if s is not None:
-            out.append((d.bits, s))
-    return tuple(out)
+    sups = ((d, _supremum_mask(p, d)) for d in _directed_masks(p))
+    return tuple((d, s) for d, s in sups if s is not None)
 
 
 def way_below(p: Poset) -> AuxRelation:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from . import reference
 from .approx import _lap_mask, _uap_mask
-from .auxrel import AuxRelation, classify, leq_aux, section_above, way_below
+from .auxrel import AuxRelation, _above_mask, classify, leq_aux, way_below
 from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
     BadParameters,
@@ -135,11 +135,15 @@ def interior(t: Topology, a: ElementSet) -> ElementSet:
     return ElementSet(_interior_mask(t, a.bits), t.poset.n)
 
 
+def _closure_mask(t: Topology, bits: int) -> int:
+    full = (1 << t.poset.n) - 1
+    return full ^ _interior_mask(t, bits ^ full)
+
+
 def closure(t: Topology, a: ElementSet) -> ElementSet:
     """Smallest closed set containing a."""
     _check_universe(t.poset, a)
-    full = (1 << t.poset.n) - 1
-    return ElementSet(full ^ _interior_mask(t, a.bits ^ full), t.poset.n)
+    return ElementSet(_closure_mask(t, a.bits), t.poset.n)
 
 
 # -- specialization and c-spaces ----------------------------------------------
@@ -184,36 +188,33 @@ def is_c_space(
         rows = p.up
     else:
         raise BadParameters(f"unknown upset mode {upset_mode!r}")
+    inner = [_interior_mask(t, row) for row in rows]
     for u in t.masks:
-        if not u:
-            continue
-        for x in iter_bits(u):
-            if not any(
-                _interior_mask(t, rows[y]) >> x & 1 for y in iter_bits(u)
-            ):
-                return False, {"element": x, "open": u, "mode": upset_mode}
+        covered = 0
+        for y in iter_bits(u):
+            covered |= inner[y]
+        missing = u & ~covered
+        if missing:
+            x = (missing & -missing).bit_length() - 1
+            return False, {"element": x, "open": u, "mode": upset_mode}
     return True, None
 
 
 def opens_completely_distributive(t: Topology) -> bool:
-    """Distributivity of the open-set lattice, checked on all triples.
+    """Whether the opens, ordered by inclusion, form a completely distributive lattice.
 
-    Meets and joins of opens are literal intersection and union, so on a
-    finite topology this scan is the whole story (finite distributive
-    lattices are completely distributive).
+    u & (v | w) == (u & v) | (u & w) holds for all sets.  So once the opens
+    are closed under pairwise intersection and union, which are then the
+    lattice's meet and join, the lattice is distributive, and a finite
+    distributive lattice is completely distributive.  Only that closure
+    can fail, so only it is checked.  More than 128 opens raise
+    ``BudgetExceeded``.
     """
     if len(t.masks) > 128:
         raise BudgetExceeded(f"{len(t.masks)} opens is beyond the triple scan")
-    for u in t.masks:
-        for v in t.masks:
-            if u & v not in t._mask_set or u | v not in t._mask_set:
-                return False
-    for u in t.masks:
-        for v in t.masks:
-            for w in t.masks:
-                if u & (v | w) != (u & v) | (u & w):
-                    return False
-    return True
+    return all(
+        u & v in t._mask_set and u | v in t._mask_set for u in t.masks for v in t.masks
+    )
 
 
 def is_continuous(p: Poset) -> bool:
@@ -241,8 +242,8 @@ def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
         ("lap", _lap_mask(r, a.bits)),
         ("set", a.bits),
         ("uap", _uap_mask(r, a.bits)),
-        ("mu-closure", closure(mu, a).bits),
-        ("scott-closure", closure(sigma, a).bits),
+        ("mu-closure", _closure_mask(mu, a.bits)),
+        ("scott-closure", _closure_mask(sigma, a.bits)),
     ]
     rep = CheckReport(f"n={p.n};rel={r.pairs()}", f"set={a.text()}")
     rep.add(
@@ -310,9 +311,7 @@ def check_continuity_characterization(
         return all(_lap_mask(r, u) == _interior_mask(sigma, u) for u in uppers)
 
     def uap_matches(r: AuxRelation) -> bool:
-        return all(
-            _uap_mask(r, l) == (full ^ _interior_mask(sigma, full ^ l)) for l in lowers
-        )
+        return all(_uap_mask(r, l) == _closure_mask(sigma, l) for l in lowers)
 
     s1 = is_continuous(p)
     s2 = lap_matches(wb)
@@ -354,7 +353,7 @@ def check_continuity_characterization(
         (
             {"set": mask_text(bits), "element": next(iter_bits(diff))}
             for bits in range(1 << p.n)
-            for diff in [closure(sigma, ElementSet(bits, p.n)).bits ^ _uap_mask(wb, bits)]
+            for diff in [_closure_mask(sigma, bits) ^ _uap_mask(wb, bits)]
             if diff
         ),
     )
@@ -364,17 +363,15 @@ def check_continuity_characterization(
 def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     """Interpolation forces a c-space; the converse directions are findings."""
     p = r.poset
-    cls = classify(r)
-    if not cls.pre_approximating:
-        raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     mu = mu_topology(r)
+    cls = classify(r)
     rep = CheckReport(f"n={p.n};rel={r.pairs()}", "induced topology")
 
     if cls.has_int:
         cs, witness = is_c_space(mu)
         rep.add("cspace.int-implies-cspace", cs, witness)
 
-        sections = [section_above(r, x).bits for x in range(p.n)]
+        sections = [_above_mask(r, x) for x in range(p.n)]
 
         def not_a_base():
             for s in sections:
@@ -444,10 +441,8 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
 def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
     """Opens are exactly the upper sets no section-supremum can sneak into."""
     p = r.poset
-    cls = classify(r)
-    if not cls.pre_approximating:
-        raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     mu = mu_topology(r)
+    cls = classify(r)
     sups = [_supremum_mask(p, r.sec[x]) for x in range(p.n)]
 
     def inaccessible(mask: int) -> bool:

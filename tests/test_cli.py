@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from orderlab import cli
 from orderlab.cli import main
 
 
@@ -354,6 +355,49 @@ def test_bad_poset_field_is_a_usage_error(files, capsys, field, value):
     assert err.startswith("orderlab: error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("pairs", [[[0, True], [True, 2]], [[False, 1]], [[0, 1.0]]])
+def test_non_integer_poset_pair_is_a_usage_error(files, capsys, pairs):
+    doc = {"n": 3, "relation": {"mode": "covers", "pairs": pairs}}
+    bad = files["dir"] / "bad_pair.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "poset", "validate", "--poset", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("orderlab: error: ") and err.count("\n") == 1
+    assert "malformed pair" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poset", "validate", "--poset", "{dir}"),
+        ("aux", "validate", "--poset", "{c3}", "--rel", "{dir}"),
+        ("poset", "gen", "--kind", "chain", "--out", "{dir}"),
+        ("poset", "validate", "--poset", "{latin1}"),
+        ("aux", "validate", "--poset", "{c3}", "--rel", "{latin1}"),
+    ],
+    ids=["poset-dir", "rel-dir", "out-dir", "poset-latin1", "rel-latin1"],
+)
+def test_unreadable_file_is_a_usage_error(files, capsys, argv):
+    latin1 = files["dir"] / "latin1.json"
+    latin1.write_bytes(b'{"pairs": [], "note": "caf\xe9"}')
+    paths = {"dir": str(files["dir"]), "c3": str(files["c3"]), "latin1": str(latin1)}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("orderlab: error: ") and err.count("\n") == 1
+    assert argv[-1] in err
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    code, out, err = run(capsys, "check", "--suite", "partition", "--max-n", "1")
+    assert code == 2 and out == ""
+    assert err == "orderlab: error: internal: RuntimeError: planted\n"
+
+
 @pytest.mark.parametrize("command, jobs", [("check", "0"), ("verify", "-3")])
 def test_jobs_below_one_is_rejected_by_the_parser(capsys, command, jobs):
     with pytest.raises(SystemExit) as exc:
@@ -364,10 +408,11 @@ def test_jobs_below_one_is_rejected_by_the_parser(capsys, command, jobs):
 
 def test_malformed_relation_pair_is_a_usage_error(files, capsys):
     ragged = files["dir"] / "ragged.json"
-    ragged.write_text(json.dumps({"pairs": [[0, 1, 2]]}), encoding="utf-8")
-    code, _, err = run(capsys, "aux", "validate", "--poset", str(files["c3"]),
-                       "--rel", str(ragged))
-    assert code == 2 and "malformed pair" in err
+    for pairs in ([[0, 1, 2]], [[0, True]], [[True, 2]], [[False, 0]]):
+        ragged.write_text(json.dumps({"pairs": pairs}), encoding="utf-8")
+        code, _, err = run(capsys, "aux", "validate", "--poset", str(files["c3"]),
+                           "--rel", str(ragged))
+        assert code == 2 and "malformed pair" in err, pairs
 
 
 def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch):

@@ -200,6 +200,15 @@ def test_open_lattices_are_completely_distributive(c3, a2, r1):
     assert opens_completely_distributive(scott_topology(a2))
 
 
+@pytest.mark.parametrize(
+    "t",
+    [Topology(antichain(2), [0, 1, 2]), Topology(antichain(3), [0b011, 0b110, 0b111])],
+    ids=["no-union", "no-intersection"],
+)
+def test_opens_not_closed_under_union_or_intersection_are_not_distributive(t):
+    assert not opens_completely_distributive(t)
+
+
 def test_complete_distributivity_guard():
     with pytest.raises(BudgetExceeded):
         opens_completely_distributive(scott_topology(antichain(8)))
