@@ -7,6 +7,12 @@ For a relation R on poset P and A subset of P:
 
 plus the Galois adjoints these operators have on the lattices of lower
 and upper sets, and executable checks for the laws they satisfy.
+
+Each relation on at most ``TABLE_MAX_N`` elements tabulates both operators
+on first use: one low-bit sweep fills down(A) and hit(A), the x whose section
+meets A.  lap(A) = A & hit(A), and uap(A) = full & ~hit(full ^ down(A)) since
+x misses uap(A) exactly when section(x) meets the complement of down(A).
+Larger posets keep the loops: there a 2^n table costs more than a query.
 """
 
 from __future__ import annotations
@@ -35,7 +41,27 @@ from .poset import (
 from .report import CheckReport
 
 
+TABLE_MAX_N = 8
+
+
+def _fill_tables(r: AuxRelation) -> tuple[list[int], list[int]]:
+    p = r.poset
+    full = (1 << p.n) - 1
+    above = [_above_mask(r, x) for x in range(p.n)]
+    hit = [0] * (full + 1)
+    down = [0] * (full + 1)
+    for a in range(1, full + 1):
+        x, rest = (a & -a).bit_length() - 1, a & (a - 1)
+        hit[a] = hit[rest] | above[x]
+        down[a] = down[rest] | p.down[x]
+    r._lap = [a & h for a, h in enumerate(hit)]
+    r._uap = [full & ~hit[full ^ d] for d in down]
+    return r._lap, r._uap
+
+
 def _lap_mask(r: AuxRelation, bits: int) -> int:
+    if r.poset.n <= TABLE_MAX_N:
+        return (r._lap or _fill_tables(r)[0])[bits]
     out = 0
     for x in iter_bits(bits):
         if r.sec[x] & bits:
@@ -44,6 +70,8 @@ def _lap_mask(r: AuxRelation, bits: int) -> int:
 
 
 def _uap_mask(r: AuxRelation, bits: int) -> int:
+    if r.poset.n <= TABLE_MAX_N:
+        return (r._uap or _fill_tables(r)[1])[bits]
     p = r.poset
     down_a = _down_mask(p, bits)
     out = 0
@@ -106,7 +134,9 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
 
 
 def _subject(r: AuxRelation) -> str:
-    return f"n={r.poset.n};rel={r.pairs()}"
+    if r._subject is None:
+        r._subject = f"n={r.poset.n};rel={r.pairs()}"
+    return r._subject
 
 
 # -- partition ---------------------------------------------------------------

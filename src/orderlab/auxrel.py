@@ -34,10 +34,11 @@ from .poset import (
 class AuxRelation:
     """A relation stored column-wise: sec[j] is the mask of {i : i R j}.
 
-    Immutable, so its sorted pairs and its ``classify`` result are memoized.
+    Immutable, so its sorted pairs, ``classify`` result, report subject
+    and (on small posets) ``approx`` operator tables are memoized.
     """
 
-    __slots__ = ("poset", "sec", "_pairs", "_class")
+    __slots__ = ("poset", "sec", "_pairs", "_class", "_subject", "_lap", "_uap")
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
         self.poset = poset
@@ -46,7 +47,7 @@ class AuxRelation:
             raise PosetMismatch(
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
-        self._pairs = self._class = None
+        self._pairs = self._class = self._subject = self._lap = self._uap = None
 
     def pairs(self) -> list[tuple[int, int]]:
         if self._pairs is None:
@@ -114,9 +115,16 @@ def validate_aux(p: Poset, pairs: Iterable[tuple[int, int]]) -> AuxRelation:
     return AuxRelation(p, sec_t)
 
 
+_last_leq: AuxRelation | None = None  # one entry: campaigns hold all their posets
+
+
 def leq_aux(p: Poset) -> AuxRelation:
-    """The order itself, the top of the lattice of auxiliary relations."""
-    return AuxRelation(p, p.down)
+    """The order itself, the top auxiliary relation; calls in a row on p share it."""
+    global _last_leq
+    r = _last_leq
+    if r is None or r.poset is not p:
+        r = _last_leq = AuxRelation(p, p.down)
+    return r
 
 
 def bottom_aux(p: Poset) -> AuxRelation:

@@ -101,12 +101,12 @@ def _load_poset_arg(path: str) -> Poset:
         raise BadParameters(f"--poset {path}: {exc}")
 
 
-def _read_pairs(path: str) -> list[tuple[int, int]]:
-    doc = _read_json(path, path)
+def _read_pairs(path: str, what: str) -> list[tuple[int, int]]:
+    doc = _read_json(path, what)
     if isinstance(doc, dict):
         doc = doc.get("pairs")
     if not isinstance(doc, list):
-        raise BadParameters(f"{path}: expected a pair list or {{\"pairs\": ...}}")
+        raise BadParameters(f"{what}: expected a pair list or {{\"pairs\": ...}}")
     pairs = []
     for item in doc:
         if (
@@ -114,7 +114,7 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
             or len(item) != 2
             or not all(type(x) is int for x in item)
         ):
-            raise BadParameters(f"{path}: malformed pair {item!r}")
+            raise BadParameters(f"{what}: malformed pair {item!r}")
         pairs.append((item[0], item[1]))
     return pairs
 
@@ -127,8 +127,9 @@ def _load_rel(p: Poset, spec: str) -> AuxRelation:
             raise BadParameters(f"--rel {spec}: unknown builtin relation")
         return make(p)
     path = spec[5:] if spec.startswith("file:") else spec
+    pairs = _read_pairs(path, f"--rel {path}")
     try:
-        return validate_aux(p, _read_pairs(path))
+        return validate_aux(p, pairs)
     except OrderlabError as exc:
         raise BadParameters(f"--rel {path}: {exc}")
 
@@ -276,7 +277,7 @@ def _cmd_aux_validate(args) -> int:
 
 def _cmd_aux_close(args) -> int:
     p = _load_poset_arg(args.poset)
-    r = aux_closure(p, _read_pairs(args.seed_rel))
+    r = aux_closure(p, _read_pairs(args.seed_rel, f"--seed-rel {args.seed_rel}"))
     print(_dump({"pairs": [list(pr) for pr in r.pairs()]}))
     return 0
 

@@ -253,7 +253,6 @@ def _instances_for(suite: str, scope: Scope, p: Poset, pi: int) -> Iterable[tupl
         yield None, None, None
     rels = _scope_relations(scope, p, pi)
     subsets = _scope_subsets(scope, p, pi)
-    leq = leq_aux(p)
     for r in rels:
         if suite == "int-char":
             yield r, None, None
@@ -262,7 +261,7 @@ def _instances_for(suite: str, scope: Scope, p: Poset, pi: int) -> Iterable[tupl
                 yield r, bits, None
         elif suite == "algebra":
             yield r, None, None
-            yield r, None, leq
+            yield r, None, leq_aux(p)
             for bits in subsets:
                 yield r, bits, None
         elif suite == "chain" and classify(r).approximating:

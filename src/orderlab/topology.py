@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import reference
-from .approx import _lap_mask, _uap_mask
+from .approx import _lap_mask, _subject, _uap_mask
 from .auxrel import AuxRelation, _above_mask, classify, leq_aux, way_below
 from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
@@ -245,7 +245,7 @@ def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
         ("mu-closure", _closure_mask(mu, a.bits)),
         ("scott-closure", _closure_mask(sigma, a.bits)),
     ]
-    rep = CheckReport(f"n={p.n};rel={r.pairs()}", f"set={a.text()}")
+    rep = CheckReport(_subject(r), f"set={a.text()}")
     rep.add(
         "chain.values",
         True,
@@ -365,7 +365,7 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     p = r.poset
     mu = mu_topology(r)
     cls = classify(r)
-    rep = CheckReport(f"n={p.n};rel={r.pairs()}", "induced topology")
+    rep = CheckReport(_subject(r), "induced topology")
 
     if cls.has_int:
         cs, witness = is_c_space(mu)
@@ -440,8 +440,11 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
 
 def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
     """Opens are exactly the upper sets no section-supremum can sneak into."""
+    return _check_mu_inaccessibility(r, mu_topology(r))
+
+
+def _check_mu_inaccessibility(r: AuxRelation, mu: Topology) -> CheckReport:
     p = r.poset
-    mu = mu_topology(r)
     cls = classify(r)
     sups = [_supremum_mask(p, r.sec[x]) for x in range(p.n)]
 
@@ -452,7 +455,7 @@ def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
                 return False
         return True
 
-    rep = CheckReport(f"n={p.n};rel={r.pairs()}", "all upper sets")
+    rep = CheckReport(_subject(r), "all upper sets")
     rep.law(
         "mu.open-implies-inaccessible",
         (
@@ -484,11 +487,9 @@ def check_mu_laws(r: AuxRelation) -> CheckReport:
     p = r.poset
     cls = classify(r)
     mu = mu_topology(r)
-    rep = CheckReport(f"n={p.n};rel={r.pairs()}", "induced topology")
-    for v in check_topology_invariants(mu).verdicts:
-        rep.verdicts.append(v)
-    for v in check_mu_inaccessibility(r).verdicts:
-        rep.verdicts.append(v)
+    rep = CheckReport(_subject(r), "induced topology")
+    rep.verdicts.extend(check_topology_invariants(mu).verdicts)
+    rep.verdicts.extend(_check_mu_inaccessibility(r, mu).verdicts)
     sigma = scott_topology(p)
     if cls.approximating:
         finer = all(m in mu._mask_set for m in sigma.masks)

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orderlab.approx import (
+    _lap_mask,
+    _uap_mask,
     check_adjunction,
     check_algebra,
     check_basic_laws,
@@ -84,6 +86,40 @@ def test_sandwich_everywhere():
         for r in enumerate_aux(p):
             for a in _sets(p.n):
                 assert lap(r, a) <= a <= uap(r, a)
+
+
+def _literal_lap_uap(r, bits):
+    """lap and uap as the set-builder definitions of the approx docstring."""
+    p = r.poset
+    a = {x for x in range(p.n) if bits >> x & 1}
+    section = [{i for i in range(p.n) if r.holds(i, x)} for x in range(p.n)]
+    down_a = {y for y in range(p.n) if any(p.leq(y, x) for x in a)}
+    lap_a = {x for x in a if section[x] & a}
+    uap_a = {x for x in range(p.n) if section[x] <= down_a}
+    return sum(1 << x for x in lap_a), sum(1 << x for x in uap_a)
+
+
+def _assert_operators_literal(r, masks):
+    for bits in masks:
+        assert (_lap_mask(r, bits), _uap_mask(r, bits)) == _literal_lap_uap(r, bits), bits
+
+
+def test_operator_tables_match_the_definitions_on_every_small_relation():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for r in enumerate_aux(p):
+                _assert_operators_literal(r, range(1 << n))
+                assert r._lap is not None and r._uap is not None
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_operators_match_the_definitions_on_both_sides_of_the_table_bound(n):
+    for seed in range(3):
+        p = random_poset(n, 0.3, 1000 * n + seed)
+        r = sample_aux(p, seed=seed)
+        tabled = n <= 8
+        _assert_operators_literal(r, range(1 << n) if tabled else range(0, 1 << n, 7))
+        assert (r._lap is not None) == tabled and (r._uap is not None) == tabled
 
 
 def test_uap_ignores_everything_above_its_argument():

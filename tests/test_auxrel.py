@@ -242,6 +242,16 @@ def test_order_relation_tops_the_lattice_and_bottom_relation_floors_it(c3):
         assert aux_subset(bottom_aux(c3), r)
 
 
+def test_leq_aux_is_shared_per_poset_object_and_keeps_its_labels():
+    p = from_rows(chain(2).up, labels=["a", "b"])
+    q = from_rows(chain(2).up, labels=["x", "y"])
+    assert p == q
+    for poset in (p, q, p, q):
+        r = leq_aux(poset)
+        assert r.poset is poset and r.sec == poset.down
+        assert leq_aux(poset) is r
+
+
 # -- enumeration and sampling ----------------------------------------------------------
 
 

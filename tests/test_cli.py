@@ -388,6 +388,20 @@ def test_unreadable_file_is_a_usage_error(files, capsys, argv):
     assert argv[-1] in err
 
 
+@pytest.mark.parametrize("content", [None, b"{not json", b'{"pairs": [], "x": "caf\xe9"}'],
+                         ids=["missing", "invalid-json", "latin1"])
+def test_unreadable_relation_file_names_its_path_once(files, capsys, content):
+    rel = files["dir"] / "unreadable-rel.json"
+    rel.unlink(missing_ok=True)
+    if content is not None:
+        rel.write_bytes(content)
+    code, out, err = run(capsys, "aux", "validate", "--poset", str(files["c3"]),
+                         "--rel", str(rel))
+    assert code == 2 and out == ""
+    assert err.startswith("orderlab: error: ") and err.count("orderlab: error:") == 1
+    assert err.count("\n") == 1 and err.count(rel.name) == 1
+
+
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("planted")

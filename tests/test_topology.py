@@ -2,6 +2,7 @@
 
 import pytest
 
+from orderlab import topology
 from orderlab.auxrel import (
     classify,
     enumerate_aux,
@@ -355,6 +356,14 @@ def test_inaccessibility_fixtures(r1, r_bot):
     rep = check_mu_inaccessibility(r_bot)
     assert rep.ok
     assert "vacuous" in rep.verdict("mu.inaccessible-implies-open").note
+
+
+def test_bundled_laws_build_the_induced_topology_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(topology, "mu_topology", lambda r: built.append(r) or mu_topology(r))
+    rep = check_mu_laws(leq_aux(diamond()))
+    assert rep.ok and rep.verdict("mu.inaccessible-implies-open") is not None
+    assert len(built) == 1
 
 
 def test_bundled_laws_for_approximating_relations():
