@@ -13,6 +13,11 @@ on first use: one low-bit sweep fills down(A) and hit(A), the x whose section
 meets A.  lap(A) = A & hit(A), and uap(A) = full & ~hit(full ^ down(A)) since
 x misses uap(A) exactly when section(x) meets the complement of down(A).
 Larger posets keep the loops: there a 2^n table costs more than a query.
+
+Work is done at the level it depends on.  The laws of ``check_basic_laws``
+that no subset enters are decided once per relation, which keeps their
+verdicts; the upper- and lower-set lists the lattice checks scan come from
+the one-entry per-poset memo of ``poset``.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from .poset import (
     _is_filtered_mask,
     _is_lower_mask,
     _is_upper_mask,
-    _upper_masks,
+    _lower_list,
+    _upper_list,
 )
-from .report import CheckReport
+from .report import CheckReport, LawVerdict
 
 
 TABLE_MAX_N = 8
@@ -186,8 +192,7 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     (5) uap a closure operator on the lower-set lattice.
     """
     p = r.poset
-    uppers = list(_upper_masks(p.up, p.down))
-    lowers = list(_upper_masks(p.down, p.up))
+    uppers, lowers = _upper_list(p), _lower_list(p)
     lap_bad = next(_not_idempotent(_lap_mask, r, uppers), None)
     uap_bad = next(_not_idempotent(_uap_mask, r, lowers), None)
     s2, s4 = lap_bad is None, uap_bad is None
@@ -247,7 +252,6 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     p = r.poset
     masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    full = (1 << p.n) - 1
     r_leq = leq_aux(p)
 
     rep.law(
@@ -292,11 +296,20 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
             if bool(la >> x & 1) != (bool(b >> x & 1) and bool(r.sec[x] & b))
         ),
     )
+    rep.verdicts.extend(r._basic or _relation_laws(r))
+    return rep
+
+
+def _relation_laws(r: AuxRelation) -> tuple[LawVerdict, ...]:
+    """The verdicts of ``check_basic_laws`` that no subset enters, decided
+    once per relation; every report of the relation shares them."""
+    p = r.poset
+    full = (1 << p.n) - 1
+    rep = CheckReport(_subject(r), "relation")
     rep.law(
         "basic.principal-upper-section",
         ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != _above_mask(r, a)),
     )
-
     sections_nonempty = all(r.sec[x] for x in range(p.n))
     three_way = (
         sections_nonempty
@@ -316,7 +329,8 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     )
     rep.add("basic.lap-of-empty", _lap_mask(r, 0) == 0)
     rep.add("basic.uap-of-full", _uap_mask(r, full) == full)
-    return rep
+    r._basic = tuple(rep.verdicts)
+    return r._basic
 
 
 def check_algebra(
@@ -376,23 +390,25 @@ def check_algebra(
         ),
     )
 
-    lowers = list(_upper_masks(p.down, p.up))
+    # Both laws are symmetric and hold on the diagonal, so the first failing
+    # ordered pair has i < j and the scans visit only those.
+    lowers = _lower_list(p)
     rep.law(
         "algebra.uap-preserves-lower-meets",
         (
             {"set1": mask_text(b1), "set2": mask_text(b2)}
-            for b1 in lowers
-            for b2 in lowers
+            for i, b1 in enumerate(lowers)
+            for b2 in lowers[i + 1 :]
             if _uap_mask(r1, b1 & b2) != _uap_mask(r1, b1) & _uap_mask(r1, b2)
         ),
     )
-    uppers = list(_upper_masks(p.up, p.down))
+    uppers = _upper_list(p)
     rep.law(
         "algebra.lap-preserves-upper-joins",
         (
             {"set1": mask_text(u1), "set2": mask_text(u2)}
-            for u1 in uppers
-            for u2 in uppers
+            for i, u1 in enumerate(uppers)
+            for u2 in uppers[i + 1 :]
             if _lap_mask(r1, u1 | u2) != _lap_mask(r1, u1) | _lap_mask(r1, u2)
         ),
     )
@@ -403,8 +419,7 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     """Both Galois laws, quantified over the full lattices."""
     p = r.poset
     rep = CheckReport(_subject(r), "all lower and upper sets")
-    lowers = list(_upper_masks(p.down, p.up))
-    uppers = list(_upper_masks(p.up, p.down))
+    lowers, uppers = _lower_list(p), _upper_list(p)
     g = [(b, _uap_lower_adjoint_mask(r, b)) for b in lowers]
     h = [(b, _lap_upper_adjoint_mask(r, b)) for b in uppers]
     uap_of = [(a, _uap_mask(r, a)) for a in lowers]

@@ -25,6 +25,7 @@ from .poset import (
     Poset,
     _down_mask,
     _is_directed_mask,
+    _per_poset,
     _supremum_mask,
     _upper_masks,
     bottom,
@@ -34,11 +35,16 @@ from .poset import (
 class AuxRelation:
     """A relation stored column-wise: sec[j] is the mask of {i : i R j}.
 
-    Immutable, so its sorted pairs, ``classify`` result, report subject
-    and (on small posets) ``approx`` operator tables are memoized.
+    Immutable, so what depends on the relation alone is memoized: its
+    sorted pairs, ``classify`` result, report subject, the verdicts of
+    ``approx.check_basic_laws`` that no subset enters, the induced
+    topology of ``topology.mu_topology`` and (on small posets) the
+    ``approx`` operator tables.
     """
 
-    __slots__ = ("poset", "sec", "_pairs", "_class", "_subject", "_lap", "_uap")
+    __slots__ = (
+        "poset", "sec", "_pairs", "_class", "_subject", "_basic", "_mu", "_lap", "_uap"
+    )
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
         self.poset = poset
@@ -47,7 +53,8 @@ class AuxRelation:
             raise PosetMismatch(
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
-        self._pairs = self._class = self._subject = self._lap = self._uap = None
+        self._pairs = self._class = self._subject = self._basic = self._mu = None
+        self._lap = self._uap = None
 
     def pairs(self) -> list[tuple[int, int]]:
         if self._pairs is None:
@@ -115,16 +122,10 @@ def validate_aux(p: Poset, pairs: Iterable[tuple[int, int]]) -> AuxRelation:
     return AuxRelation(p, sec_t)
 
 
-_last_leq: AuxRelation | None = None  # one entry: campaigns hold all their posets
-
-
+@_per_poset
 def leq_aux(p: Poset) -> AuxRelation:
     """The order itself, the top auxiliary relation; calls in a row on p share it."""
-    global _last_leq
-    r = _last_leq
-    if r is None or r.poset is not p:
-        r = _last_leq = AuxRelation(p, p.down)
-    return r
+    return AuxRelation(p, p.down)
 
 
 def bottom_aux(p: Poset) -> AuxRelation:

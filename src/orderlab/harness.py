@@ -328,7 +328,10 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     """Run and tally each instance as it is generated, in one serial pass.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance.  ``jobs`` is accepted for compatibility and ignored.
+    before each instance.  An exception a checker raises fails the hard law
+    ``internal.error`` of its instance, with ``"<Type>: <message>"`` as the
+    witness, and the run goes on.  ``jobs`` is accepted for compatibility
+    and ignored.
     """
     suite_list = tuple(sorted(set(suites)))
     for s in suite_list:
@@ -353,7 +356,12 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
         ):
             incomplete = True
             break
-        rep = _check(*inst)
+        try:
+            rep = _check(*inst)
+        except Exception as exc:  # an engine fault fails its instance, not the run
+            rep = CheckReport("", "").add(
+                "internal.error", False, f"{type(exc).__name__}: {exc}"
+            )
         attempted += 1
         bad, flagged = rep.failures, rep.findings
         if not bad:

@@ -8,10 +8,11 @@ live here.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
@@ -26,6 +27,8 @@ MAX_UNIVERSE = 24
 MAX_DIRECTED_UNIVERSE = 20
 MAX_LABELED_ENUM = 5
 MAX_ISO_ENUM = 6
+
+_T = TypeVar("_T")
 
 
 class Poset:
@@ -317,6 +320,44 @@ def _upper_masks(
         x = free.bit_length() - 1
         stack.append((inside | up[x], outside))
         stack.append((inside, outside | down[x]))
+
+
+_memo_poset: "Poset | None" = None
+_memo: dict = {}  # build function -> its value on _memo_poset
+
+
+def _per_poset(build: Callable[[Poset], _T]) -> Callable[[Poset], _T]:
+    """Memoize ``build(p)`` while calls stay on one poset object.
+
+    All memoized functions share one entry, keyed on the identity of the
+    last poset asked about: a call on another poset drops every value of
+    the previous one, because a campaign holds all its posets for the
+    whole run.  Values must be immutable, as every caller shares them.
+    """
+
+    @functools.wraps(build)
+    def memoized(p: Poset) -> _T:
+        global _memo_poset, _memo
+        if _memo_poset is not p:
+            _memo_poset, _memo = p, {}
+        value = _memo.get(build)
+        if value is None:
+            value = _memo[build] = build(p)
+        return value
+
+    return memoized
+
+
+@_per_poset
+def _upper_list(p: Poset) -> tuple[int, ...]:
+    """Every upper set of p, ascending."""
+    return tuple(_upper_masks(p.up, p.down))
+
+
+@_per_poset
+def _lower_list(p: Poset) -> tuple[int, ...]:
+    """Every lower set of p, ascending."""
+    return tuple(_upper_masks(p.down, p.up))
 
 
 def _budgeted_sets(

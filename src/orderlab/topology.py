@@ -30,8 +30,9 @@ from .poset import (
     Poset,
     _check_universe,
     _is_upper_mask,
+    _per_poset,
     _supremum_mask,
-    _upper_masks,
+    _upper_list,
 )
 from .report import CheckReport
 
@@ -90,12 +91,17 @@ def check_topology_invariants(t: Topology) -> CheckReport:
 
 
 def mu_topology(r: AuxRelation) -> Topology:
-    """Upper sets fixed by lap; a topology whenever all sections are directed."""
+    """Upper sets fixed by lap; a topology whenever all sections are directed.
+
+    Built once per relation: the relation keeps it.
+    """
     p = r.poset
     cls = classify(r)
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
-    return Topology(p, [m for m in _upper_masks(p.up, p.down) if _lap_mask(r, m) == m])
+    if r._mu is None:
+        r._mu = Topology(p, [m for m in _upper_list(p) if _lap_mask(r, m) == m])
+    return r._mu
 
 
 def is_scott_open(p: Poset, u: ElementSet) -> bool:
@@ -108,14 +114,16 @@ def is_scott_open(p: Poset, u: ElementSet) -> bool:
     return _is_upper_mask(p, u.bits)
 
 
+@_per_poset
 def scott_topology(p: Poset) -> Topology:
     """All Scott-open sets: on a finite poset, exactly the upper sets.
 
-    ``reference.scott_masks`` keeps the directed-subset definition.
+    ``reference.scott_masks`` keeps the directed-subset definition.  Calls
+    in a row on p share one topology.
     """
     if p.n > MAX_DIRECTED_UNIVERSE:
         raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-    return Topology(p, _upper_masks(p.up, p.down))
+    return Topology(p, _upper_list(p))
 
 
 # -- interior / closure -------------------------------------------------------
@@ -278,7 +286,7 @@ def check_mu_way_below_is_scott(p: Poset) -> CheckReport:
         if mu.masks == sigma
         else {"mu-opens": len(mu.masks), "scott-opens": len(sigma)},
     )
-    uppers = tuple(_upper_masks(p.up, p.down))
+    uppers = _upper_list(p)
     rep.add(
         "chain.scott-is-all-upper-sets",
         sigma == uppers,
@@ -304,7 +312,7 @@ def check_continuity_characterization(
     wb = reference.way_below(p)
     sigma = Topology(p, reference.scott_masks(p))
     full = (1 << p.n) - 1
-    uppers = list(_upper_masks(p.up, p.down))
+    uppers = _upper_list(p)
     lowers = [full ^ m for m in uppers]
 
     def lap_matches(r: AuxRelation) -> bool:
@@ -469,7 +477,7 @@ def _check_mu_inaccessibility(r: AuxRelation, mu: Topology) -> CheckReport:
             "mu.inaccessible-implies-open",
             (
                 {"set": mask_text(m)}
-                for m in _upper_masks(p.up, p.down)
+                for m in _upper_list(p)
                 if inaccessible(m) and m not in mu._mask_set
             ),
         )

@@ -1,9 +1,12 @@
 """Lower/upper approximation operators, their adjoints, and their algebra."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orderlab import approx
 from orderlab.approx import (
     _lap_mask,
     _uap_mask,
@@ -19,6 +22,7 @@ from orderlab.approx import (
     uap_lower_adjoint,
 )
 from orderlab.auxrel import (
+    AuxRelation,
     bottom_aux,
     classify,
     enumerate_aux,
@@ -27,7 +31,7 @@ from orderlab.auxrel import (
     section_below,
     validate_aux,
 )
-from orderlab.bitset import ElementSet
+from orderlab.bitset import ElementSet, mask_text
 from orderlab.errors import NotLower, NotUpper, PosetMismatch
 from orderlab.poset import (
     chain,
@@ -340,3 +344,67 @@ def test_sandwich_on_sampled_relations(n, pseed, rseed):
     for bits in range(1 << p.n):
         a = ElementSet(bits, p.n)
         assert lap(r, a) <= a <= uap(r, a)
+
+
+# -- memos and half scans ---------------------------------------------------------
+
+
+def _relations_up_to(n):
+    return [r for k in range(1, n + 1) for p in enumerate_posets(k) for r in enumerate_aux(p)]
+
+
+@pytest.mark.parametrize("max_n, perturbed", [(4, False), (3, True)])
+def test_basic_laws_with_the_relation_memo_match_a_fresh_relation(monkeypatch, max_n, perturbed):
+    """Each report of a relation equals the report of a new copy of it, which
+    has nothing memoized."""
+    if perturbed:
+        # Every real law holds everywhere, so all verdicts pass alike.  A lap
+        # that errs on a relation-dependent third of the sets makes verdicts
+        # and witnesses differ between subsets and relations, so that a
+        # verdict memoized from another call would show.
+        real_lap = approx._lap_mask
+        monkeypatch.setattr(
+            approx, "_lap_mask", lambda r, b: real_lap(r, b) ^ ((sum(r.sec) + b) % 3 == 0)
+        )
+    for r in _relations_up_to(max_n):
+        for a in _sets(r.poset.n):
+            memoized = check_basic_laws(r, sets=[a]).to_dict()
+            fresh = check_basic_laws(AuxRelation(r.poset, r.sec), sets=[a])
+            assert memoized == fresh.to_dict(), (r.poset.up, r.sec, a.bits)
+
+
+def _first_failing_pair(sets, op, combine):
+    """The first ordered pair, in a full scan, on which op does not preserve combine."""
+    for b1 in sets:
+        for b2 in sets:
+            if op(combine(b1, b2)) != combine(op(b1), op(b2)):
+                return {"set1": mask_text(b1), "set2": mask_text(b2)}
+    return None
+
+
+def test_half_pair_scans_find_the_full_scans_first_witness(monkeypatch):
+    # Flipping bit 0 on odd-sized sets breaks both preservation laws.
+    real_lap, real_uap = approx._lap_mask, approx._uap_mask
+    monkeypatch.setattr(approx, "_lap_mask", lambda r, b: real_lap(r, b) ^ b.bit_count() % 2)
+    monkeypatch.setattr(approx, "_uap_mask", lambda r, b: real_uap(r, b) ^ b.bit_count() % 2)
+    failing = 0
+    for r in _relations_up_to(4):
+        p = r.poset
+        rep = check_algebra(r, leq_aux(p))
+        lowers = [s.bits for s in enumerate_lower_sets(p)]
+        uppers = [s.bits for s in enumerate_upper_sets(p)]
+        expected = {
+            "algebra.uap-preserves-lower-meets": _first_failing_pair(
+                lowers, lambda b: approx._uap_mask(r, b), operator.and_
+            ),
+            "algebra.lap-preserves-upper-joins": _first_failing_pair(
+                uppers, lambda b: approx._lap_mask(r, b), operator.or_
+            ),
+        }
+        for law, witness in expected.items():
+            verdict = rep.verdict(law)
+            assert (verdict.passed, verdict.witness) == (witness is None, witness), (
+                law, p.up, r.sec
+            )
+            failing += witness is not None
+    assert failing > 0

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from orderlab import harness
+from orderlab import cli, harness
 from orderlab.auxrel import AuxRelation
-from orderlab.errors import AxiomViolation, BadParameters
+from orderlab.errors import AxiomViolation, BadParameters, NotUpper
 from orderlab.harness import (
     PROPERTIES,
     SUITES,
@@ -108,6 +108,37 @@ def test_an_invalid_generated_relation_stops_the_campaign(monkeypatch):
     scope = Scope(posets=(chain(2),), rel_mode="builtins", rel_builtins=("leq",))
     with pytest.raises(AxiomViolation):
         run_suite(scope, ["cspace"])
+
+
+@pytest.mark.parametrize("error", [NotUpper("planted"), RuntimeError("planted")])
+def test_a_raising_checker_fails_its_instances_and_the_run_goes_on(monkeypatch, capsys, error):
+    scope = Scope(max_n=2)
+    clean = run_suite(scope, ["partition"])
+    real = harness.check_partition
+
+    def broken(r, a):
+        if a.bits == 1:
+            raise error
+        return real(r, a)
+
+    monkeypatch.setattr(harness, "check_partition", broken)
+    rep = run_suite(scope, ["partition"])
+    raising = [
+        _fingerprint_of("partition", p, r, bits, r2)
+        for pi, p in enumerate(_scope_posets(scope))
+        for r, bits, r2 in _instances_for("partition", scope, p, pi)
+        if bits == 1
+    ]
+    assert len(raising) == 9
+    witness = f"{type(error).__name__}: planted"
+    assert rep.failures == [
+        {"law": "internal.error", "fingerprint": fp, "witness": witness} for fp in raising
+    ]
+    assert rep.attempted == clean.attempted and not rep.incomplete
+    assert rep.passed == clean.passed - len(raising)
+    assert rep.exit_code == 1
+    assert cli.main(["verify", "--max-n", "2", "--suite", "partition"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == rep.failures
 
 
 def test_report_json_shape_and_timing_flag():

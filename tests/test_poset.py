@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orderlab import poset as poset_module
+from orderlab.auxrel import leq_aux
 from orderlab.bitset import ElementSet
 from orderlab.errors import AxiomViolation, BadParameters, IndexOutOfRange
 from orderlab.poset import (
+    _lower_list,
+    _upper_list,
     antichain,
     boolean,
     bottom,
@@ -148,6 +152,21 @@ def test_upper_and_lower_counts_agree_by_complement(d4):
     lowers = list(enumerate_lower_sets(d4))
     assert len(uppers) == len(lowers)
     assert {u.complement().bits for u in uppers} == {s.bits for s in lowers}
+
+
+def test_per_poset_lists_match_the_enumerators_while_equal_posets_alternate():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            q = from_rows(p.up, labels=[f"x{i}" for i in range(n)])
+            uppers = tuple(s.bits for s in enumerate_upper_sets(p))
+            lowers = tuple(s.bits for s in enumerate_lower_sets(p))
+            for poset in (p, q, p, q):
+                got = _upper_list(poset)
+                assert got == uppers and _lower_list(poset) == lowers
+                assert leq_aux(poset).poset is poset
+                assert _upper_list(poset) is got
+                # one entry: nothing of the previous poset is kept
+                assert poset_module._memo_poset is poset
 
 
 def test_enumerate_directed_subsets(d4):

@@ -4,6 +4,7 @@ import pytest
 
 from orderlab import topology
 from orderlab.auxrel import (
+    AuxRelation,
     classify,
     enumerate_aux,
     leq_aux,
@@ -94,6 +95,25 @@ def test_scott_opens_are_exactly_the_upper_sets_on_finite_universes():
     for p in enumerate_posets(3):
         expected = tuple(s.bits for s in enumerate_upper_sets(p))
         assert scott_topology(p).masks == expected
+
+
+def test_induced_topology_is_built_once_per_relation():
+    for p in enumerate_posets(3):
+        for r in enumerate_aux(p):
+            if classify(r).pre_approximating:
+                t = mu_topology(r)
+                assert mu_topology(r) is t
+                assert mu_topology(AuxRelation(p, r.sec)) == t
+
+
+def test_scott_topology_is_shared_while_calls_stay_on_one_poset_object():
+    p = chain(3)
+    q = validate_poset(3, [(0, 1), (1, 2)], "covers", labels=["a", "b", "c"])
+    assert p == q
+    for poset in (p, q, p, q):
+        t = scott_topology(poset)
+        assert t.poset is poset and scott_topology(poset) is t
+        assert t.masks == tuple(s.bits for s in enumerate_upper_sets(poset))
 
 
 def test_topology_membership_and_equality(c3):
