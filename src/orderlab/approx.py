@@ -9,15 +9,22 @@ plus the Galois adjoints these operators have on the lattices of lower
 and upper sets, and executable checks for the laws they satisfy.
 
 Each relation on at most ``TABLE_MAX_N`` elements tabulates both operators
-on first use: one low-bit sweep fills down(A) and hit(A), the x whose section
-meets A.  lap(A) = A & hit(A), and uap(A) = full & ~hit(full ^ down(A)) since
-x misses uap(A) exactly when section(x) meets the complement of down(A).
-Larger posets keep the loops: there a 2^n table costs more than a query.
+on first use: one low-bit sweep fills hit(A), the x whose section meets A,
+and the poset's table of down(A) (``poset._down_table``) serves all its
+relations.  lap(A) = A & hit(A), and uap(A) = full & ~hit(full ^ down(A))
+since x misses uap(A) exactly when section(x) meets the complement of
+down(A).  Larger posets keep the loops: there a 2^n table costs more than a
+query.
 
 Work is done at the level it depends on.  The laws of ``check_basic_laws``
 that no subset enters are decided once per relation, which keeps their
-verdicts; the upper- and lower-set lists the lattice checks scan come from
-the one-entry per-poset memo of ``poset``.
+verdicts.  Its six per-subset laws are decided, on the same small posets,
+for every subset in one sweep on first use: the relation keeps each law's
+failing subsets with their witnesses (none on a correct engine), and each
+report takes its witness from them in the order of its own sets.  Larger
+posets scan only the sets asked about.  The down table and the upper- and
+lower-set lists the lattice checks scan come from the one-entry per-poset
+memo of ``poset``.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     _check_universe,
     _down_mask,
+    _down_table,
     _is_filtered_mask,
     _is_lower_mask,
     _is_upper_mask,
@@ -55,13 +63,10 @@ def _fill_tables(r: AuxRelation) -> tuple[list[int], list[int]]:
     full = (1 << p.n) - 1
     above = [_above_mask(r, x) for x in range(p.n)]
     hit = [0] * (full + 1)
-    down = [0] * (full + 1)
     for a in range(1, full + 1):
-        x, rest = (a & -a).bit_length() - 1, a & (a - 1)
-        hit[a] = hit[rest] | above[x]
-        down[a] = down[rest] | p.down[x]
+        hit[a] = hit[a & (a - 1)] | above[(a & -a).bit_length() - 1]
     r._lap = [a & h for a, h in enumerate(hit)]
-    r._uap = [full & ~hit[full ^ d] for d in down]
+    r._uap = [full & ~hit[full ^ d] for d in _down_table(p)]
     return r._lap, r._uap
 
 
@@ -247,57 +252,74 @@ def check_int_equivalences(r: AuxRelation) -> CheckReport:
 # -- operator algebra ----------------------------------------------------------
 
 
+_SUBSET_LAWS = (
+    "basic.sandwich",
+    "basic.uap-down-invariance",
+    "basic.uap-lower",
+    "basic.lap-preserves-upper",
+    "basic.leq-identities",
+    "basic.membership-characterization",
+)
+_PASSING = tuple(LawVerdict(law, True) for law in _SUBSET_LAWS)
+
+
 def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -> CheckReport:
-    """Sandwich, invariance, upper/lower facts and the whole-space equivalence."""
+    """Sandwich, invariance, upper/lower facts and the whole-space equivalence.
+
+    A law's witness is the first failing set in the order of ``sets``.
+    """
     p = r.poset
     masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    r_leq = leq_aux(p)
-
-    rep.law(
-        "basic.sandwich",
-        ({"set": mask_text(b)} for b in masks if _lap_mask(r, b) & ~b or b & ~_uap_mask(r, b)),
-    )
-    rep.law(
-        "basic.uap-down-invariance",
-        (
-            {"set": mask_text(b)}
-            for b in masks
-            if _uap_mask(r, b) != _uap_mask(r, _down_mask(p, b))
-        ),
-    )
-    rep.law(
-        "basic.uap-lower",
-        ({"set": mask_text(b)} for b in masks if not _is_lower_mask(p, _uap_mask(r, b))),
-    )
-    rep.law(
-        "basic.lap-preserves-upper",
-        (
-            {"set": mask_text(b)}
-            for b in masks
-            if _is_upper_mask(p, b) and not _is_upper_mask(p, _lap_mask(r, b))
-        ),
-    )
-    rep.law(
-        "basic.leq-identities",
-        (
-            {"set": mask_text(b), "op": "lap" if _lap_mask(r_leq, b) != b else "uap"}
-            for b in masks
-            if _lap_mask(r_leq, b) != b or _uap_mask(r_leq, b) != _down_mask(p, b)
-        ),
-    )
-    rep.law(
-        "basic.membership-characterization",
-        (
-            {"set": mask_text(b), "element": x}
-            for b in masks
-            for la in [_lap_mask(r, b)]
-            for x in range(p.n)
-            if bool(la >> x & 1) != (bool(b >> x & 1) and bool(r.sec[x] & b))
-        ),
-    )
+    if p.n <= TABLE_MAX_N:
+        if r._failing is None:
+            r._failing = _failing_subsets(r, range(1 << p.n), _down_table(p).__getitem__)
+        failing = r._failing
+    else:
+        failing = _failing_subsets(r, masks, lambda b: _down_mask(p, b))
+    for passing, fails in zip(_PASSING, failing):
+        witness = next((fails[b] for b in masks if b in fails), None) if fails else None
+        rep.verdicts.append(
+            passing if witness is None else LawVerdict(passing.law, False, witness)
+        )
     rep.verdicts.extend(r._basic or _relation_laws(r))
     return rep
+
+
+def _failing_subsets(r: AuxRelation, masks: Iterable[int], down) -> tuple[dict[int, dict], ...]:
+    """For each law of ``_SUBSET_LAWS``, the masks of ``masks`` that fail it,
+    each with its witness; ``down(b)`` is the down closure of b.
+
+    Lower and upper sets are recognised through ``down``: b is lower when
+    down(b) stays in b, and upper when down of its complement misses b.
+    """
+    p = r.poset
+    full = (1 << p.n) - 1
+    r_leq = leq_aux(p)
+    failing = tuple({} for _ in _SUBSET_LAWS)
+    sandwich, invariance, lower, upper, leq, membership = failing
+    for b in masks:
+        lap_b, uap_b, down_b = _lap_mask(r, b), _uap_mask(r, b), down(b)
+        if lap_b & ~b or b & ~uap_b:
+            sandwich[b] = {"set": mask_text(b)}
+        if uap_b != _uap_mask(r, down_b):
+            invariance[b] = {"set": mask_text(b)}
+        if down(uap_b) & ~uap_b:
+            lower[b] = {"set": mask_text(b)}
+        if not down(full ^ b) & b and down(full ^ lap_b) & lap_b:
+            upper[b] = {"set": mask_text(b)}
+        leq_lap = _lap_mask(r_leq, b)
+        if leq_lap != b or _uap_mask(r_leq, b) != down_b:
+            leq[b] = {"set": mask_text(b), "op": "lap" if leq_lap != b else "uap"}
+        defined = 0
+        for x in iter_bits(b):
+            if r.sec[x] & b:
+                defined |= 1 << x
+        wrong = lap_b ^ defined
+        if wrong:
+            x = (wrong & -wrong).bit_length() - 1
+            membership[b] = {"set": mask_text(b), "element": x}
+    return failing
 
 
 def _relation_laws(r: AuxRelation) -> tuple[LawVerdict, ...]:

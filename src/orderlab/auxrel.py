@@ -38,12 +38,14 @@ class AuxRelation:
     Immutable, so what depends on the relation alone is memoized: its
     sorted pairs, ``classify`` result, report subject, the verdicts of
     ``approx.check_basic_laws`` that no subset enters, the induced
-    topology of ``topology.mu_topology`` and (on small posets) the
-    ``approx`` operator tables.
+    topology of ``topology.mu_topology`` and, on small posets, the
+    ``approx`` operator tables and the failing subsets, with witnesses,
+    of each per-subset law of ``check_basic_laws``.
     """
 
     __slots__ = (
-        "poset", "sec", "_pairs", "_class", "_subject", "_basic", "_mu", "_lap", "_uap"
+        "poset", "sec", "_pairs", "_class", "_subject", "_basic", "_mu", "_lap", "_uap",
+        "_failing",
     )
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
@@ -54,7 +56,7 @@ class AuxRelation:
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
         self._pairs = self._class = self._subject = self._basic = self._mu = None
-        self._lap = self._uap = None
+        self._lap = self._uap = self._failing = None
 
     def pairs(self) -> list[tuple[int, int]]:
         if self._pairs is None:

@@ -68,7 +68,11 @@ def _one_step_closure(p: Poset, sigma: Topology, steps: list[int]) -> tuple[bool
 
 def is_meet_continuous(p: Poset) -> bool:
     """Below a directed supremum, the element is reached from below the set."""
-    sigma = _scott(p)
+    return _is_meet_continuous(p, _scott(p))
+
+
+def _is_meet_continuous(p: Poset, sigma: Topology) -> bool:
+    """``is_meet_continuous`` given the Scott opens."""
     for mask, s in reference.directed_sups(p):
         below = _down_mask(p, mask)
         for x in range(p.n):
@@ -114,7 +118,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
 
     one_step_prop, osc_witness = _one_step_closure(p, sigma, steps)
     rep.add("onestep.one-step-closure", one_step_prop, osc_witness, informational=True)
-    mc = is_meet_continuous(p)
+    mc = _is_meet_continuous(p, sigma)
     rep.add(
         "onestep.meet-continuity-equivalence",
         mc == one_step_prop,

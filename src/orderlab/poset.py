@@ -360,6 +360,15 @@ def _lower_list(p: Poset) -> tuple[int, ...]:
     return tuple(_upper_masks(p.down, p.up))
 
 
+@_per_poset
+def _down_table(p: Poset) -> tuple[int, ...]:
+    """down(A) for every mask A of p, indexed by A, from one low-bit sweep."""
+    down = [0] * (1 << p.n)
+    for a in range(1, 1 << p.n):
+        down[a] = down[a & (a - 1)] | p.down[(a & -a).bit_length() - 1]
+    return tuple(down)
+
+
 def _budgeted_sets(
     p: Poset, up: tuple[int, ...], down: tuple[int, ...], budget: int | None, what: str
 ) -> Iterator[ElementSet]:

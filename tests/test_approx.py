@@ -34,6 +34,9 @@ from orderlab.auxrel import (
 from orderlab.bitset import ElementSet, mask_text
 from orderlab.errors import NotLower, NotUpper, PosetMismatch
 from orderlab.poset import (
+    _down_mask,
+    _is_lower_mask,
+    _is_upper_mask,
     chain,
     diamond,
     down_closure,
@@ -42,6 +45,7 @@ from orderlab.poset import (
     enumerate_upper_sets,
     random_poset,
 )
+from orderlab.report import CheckReport
 
 
 def _sets(n):
@@ -371,6 +375,123 @@ def test_basic_laws_with_the_relation_memo_match_a_fresh_relation(monkeypatch, m
             memoized = check_basic_laws(r, sets=[a]).to_dict()
             fresh = check_basic_laws(AuxRelation(r.poset, r.sec), sets=[a])
             assert memoized == fresh.to_dict(), (r.poset.up, r.sec, a.bits)
+
+
+def _scanned_basic_laws(r, relation_laws, sets=None):
+    """``check_basic_laws`` as one counterexample scan over ``sets`` per law,
+    followed by the given relation-level verdicts."""
+    p = r.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask  # as monkeypatched, if they are
+    masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
+    rep = CheckReport(f"n={p.n};rel={r.pairs()}", f"{len(masks)} subsets")
+    r_leq = leq_aux(p)
+    rep.law(
+        "basic.sandwich",
+        ({"set": mask_text(b)} for b in masks if lap_of(r, b) & ~b or b & ~uap_of(r, b)),
+    )
+    rep.law(
+        "basic.uap-down-invariance",
+        ({"set": mask_text(b)} for b in masks if uap_of(r, b) != uap_of(r, _down_mask(p, b))),
+    )
+    rep.law(
+        "basic.uap-lower",
+        ({"set": mask_text(b)} for b in masks if not _is_lower_mask(p, uap_of(r, b))),
+    )
+    rep.law(
+        "basic.lap-preserves-upper",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _is_upper_mask(p, b) and not _is_upper_mask(p, lap_of(r, b))
+        ),
+    )
+    rep.law(
+        "basic.leq-identities",
+        (
+            {"set": mask_text(b), "op": "lap" if lap_of(r_leq, b) != b else "uap"}
+            for b in masks
+            if lap_of(r_leq, b) != b or uap_of(r_leq, b) != _down_mask(p, b)
+        ),
+    )
+    rep.law(
+        "basic.membership-characterization",
+        (
+            {"set": mask_text(b), "element": x}
+            for b in masks
+            for la in [lap_of(r, b)]
+            for x in range(p.n)
+            if bool(la >> x & 1) != (bool(b >> x & 1) and bool(r.sec[x] & b))
+        ),
+    )
+    rep.verdicts.extend(relation_laws)
+    return rep.to_dict()
+
+
+def _break_sandwich_and_lower_sets(monkeypatch):
+    """Flip element 0 in lap of odd-sized sets and in uap of sets with an odd
+    number of other elements: lap leaves the set, uap drops a member or stops
+    being lower, on many sets of most relations."""
+    real_lap, real_uap = approx._lap_mask, approx._uap_mask
+    monkeypatch.setattr(approx, "_lap_mask", lambda r, b: real_lap(r, b) ^ b.bit_count() % 2)
+    monkeypatch.setattr(approx, "_uap_mask", lambda r, b: real_uap(r, b) ^ (b >> 1).bit_count() % 2)
+
+
+def _assert_basic_laws_match_the_scans(r, singles):
+    """Whole-space, single-set and descending-with-duplicates calls agree with
+    the scans; returns how many laws fail with another witness in descending
+    order than in ascending order."""
+    n = r.poset.n
+    down_twice = [ElementSet(b, n) for b in sorted(list(range(1 << n)) * 2, reverse=True)]
+    relation_laws = approx._relation_laws(AuxRelation(r.poset, r.sec))
+    scanned = _scanned_basic_laws(r, relation_laws)
+    assert check_basic_laws(r).to_dict() == scanned, (r.poset.up, r.sec)
+    for a in singles:
+        scanned = _scanned_basic_laws(r, relation_laws, [a])
+        assert check_basic_laws(r, sets=[a]).to_dict() == scanned, (r.poset.up, r.sec, a.bits)
+    descending = check_basic_laws(r, sets=down_twice).to_dict()
+    assert descending == _scanned_basic_laws(r, relation_laws, down_twice), (r.poset.up, r.sec)
+    ascending = check_basic_laws(r).to_dict()
+    return sum(
+        d.get("witness") != a.get("witness")
+        for d, a in zip(descending["verdicts"], ascending["verdicts"])
+    )
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_subset_law_table_matches_the_scans_on_every_small_relation(monkeypatch, broken):
+    if broken:
+        _break_sandwich_and_lower_sets(monkeypatch)
+    reordered = 0
+    for r in _relations_up_to(4):  # fresh relations, so nothing is tabulated yet
+        reordered += _assert_basic_laws_match_the_scans(r, _sets(r.poset.n))
+        assert r._failing is not None
+    assert (reordered > 0) == broken
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("n", [8, 9])
+def test_subset_laws_match_the_scans_on_both_sides_of_the_table_bound(monkeypatch, broken, n):
+    if broken:
+        _break_sandwich_and_lower_sets(monkeypatch)
+    for seed in range(2):
+        p = random_poset(n, 0.3, 1000 * n + seed)
+        r = sample_aux(p, seed=seed)
+        singles = [ElementSet(b, n) for b in range(0, 1 << n, 37)]
+        reordered = _assert_basic_laws_match_the_scans(r, singles)
+        assert (reordered > 0) == broken
+        assert (r._failing is not None) == (n <= approx.TABLE_MAX_N)
+
+
+def test_a_single_set_query_above_the_table_bound_builds_no_table(monkeypatch):
+    def no_table(p):
+        raise AssertionError("built a down table")
+
+    monkeypatch.setattr(approx, "_down_table", no_table)
+    p = random_poset(approx.TABLE_MAX_N + 1, 0.3, 7)
+    r = sample_aux(p, seed=7)
+    assert check_basic_laws(r, sets=[ElementSet(0b101, p.n)]).ok
+    assert r._lap is r._uap is r._failing is None
+    assert leq_aux(p)._lap is None
 
 
 def _first_failing_pair(sets, op, combine):

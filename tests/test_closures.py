@@ -63,6 +63,14 @@ def test_meet_continuity_fixtures(c3):
         assert is_meet_continuous(p)
 
 
+def test_meet_continuity_holds_on_every_poset_up_to_four_points():
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            assert is_meet_continuous(p)
+            verdict = check_sec5_theorems(p).verdict("onestep.meet-continuity-equivalence")
+            assert verdict.passed, p.up
+
+
 def test_theorem_bundle_on_diamond(d4):
     rep = check_sec5_theorems(d4)
     assert rep.ok

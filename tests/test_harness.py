@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from orderlab import cli, harness
-from orderlab.auxrel import AuxRelation
+from orderlab import auxrel, cli, harness, reference
+from orderlab.auxrel import AuxRelation, enumerate_aux
 from orderlab.errors import AxiomViolation, BadParameters, NotUpper
 from orderlab.harness import (
     PROPERTIES,
@@ -139,6 +139,43 @@ def test_a_raising_checker_fails_its_instances_and_the_run_goes_on(monkeypatch, 
     assert rep.exit_code == 1
     assert cli.main(["verify", "--max-n", "2", "--suite", "partition"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == rep.failures
+
+
+def test_each_sec5_instance_builds_the_scott_opens_once(monkeypatch):
+    built = []
+    real = reference.scott_masks
+    monkeypatch.setattr(reference, "scott_masks", lambda p: built.append(p.up) or real(p))
+    scope = Scope(max_n=3)
+    rep = run_suite(scope, ["sec5"])
+    assert built == [p.up for p in _scope_posets(scope)]
+    assert rep.attempted == len(built) and rep.exit_code == 0
+
+
+def test_each_generated_relation_is_axiom_checked_once(monkeypatch):
+    checked, sampled = [], []
+    real_check, real_sample = auxrel._axiom_check_aux, harness.sample_aux
+
+    def check(p, sec):
+        checked.append(sec)
+        return real_check(p, sec)
+
+    def sample(p, seed):
+        sampled.append(real_sample(p, seed=seed))
+        return sampled[-1]
+
+    monkeypatch.setattr(auxrel, "_axiom_check_aux", check)
+    monkeypatch.setattr(harness, "_axiom_check_aux", check)
+    monkeypatch.setattr(harness, "sample_aux", sample)
+    # aux_closure checks what sample_aux builds, and the campaign does not again
+    scope = Scope(max_n=3, rel_mode="sample", rel_sample=3, seed=5)
+    run_suite(scope, ["int-char", "partition"])
+    assert checked == [r.sec for r in sampled]
+    assert len(sampled) == 2 * 3 * len(_scope_posets(scope))
+    # enumerated relations are checked where the campaign generates them
+    checked.clear()
+    scope = Scope(max_n=3)
+    run_suite(scope, ["int-char"])
+    assert checked == [r.sec for p in _scope_posets(scope) for r in enumerate_aux(p)]
 
 
 def test_report_json_shape_and_timing_flag():
