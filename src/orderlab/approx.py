@@ -22,7 +22,10 @@ verdicts.  Its six per-subset laws are decided, on the same small posets,
 for every subset in one sweep on first use: the relation keeps each law's
 failing subsets with their witnesses (none on a correct engine), and each
 report takes its witness from them in the order of its own sets.  Larger
-posets scan only the sets asked about.  The down table and the upper- and
+posets scan only the sets asked about.  The per-subset checks take one set
+or a family of sets, and a one-set report is the family report on that set.
+``check_algebra`` reads an operand's tables for a union or intersection
+equal to it.  The down table, the filtered-set table and the upper- and
 lower-set lists the lattice checks scan come from the one-entry per-poset
 memo of ``poset``.
 """
@@ -43,6 +46,7 @@ from .auxrel import (
 from .bitset import ElementSet, iter_bits, mask_text
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
+    Poset,
     _check_universe,
     _down_mask,
     _down_table,
@@ -50,6 +54,7 @@ from .poset import (
     _is_lower_mask,
     _is_upper_mask,
     _lower_list,
+    _per_poset,
     _upper_list,
 )
 from .report import CheckReport, LawVerdict
@@ -150,32 +155,54 @@ def _subject(r: AuxRelation) -> str:
     return r._subject
 
 
+def _family_masks(
+    p: Poset, a: ElementSet | None, sets: Iterable[ElementSet] | None
+) -> list[int] | range:
+    """The masks a per-subset check quantifies over: ``a``, else each of
+    ``sets`` in order, else every subset of p."""
+    if a is None and sets is None:
+        return range(1 << p.n)
+    family = [a] if a is not None else list(sets)
+    for s in family:
+        _check_universe(p, s)
+    return [s.bits for s in family]
+
+
+def _family_scope(masks: list[int] | range) -> str:
+    """A report's scope: the set of a one-set family, else the family's size."""
+    return f"set={mask_text(masks[0])}" if len(masks) == 1 else f"{len(masks)} subsets"
+
+
 # -- partition ---------------------------------------------------------------
 
 
-def check_partition(r: AuxRelation, a: ElementSet) -> CheckReport:
-    """lap(A) and uap of the complement cover the space; on upper A they split it."""
+def check_partition(
+    r: AuxRelation, a: ElementSet | None = None, sets: Iterable[ElementSet] | None = None
+) -> CheckReport:
+    """lap(A) and uap of the complement cover the space; on upper A they split it.
+
+    Checks the set ``a``, else each of ``sets``, else every subset; a law's
+    witness is that of the first failing set in the order of ``sets``.
+    """
     p = r.poset
-    _check_universe(p, a)
-    rep = CheckReport(_subject(r), f"set={a.text()}")
+    masks = _family_masks(p, a, sets)
+    rep = CheckReport(_subject(r), _family_scope(masks))
     full = (1 << p.n) - 1
-    lap_a = _lap_mask(r, a.bits)
-    uap_rest = _uap_mask(r, a.bits ^ full)
+    cover = disjoint = None
+    for b in masks:
+        lap_a = _lap_mask(r, b)
+        uap_rest = _uap_mask(r, b ^ full)
+        if cover is None and lap_a | uap_rest != full:
+            cover = {"lap": mask_text(lap_a), "uap-of-rest": mask_text(uap_rest)}
+        if disjoint is None and lap_a & uap_rest and _is_upper_mask(p, b):
+            disjoint = {"overlap": mask_text(lap_a & uap_rest)}
+    rep.add("partition.cover", cover is None, cover)
     rep.add(
-        "partition.cover",
-        lap_a | uap_rest == full,
-        None
-        if lap_a | uap_rest == full
-        else {"lap": mask_text(lap_a), "uap-of-rest": mask_text(uap_rest)},
+        "partition.disjoint-on-upper",
+        disjoint is None,
+        disjoint,
+        note="" if any(_is_upper_mask(p, b) for b in masks) else "vacuous: set not upper",
     )
-    if _is_upper_mask(p, a.bits):
-        rep.add(
-            "partition.disjoint-on-upper",
-            lap_a & uap_rest == 0,
-            None if lap_a & uap_rest == 0 else {"overlap": mask_text(lap_a & uap_rest)},
-        )
-    else:
-        rep.add("partition.disjoint-on-upper", True, note="vacuous: set not upper")
     return rep
 
 
@@ -269,7 +296,7 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     A law's witness is the first failing set in the order of ``sets``.
     """
     p = r.poset
-    masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
+    masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
     if p.n <= TABLE_MAX_N:
         if r._failing is None:
@@ -355,6 +382,17 @@ def _relation_laws(r: AuxRelation) -> tuple[LawVerdict, ...]:
     return r._basic
 
 
+def _operand_or(r: AuxRelation, r1: AuxRelation, r2: AuxRelation) -> AuxRelation:
+    """The operand with r's sections, whose tables are filled once, else r."""
+    return r1 if r1.sec == r.sec else r2 if r2.sec == r.sec else r
+
+
+@_per_poset
+def _filtered_table(p: Poset) -> tuple[bool, ...]:
+    """Whether each mask of p is filtered, indexed by mask."""
+    return tuple(_is_filtered_mask(p, b) for b in range(1 << p.n))
+
+
 def check_algebra(
     r1: AuxRelation,
     r2: AuxRelation,
@@ -364,7 +402,7 @@ def check_algebra(
     if r1.poset != r2.poset:
         raise PosetMismatch("relations live on different posets")
     p = r1.poset
-    masks = [s.bits for s in sets] if sets is not None else range(1 << p.n)
+    masks = _family_masks(p, None, sets)
     rep = CheckReport(
         f"n={p.n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
     )
@@ -384,8 +422,15 @@ def check_algebra(
             "algebra.monotone-in-relation", True, note="vacuous: rel1 not below rel2"
         )
 
-    union = aux_union(r1, r2)
-    meet = aux_intersection(r1, r2)
+    # A result equal to an operand reads that operand's tables: with the
+    # order as r2, the union is r2 and the intersection r1.
+    union = _operand_or(aux_union(r1, r2), r1, r2)
+    meet = _operand_or(aux_intersection(r1, r2), r1, r2)
+    filtered = (
+        _filtered_table(p).__getitem__
+        if p.n <= TABLE_MAX_N
+        else lambda b: _is_filtered_mask(p, b)
+    )
     rep.law(
         "algebra.lap-of-union",
         (
@@ -407,7 +452,7 @@ def check_algebra(
         (
             {"set": mask_text(b)}
             for b in masks
-            if _is_filtered_mask(p, b)
+            if filtered(b)
             and _lap_mask(meet, b) != _lap_mask(r1, b) & _lap_mask(r2, b)
         ),
     )

@@ -1,14 +1,29 @@
 """Campaign runner: law suites over (poset x relation x subset) scopes.
 
-Instances are generated in a fixed order (suites alphabetically, posets in
-scope order, relations in enumeration order, subsets ascending), and run
-serially in that order, so two runs with the same scope and seed produce
-byte-identical reports.  A campaign hands the objects it generates (poset,
-relation, subset, second relation) straight to the checkers; each relation
-is validated once, where it is generated.  Each failure or finding carries
-a fingerprint that reconstructs the instance exactly; replay is the only
-code that decodes one, and it re-validates what it decodes before
-re-executing the instance in isolation.
+Instances are generated in a fixed order and run serially in that order,
+so two runs with the same scope and seed produce byte-identical reports.
+The order is relation-major: posets in scope order; on each poset first
+its poset-level instances (``chain``, ``continuity``, ``sec5``, in suite
+order), then the relations in enumeration order, each generated and
+axiom-checked once; on each relation every suite in alphabetical order;
+within a suite its instances that no subset enters, then its subsets
+ascending.  Each suite keeps its own failures and findings, and the report
+joins them in suite order, so a run of one suite keeps the order it had
+alone.  A campaign hands the objects it generates (poset, relation,
+subset, second relation) straight to the checkers.
+
+The per-subset instances of ``algebra``, ``partition`` and ``chain`` on one
+relation are first decided as a batch: one call of the checker that
+``_check`` dispatches to, over the relation's whole subset family.  If that
+report has no failure and no finding, every instance of the batch is
+tallied as passed.  If it has any, if it raises, or if the instance cap
+falls inside the batch, the relation runs per instance, so its entries are
+exactly those of a per-instance run.  A capped run therefore counts its
+first instances in the order above: poset, relation, suite, subset.
+
+Each failure or finding carries a fingerprint that reconstructs the
+instance exactly; replay is the only code that decodes one, and it
+re-validates what it decodes before re-executing the instance in isolation.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .approx import (
     check_adjunction,
@@ -73,6 +88,7 @@ SUITES = (
 )
 
 _REL_SUITES = ("algebra", "cspace", "int-char", "mu-topology", "partition")
+_POSET_SUITES = ("chain", "continuity", "sec5")  # one instance per poset
 _REL_MODES = ("enumerate", "sample", "builtins")
 _SUBSET_MODES = ("all", "sample")
 _BUILTIN_RELS = {"leq": leq_aux, "bottom": bottom_aux, "way-below": way_below}
@@ -123,9 +139,12 @@ def _scope_posets(scope: Scope) -> list[Poset]:
     return out
 
 
-def _scope_relations(scope: Scope, p: Poset, pi: int) -> list[AuxRelation]:
+def _scope_relations(scope: Scope, p: Poset, pi: int) -> Iterator[AuxRelation]:
     """The scope's distinct relations on p, each checked against the axioms
-    once: here, or by ``aux_closure`` for a sampled one."""
+    once: here, or by ``aux_closure`` for a sampled one.
+
+    Lazy, and only their sections are kept to drop repeats, so a caller that
+    holds one relation at a time holds one relation's memoized tables."""
     if scope.rel_mode == "enumerate":
         rels = enumerate_aux(p)
     elif scope.rel_mode == "builtins":
@@ -133,12 +152,13 @@ def _scope_relations(scope: Scope, p: Poset, pi: int) -> list[AuxRelation]:
     else:
         seeds = (scope.seed * 1000003 + pi * 1009 + k for k in range(scope.rel_sample))
         rels = (sample_aux(p, seed=seed) for seed in seeds)
-    distinct: dict[tuple[int, ...], AuxRelation] = {}
+    seen: set[tuple[int, ...]] = set()
     for r in rels:
         if scope.rel_mode != "sample":
             _axiom_check_aux(p, r.sec)
-        distinct.setdefault(r.sec, r)
-    return list(distinct.values())
+        if r.sec not in seen:
+            seen.add(r.sec)
+            yield r
 
 
 def _scope_subsets(scope: Scope, p: Poset, pi: int) -> list[int]:
@@ -248,29 +268,32 @@ def _check(
 
 def _instances_for(suite: str, scope: Scope, p: Poset, pi: int) -> Iterable[tuple]:
     """The (relation, subset, second relation) of each instance on p."""
-    if suite in ("continuity", "sec5"):
+    if suite in _POSET_SUITES:
         yield None, None, None
-        return
-    if suite == "chain":
-        yield None, None, None
-    rels = _scope_relations(scope, p, pi)
+        if suite != "chain":
+            return
     subsets = _scope_subsets(scope, p, pi)
-    for r in rels:
-        if suite == "int-char":
-            yield r, None, None
-        elif suite == "partition":
+    for r in _scope_relations(scope, p, pi):
+        singles, per_subset = _relation_plan(suite, p, r)
+        yield from singles
+        if per_subset:
             for bits in subsets:
                 yield r, bits, None
-        elif suite == "algebra":
-            yield r, None, None
-            yield r, None, leq_aux(p)
-            for bits in subsets:
-                yield r, bits, None
-        elif suite == "chain" and classify(r).approximating:
-            for bits in subsets:
-                yield r, bits, None
-        elif suite in ("cspace", "mu-topology") and classify(r).pre_approximating:
-            yield r, None, None
+
+
+def _relation_plan(suite: str, p: Poset, r: AuxRelation) -> tuple[tuple[tuple, ...], bool]:
+    """The instances of a relation suite on r that no subset enters, as
+    (relation, subset, second relation), and whether one instance per
+    subset of the scope follows them."""
+    if suite == "algebra":
+        return ((r, None, None), (r, None, leq_aux(p))), True
+    if suite == "partition":
+        return (), True
+    if suite == "chain":
+        return (), classify(r).approximating
+    if suite == "int-char" or classify(r).pre_approximating:  # cspace, mu-topology
+        return ((r, None, None),), False
+    return (), False
 
 
 def _jsonable(value):
@@ -330,10 +353,10 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     """Run and tally each instance as it is generated, in one serial pass.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance.  An exception a checker raises fails the hard law
-    ``internal.error`` of its instance, with ``"<Type>: <message>"`` as the
-    witness, and the run goes on.  ``jobs`` is accepted for compatibility
-    and ignored.
+    before each instance and each batch.  An exception a checker raises
+    fails the hard law ``internal.error`` of its instance, with
+    ``"<Type>: <message>"`` as the witness, and the run goes on.  ``jobs``
+    is accepted for compatibility and ignored.
     """
     suite_list = tuple(sorted(set(suites)))
     for s in suite_list:
@@ -341,21 +364,44 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
             raise BadParameters(f"unknown suite {s!r}")
     start = time.monotonic()
     deadline = start + scope.wall_time_s if scope.wall_time_s else None
-    posets = _scope_posets(scope)
-    instances = (
-        (suite, p, *inst)
-        for suite in suite_list
-        for pi, p in enumerate(posets)
-        for inst in _instances_for(suite, scope, p, pi)
-    )
+    cap = scope.max_instances
+    poset_suites = [s for s in suite_list if s in _POSET_SUITES]
+    rel_suites = [s for s in suite_list if s in _REL_SUITES or s == "chain"]
     attempted = passed = 0
-    failures: list[dict] = []
-    findings: list[dict] = []
+
+    def instances() -> Iterable[tuple]:
+        """The campaign's instances in run order; a relation's per-subset
+        instances that pass as one batch are tallied here and not yielded."""
+        nonlocal attempted, passed
+        for pi, p in enumerate(_scope_posets(scope)):
+            for suite in poset_suites:
+                yield suite, p, None, None, None
+            if not rel_suites:
+                continue
+            subsets = _scope_subsets(scope, p, pi)
+            sets = [ElementSet(bits, p.n) for bits in subsets]
+            for r in _scope_relations(scope, p, pi):
+                for suite in rel_suites:
+                    singles, per_subset = _relation_plan(suite, p, r)
+                    for inst in singles:
+                        yield (suite, p, *inst)
+                    if not per_subset:
+                        continue
+                    if (
+                        (cap is None or attempted + len(sets) <= cap)
+                        and (deadline is None or time.monotonic() <= deadline)
+                        and _batch_passes(suite, r, sets)
+                    ):
+                        attempted += len(sets)
+                        passed += len(sets)
+                    else:
+                        for bits in subsets:
+                            yield suite, p, r, bits, None
+
+    found = {suite: ([], []) for suite in suite_list}  # failures, findings
     incomplete = False
-    for inst in instances:
-        if attempted == scope.max_instances or (
-            deadline is not None and time.monotonic() > deadline
-        ):
+    for inst in instances():
+        if attempted == cap or (deadline is not None and time.monotonic() > deadline):
             incomplete = True
             break
         try:
@@ -370,7 +416,7 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
             passed += 1
         if bad or flagged:
             fp = _fingerprint_of(*inst)
-            for out, verdicts in ((failures, bad), (findings, flagged)):
+            for out, verdicts in zip(found[inst[0]], (bad, flagged)):
                 out.extend(
                     {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
                     for v in verdicts
@@ -379,12 +425,28 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
         suites=suite_list,
         attempted=attempted,
         passed=passed,
-        failures=failures,
-        findings=findings,
+        failures=[e for suite in suite_list for e in found[suite][0]],
+        findings=[e for suite in suite_list for e in found[suite][1]],
         seed=scope.seed,
         incomplete=incomplete,
         elapsed_s=time.monotonic() - start,
     )
+
+
+def _batch_passes(suite: str, r: AuxRelation, sets: list[ElementSet]) -> bool:
+    """Whether one call of the checker that ``_check`` runs on each
+    per-subset instance of ``suite`` on r, over all of ``sets``, shows no
+    failure and no finding; a raising checker shows nothing."""
+    checker = {
+        "algebra": check_basic_laws,
+        "chain": check_chain_of_containments,
+        "partition": check_partition,
+    }[suite]
+    try:
+        rep = checker(r, sets=sets)
+    except Exception:
+        return False
+    return not rep.failures and not rep.findings
 
 
 def replay(entry: dict | str) -> CheckReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import reference
-from .approx import _lap_mask, _subject, _uap_mask
+from .approx import _family_masks, _family_scope, _lap_mask, _subject, _uap_mask
 from .auxrel import AuxRelation, _above_mask, classify, leq_aux, way_below
 from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
@@ -233,10 +233,21 @@ def is_continuous(p: Poset) -> bool:
 # -- theorem checkers ----------------------------------------------------------
 
 
-def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
-    """Scott interior up to Scott closure, with the approximations between."""
+_CHAIN_NAMES = ("scott-interior", "mu-interior", "lap", "set", "uap", "mu-closure", "scott-closure")
+_CHAIN_LINKS = tuple(zip(_CHAIN_NAMES, _CHAIN_NAMES[1:]))
+
+
+def check_chain_of_containments(
+    r: AuxRelation, a: ElementSet | None = None, sets: Iterable[ElementSet] | None = None
+) -> CheckReport:
+    """Scott interior up to Scott closure, with the approximations between.
+
+    Checks the set ``a``, else each of ``sets``, else every subset; a link's
+    witness is that of the first failing set in the order of ``sets``.  A
+    one-set report also lists the chain's values, as an informational verdict.
+    """
     p = r.poset
-    _check_universe(p, a)
+    masks = _family_masks(p, a, sets)
     cls = classify(r)
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
@@ -244,30 +255,26 @@ def check_chain_of_containments(r: AuxRelation, a: ElementSet) -> CheckReport:
         raise NotApproximating(cls.witnesses.get("approximating"))
     sigma = scott_topology(p)
     mu = mu_topology(r)
-    chain = [
-        ("scott-interior", _interior_mask(sigma, a.bits)),
-        ("mu-interior", _interior_mask(mu, a.bits)),
-        ("lap", _lap_mask(r, a.bits)),
-        ("set", a.bits),
-        ("uap", _uap_mask(r, a.bits)),
-        ("mu-closure", _closure_mask(mu, a.bits)),
-        ("scott-closure", _closure_mask(sigma, a.bits)),
-    ]
-    rep = CheckReport(_subject(r), f"set={a.text()}")
-    rep.add(
-        "chain.values",
-        True,
-        {name: mask_text(bits) for name, bits in chain},
-        informational=True,
-    )
-    for (name1, bits1), (name2, bits2) in zip(chain, chain[1:]):
-        rep.add(
-            f"chain.{name1}-below-{name2}",
-            bits1 & ~bits2 == 0,
-            None
-            if bits1 & ~bits2 == 0
-            else {name1: mask_text(bits1), name2: mask_text(bits2)},
+    rep = CheckReport(_subject(r), _family_scope(masks))
+    witnesses: list[dict | None] = [None] * len(_CHAIN_LINKS)
+    for b in masks:
+        chain = (
+            _interior_mask(sigma, b),
+            _interior_mask(mu, b),
+            _lap_mask(r, b),
+            b,
+            _uap_mask(r, b),
+            _closure_mask(mu, b),
+            _closure_mask(sigma, b),
         )
+        if len(masks) == 1:
+            values = {name: mask_text(bits) for name, bits in zip(_CHAIN_NAMES, chain)}
+            rep.add("chain.values", True, values, informational=True)
+        for k, (name1, name2) in enumerate(_CHAIN_LINKS):
+            if witnesses[k] is None and chain[k] & ~chain[k + 1]:
+                witnesses[k] = {name1: mask_text(chain[k]), name2: mask_text(chain[k + 1])}
+    for (name1, name2), witness in zip(_CHAIN_LINKS, witnesses):
+        rep.add(f"chain.{name1}-below-{name2}", witness is None, witness)
     return rep
 
 

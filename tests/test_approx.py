@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderlab import approx
+from orderlab import approx, topology
 from orderlab.approx import (
     _lap_mask,
     _uap_mask,
@@ -46,6 +46,7 @@ from orderlab.poset import (
     random_poset,
 )
 from orderlab.report import CheckReport
+from orderlab.topology import check_chain_of_containments
 
 
 def _sets(n):
@@ -169,6 +170,35 @@ def test_partition_cover_holds_even_on_non_upper_sets():
         for r in enumerate_aux(p):
             for a in _sets(p.n):
                 assert check_partition(r, a).ok
+
+
+@pytest.mark.parametrize("checker", [check_partition, check_chain_of_containments])
+def test_a_family_report_takes_each_law_from_its_first_failing_set(monkeypatch, checker):
+    """A call over ``sets`` gives each law the verdict and witness of the
+    first one-set report that fails it, in the order of ``sets``."""
+    real_lap, real_uap = approx._lap_mask, approx._uap_mask
+    for module in (approx, topology):
+        # errs on a relation-dependent third of the sets, so that witnesses
+        # differ between sets and orders
+        monkeypatch.setattr(module, "_lap_mask", lambda r, b: real_lap(r, b) ^ ((sum(r.sec) + b) % 3 == 0))
+        monkeypatch.setattr(module, "_uap_mask", lambda r, b: real_uap(r, b) ^ ((sum(r.sec) + b) % 3 == 1) << 1)
+    failed = 0
+    for r in _relations_up_to(3):
+        if checker is check_chain_of_containments and not classify(r).approximating:
+            continue
+        ascending = _sets(r.poset.n)
+        for family in (ascending, ascending[::-1], ascending[1::3]):
+            singles = [checker(r, a) for a in family]
+            rep = checker(r, sets=family)
+            assert rep.to_dict() == checker(AuxRelation(r.poset, r.sec), sets=family).to_dict()
+            for v in rep.verdicts:
+                if v.informational:
+                    continue
+                first = next((w for one in singles for w in [one.verdict(v.law)] if not w.passed), None)
+                assert (v.passed, v.witness) == (first is None, first and first.witness)
+                failed += not v.passed
+        assert checker(r).to_dict() == checker(r, sets=ascending).to_dict()
+    assert failed
 
 
 # -- adjoints --------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Campaign runner: scopes, suites, determinism, replay, counterexample search."""
 
+import functools
 import json
 
 import pytest
 
-from orderlab import auxrel, cli, harness, reference
+from orderlab import approx, auxrel, cli, harness, reference, topology
 from orderlab.auxrel import AuxRelation, enumerate_aux
 from orderlab.errors import AxiomViolation, BadParameters, NotUpper
 from orderlab.harness import (
@@ -24,6 +25,7 @@ from orderlab.harness import (
     search_counterexample,
 )
 from orderlab.poset import chain, diamond
+from orderlab.report import CheckReport
 
 
 # -- scope validation ---------------------------------------------------------
@@ -170,7 +172,7 @@ def test_each_generated_relation_is_axiom_checked_once(monkeypatch):
     scope = Scope(max_n=3, rel_mode="sample", rel_sample=3, seed=5)
     run_suite(scope, ["int-char", "partition"])
     assert checked == [r.sec for r in sampled]
-    assert len(sampled) == 2 * 3 * len(_scope_posets(scope))
+    assert len(sampled) == 3 * len(_scope_posets(scope))
     # enumerated relations are checked where the campaign generates them
     checked.clear()
     scope = Scope(max_n=3)
@@ -209,6 +211,139 @@ def test_parallel_run_matches_serial():
     serial = run_suite(scope, suites, jobs=1)
     parallel = run_suite(scope, suites, jobs=4)
     assert serial.to_json() == parallel.to_json()
+
+
+# -- relation-major order and per-relation batches --------------------------------------
+
+_BATCHED = ("check_basic_laws", "check_partition", "check_chain_of_containments")
+
+
+def _family_calls_raise(monkeypatch):
+    """Make the three per-subset checkers in ``harness`` raise when asked
+    about more than one set, so that every batch runs per instance."""
+    for name in _BATCHED:
+        real = getattr(harness, name)
+
+        def one_set(r, a=None, sets=None, real=real):
+            if sets is not None and len(sets) > 1:
+                raise RuntimeError("family call")
+            return real(r, a) if a is not None else real(r, sets=sets)
+
+        monkeypatch.setattr(harness, name, one_set)
+
+
+def _break_lap_and_uap(monkeypatch):
+    """Flip element 0 of lap({0,1}) on a fifth of the relations and of
+    uap({0}) on another fifth, in every module that reads the operators:
+    those relations fail laws of all three per-subset suites, and the
+    others pass."""
+    real_lap, real_uap = approx._lap_mask, approx._uap_mask
+
+    def lap(r, b):
+        return real_lap(r, b) ^ (b == 0b11 and sum(r.sec) % 5 == 0)
+
+    def uap(r, b):
+        return real_uap(r, b) ^ (b == 0b1 and sum(r.sec) % 5 == 1)
+
+    for module in (approx, topology):
+        monkeypatch.setattr(module, "_lap_mask", lap)
+        monkeypatch.setattr(module, "_uap_mask", uap)
+
+
+@pytest.mark.parametrize(
+    "scope, broken",
+    [
+        (Scope(max_n=4), False),
+        (Scope(max_n=4), True),
+        (
+            Scope(max_n=5, up_to_iso=True, rel_mode="sample", rel_sample=4,
+                  subset_mode="sample", subset_sample=5, seed=3),
+            True,
+        ),
+    ],
+    ids=["max-n-4", "max-n-4-broken", "sampled-n-5-broken"],
+)
+def test_batched_and_per_instance_runs_give_the_same_report(monkeypatch, scope, broken):
+    # The algebra instances that no subset enters run alike on both paths;
+    # empty reports stand in for them, to keep the test fast.
+    for name in ("check_adjunction", "check_algebra"):
+        monkeypatch.setattr(harness, name, lambda *args: CheckReport("", ""))
+    if broken:
+        _break_lap_and_uap(monkeypatch)
+    checked = []
+    real_check = harness._check
+    monkeypatch.setattr(harness, "_check", lambda *inst: checked.append(inst) or real_check(*inst))
+    suites = ["algebra", "chain", "partition"]
+    batched = run_suite(scope, suites)
+    per_subset_checked = sum(bits is not None for _, _, _, bits, _ in checked)
+    _family_calls_raise(monkeypatch)
+    checked.clear()
+    per_instance = run_suite(scope, suites)
+    per_subset = sum(bits is not None for _, _, _, bits, _ in checked)
+    assert batched.to_dict() == per_instance.to_dict()
+    assert batched.attempted == len(checked) and not batched.incomplete
+    if broken:
+        # the relations that fail go per instance, the others pass as batches
+        assert {e["law"].split(".")[0] for e in batched.failures} == {"basic", "chain", "partition"}
+        assert 0 < per_subset_checked < per_subset
+    else:
+        assert batched.failures == [] and per_subset_checked == 0 < per_subset
+
+
+def _relation_major(scope, suites):
+    """Every instance of ``suites`` in the documented run order: on each
+    poset its poset-level instances, then for each relation the instances
+    of each suite in suite order."""
+    for pi, p in enumerate(_scope_posets(scope)):
+        per_suite = {s: list(_instances_for(s, scope, p, pi)) for s in suites}
+        for s in suites:
+            yield from ((s, p, *i) for i in per_suite[s] if i[0] is None)
+        for r in harness._scope_relations(scope, p, pi):
+            for s in suites:
+                yield from ((s, p, *i) for i in per_suite[s] if i[0] is not None and i[0].sec == r.sec)
+
+
+def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(monkeypatch):
+    _break_lap_and_uap(monkeypatch)
+    suites = ("algebra", "chain", "continuity", "partition")
+    order = list(_relation_major(Scope(max_n=3), suites))
+    inside = [
+        cap
+        for cap in range(1, len(order))
+        if order[cap][3] is not None and order[cap][:3] == order[cap - 1][:3]
+    ]
+    caps = inside[:: len(inside) // 12]
+    found = {s: ([], []) for s in suites}
+    passed = 0
+    for done, inst in enumerate(order):
+        if done in caps:
+            rep = run_suite(Scope(max_n=3, max_instances=done), suites)
+            assert (rep.attempted, rep.passed, rep.incomplete) == (done, passed, True)
+            assert rep.failures == [e for s in suites for e in found[s][0]], done
+            assert rep.findings == [e for s in suites for e in found[s][1]], done
+        verdicts = _check(*inst)
+        passed += not verdicts.failures
+        fp = _fingerprint_of(*inst)
+        for out, bad in zip(found[inst[0]], (verdicts.failures, verdicts.findings)):
+            out.extend({"law": v.law, "fingerprint": fp, "witness": v.witness} for v in bad)
+    assert found["algebra"][0] and found["partition"][0]
+
+
+def test_a_campaign_tabulates_each_relation_and_sweeps_each_poset_once(monkeypatch):
+    filled = []
+    real_fill = approx._fill_tables
+    monkeypatch.setattr(approx, "_fill_tables", lambda r: filled.append(r) or real_fill(r))
+    # a one-entry cache misses again whenever a poset's sweep is asked for
+    # after another poset's
+    sweeps = functools.lru_cache(maxsize=1)(reference.directed_sups.__wrapped__)
+    monkeypatch.setattr(reference, "directed_sups", sweeps)
+    scope = Scope(max_n=4)
+    rep = run_suite(scope, SUITES)
+    posets = _scope_posets(scope)
+    relations = sum(len(list(enumerate_aux(p))) for p in posets)
+    assert rep.attempted == 199030 and (len(posets), relations) == (242, 5560)
+    assert len({id(r) for r in filled}) == len(filled) <= relations + 4 * len(posets)
+    assert sweeps.cache_info().misses == len(posets)
 
 
 # -- fingerprints and replay ---------------------------------------------------------
