@@ -16,18 +16,13 @@ since x misses uap(A) exactly when section(x) meets the complement of
 down(A).  Larger posets keep the loops: there a 2^n table costs more than a
 query.
 
-Work is done at the level it depends on.  The laws of ``check_basic_laws``
-that no subset enters are decided once per relation, which keeps their
-verdicts.  Its six per-subset laws are decided, on the same small posets,
-for every subset in one sweep on first use: the relation keeps each law's
-failing subsets with their witnesses (none on a correct engine), and each
-report takes its witness from them in the order of its own sets.  Larger
-posets scan only the sets asked about.  The per-subset checks take one set
-or a family of sets, and a one-set report is the family report on that set.
-``check_algebra`` reads an operand's tables for a union or intersection
-equal to it.  The down table, the filtered-set table and the upper- and
-lower-set lists the lattice checks scan come from the one-entry per-poset
-memo of ``poset``.
+Work is done at the level it depends on.  The per-subset checks take one
+set or a family of sets and scan only those, so a campaign decides each
+relation's subsets in one call; a one-set report is the family report on
+that set.  ``check_algebra`` reads an operand's tables for a union or
+intersection equal to it.  The down table, the filtered-set table and the
+upper- and lower-set lists the lattice checks scan come from the one-entry
+per-poset memo of ``poset``.
 """
 
 from __future__ import annotations
@@ -287,57 +282,41 @@ _SUBSET_LAWS = (
     "basic.leq-identities",
     "basic.membership-characterization",
 )
-_PASSING = tuple(LawVerdict(law, True) for law in _SUBSET_LAWS)
 
 
 def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -> CheckReport:
     """Sandwich, invariance, upper/lower facts and the whole-space equivalence.
 
-    A law's witness is the first failing set in the order of ``sets``.
+    Checks each of ``sets``, else every subset; a law's witness is that of
+    the first failing set in the order of ``sets``.  Lower and upper sets are
+    recognised through down closures: b is lower when down(b) stays in b,
+    and upper when down of its complement misses b.
     """
     p = r.poset
     masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    if p.n <= TABLE_MAX_N:
-        if r._failing is None:
-            r._failing = _failing_subsets(r, range(1 << p.n), _down_table(p).__getitem__)
-        failing = r._failing
-    else:
-        failing = _failing_subsets(r, masks, lambda b: _down_mask(p, b))
-    for passing, fails in zip(_PASSING, failing):
-        witness = next((fails[b] for b in masks if b in fails), None) if fails else None
-        rep.verdicts.append(
-            passing if witness is None else LawVerdict(passing.law, False, witness)
-        )
-    rep.verdicts.extend(r._basic or _relation_laws(r))
-    return rep
-
-
-def _failing_subsets(r: AuxRelation, masks: Iterable[int], down) -> tuple[dict[int, dict], ...]:
-    """For each law of ``_SUBSET_LAWS``, the masks of ``masks`` that fail it,
-    each with its witness; ``down(b)`` is the down closure of b.
-
-    Lower and upper sets are recognised through ``down``: b is lower when
-    down(b) stays in b, and upper when down of its complement misses b.
-    """
-    p = r.poset
+    down = _down_table(p).__getitem__ if p.n <= TABLE_MAX_N else lambda b: _down_mask(p, b)
     full = (1 << p.n) - 1
     r_leq = leq_aux(p)
-    failing = tuple({} for _ in _SUBSET_LAWS)
-    sandwich, invariance, lower, upper, leq, membership = failing
+    witnesses: dict[str, dict] = {}
+
+    def fail(law: str, b: int, **extra) -> None:
+        if law not in witnesses:
+            witnesses[law] = {"set": mask_text(b), **extra}
+
     for b in masks:
         lap_b, uap_b, down_b = _lap_mask(r, b), _uap_mask(r, b), down(b)
         if lap_b & ~b or b & ~uap_b:
-            sandwich[b] = {"set": mask_text(b)}
+            fail("basic.sandwich", b)
         if uap_b != _uap_mask(r, down_b):
-            invariance[b] = {"set": mask_text(b)}
+            fail("basic.uap-down-invariance", b)
         if down(uap_b) & ~uap_b:
-            lower[b] = {"set": mask_text(b)}
+            fail("basic.uap-lower", b)
         if not down(full ^ b) & b and down(full ^ lap_b) & lap_b:
-            upper[b] = {"set": mask_text(b)}
+            fail("basic.lap-preserves-upper", b)
         leq_lap = _lap_mask(r_leq, b)
         if leq_lap != b or _uap_mask(r_leq, b) != down_b:
-            leq[b] = {"set": mask_text(b), "op": "lap" if leq_lap != b else "uap"}
+            fail("basic.leq-identities", b, op="lap" if leq_lap != b else "uap")
         defined = 0
         for x in iter_bits(b):
             if r.sec[x] & b:
@@ -345,13 +324,15 @@ def _failing_subsets(r: AuxRelation, masks: Iterable[int], down) -> tuple[dict[i
         wrong = lap_b ^ defined
         if wrong:
             x = (wrong & -wrong).bit_length() - 1
-            membership[b] = {"set": mask_text(b), "element": x}
-    return failing
+            fail("basic.membership-characterization", b, element=x)
+    for law in _SUBSET_LAWS:
+        rep.add(law, law not in witnesses, witnesses.get(law))
+    rep.verdicts.extend(_relation_laws(r))
+    return rep
 
 
-def _relation_laws(r: AuxRelation) -> tuple[LawVerdict, ...]:
-    """The verdicts of ``check_basic_laws`` that no subset enters, decided
-    once per relation; every report of the relation shares them."""
+def _relation_laws(r: AuxRelation) -> list[LawVerdict]:
+    """The verdicts of ``check_basic_laws`` that no subset enters."""
     p = r.poset
     full = (1 << p.n) - 1
     rep = CheckReport(_subject(r), "relation")
@@ -378,8 +359,7 @@ def _relation_laws(r: AuxRelation) -> tuple[LawVerdict, ...]:
     )
     rep.add("basic.lap-of-empty", _lap_mask(r, 0) == 0)
     rep.add("basic.uap-of-full", _uap_mask(r, full) == full)
-    r._basic = tuple(rep.verdicts)
-    return r._basic
+    return rep.verdicts
 
 
 def _operand_or(r: AuxRelation, r1: AuxRelation, r2: AuxRelation) -> AuxRelation:
@@ -393,16 +373,12 @@ def _filtered_table(p: Poset) -> tuple[bool, ...]:
     return tuple(_is_filtered_mask(p, b) for b in range(1 << p.n))
 
 
-def check_algebra(
-    r1: AuxRelation,
-    r2: AuxRelation,
-    sets: Iterable[ElementSet] | None = None,
-) -> CheckReport:
-    """How the operators respond to union/intersection of relations."""
+def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
+    """How the operators respond to union/intersection of relations, on every subset."""
     if r1.poset != r2.poset:
         raise PosetMismatch("relations live on different posets")
     p = r1.poset
-    masks = _family_masks(p, None, sets)
+    masks = range(1 << p.n)
     rep = CheckReport(
         f"n={p.n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
     )

@@ -36,17 +36,11 @@ class AuxRelation:
     """A relation stored column-wise: sec[j] is the mask of {i : i R j}.
 
     Immutable, so what depends on the relation alone is memoized: its
-    sorted pairs, ``classify`` result, report subject, the verdicts of
-    ``approx.check_basic_laws`` that no subset enters, the induced
-    topology of ``topology.mu_topology`` and, on small posets, the
-    ``approx`` operator tables and the failing subsets, with witnesses,
-    of each per-subset law of ``check_basic_laws``.
+    sorted pairs, ``classify`` result, report subject, induced topology
+    and, on small posets, the ``approx`` operator tables.
     """
 
-    __slots__ = (
-        "poset", "sec", "_pairs", "_class", "_subject", "_basic", "_mu", "_lap", "_uap",
-        "_failing",
-    )
+    __slots__ = ("poset", "sec", "_pairs", "_class", "_subject", "_mu", "_lap", "_uap")
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
         self.poset = poset
@@ -55,8 +49,7 @@ class AuxRelation:
             raise PosetMismatch(
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
-        self._pairs = self._class = self._subject = self._basic = self._mu = None
-        self._lap = self._uap = self._failing = None
+        self._pairs = self._class = self._subject = self._mu = self._lap = self._uap = None
 
     def pairs(self) -> list[tuple[int, int]]:
         if self._pairs is None:
@@ -174,10 +167,10 @@ def way_below(p: Poset) -> AuxRelation:
     """x way-below y: every directed set with a supremum >= y reaches x.
 
     On a finite poset every directed set contains its supremum, so this
-    is the order itself; ``reference.way_below`` keeps the literal
-    definition.
+    is the order itself, ``leq_aux(p)`` with its memoized tables and
+    classification; ``reference.way_below`` keeps the literal definition.
     """
-    return AuxRelation(p, p.down)
+    return leq_aux(p)
 
 
 # -- sections and classification -------------------------------------------

@@ -28,14 +28,6 @@ def mask_text(mask: int) -> str:
     return ",".join(map(str, iter_bits(mask)))
 
 
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Yield every nonempty submask of ``mask`` (descending order)."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-
-
 @dataclass(frozen=True, slots=True)
 class ElementSet:
     """A subset of {0..n-1} as a bit mask over a fixed universe."""

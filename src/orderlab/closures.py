@@ -6,7 +6,9 @@ which collapses several of the laws below to exact equalities, and makes
 ``one_step`` the down closure.  The laws exist to exercise the
 definitions, so there one step, way-below and the Scott topology all come
 from the directed-subset sweep in ``reference`` rather than from the
-closed forms.
+closed forms.  Each is built once per poset: the one-step image of every
+subset here, the Scott topology in ``topology``, way-below in
+``reference``, all through the per-poset memo of ``poset``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from .approx import _uap_mask
 from .auxrel import _above_mask
 from .bitset import ElementSet, mask_text
 from .errors import OrderlabError
-from .poset import Poset, _down_mask, down_closure
+from .poset import Poset, _down_mask, _per_poset, down_closure
 from .report import CheckReport
-from .topology import Topology, _closure_mask, _interior_mask
+from .topology import _closure_mask, _interior_mask, _reference_scott
 
 
-def _scott(p: Poset) -> Topology:
-    return Topology(p, reference.scott_masks(p))
+@_per_poset
+def _steps(p: Poset) -> tuple[int, ...]:
+    """The one-step image of every mask of p, indexed by mask."""
+    return tuple(reference.one_step_mask(p, bits) for bits in range(1 << p.n))
 
 
 def one_step(p: Poset, a: ElementSet) -> ElementSet:
@@ -41,18 +45,12 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     closedness of every image.  The two readings are equivalent, so a
     disagreement is an internal error rather than a result.
     """
-    sigma = _scott(p)
-    steps = [reference.one_step_mask(p, bits) for bits in range(1 << p.n)]
-    return _one_step_closure(p, sigma, steps)
-
-
-def _one_step_closure(p: Poset, sigma: Topology, steps: list[int]) -> tuple[bool, dict | None]:
-    """``has_one_step_closure`` given the Scott opens and every subset's step."""
+    sigma = _reference_scott(p)
     via_closure = True
     via_fixed = True
     witness = None
     full = (1 << p.n) - 1
-    for bits, step in enumerate(steps):
+    for bits, step in enumerate(_steps(p)):
         if step != _closure_mask(sigma, bits):
             if via_closure:
                 witness = {"set": mask_text(bits)}
@@ -68,11 +66,7 @@ def _one_step_closure(p: Poset, sigma: Topology, steps: list[int]) -> tuple[bool
 
 def is_meet_continuous(p: Poset) -> bool:
     """Below a directed supremum, the element is reached from below the set."""
-    return _is_meet_continuous(p, _scott(p))
-
-
-def _is_meet_continuous(p: Poset, sigma: Topology) -> bool:
-    """``is_meet_continuous`` given the Scott opens."""
+    sigma = _reference_scott(p)
     for mask, s in reference.directed_sups(p):
         below = _down_mask(p, mask)
         for x in range(p.n):
@@ -85,11 +79,11 @@ def _is_meet_continuous(p: Poset, sigma: Topology) -> bool:
 
 def check_sec5_theorems(p: Poset) -> CheckReport:
     """Laws tying the one-step operator to down closure and Scott closure."""
-    sigma = _scott(p)
+    sigma = _reference_scott(p)
     wb = reference.way_below(p)
     full = (1 << p.n) - 1
     rep = CheckReport(f"poset n={p.n}", f"all {1 << p.n} subsets")
-    steps = [reference.one_step_mask(p, bits) for bits in range(1 << p.n)]
+    steps = _steps(p)
 
     def failing(bad):
         return ({"set": mask_text(b)} for b, step in enumerate(steps) if bad(b, step))
@@ -116,9 +110,9 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         note="finite-trivial: every directed set on a finite universe has a greatest element",
     )
 
-    one_step_prop, osc_witness = _one_step_closure(p, sigma, steps)
+    one_step_prop, osc_witness = has_one_step_closure(p)
     rep.add("onestep.one-step-closure", one_step_prop, osc_witness, informational=True)
-    mc = _is_meet_continuous(p, sigma)
+    mc = is_meet_continuous(p)
     rep.add(
         "onestep.meet-continuity-equivalence",
         mc == one_step_prop,

@@ -33,7 +33,7 @@ from .errors import (
     UnknownSet,
     WindowTooLarge,
 )
-from .poset import Poset, from_rows
+from .poset import Poset, _down_mask, from_rows
 from .report import CheckReport
 
 MAX_WINDOW = 240
@@ -260,13 +260,9 @@ def window(f: Family, m: int, n: int) -> Window:
 
 def _window_one_step_mask(w: Window, bits: int) -> int:
     """Down closure in the window plus declared-supremum completions."""
-    f = w.family
-    down = 0
-    for k in range(w.poset.n):
-        if bits & w.poset.up[k]:
-            down |= 1 << k
+    down = _down_mask(w.poset, bits)
     out = down
-    for chain in f.chains(w.m, w.n):
+    for chain in w.family.chains(w.m, w.n):
         members = [
             k for k, e in enumerate(w.elements) if chain.contains(e)
         ]

@@ -4,9 +4,14 @@ On a finite poset every directed set contains its supremum, so way-below
 is the order, the Scott opens are the upper sets and one step of the
 closure operator is the down closure (Gierz et al., *Continuous Lattices
 and Domains*).  The engine uses those closed forms.  This module keeps
-the literal definitions, all derived from one cached sweep over every
-subset, as the oracle for the laws that exercise the definitions and for
-the differential tests of the closed forms.
+the literal definitions, all derived from one sweep over every subset, as
+the oracle for the laws that exercise the definitions and for the
+differential tests of the closed forms.
+
+Way-below and the Scott opens are built once per poset through the
+per-poset memo of ``poset``, which the poset-level suites of a campaign
+share.  The sweep itself keeps an ``lru_cache``: queries rebuild equal
+posets, such as the same window of a symbolic family, and reuse it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .poset import (
     Poset,
     _directed_masks,
     _down_mask,
+    _per_poset,
     _supremum_mask,
     _upper_masks,
 )
@@ -34,6 +40,7 @@ def directed_sups(p: Poset) -> tuple[tuple[int, int], ...]:
     return tuple((d, s) for d, s in sups if s is not None)
 
 
+@_per_poset
 def way_below(p: Poset) -> AuxRelation:
     """x way-below y: every directed set with a supremum >= y reaches x."""
     rows = [(1 << p.n) - 1] * p.n
@@ -44,6 +51,7 @@ def way_below(p: Poset) -> AuxRelation:
     return AuxRelation(p, rows)
 
 
+@_per_poset
 def scott_masks(p: Poset) -> tuple[int, ...]:
     """The upper sets that every directed set with its supremum inside meets."""
     sups = directed_sups(p)

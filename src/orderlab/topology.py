@@ -7,7 +7,8 @@ up-set used in its definition), complete distributivity of the open-set
 lattice, and executable checks for the theorems tying these together.
 On a finite poset the Scott opens are exactly the upper sets, which is
 what ``scott_topology`` and ``is_scott_open`` return; the laws that
-exercise the directed-subset definition read it from ``reference``.
+exercise the directed-subset definition read ``_reference_scott``, built
+from ``reference`` once per poset.
 """
 
 from __future__ import annotations
@@ -124,6 +125,15 @@ def scott_topology(p: Poset) -> Topology:
     if p.n > MAX_DIRECTED_UNIVERSE:
         raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
     return Topology(p, _upper_list(p))
+
+
+@_per_poset
+def _reference_scott(p: Poset) -> Topology:
+    """The Scott topology from the directed-subset definition in ``reference``.
+
+    Calls in a row on p share one topology.
+    """
+    return Topology(p, reference.scott_masks(p))
 
 
 # -- interior / closure -------------------------------------------------------
@@ -317,7 +327,7 @@ def check_continuity_characterization(
     lower set.
     """
     wb = reference.way_below(p)
-    sigma = Topology(p, reference.scott_masks(p))
+    sigma = _reference_scott(p)
     full = (1 << p.n) - 1
     uppers = _upper_list(p)
     lowers = [full ^ m for m in uppers]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderlab.bitset import ElementSet, iter_bits, iter_submasks
+from orderlab.bitset import ElementSet, iter_bits
 from orderlab.errors import IndexOutOfRange, PosetMismatch
 
 
@@ -63,14 +63,6 @@ def test_algebra_rejects_mixed_universes():
 def test_iter_bits_ascending():
     assert list(iter_bits(0b101101)) == [0, 2, 3, 5]
     assert list(iter_bits(0)) == []
-
-
-def test_iter_submasks_visits_every_nonempty_submask_once():
-    mask = 0b1011
-    subs = list(iter_submasks(mask))
-    assert len(subs) == len(set(subs)) == 2 ** bin(mask).count("1") - 1
-    assert all(sub & ~mask == 0 and sub != 0 for sub in subs)
-    assert mask in subs
 
 
 @given(st.integers(min_value=0, max_value=2**8 - 1))

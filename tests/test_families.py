@@ -2,6 +2,7 @@
 
 import pytest
 
+from orderlab import reference
 from orderlab.errors import (
     BadParameters,
     ForeignElement,
@@ -224,3 +225,13 @@ def test_oversized_omega_window_skips_the_computed_comparison():
     assert rep.ok
     v = rep.verdict("window.way-below-agreement")
     assert v.passed and "skipped" in v.note
+
+
+def test_equal_windows_share_one_directed_sweep():
+    # Queries rebuild the same window; the sweep's cache serves the rebuilt poset.
+    first, second = window(OMEGA, 3, 3).poset, window(OMEGA, 3, 3).poset
+    assert first is not second and first == second
+    sweep = reference.directed_sups(first)
+    hits = reference.directed_sups.cache_info().hits
+    assert reference.directed_sups(second) is sweep
+    assert reference.directed_sups.cache_info().hits == hits + 1

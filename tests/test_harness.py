@@ -342,8 +342,26 @@ def test_a_campaign_tabulates_each_relation_and_sweeps_each_poset_once(monkeypat
     posets = _scope_posets(scope)
     relations = sum(len(list(enumerate_aux(p))) for p in posets)
     assert rep.attempted == 199030 and (len(posets), relations) == (242, 5560)
-    assert len({id(r) for r in filled}) == len(filled) <= relations + 4 * len(posets)
+    assert len({id(r) for r in filled}) == len(filled) <= relations + 2 * len(posets)
     assert sweeps.cache_info().misses == len(posets)
+
+
+def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch):
+    way_below, scott = [], []
+    real_aux, real_upper = reference.AuxRelation, reference._upper_masks
+    monkeypatch.setattr(
+        reference, "AuxRelation", lambda p, rows: way_below.append(p) or real_aux(p, rows)
+    )
+    monkeypatch.setattr(
+        reference, "_upper_masks", lambda up, down: scott.append(up) or real_upper(up, down)
+    )
+    scope = Scope(
+        max_n=5, rel_mode="sample", rel_sample=1, subset_mode="sample", subset_sample=4, seed=1
+    )
+    rep = run_suite(scope, ["chain", "continuity", "sec5"])
+    posets = _scope_posets(scope)
+    assert rep.exit_code == 0 and len(posets) == 4473
+    assert way_below == posets and scott == [p.up for p in posets]
 
 
 # -- fingerprints and replay ---------------------------------------------------------
