@@ -196,6 +196,8 @@ def parse_fingerprint(fp: str) -> Instance:
             raise ValueError(f"rows must have 1..{MAX_UNIVERSE} entries")
         if not all(type(r) is int and 0 <= r < 1 << len(rows) for r in rows):
             raise ValueError("rows do not fit the universe")
+        if subset is not None and not 0 <= subset < 1 << len(rows):
+            raise ValueError("subset does not fit the universe")
         _axiom_check(rows, len(rows))
         for pairs in (rel, rel2):
             if type(pairs) not in (list, type(None)) or any(

@@ -474,28 +474,6 @@ def random_poset(n: int, p: float, seed: int) -> Poset:
 # -- exhaustive enumeration ----------------------------------------------
 
 
-def _natural_row_sets(n: int) -> list[tuple[int, ...]]:
-    """All posets whose order is compatible with the index order."""
-    tri = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    out = []
-    for mask in range(1 << len(tri)):
-        rows = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(tri):
-            if mask >> b & 1:
-                rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            reach = 0
-            for j in iter_bits(rows[i]):
-                reach |= rows[j]
-            if reach & ~rows[i]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(rows))
-    return out
-
-
 def _relabel(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     n = len(rows)
     new = [0] * n
@@ -517,6 +495,27 @@ def canonical_form(p: Poset) -> tuple[int, ...]:
     return best
 
 
+def _classes(n: int) -> list[tuple[int, ...]]:
+    """The canonical forms of the posets on n points, ascending.
+
+    Removing a maximal element leaves a poset on n - 1 points, so each
+    class arises from a class on n - 1 points by a new maximal element
+    above one of its lower sets (canonical augmentation: McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    """
+    classes: list[tuple[int, ...]] = [()]
+    for m in range(n):
+        bit = 1 << m
+        grown = set()
+        for rows in classes:
+            q = Poset(rows)
+            for lower in _upper_masks(q.down, q.up):
+                new = [r | bit if lower >> i & 1 else r for i, r in enumerate(rows)]
+                grown.add(canonical_form(Poset(new + [bit])))
+        classes = sorted(grown)
+    return classes
+
+
 def enumerate_posets(
     n: int, up_to_iso: bool = False, budget: int | None = None
 ) -> Iterator[Poset]:
@@ -528,20 +527,11 @@ def enumerate_posets(
     cap = MAX_ISO_ENUM if up_to_iso else MAX_LABELED_ENUM
     if not 1 <= n <= cap:
         raise BadParameters(f"n={n} outside 1..{cap} for this mode")
-    naturals = _natural_row_sets(n)
-    perms = list(permutations(range(n)))
-    seen: set[tuple[int, ...]] = set()
-    if up_to_iso:
-        for rows in naturals:
-            best = min(_relabel(rows, perm) for perm in perms)
-            seen.add(best)
-    else:
-        for rows in naturals:
-            for perm in perms:
-                seen.add(_relabel(rows, perm))
-    emitted = 0
-    for rows in sorted(seen):
-        emitted += 1
+    rows_list = _classes(n)
+    if not up_to_iso:
+        perms = list(permutations(range(n)))
+        rows_list = sorted({_relabel(r, perm) for r in rows_list for perm in perms})
+    for emitted, rows in enumerate(rows_list, 1):
         if budget is not None and emitted > budget:
             raise BudgetExceeded(f"more than {budget} posets at n={n}")
         yield Poset(rows)

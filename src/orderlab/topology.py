@@ -465,11 +465,8 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
 
 def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
     """Opens are exactly the upper sets no section-supremum can sneak into."""
-    return _check_mu_inaccessibility(r, mu_topology(r))
-
-
-def _check_mu_inaccessibility(r: AuxRelation, mu: Topology) -> CheckReport:
     p = r.poset
+    mu = mu_topology(r)
     cls = classify(r)
     sups = [_supremum_mask(p, r.sec[x]) for x in range(p.n)]
 
@@ -511,10 +508,11 @@ def check_mu_laws(r: AuxRelation) -> CheckReport:
     """Bundle of structural laws for the induced topology."""
     p = r.poset
     cls = classify(r)
-    mu = mu_topology(r)
+    inaccessibility = check_mu_inaccessibility(r)
+    mu = r._mu  # built and kept on the relation by the check above
     rep = CheckReport(_subject(r), "induced topology")
     rep.verdicts.extend(check_topology_invariants(mu).verdicts)
-    rep.verdicts.extend(_check_mu_inaccessibility(r, mu).verdicts)
+    rep.verdicts.extend(inaccessibility.verdicts)
     sigma = scott_topology(p)
     if cls.approximating:
         finer = all(m in mu._mask_set for m in sigma.masks)

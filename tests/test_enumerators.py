@@ -1,9 +1,10 @@
 """Differential tests: the output-sensitive enumerators against literal sweeps.
 
-The oracles below are the definitions read off directly: every mask of
-the universe filtered for upper or lower sets, and every subset of the
-order pairs filtered by the auxiliary-relation axioms.  The enumerators
-must give the same output in the same (ascending) order.
+The oracles below are the definitions read off directly: every reflexive
+0/1 matrix filtered by the order axioms, every mask of the universe
+filtered for upper or lower sets, and every subset of the order pairs
+filtered by the auxiliary-relation axioms.  The enumerators must give
+the same output in the same (ascending) order.
 """
 
 import time
@@ -25,10 +26,12 @@ from orderlab.bitset import iter_bits
 from orderlab.errors import AxiomViolation, BudgetExceeded
 from orderlab.poset import (
     Poset,
+    _axiom_check,
     _is_lower_mask,
     _is_upper_mask,
     _relabel,
     antichain,
+    canonical_form,
     chain,
     enumerate_lower_sets,
     enumerate_posets,
@@ -36,6 +39,23 @@ from orderlab.poset import (
     random_poset,
 )
 from orderlab.topology import mu_topology
+
+
+def posets_by_sweep(n):
+    """Row tuples of every reflexive 0/1 matrix on n points that is an order."""
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for mask in range(1 << len(off_diagonal)):
+        rows = [1 << i for i in range(n)]
+        for b in iter_bits(mask):
+            i, j = off_diagonal[b]
+            rows[i] |= 1 << j
+        try:
+            _axiom_check(rows, n)
+        except AxiomViolation:
+            continue
+        out.append(tuple(rows))
+    return sorted(out)
 
 
 def upper_sets_by_sweep(p):
@@ -75,6 +95,24 @@ def labeled(max_n):
 
 
 # -- exhaustive, every labeled poset ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_posets_match_the_sweep_up_to_four_points(n):
+    swept = posets_by_sweep(n)
+    assert [p.up for p in enumerate_posets(n)] == swept
+    classes = sorted({canonical_form(Poset(rows)) for rows in swept})
+    assert [p.up for p in enumerate_posets(n, up_to_iso=True)] == classes
+
+
+@pytest.mark.parametrize(
+    "n, up_to_iso, count",
+    [(5, False, 4231), (5, True, 63), (6, True, 318)],  # OEIS A001035, A000112
+)
+def test_poset_counts_beyond_the_sweep(n, up_to_iso, count):
+    rows = [p.up for p in enumerate_posets(n, up_to_iso=up_to_iso)]
+    assert len(rows) == count
+    assert rows == sorted(set(rows))
 
 
 def test_upper_and_lower_sets_match_the_sweep_up_to_five_points():

@@ -427,6 +427,8 @@ def test_fingerprint_rejects_a_boolean_subset():
         ["chain", [1], [[0, 0]], None, None],
         ["chain", [], None, None, None],
         ["chain", [1 << i for i in range(25)], None, None, None],
+        ["partition", [1], [[0, 0]], 2, None],
+        ["partition", [1], [[0, 0]], -1, None],
     ],
 )
 def test_replay_rejects_an_under_specified_fingerprint(doc):
