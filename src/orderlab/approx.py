@@ -158,8 +158,9 @@ def _family_masks(
     if a is None and sets is None:
         return range(1 << p.n)
     family = [a] if a is not None else list(sets)
-    for s in family:
-        _check_universe(p, s)
+    mismatched = next((s for s in family if s.n != p.n), None)
+    if mismatched is not None:
+        _check_universe(p, mismatched)
     return [s.bits for s in family]
 
 

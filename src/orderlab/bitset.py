@@ -28,6 +28,20 @@ def mask_text(mask: int) -> str:
     return ",".join(map(str, iter_bits(mask)))
 
 
+def submask_unions(n: int, seeds: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Every mask m over n bits mapped to the OR of the (mask, value) seeds at
+    submasks of m, in one n·2^n sweep: the fast zeta transform over OR."""
+    table = [0] * (1 << n)
+    for mask, value in seeds:
+        table[mask] |= value
+    for i in range(n):
+        bit = 1 << i
+        for m in range(bit, 1 << n):
+            if m & bit:
+                table[m] |= table[m ^ bit]
+    return tuple(table)
+
+
 @dataclass(frozen=True, slots=True)
 class ElementSet:
     """A subset of {0..n-1} as a bit mask over a fixed universe."""

@@ -6,9 +6,10 @@ which collapses several of the laws below to exact equalities, and makes
 ``one_step`` the down closure.  The laws exist to exercise the
 definitions, so there one step, way-below and the Scott topology all come
 from the directed-subset sweep in ``reference`` rather than from the
-closed forms.  Each is built once per poset: the one-step image of every
-subset here, the Scott topology in ``topology``, way-below in
-``reference``, all through the per-poset memo of ``poset``.
+closed forms.  Each is built once per poset, through the per-poset memo of
+``poset``: way-below in ``reference``; the Scott topology and its interior
+of every mask in ``topology``; and here the one-step image of every mask,
+from one ``bitset.submask_unions`` sweep of the directed suprema.
 """
 
 from __future__ import annotations
@@ -16,17 +17,19 @@ from __future__ import annotations
 from . import reference
 from .approx import _uap_mask
 from .auxrel import _above_mask
-from .bitset import ElementSet, mask_text
+from .bitset import ElementSet, iter_bits, mask_text, submask_unions
 from .errors import OrderlabError
-from .poset import Poset, _down_mask, _per_poset, down_closure
+from .poset import Poset, _down_table, _per_poset, down_closure
 from .report import CheckReport
-from .topology import _closure_mask, _interior_mask, _reference_scott
+from .topology import _reference_interiors, _reference_scott
 
 
 @_per_poset
 def _steps(p: Poset) -> tuple[int, ...]:
-    """The one-step image of every mask of p, indexed by mask."""
-    return tuple(reference.one_step_mask(p, bits) for bits in range(1 << p.n))
+    """The one-step image of every mask of p, indexed by mask: down(b) and
+    sups[down(b)], where sups[m] holds the suprema of the directed subsets of m."""
+    sups = submask_unions(p.n, ((d, 1 << s) for d, s in reference.directed_sups(p)))
+    return tuple(down | sups[down] for down in _down_table(p))
 
 
 def one_step(p: Poset, a: ElementSet) -> ElementSet:
@@ -46,12 +49,13 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     disagreement is an internal error rather than a result.
     """
     sigma = _reference_scott(p)
+    inner = _reference_interiors(p)
     via_closure = True
     via_fixed = True
     witness = None
     full = (1 << p.n) - 1
     for bits, step in enumerate(_steps(p)):
-        if step != _closure_mask(sigma, bits):
+        if step != full ^ inner[full ^ bits]:
             if via_closure:
                 witness = {"set": mask_text(bits)}
             via_closure = False
@@ -66,13 +70,13 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
 
 def is_meet_continuous(p: Poset) -> bool:
     """Below a directed supremum, the element is reached from below the set."""
-    sigma = _reference_scott(p)
+    inner = _reference_interiors(p)
+    down = _down_table(p)
+    full = (1 << p.n) - 1
     for mask, s in reference.directed_sups(p):
-        below = _down_mask(p, mask)
-        for x in range(p.n):
-            if not p.up[x] >> s & 1:
-                continue
-            if not _closure_mask(sigma, below & p.down[x]) >> x & 1:
+        for x in iter_bits(p.down[s]):
+            # x misses the closure of C when it is in the interior of full ^ C
+            if inner[full ^ (down[mask] & p.down[x])] >> x & 1:
                 return False
     return True
 
@@ -80,7 +84,9 @@ def is_meet_continuous(p: Poset) -> bool:
 def check_sec5_theorems(p: Poset) -> CheckReport:
     """Laws tying the one-step operator to down closure and Scott closure."""
     sigma = _reference_scott(p)
+    inner = _reference_interiors(p)
     wb = reference.way_below(p)
+    down = _down_table(p)
     full = (1 << p.n) - 1
     rep = CheckReport(f"poset n={p.n}", f"all {1 << p.n} subsets")
     steps = _steps(p)
@@ -89,8 +95,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         return ({"set": mask_text(b)} for b, step in enumerate(steps) if bad(b, step))
 
     def unsandwiched(b, step):
-        down = _down_mask(p, b)
-        return b & ~down or down & ~step or step & ~_closure_mask(sigma, b)
+        return b & ~down[b] or down[b] & ~step or step & ~(full ^ inner[full ^ b])
 
     discriminating = "discriminating: exercises the literal quantifier oracle"
     rep.law("onestep.sandwich", failing(unsandwiched), note=discriminating)
@@ -106,7 +111,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
     )
     rep.law(
         "onestep.equals-down-closure",
-        failing(lambda b, step: step != _down_mask(p, b)),
+        failing(lambda b, step: step != down[b]),
         note="finite-trivial: every directed set on a finite universe has a greatest element",
     )
 
@@ -125,7 +130,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         (
             {"element": x}
             for x in range(p.n)
-            if _interior_mask(sigma, p.up[x]) != _above_mask(wb, x)
+            if inner[p.up[x]] != _above_mask(wb, x)
         ),
         note="finite-trivial: both sides collapse to the principal upper set",
     )

@@ -11,7 +11,10 @@ differential tests of the closed forms.
 Way-below and the Scott opens are built once per poset through the
 per-poset memo of ``poset``, which the poset-level suites of a campaign
 share.  The sweep itself keeps an ``lru_cache``: queries rebuild equal
-posets, such as the same window of a symbolic family, and reuse it.
+posets, such as the same window of a symbolic family, and reuse it.  The
+suites read Scott closures and one-step images off tables of every mask
+(``topology._reference_interiors``, ``closures._steps``), for which
+``one_step_mask`` and ``topology._closure_mask`` stay the oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .poset import (
     Poset,
     _directed_masks,
     _down_mask,
+    _down_table,
     _per_poset,
     _supremum_mask,
     _upper_masks,
@@ -44,10 +48,10 @@ def directed_sups(p: Poset) -> tuple[tuple[int, int], ...]:
 def way_below(p: Poset) -> AuxRelation:
     """x way-below y: every directed set with a supremum >= y reaches x."""
     rows = [(1 << p.n) - 1] * p.n
-    for d, s in directed_sups(p):
-        reach = _down_mask(p, d)
+    sups, down = directed_sups(p), _down_table(p)  # the sweep checks the budget first
+    for d, s in sups:
         for y in iter_bits(p.down[s]):
-            rows[y] &= reach
+            rows[y] &= down[d]
     return AuxRelation(p, rows)
 
 

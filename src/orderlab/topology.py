@@ -8,7 +8,8 @@ lattice, and executable checks for the theorems tying these together.
 On a finite poset the Scott opens are exactly the upper sets, which is
 what ``scott_topology`` and ``is_scott_open`` return; the laws that
 exercise the directed-subset definition read ``_reference_scott``, built
-from ``reference`` once per poset.
+from ``reference`` once per poset, and ``_reference_interiors``, its
+interior of every mask from one ``bitset.submask_unions`` sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 from . import reference
 from .approx import _family_masks, _family_scope, _lap_mask, _subject, _uap_mask
 from .auxrel import AuxRelation, _above_mask, classify, leq_aux, way_below
-from .bitset import ElementSet, iter_bits, mask_text
+from .bitset import ElementSet, iter_bits, mask_text, submask_unions
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -134,6 +135,12 @@ def _reference_scott(p: Poset) -> Topology:
     Calls in a row on p share one topology.
     """
     return Topology(p, reference.scott_masks(p))
+
+
+@_per_poset
+def _reference_interiors(p: Poset) -> tuple[int, ...]:
+    """Every mask's interior in ``_reference_scott(p)``: the union of the opens inside."""
+    return submask_unions(p.n, ((u, u) for u in _reference_scott(p).masks))
 
 
 # -- interior / closure -------------------------------------------------------
@@ -327,16 +334,15 @@ def check_continuity_characterization(
     lower set.
     """
     wb = reference.way_below(p)
-    sigma = _reference_scott(p)
+    inner = _reference_interiors(p)
     full = (1 << p.n) - 1
     uppers = _upper_list(p)
-    lowers = [full ^ m for m in uppers]
 
     def lap_matches(r: AuxRelation) -> bool:
-        return all(_lap_mask(r, u) == _interior_mask(sigma, u) for u in uppers)
+        return all(_lap_mask(r, u) == inner[u] for u in uppers)
 
-    def uap_matches(r: AuxRelation) -> bool:
-        return all(_uap_mask(r, l) == _closure_mask(sigma, l) for l in lowers)
+    def uap_matches(r: AuxRelation) -> bool:  # on the lower sets full ^ u
+        return all(_uap_mask(r, full ^ u) == full ^ inner[u] for u in uppers)
 
     s1 = is_continuous(p)
     s2 = lap_matches(wb)
@@ -378,7 +384,7 @@ def check_continuity_characterization(
         (
             {"set": mask_text(bits), "element": next(iter_bits(diff))}
             for bits in range(1 << p.n)
-            for diff in [_closure_mask(sigma, bits) ^ _uap_mask(wb, bits)]
+            for diff in [full ^ inner[full ^ bits] ^ _uap_mask(wb, bits)]
             if diff
         ),
     )

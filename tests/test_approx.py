@@ -342,6 +342,13 @@ def test_algebra_rejects_mixed_posets(r1):
         check_algebra(r1, leq_aux(diamond()))
 
 
+def test_a_family_names_its_first_set_over_another_universe(r1):
+    family = [ElementSet(1, 3), ElementSet(1, 4), ElementSet(1, 5)]
+    for check in (check_partition, check_basic_laws, check_chain_of_containments):
+        with pytest.raises(PosetMismatch, match="^set over universe 4, poset has 3$"):
+            check(r1, sets=iter(family))
+
+
 def test_algebra_passes_over_every_pair_of_small_relations():
     p = chain(3)
     rels = list(enumerate_aux(p))

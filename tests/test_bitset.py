@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderlab.bitset import ElementSet, iter_bits
+from orderlab.bitset import ElementSet, iter_bits, submask_unions
 from orderlab.errors import IndexOutOfRange, PosetMismatch
 
 
@@ -84,3 +84,19 @@ def test_de_morgan(x, y):
 def test_text_parse_round_trip_property(bits):
     s = ElementSet(bits, 8)
     assert ElementSet.parse(8, s.text()) == s
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.tuples(st.integers(0, 2**6 - 1), st.integers(0, 2**8 - 1)), max_size=8),
+)
+def test_submask_unions_or_the_values_seeded_below_each_mask(n, seeds):
+    seeds = [(mask & ((1 << n) - 1), value) for mask, value in seeds]
+    expected = []
+    for b in range(1 << n):
+        acc = 0
+        for mask, value in seeds:
+            if mask & ~b == 0:
+                acc |= value
+        expected.append(acc)
+    assert submask_unions(n, seeds) == tuple(expected)

@@ -1,9 +1,13 @@
 """The one-step operator: fixtures, fixpoints, and the related theorem bundle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orderlab import approx, closures, poset, reference, topology
 from orderlab.bitset import ElementSet
 from orderlab.closures import (
+    _steps,
     check_sec5_theorems,
     has_one_step_closure,
     is_meet_continuous,
@@ -17,8 +21,17 @@ from orderlab.poset import (
     down_closure,
     enumerate_posets,
     from_rows,
+    random_poset,
 )
-from orderlab.topology import closure, scott_topology
+from orderlab.topology import (
+    _closure_mask,
+    _interior_mask,
+    _reference_interiors,
+    _reference_scott,
+    check_continuity_characterization,
+    closure,
+    scott_topology,
+)
 
 
 def test_one_step_fixtures(c3, d4):
@@ -106,3 +119,56 @@ def test_directed_enumeration_budget_guard():
     assert one_step(chain(21), ElementSet.single(21, 5)) == ElementSet.from_indices(21, range(6))
     with pytest.raises(BudgetExceeded):
         has_one_step_closure(big)
+
+
+def test_the_directed_subset_laws_stop_before_tabulating_any_mask(monkeypatch):
+    """Beyond the directed-subset budget each law raises before a 2^n table
+    is built."""
+    big = from_rows(tuple(1 << i for i in range(21)))
+    builds = []
+    for module in (poset, reference, topology, closures, approx):
+        for name in ("submask_unions", "_down_table"):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(
+                    module, name, lambda *args, _real=real: builds.append(args) or _real(*args)
+                )
+    for law in (
+        has_one_step_closure,
+        is_meet_continuous,
+        check_sec5_theorems,
+        check_continuity_characterization,
+    ):
+        with pytest.raises(BudgetExceeded):
+            law(big)
+    assert builds == []
+
+
+def _tables_match_the_per_mask_oracles(p):
+    sigma, full = _reference_scott(p), (1 << p.n) - 1
+    steps, inner = _steps(p), _reference_interiors(p)
+    for b in range(1 << p.n):
+        assert steps[b] == reference.one_step_mask(p, b)
+        assert inner[b] == _interior_mask(sigma, b)
+        assert full ^ inner[full ^ b] == _closure_mask(sigma, b)
+
+
+def test_the_one_step_and_scott_closure_tables_match_the_per_mask_oracles():
+    """Every labeled poset with n <= 4, then hypothesis-sampled posets with n <= 9."""
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            _tables_match_the_per_mask_oracles(p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.builds(
+            random_poset,
+            n=st.integers(min_value=1, max_value=9),
+            p=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+            seed=st.integers(min_value=0, max_value=10**6),
+        )
+    )
+    def sampled(p):
+        _tables_match_the_per_mask_oracles(p)
+
+    sampled()

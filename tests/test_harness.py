@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from orderlab import approx, auxrel, cli, harness, reference, topology
+from orderlab import approx, auxrel, cli, closures, harness, reference, topology
 from orderlab.auxrel import AuxRelation, enumerate_aux
 from orderlab.errors import AxiomViolation, BadParameters, NotUpper
 from orderlab.harness import (
@@ -362,6 +362,46 @@ def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch)
     posets = _scope_posets(scope)
     assert rep.exit_code == 0 and len(posets) == 4473
     assert way_below == posets and scott == [p.up for p in posets]
+
+
+def test_each_poset_tabulates_its_scott_closures_and_one_step_images_once(monkeypatch):
+    builds = {"topology": 0, "closures": 0}
+    per_mask, inside = [], []
+    for module in (topology, closures):
+        real_sweep = module.submask_unions
+
+        def sweep(n, seeds, _name=module.__name__.rsplit(".", 1)[1], _real=real_sweep):
+            builds[_name] += 1
+            return _real(n, seeds)
+
+        monkeypatch.setattr(module, "submask_unions", sweep)
+        for name in ("_closure_mask", "_interior_mask"):
+            real = getattr(module, name, None)
+            if real is not None:
+
+                def oracle(t, bits, _name=name, _real=real):
+                    if inside:
+                        per_mask.append(_name)
+                    return _real(t, bits)
+
+                monkeypatch.setattr(module, name, oracle)
+    for name in ("check_continuity_characterization", "check_sec5_theorems"):
+
+        def flagged(p, _real=getattr(harness, name)):
+            inside.append(p)
+            try:
+                return _real(p)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(harness, name, flagged)
+    scope = Scope(
+        max_n=5, rel_mode="sample", rel_sample=1, subset_mode="sample", subset_sample=4, seed=1
+    )
+    rep = run_suite(scope, [s for s in SUITES if s != "algebra"])
+    assert not rep.failures and len(_scope_posets(scope)) == 4473
+    assert builds == {"topology": 4473, "closures": 4473}
+    assert per_mask == []
 
 
 # -- fingerprints and replay ---------------------------------------------------------
