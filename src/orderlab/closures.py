@@ -7,9 +7,9 @@ which collapses several of the laws below to exact equalities, and makes
 definitions, so there one step, way-below and the Scott topology all come
 from the directed-subset sweep in ``reference`` rather than from the
 closed forms.  Each is built once per poset, through the per-poset memo of
-``poset``: way-below in ``reference``; the Scott topology and its interior
-of every mask in ``topology``; and here the one-step image of every mask,
-from one ``bitset.submask_unions`` sweep of the directed suprema.
+``poset``: way-below and the directed suprema inside every mask in
+``reference``; the Scott topology and its interior of every mask in
+``topology``; and here the one-step image of every mask, from those suprema.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from . import reference
 from .approx import _uap_mask
 from .auxrel import _above_mask
-from .bitset import ElementSet, iter_bits, mask_text, submask_unions
+from .bitset import ElementSet, iter_bits, mask_text
 from .errors import OrderlabError
 from .poset import Poset, _down_table, _per_poset, down_closure
 from .report import CheckReport
@@ -27,8 +27,8 @@ from .topology import _reference_interiors, _reference_scott
 @_per_poset
 def _steps(p: Poset) -> tuple[int, ...]:
     """The one-step image of every mask of p, indexed by mask: down(b) and
-    sups[down(b)], where sups[m] holds the suprema of the directed subsets of m."""
-    sups = submask_unions(p.n, ((d, 1 << s) for d, s in reference.directed_sups(p)))
+    the suprema of the directed subsets of down(b)."""
+    sups = reference.subset_sups(p)
     return tuple(down | sups[down] for down in _down_table(p))
 
 

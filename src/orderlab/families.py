@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from . import reference
+from .bitset import iter_bits
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -232,11 +234,23 @@ class Window:
     m: int
     n: int
 
+    @cached_property
+    def _positions(self) -> dict[FamilyElement, int]:
+        return {e: k for k, e in enumerate(self.elements)}
+
+    @cached_property
+    def declared(self) -> tuple[tuple[DeclaredChain, int], ...]:
+        """Each declared chain of the window with the mask of its members."""
+        return tuple((c, self.mask(c.contains)) for c in self.family.chains(self.m, self.n))
+
     def index(self, e: FamilyElement) -> int:
         try:
-            return self.elements.index(e)
-        except ValueError:
+            return self._positions[e]
+        except KeyError:
             raise ForeignElement(f"{e} is outside this window") from None
+
+    def mask(self, holds: Callable[[FamilyElement], bool]) -> int:
+        return sum(1 << k for k, e in enumerate(self.elements) if holds(e))
 
 
 def window(f: Family, m: int, n: int) -> Window:
@@ -262,11 +276,8 @@ def _window_one_step_mask(w: Window, bits: int) -> int:
     """Down closure in the window plus declared-supremum completions."""
     down = _down_mask(w.poset, bits)
     out = down
-    for chain in w.family.chains(w.m, w.n):
-        members = [
-            k for k, e in enumerate(w.elements) if chain.contains(e)
-        ]
-        if members and all(down >> k & 1 for k in members):
+    for chain, members in w.declared:
+        if members and members & ~down == 0:
             out |= 1 << w.index(chain.sup)
     return out
 
@@ -290,26 +301,24 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
     )
 
     def unsound_suprema():
-        for chain in f.chains(m, n):
+        # in element order: members not below the supremum, and every bound
+        for chain, members in w.declared:
             si = w.index(chain.sup)
-            for k, e in enumerate(w.elements):
-                if chain.contains(e) and not p.up[k] >> si & 1:
+            bounds = w.mask(chain.is_upper_bound)
+            for k in iter_bits(members & ~p.down[si] | bounds):
+                e = w.elements[k]
+                if members >> k & 1 and not p.up[k] >> si & 1:
                     yield {"chain": chain.name, "member": str(e)}
-                if chain.is_upper_bound(e):
+                if bounds >> k & 1:
                     if not p.up[si] >> k & 1:
                         yield {"chain": chain.name, "bound": str(e)}
-                    for ci, c in enumerate(w.elements):
-                        if chain.contains(c) and not p.up[ci] >> k & 1:
-                            yield {"chain": chain.name, "bound": str(e), "member": str(c)}
+                    for ci in iter_bits(members & ~p.down[k]):
+                        yield {"chain": chain.name, "bound": str(e), "member": str(w.elements[ci])}
 
     rep.law("window.declared-suprema", unsound_suprema())
 
     if isinstance(f, LadderFamily):
-        a_bits = 0
-        for k, e in enumerate(w.elements):
-            if f.member("A", e):
-                a_bits |= 1 << k
-        step = _window_one_step_mask(w, a_bits)
+        step = _window_one_step_mask(w, w.mask(lambda e: f.member("A", e)))
         rep.law(
             "window.one-step-consistency",
             (
@@ -337,7 +346,6 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
 
     if isinstance(f, OmegaFamily):
         omega_el = FamilyElement("omega")
-        oi = w.index(omega_el)
         try:
             wb = reference.way_below(p)
         except BudgetExceeded:

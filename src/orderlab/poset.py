@@ -362,10 +362,10 @@ def _lower_list(p: Poset) -> tuple[int, ...]:
 
 @_per_poset
 def _down_table(p: Poset) -> tuple[int, ...]:
-    """down(A) for every mask A of p, indexed by A, from one low-bit sweep."""
-    down = [0] * (1 << p.n)
-    for a in range(1, 1 << p.n):
-        down[a] = down[a & (a - 1)] | p.down[(a & -a).bit_length() - 1]
+    """down(A) for every mask A of p, indexed by A, doubling once per element."""
+    down = [0]
+    for row in p.down:
+        down += [d | row for d in down]
     return tuple(down)
 
 
@@ -397,17 +397,14 @@ def enumerate_lower_sets(p: Poset, budget: int | None = None) -> Iterator[Elemen
     yield from _budgeted_sets(p, p.down, p.up, budget, "lower sets")
 
 
-def _directed_masks(p: Poset) -> Iterator[int]:
-    if p.n > MAX_DIRECTED_UNIVERSE:
-        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-    return (mask for mask in range(1, 1 << p.n) if _is_directed_mask(p, mask))
-
-
 def enumerate_directed_subsets(
     p: Poset, budget: int | None = None
 ) -> Iterator[ElementSet]:
     """All nonempty directed subsets, ascending by bit value."""
-    for emitted, mask in enumerate(_directed_masks(p), 1):
+    if p.n > MAX_DIRECTED_UNIVERSE:
+        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
+    directed = (mask for mask in range(1, 1 << p.n) if _is_directed_mask(p, mask))
+    for emitted, mask in enumerate(directed, 1):
         if budget is not None and emitted > budget:
             raise BudgetExceeded(f"more than {budget} directed subsets")
         yield ElementSet(mask, p.n)

@@ -4,66 +4,81 @@ On a finite poset every directed set contains its supremum, so way-below
 is the order, the Scott opens are the upper sets and one step of the
 closure operator is the down closure (Gierz et al., *Continuous Lattices
 and Domains*).  The engine uses those closed forms.  This module keeps
-the literal definitions, all derived from one sweep over every subset, as
-the oracle for the laws that exercise the definitions and for the
-differential tests of the closed forms.
+the literal definitions, read off whole-mask tables, as the oracle for the
+laws that exercise the definitions and for the differential tests of the
+closed forms.
 
-Way-below and the Scott opens are built once per poset through the
-per-poset memo of ``poset``, which the poset-level suites of a campaign
-share.  The sweep itself keeps an ``lru_cache``: queries rebuild equal
-posets, such as the same window of a symbolic family, and reuse it.  The
-suites read Scott closures and one-step images off tables of every mask
-(``topology._reference_interiors``, ``closures._steps``), for which
-``one_step_mask`` and ``topology._closure_mask`` stay the oracles.
+``directed_sups`` holds every directed set with its supremum; it keeps an
+``lru_cache``, as queries rebuild equal posets, such as one window of a
+family.  ``subset_sups``, the directed suprema inside every mask, decides
+the Scott opens and gives ``closures._steps`` its images, for which
+``one_step_mask`` stays the per-mask oracle.  It, way-below and the Scott
+opens are built once per poset through the per-poset memo of ``poset``,
+which the poset-level suites of a campaign share.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations, compress
+from operator import and_
 
 from .auxrel import AuxRelation
-from .bitset import iter_bits
+from .bitset import iter_bits, submask_unions
+from .errors import BudgetExceeded
 from .poset import (
+    MAX_DIRECTED_UNIVERSE,
     Poset,
-    _directed_masks,
     _down_mask,
     _down_table,
     _per_poset,
-    _supremum_mask,
     _upper_masks,
 )
 
 
 @lru_cache(maxsize=2048)
 def directed_sups(p: Poset) -> tuple[tuple[int, int], ...]:
-    """Every nonempty directed mask paired with its supremum.
+    """Every nonempty directed mask, ascending, with its supremum (the upper bound
+    below all upper bounds); ``BudgetExceeded`` beyond ``MAX_DIRECTED_UNIVERSE``."""
+    if p.n > MAX_DIRECTED_UNIVERSE:
+        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
+    up, masks = p.up, range(1 << p.n)
+    ok = [m != 0 for m in masks]  # every pair of members has an upper bound inside
+    for a, b in combinations(range(p.n), 2):
+        common, pair = up[a] & up[b], 1 << a | 1 << b
+        if not common & pair:  # else a or b bounds the pair in every mask holding both
+            ok = [o and (m & pair != pair or m & common != 0) for m, o in zip(masks, ok)]
+    ubs = [(1 << p.n) - 1]  # ubs[m]: the upper bounds of every member of m
+    for row in up:
+        ubs += [u & row for u in ubs]
+    least = {row: s for s, row in enumerate(up)}
+    return tuple((d, least[ubs[d]]) for d in compress(masks, ok) if ubs[d] in least)
 
-    Raises ``BudgetExceeded`` beyond ``MAX_DIRECTED_UNIVERSE`` elements.
-    """
-    sups = ((d, _supremum_mask(p, d)) for d in _directed_masks(p))
-    return tuple((d, s) for d, s in sups if s is not None)
+
+@_per_poset
+def subset_sups(p: Poset) -> tuple[int, ...]:
+    """The suprema of the directed subsets of every mask, indexed by mask."""
+    sups = directed_sups(p)  # checks the budget before the table is built
+    return submask_unions(p.n, ((d, 1 << s) for d, s in sups))
 
 
 @_per_poset
 def way_below(p: Poset) -> AuxRelation:
     """x way-below y: every directed set with a supremum >= y reaches x."""
-    rows = [(1 << p.n) - 1] * p.n
+    reached = [(1 << p.n) - 1] * p.n  # reached[s]: for the directed sets with supremum s
     sups, down = directed_sups(p), _down_table(p)  # the sweep checks the budget first
     for d, s in sups:
-        for y in iter_bits(p.down[s]):
-            rows[y] &= down[d]
-    return AuxRelation(p, rows)
+        reached[s] &= down[d]
+    # row y: what every directed set with a supremum s >= y reaches
+    return AuxRelation(p, [reduce(and_, map(reached.__getitem__, iter_bits(u))) for u in p.up])
 
 
 @_per_poset
 def scott_masks(p: Poset) -> tuple[int, ...]:
-    """The upper sets that every directed set with its supremum inside meets."""
-    sups = directed_sups(p)
-    return tuple(
-        m
-        for m in _upper_masks(p.up, p.down)
-        if all(d & m or not m >> s & 1 for d, s in sups)
-    )
+    """The upper sets that every directed set with its supremum inside meets:
+    no directed subset of the complement has its supremum inside."""
+    sups, full = subset_sups(p), (1 << p.n) - 1
+    return tuple(m for m in _upper_masks(p.up, p.down) if not sups[full ^ m] & m)
 
 
 def one_step_mask(p: Poset, bits: int) -> int:

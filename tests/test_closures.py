@@ -1,5 +1,7 @@
 """The one-step operator: fixtures, fixpoints, and the related theorem bundle."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,8 +124,8 @@ def test_directed_enumeration_budget_guard():
 
 
 def test_the_directed_subset_laws_stop_before_tabulating_any_mask(monkeypatch):
-    """Beyond the directed-subset budget each law raises before a 2^n table
-    is built."""
+    """Beyond the directed-subset budget each law, and the directed-set sweep
+    itself, raises before a 2^n table is built."""
     big = from_rows(tuple(1 << i for i in range(21)))
     builds = []
     for module in (poset, reference, topology, closures, approx):
@@ -142,6 +144,14 @@ def test_the_directed_subset_laws_stop_before_tabulating_any_mask(monkeypatch):
         with pytest.raises(BudgetExceeded):
             law(big)
     assert builds == []
+    # a list of 2^21 entries alone takes 16 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            reference.directed_sups(big)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def _tables_match_the_per_mask_oracles(p):

@@ -12,7 +12,9 @@ from orderlab.errors import (
 from orderlab.families import (
     LADDER,
     OMEGA,
+    DeclaredChain,
     FamilyElement,
+    OmegaFamily,
     family_membership,
     family_order,
     family_way_below,
@@ -218,6 +220,42 @@ def test_omega_window_soundness():
         "window.family-continuity",
     ):
         assert rep.verdict(law).passed
+
+
+def _first_unsound_supremum(w):
+    """The scan of every element, and of every member for each bound, in order."""
+    p = w.poset
+    for chain in w.family.chains(w.m, w.n):
+        si = w.elements.index(chain.sup)
+        for k, e in enumerate(w.elements):
+            if chain.contains(e) and not p.up[k] >> si & 1:
+                return {"chain": chain.name, "member": str(e)}
+            if chain.is_upper_bound(e):
+                if not p.up[si] >> k & 1:
+                    return {"chain": chain.name, "bound": str(e)}
+                for ci, c in enumerate(w.elements):
+                    if chain.contains(c) and not p.up[ci] >> k & 1:
+                        return {"chain": chain.name, "bound": str(e), "member": str(c)}
+    return None
+
+
+def test_misdeclared_suprema_fail_with_the_first_witness_of_the_element_scan():
+    bounds = (
+        lambda e: e.kind == "omega",
+        lambda e: e.kind == "omega" or e.i >= 2,
+        lambda e: e.kind == "nat" and e.i == 1,
+        lambda e: True,
+    )
+    for sup in window(OMEGA, 0, 4).elements:
+        for is_bound in bounds:
+
+            class Misdeclared(OmegaFamily):
+                def chains(self, m, n, sup=sup, is_bound=is_bound):
+                    return [DeclaredChain("nat-chain", sup, lambda e: e.kind == "nat", is_bound)]
+
+            f = Misdeclared()
+            verdict = verify_window_soundness(f, 0, 4).verdict("window.declared-suprema")
+            assert verdict.witness == _first_unsound_supremum(window(f, 0, 4))
 
 
 def test_oversized_omega_window_skips_the_computed_comparison():

@@ -365,9 +365,9 @@ def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch)
 
 
 def test_each_poset_tabulates_its_scott_closures_and_one_step_images_once(monkeypatch):
-    builds = {"topology": 0, "closures": 0}
+    builds = {"topology": 0, "reference": 0}
     per_mask, inside = [], []
-    for module in (topology, closures):
+    for module in (topology, reference):
         real_sweep = module.submask_unions
 
         def sweep(n, seeds, _name=module.__name__.rsplit(".", 1)[1], _real=real_sweep):
@@ -400,7 +400,7 @@ def test_each_poset_tabulates_its_scott_closures_and_one_step_images_once(monkey
     )
     rep = run_suite(scope, [s for s in SUITES if s != "algebra"])
     assert not rep.failures and len(_scope_posets(scope)) == 4473
-    assert builds == {"topology": 4473, "closures": 4473}
+    assert builds == {"topology": 4473, "reference": 4473}
     assert per_mask == []
 
 
