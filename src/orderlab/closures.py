@@ -5,7 +5,7 @@ closure.  On a finite universe every directed set has a greatest element,
 which collapses several of the laws below to exact equalities, and makes
 ``one_step`` the down closure.  The laws exist to exercise the
 definitions, so there one step, way-below and the Scott topology all come
-from the directed-subset sweep in ``reference`` rather than from the
+from the directed-subset tables in ``reference`` rather than from the
 closed forms.  Each is built once per poset, through the per-poset memo of
 ``poset``: way-below and the directed suprema inside every mask in
 ``reference``; the Scott topology and its interior of every mask in

@@ -8,13 +8,13 @@ the literal definitions, read off whole-mask tables, as the oracle for the
 laws that exercise the definitions and for the differential tests of the
 closed forms.
 
-``directed_sups`` holds every directed set with its supremum; it keeps an
-``lru_cache``, as queries rebuild equal posets, such as one window of a
-family.  ``subset_sups``, the directed suprema inside every mask, decides
-the Scott opens and gives ``closures._steps`` its images, for which
-``one_step_mask`` stays the per-mask oracle.  It, way-below and the Scott
-opens are built once per poset through the per-poset memo of ``poset``,
-which the poset-level suites of a campaign share.
+``directed_sups`` (an ``lru_cache``, as queries rebuild equal posets such
+as one window of a family) lists every directed set with its supremum.
+The rest is built once per poset, through the memo of ``poset`` that the
+poset-level suites of a campaign share: ``subset_sups``, the directed
+suprema inside every mask, read by ``scott_masks`` and ``closures._steps``
+(whose per-mask oracle is ``one_step_mask``); and ``way_below``, which
+reads ``poset._down_table``, the table the approximation operators share.
 """
 
 from __future__ import annotations
