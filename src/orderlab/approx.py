@@ -9,12 +9,15 @@ plus the Galois adjoints these operators have on the lattices of lower
 and upper sets, and executable checks for the laws they satisfy.
 
 Each relation on at most ``TABLE_MAX_N`` elements tabulates both operators
-on first use: one low-bit sweep fills hit(A), the x whose section meets A,
-and the poset's table of down(A) (``poset._down_table``) serves all its
-relations.  lap(A) = A & hit(A), and uap(A) = full & ~hit(full ^ down(A))
-since x misses uap(A) exactly when section(x) meets the complement of
-down(A).  Larger posets keep the loops: there a 2^n table costs more than a
-query.
+on first use: hit(A), the x whose section meets A, is the union of the
+sections above the members of A (``bitset.row_unions`` of the transposed
+relation), and the poset's table of down(A) (``poset._down_table``, the
+same union over ``p.down``) serves all its relations.  lap(A) = A & hit(A),
+and uap(A) = full & ~hit(full ^ down(A)) since x misses uap(A) exactly when
+section(x) meets the complement of down(A).  Larger posets keep the loops:
+there a 2^n table costs more than a query.  Lower and upper sets,
+filtered sets and the lower adjoint use the row-level primitives of
+``poset`` on ``p.down``, ``p.up`` and the sections.
 
 Work is done at the level it depends on.  The per-subset checks take one
 set or a family of sets and scan only those, so a campaign decides each
@@ -29,25 +32,16 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .auxrel import (
-    AuxRelation,
-    _above_mask,
-    aux_intersection,
-    aux_subset,
-    aux_union,
-    classify,
-    leq_aux,
-)
-from .bitset import ElementSet, iter_bits, mask_text
+from .auxrel import AuxRelation, aux_intersection, aux_subset, aux_union, classify, leq_aux
+from .bitset import ElementSet, iter_bits, mask_text, row_unions, transpose
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     Poset,
     _check_universe,
-    _down_mask,
+    _closed,
+    _directed,
     _down_table,
-    _is_filtered_mask,
-    _is_lower_mask,
-    _is_upper_mask,
+    _join,
     _lower_list,
     _per_poset,
     _upper_list,
@@ -61,10 +55,7 @@ TABLE_MAX_N = 8
 def _fill_tables(r: AuxRelation) -> tuple[list[int], list[int]]:
     p = r.poset
     full = (1 << p.n) - 1
-    above = [_above_mask(r, x) for x in range(p.n)]
-    hit = [0] * (full + 1)
-    for a in range(1, full + 1):
-        hit[a] = hit[a & (a - 1)] | above[(a & -a).bit_length() - 1]
+    hit = row_unions(transpose(r.sec))
     r._lap = [a & h for a, h in enumerate(hit)]
     r._uap = [full & ~hit[full ^ d] for d in _down_table(p)]
     return r._lap, r._uap
@@ -84,7 +75,7 @@ def _uap_mask(r: AuxRelation, bits: int) -> int:
     if r.poset.n <= TABLE_MAX_N:
         return (r._uap or _fill_tables(r)[1])[bits]
     p = r.poset
-    down_a = _down_mask(p, bits)
+    down_a = _join(p.down, bits)
     out = 0
     for x in range(p.n):
         if r.sec[x] & ~down_a == 0:
@@ -107,25 +98,18 @@ def uap(r: AuxRelation, a: ElementSet) -> ElementSet:
 # -- adjoints ---------------------------------------------------------------
 
 
-def _uap_lower_adjoint_mask(r: AuxRelation, bits: int) -> int:
-    out = 0
-    for x in iter_bits(bits):
-        out |= r.sec[x]
-    return out
-
-
 def _lap_upper_adjoint_mask(r: AuxRelation, bits: int) -> int:
     full = (1 << r.poset.n) - 1
-    return full & ~_uap_lower_adjoint_mask(r, bits ^ full)
+    return full & ~_join(r.sec, bits ^ full)
 
 
 def uap_lower_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     """Least lower set whose upper approximation contains b: its sections' union."""
     p = r.poset
     _check_universe(p, b)
-    if not _is_lower_mask(p, b.bits):
+    if not _closed(p.down, b.bits):
         raise NotLower(f"{b!r} is not a lower set")
-    return ElementSet(_uap_lower_adjoint_mask(r, b.bits), p.n)
+    return ElementSet(_join(r.sec, b.bits), p.n)
 
 
 def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
@@ -136,7 +120,7 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     """
     p = r.poset
     _check_universe(p, b)
-    if not _is_upper_mask(p, b.bits):
+    if not _closed(p.up, b.bits):
         raise NotUpper(f"{b!r} is not an upper set")
     return ElementSet(_lap_upper_adjoint_mask(r, b.bits), p.n)
 
@@ -190,14 +174,14 @@ def check_partition(
         uap_rest = _uap_mask(r, b ^ full)
         if cover is None and lap_a | uap_rest != full:
             cover = {"lap": mask_text(lap_a), "uap-of-rest": mask_text(uap_rest)}
-        if disjoint is None and lap_a & uap_rest and _is_upper_mask(p, b):
+        if disjoint is None and lap_a & uap_rest and _closed(p.up, b):
             disjoint = {"overlap": mask_text(lap_a & uap_rest)}
     rep.add("partition.cover", cover is None, cover)
     rep.add(
         "partition.disjoint-on-upper",
         disjoint is None,
         disjoint,
-        note="" if any(_is_upper_mask(p, b) for b in masks) else "vacuous: set not upper",
+        note="" if any(_closed(p.up, b) for b in masks) else "vacuous: set not upper",
     )
     return rep
 
@@ -210,6 +194,22 @@ def _not_idempotent(op, r: AuxRelation, masks: list[int]) -> Iterator[str]:
         once = op(r, m)
         if op(r, once) != once:
             yield mask_text(m)
+
+
+def _monotone(op, r: AuxRelation, sets: tuple[int, ...], rows: tuple[int, ...]) -> bool:
+    """Whether op is monotone on ``sets``, the sets closed under ``rows``.
+
+    Their lattice is finite and distributive, so op is monotone exactly when
+    it is on each covering pair s < s | {x}: x is outside s and its row
+    leaves s only at x.
+    """
+    full = (1 << r.poset.n) - 1
+    for s in sets:
+        image = op(r, s)
+        for x in iter_bits(full & ~s):
+            if rows[x] & ~s == 1 << x and image & ~op(r, s | 1 << x):
+                return False
+    return True
 
 
 def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool], dict]:
@@ -232,20 +232,12 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     s3 = (
         s2
         and all(_lap_mask(r, u) & ~u == 0 for u in uppers)
-        and not any(
-            u & ~v == 0 and _lap_mask(r, u) & ~_lap_mask(r, v)
-            for u in uppers
-            for v in uppers
-        )
+        and _monotone(_lap_mask, r, uppers, p.up)
     )
     s5 = (
         s4
         and all(l & ~_uap_mask(r, l) == 0 for l in lowers)
-        and not any(
-            l & ~m == 0 and _uap_mask(r, l) & ~_uap_mask(r, m)
-            for l in lowers
-            for m in lowers
-        )
+        and _monotone(_uap_mask, r, lowers, p.down)
     )
     return (classify(r).has_int, s2, s3, s4, s5), witnesses
 
@@ -296,7 +288,7 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     p = r.poset
     masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    down = _down_table(p).__getitem__ if p.n <= TABLE_MAX_N else lambda b: _down_mask(p, b)
+    down = _down_table(p).__getitem__ if p.n <= TABLE_MAX_N else lambda b: _join(p.down, b)
     full = (1 << p.n) - 1
     r_leq = leq_aux(p)
     witnesses: dict[str, dict] = {}
@@ -337,9 +329,10 @@ def _relation_laws(r: AuxRelation) -> list[LawVerdict]:
     p = r.poset
     full = (1 << p.n) - 1
     rep = CheckReport(_subject(r), "relation")
+    above = transpose(r.sec)
     rep.law(
         "basic.principal-upper-section",
-        ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != _above_mask(r, a)),
+        ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != above[a]),
     )
     sections_nonempty = all(r.sec[x] for x in range(p.n))
     three_way = (
@@ -371,7 +364,7 @@ def _operand_or(r: AuxRelation, r1: AuxRelation, r2: AuxRelation) -> AuxRelation
 @_per_poset
 def _filtered_table(p: Poset) -> tuple[bool, ...]:
     """Whether each mask of p is filtered, indexed by mask."""
-    return tuple(_is_filtered_mask(p, b) for b in range(1 << p.n))
+    return tuple(_directed(p.down, b) for b in range(1 << p.n))
 
 
 def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
@@ -406,7 +399,7 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
     filtered = (
         _filtered_table(p).__getitem__
         if p.n <= TABLE_MAX_N
-        else lambda b: _is_filtered_mask(p, b)
+        else lambda b: _directed(p.down, b)
     )
     rep.law(
         "algebra.lap-of-union",
@@ -464,7 +457,7 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     p = r.poset
     rep = CheckReport(_subject(r), "all lower and upper sets")
     lowers, uppers = _lower_list(p), _upper_list(p)
-    g = [(b, _uap_lower_adjoint_mask(r, b)) for b in lowers]
+    g = [(b, _join(r.sec, b)) for b in lowers]
     h = [(b, _lap_upper_adjoint_mask(r, b)) for b in uppers]
     uap_of = [(a, _uap_mask(r, a)) for a in lowers]
     lap_of = [(a, _lap_mask(r, a)) for a in uppers]

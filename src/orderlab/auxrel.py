@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .bitset import ElementSet, iter_bits
+from .bitset import ElementSet, iter_bits, transpose
 from .errors import (
     AxiomViolation,
     BudgetExceeded,
@@ -21,15 +21,7 @@ from .errors import (
     PosetMismatch,
     SeedViolatesOrder,
 )
-from .poset import (
-    Poset,
-    _down_mask,
-    _is_directed_mask,
-    _per_poset,
-    _supremum_mask,
-    _upper_masks,
-    bottom,
-)
+from .poset import Poset, _directed, _join, _least, _per_poset, _upper_masks, bottom
 
 
 class AuxRelation:
@@ -91,10 +83,7 @@ def _axiom_check_aux(p: Poset, sec: tuple[int, ...]) -> None:
             i = (outside & -outside).bit_length() - 1
             raise AxiomViolation("aux-1", (i, j))
     for z in range(p.n):
-        required = 0
-        for y in iter_bits(p.down[z]):
-            required |= _down_mask(p, sec[y])
-        missing = required & ~sec[z]
+        missing = _join(p.down, _join(sec, p.down[z])) & ~sec[z]
         if missing:
             u = (missing & -missing).bit_length() - 1
             raise AxiomViolation("aux-2", (u, z))
@@ -148,14 +137,8 @@ def aux_closure(p: Poset, seed_pairs: Iterable[tuple[int, int]]) -> AuxRelation:
     if bot is not None:
         for x in range(p.n):
             seed[x] |= 1 << bot
-    down_of_seed = [_down_mask(p, seed[y]) for y in range(p.n)]
-    sec = []
-    for z in range(p.n):
-        acc = 0
-        for y in iter_bits(p.down[z]):
-            acc |= down_of_seed[y]
-        sec.append(acc)
-    out = AuxRelation(p, sec)
+    down_of_seed = [_join(p.down, s) for s in seed]
+    out = AuxRelation(p, [_join(down_of_seed, d) for d in p.down])
     _axiom_check_aux(p, out.sec)
     return out
 
@@ -183,16 +166,12 @@ def section_below(r: AuxRelation, x: int) -> ElementSet:
     return ElementSet(r.sec[x], r.poset.n)
 
 
-def _above_mask(r: AuxRelation, x: int) -> int:
-    return sum(1 << y for y, sec in enumerate(r.sec) if sec >> x & 1)
-
-
 def section_above(r: AuxRelation, x: int) -> ElementSet:
     """Everything x is related up into (an upper set by the axioms)."""
     p = r.poset
     if not 0 <= x < p.n:
         raise IndexOutOfRange(f"element {x} outside universe of {p.n}")
-    return ElementSet(_above_mask(r, x), p.n)
+    return ElementSet(transpose(r.sec)[x], p.n)
 
 
 @dataclass(frozen=True)
@@ -213,18 +192,18 @@ def classify(r: AuxRelation) -> AuxClass:
     witnesses: dict = {}
     pre = True
     for x in range(p.n):
-        if not _is_directed_mask(p, r.sec[x]):
+        if not _directed(p.up, r.sec[x]):
             pre = False
             witnesses["pre_approximating"] = x
             break
     app = pre
     if pre:
         for x in range(p.n):
-            if _supremum_mask(p, r.sec[x]) != x:
+            if _least(p.up, r.sec[x]) != x:
                 app = False
                 witnesses["approximating"] = x
                 break
-    above = [_above_mask(r, x) for x in range(p.n)]
+    above = transpose(r.sec)
     has_int = True
     for z in range(p.n):
         for x in iter_bits(r.sec[z]):

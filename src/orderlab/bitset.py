@@ -10,7 +10,7 @@ code and boxes the result once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, PosetMismatch
 
@@ -26,6 +26,25 @@ def iter_bits(mask: int) -> Iterator[int]:
 def mask_text(mask: int) -> str:
     """The members of ``mask`` as "0,2", the form witnesses and the CLI use."""
     return ",".join(map(str, iter_bits(mask)))
+
+
+def row_unions(rows: Sequence[int]) -> tuple[int, ...]:
+    """Every mask m over len(rows) bits mapped to the OR of rows[i] over the
+    members i of m, doubling the table once per row."""
+    table = [0]
+    for row in rows:
+        table += [t | row for t in table]
+    return tuple(table)
+
+
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of the converse of a relation on len(rows) points: bit i of
+    row j is set when bit j of row i is."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
 
 
 def submask_unions(n: int, seeds: Iterable[tuple[int, int]]) -> tuple[int, ...]:

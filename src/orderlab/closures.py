@@ -6,30 +6,19 @@ which collapses several of the laws below to exact equalities, and makes
 ``one_step`` the down closure.  The laws exist to exercise the
 definitions, so there one step, way-below and the Scott topology all come
 from the directed-subset tables in ``reference`` rather than from the
-closed forms.  Each is built once per poset, through the per-poset memo of
-``poset``: way-below and the directed suprema inside every mask in
-``reference``; the Scott topology and its interior of every mask in
-``topology``; and here the one-step image of every mask, from those suprema.
+closed forms: way-below, the Scott interior of every mask (a set is open
+when it is its own interior) and the one-step image of every mask, each
+built once per poset.
 """
 
 from __future__ import annotations
 
 from . import reference
 from .approx import _uap_mask
-from .auxrel import _above_mask
-from .bitset import ElementSet, iter_bits, mask_text
+from .bitset import ElementSet, iter_bits, mask_text, transpose
 from .errors import OrderlabError
-from .poset import Poset, _down_table, _per_poset, down_closure
+from .poset import Poset, _down_table, down_closure
 from .report import CheckReport
-from .topology import _reference_interiors, _reference_scott
-
-
-@_per_poset
-def _steps(p: Poset) -> tuple[int, ...]:
-    """The one-step image of every mask of p, indexed by mask: down(b) and
-    the suprema of the directed subsets of down(b)."""
-    sups = reference.subset_sups(p)
-    return tuple(down | sups[down] for down in _down_table(p))
 
 
 def one_step(p: Poset, a: ElementSet) -> ElementSet:
@@ -48,18 +37,17 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     closedness of every image.  The two readings are equivalent, so a
     disagreement is an internal error rather than a result.
     """
-    sigma = _reference_scott(p)
-    inner = _reference_interiors(p)
+    inner = reference.scott_interiors(p)
     via_closure = True
     via_fixed = True
     witness = None
     full = (1 << p.n) - 1
-    for bits, step in enumerate(_steps(p)):
+    for bits, step in enumerate(reference.one_step_images(p)):
         if step != full ^ inner[full ^ bits]:
             if via_closure:
                 witness = {"set": mask_text(bits)}
             via_closure = False
-        if (full ^ step) not in sigma._mask_set:
+        if inner[full ^ step] != full ^ step:  # the complement is not open
             via_fixed = False
     if via_closure != via_fixed:
         raise OrderlabError(
@@ -70,7 +58,7 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
 
 def is_meet_continuous(p: Poset) -> bool:
     """Below a directed supremum, the element is reached from below the set."""
-    inner = _reference_interiors(p)
+    inner = reference.scott_interiors(p)
     down = _down_table(p)
     full = (1 << p.n) - 1
     for mask, s in reference.directed_sups(p):
@@ -83,13 +71,12 @@ def is_meet_continuous(p: Poset) -> bool:
 
 def check_sec5_theorems(p: Poset) -> CheckReport:
     """Laws tying the one-step operator to down closure and Scott closure."""
-    sigma = _reference_scott(p)
-    inner = _reference_interiors(p)
+    inner = reference.scott_interiors(p)
     wb = reference.way_below(p)
     down = _down_table(p)
     full = (1 << p.n) - 1
     rep = CheckReport(f"poset n={p.n}", f"all {1 << p.n} subsets")
-    steps = _steps(p)
+    steps = reference.one_step_images(p)
 
     def failing(bad):
         return ({"set": mask_text(b)} for b, step in enumerate(steps) if bad(b, step))
@@ -106,7 +93,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
     )
     rep.law(
         "onestep.fixed-iff-scott-closed",
-        failing(lambda b, step: (step == b) != ((full ^ b) in sigma._mask_set)),
+        failing(lambda b, step: (step == b) != (inner[full ^ b] == full ^ b)),
         note=discriminating,
     )
     rep.law(
@@ -125,13 +112,10 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         note="finite-trivial: both properties hold on every finite universe",
     )
 
+    way_up = transpose(wb.sec)
     rep.law(
         "onestep.scott-interior-of-up-is-way-up",
-        (
-            {"element": x}
-            for x in range(p.n)
-            if inner[p.up[x]] != _above_mask(wb, x)
-        ),
+        ({"element": x} for x in range(p.n) if inner[p.up[x]] != way_up[x]),
         note="finite-trivial: both sides collapse to the principal upper set",
     )
     return rep

@@ -35,7 +35,7 @@ from .errors import (
     UnknownSet,
     WindowTooLarge,
 )
-from .poset import Poset, _down_mask, from_rows
+from .poset import Poset, _join, from_rows
 from .report import CheckReport
 
 MAX_WINDOW = 240
@@ -274,7 +274,7 @@ def window(f: Family, m: int, n: int) -> Window:
 
 def _window_one_step_mask(w: Window, bits: int) -> int:
     """Down closure in the window plus declared-supremum completions."""
-    down = _down_mask(w.poset, bits)
+    down = _join(w.poset.down, bits)
     out = down
     for chain, members in w.declared:
         if members and members & ~down == 0:

@@ -527,7 +527,7 @@ def _prop_one_step_without_continuity(p: Poset) -> dict | None:
 def _prop_int_equivalence_break(p: Poset, r: AuxRelation) -> dict | None:
     rep = check_int_equivalences(r)
     v = rep.verdict("int-char.agreement")
-    if v is not None and not v.passed:
+    if not v.passed:
         return _jsonable(v.witness) or {"agreement": False}
     return None
 

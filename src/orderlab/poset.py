@@ -3,7 +3,8 @@
 ``up[i]`` is the mask of everything above ``i`` (inclusive), ``down[i]``
 the mask of everything below.  Validation, order primitives, generators,
 exhaustive enumeration, Hasse diagrams and JSON/DOT serialization all
-live here.
+live here.  By duality each order primitive is one function of rows:
+pass ``p.up`` for the order, ``p.down`` for its dual.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import functools
 import json
 import random
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .bitset import ElementSet, iter_bits, mask_text
+from .bitset import ElementSet, iter_bits, mask_text, row_unions, transpose
 from .errors import (
     AxiomViolation,
     BadParameters,
@@ -39,13 +40,9 @@ class Poset:
     def __init__(self, up: Iterable[int], labels: Iterable[str] | None = None):
         rows = tuple(up)
         n = len(rows)
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(rows[i]):
-                down[j] |= 1 << i
         self.n = n
         self.up = rows
-        self.down = tuple(down)
+        self.down = transpose(rows)
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise BadParameters(f"{len(self.labels)} labels for {n} elements")
@@ -93,10 +90,7 @@ def _axiom_check(rows: list[int] | tuple[int, ...], n: int) -> None:
             if j != i and rows[j] >> i & 1:
                 raise AxiomViolation("antisymmetry", (min(i, j), max(i, j)))
     for i in range(n):
-        reach = 0
-        for j in iter_bits(rows[i]):
-            reach |= rows[j]
-        missing = reach & ~rows[i]
+        missing = _join(rows, rows[i]) & ~rows[i]
         if missing:
             k = (missing & -missing).bit_length() - 1
             raise AxiomViolation("transitivity", (i, k))
@@ -154,18 +148,48 @@ def validate_poset(
 # -- order primitives ---------------------------------------------------
 
 
-def _up_mask(p: Poset, bits: int) -> int:
+def _join(rows: Sequence[int], bits: int) -> int:
+    """The OR of the members' rows: up(bits) on ``p.up``, down(bits) on ``p.down``."""
     out = 0
     for i in iter_bits(bits):
-        out |= p.up[i]
+        out |= rows[i]
     return out
 
 
-def _down_mask(p: Poset, bits: int) -> int:
-    out = 0
+def _closed(rows: Sequence[int], bits: int) -> bool:
+    """Every member's row stays inside: upper on ``p.up``, lower on ``p.down``."""
     for i in iter_bits(bits):
-        out |= p.down[i]
-    return out
+        if rows[i] & ~bits:
+            return False
+    return True
+
+
+def _directed(rows: Sequence[int], bits: int) -> bool:
+    """Nonempty, and the rows of every two members meet inside: directed on
+    ``p.up``, filtered on ``p.down``."""
+    if not bits:
+        return False
+    members = list(iter_bits(bits))
+    for a in range(len(members)):
+        ra = rows[members[a]]
+        for b in range(a + 1, len(members)):
+            if not ra & rows[members[b]] & bits:
+                return False
+    return True
+
+
+def _least(rows: Sequence[int], bits: int) -> int | None:
+    """The common bound of the members whose row holds every common bound, or
+    None, also for no members: supremum on ``p.up``, infimum on ``p.down``."""
+    if not bits:
+        return None
+    bounds = (1 << len(rows)) - 1
+    for i in iter_bits(bits):
+        bounds &= rows[i]
+    for m in iter_bits(bounds):
+        if bounds & ~rows[m] == 0:
+            return m
+    return None
 
 
 def _check_universe(p: Poset, s: ElementSet) -> None:
@@ -176,124 +200,54 @@ def _check_universe(p: Poset, s: ElementSet) -> None:
 def up_closure(p: Poset, s: ElementSet) -> ElementSet:
     """Everything above some member of s."""
     _check_universe(p, s)
-    return ElementSet(_up_mask(p, s.bits), p.n)
+    return ElementSet(_join(p.up, s.bits), p.n)
 
 
 def down_closure(p: Poset, s: ElementSet) -> ElementSet:
     """Everything below some member of s."""
     _check_universe(p, s)
-    return ElementSet(_down_mask(p, s.bits), p.n)
+    return ElementSet(_join(p.down, s.bits), p.n)
 
 
 def is_upper(p: Poset, s: ElementSet) -> bool:
     _check_universe(p, s)
-    return _is_upper_mask(p, s.bits)
+    return _closed(p.up, s.bits)
 
 
 def is_lower(p: Poset, s: ElementSet) -> bool:
     _check_universe(p, s)
-    return _is_lower_mask(p, s.bits)
-
-
-def _is_upper_mask(p: Poset, bits: int) -> bool:
-    for i in iter_bits(bits):
-        if p.up[i] & ~bits:
-            return False
-    return True
-
-
-def _is_lower_mask(p: Poset, bits: int) -> bool:
-    for i in iter_bits(bits):
-        if p.down[i] & ~bits:
-            return False
-    return True
-
-
-def _is_directed_mask(p: Poset, bits: int) -> bool:
-    if not bits:
-        return False
-    members = list(iter_bits(bits))
-    for a in range(len(members)):
-        ua = p.up[members[a]]
-        for b in range(a + 1, len(members)):
-            if not ua & p.up[members[b]] & bits:
-                return False
-    return True
-
-
-def _is_filtered_mask(p: Poset, bits: int) -> bool:
-    if not bits:
-        return False
-    members = list(iter_bits(bits))
-    for a in range(len(members)):
-        da = p.down[members[a]]
-        for b in range(a + 1, len(members)):
-            if not da & p.down[members[b]] & bits:
-                return False
-    return True
+    return _closed(p.down, s.bits)
 
 
 def is_directed(p: Poset, s: ElementSet) -> bool:
     """Nonempty, and every pair has an upper bound inside the set."""
     _check_universe(p, s)
-    return _is_directed_mask(p, s.bits)
+    return _directed(p.up, s.bits)
 
 
 def is_filtered(p: Poset, s: ElementSet) -> bool:
     """Nonempty, and every pair has a lower bound inside the set."""
     _check_universe(p, s)
-    return _is_filtered_mask(p, s.bits)
-
-
-def _supremum_mask(p: Poset, bits: int) -> int | None:
-    if not bits:
-        return None
-    ub = (1 << p.n) - 1
-    for i in iter_bits(bits):
-        ub &= p.up[i]
-    for m in iter_bits(ub):
-        if ub & ~p.up[m] == 0:
-            return m
-    return None
-
-
-def _infimum_mask(p: Poset, bits: int) -> int | None:
-    if not bits:
-        return None
-    lb = (1 << p.n) - 1
-    for i in iter_bits(bits):
-        lb &= p.down[i]
-    for m in iter_bits(lb):
-        if lb & ~p.down[m] == 0:
-            return m
-    return None
+    return _directed(p.down, s.bits)
 
 
 def supremum(p: Poset, s: ElementSet) -> int | None:
     """Least upper bound, or None when it does not exist (including s = {})."""
     _check_universe(p, s)
-    return _supremum_mask(p, s.bits)
+    return _least(p.up, s.bits)
 
 
 def infimum(p: Poset, s: ElementSet) -> int | None:
     _check_universe(p, s)
-    return _infimum_mask(p, s.bits)
+    return _least(p.down, s.bits)
 
 
 def bottom(p: Poset) -> int | None:
-    full = (1 << p.n) - 1
-    for i in range(p.n):
-        if p.up[i] == full:
-            return i
-    return None
+    return _least(p.down, (1 << p.n) - 1)
 
 
 def top(p: Poset) -> int | None:
-    full = (1 << p.n) - 1
-    for i in range(p.n):
-        if p.down[i] == full:
-            return i
-    return None
+    return _least(p.up, (1 << p.n) - 1)
 
 
 # -- enumerations -------------------------------------------------------
@@ -362,11 +316,8 @@ def _lower_list(p: Poset) -> tuple[int, ...]:
 
 @_per_poset
 def _down_table(p: Poset) -> tuple[int, ...]:
-    """down(A) for every mask A of p, indexed by A, doubling once per element."""
-    down = [0]
-    for row in p.down:
-        down += [d | row for d in down]
-    return tuple(down)
+    """down(A) for every mask A of p, indexed by A."""
+    return row_unions(p.down)
 
 
 def _budgeted_sets(
@@ -403,7 +354,7 @@ def enumerate_directed_subsets(
     """All nonempty directed subsets, ascending by bit value."""
     if p.n > MAX_DIRECTED_UNIVERSE:
         raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-    directed = (mask for mask in range(1, 1 << p.n) if _is_directed_mask(p, mask))
+    directed = (mask for mask in range(1, 1 << p.n) if _directed(p.up, mask))
     for emitted, mask in enumerate(directed, 1):
         if budget is not None and emitted > budget:
             raise BudgetExceeded(f"more than {budget} directed subsets")

@@ -12,9 +12,11 @@ closed forms.
 as one window of a family) lists every directed set with its supremum.
 The rest is built once per poset, through the memo of ``poset`` that the
 poset-level suites of a campaign share: ``subset_sups``, the directed
-suprema inside every mask, read by ``scott_masks`` and ``closures._steps``
-(whose per-mask oracle is ``one_step_mask``); and ``way_below``, which
-reads ``poset._down_table``, the table the approximation operators share.
+suprema inside every mask, read by ``scott_masks`` and ``one_step_images``
+(whose per-mask oracle is ``one_step_mask``); ``scott_interiors``, from
+the Scott opens; and ``way_below``, which reads ``poset._down_table``, the
+table the approximation operators share.  Every reference-derived table
+lives here.
 """
 
 from __future__ import annotations
@@ -26,14 +28,7 @@ from operator import and_
 from .auxrel import AuxRelation
 from .bitset import iter_bits, submask_unions
 from .errors import BudgetExceeded
-from .poset import (
-    MAX_DIRECTED_UNIVERSE,
-    Poset,
-    _down_mask,
-    _down_table,
-    _per_poset,
-    _upper_masks,
-)
+from .poset import MAX_DIRECTED_UNIVERSE, Poset, _down_table, _join, _per_poset, _upper_masks
 
 
 @lru_cache(maxsize=2048)
@@ -81,9 +76,23 @@ def scott_masks(p: Poset) -> tuple[int, ...]:
     return tuple(m for m in _upper_masks(p.up, p.down) if not sups[full ^ m] & m)
 
 
+@_per_poset
+def scott_interiors(p: Poset) -> tuple[int, ...]:
+    """Every mask's Scott interior, indexed by mask: the union of the opens inside."""
+    return submask_unions(p.n, ((u, u) for u in scott_masks(p)))
+
+
+@_per_poset
+def one_step_images(p: Poset) -> tuple[int, ...]:
+    """``one_step_mask`` of every mask, indexed by mask: down(b) and the
+    suprema of the directed subsets of down(b)."""
+    sups = subset_sups(p)
+    return tuple(down | sups[down] for down in _down_table(p))
+
+
 def one_step_mask(p: Poset, bits: int) -> int:
     """Suprema of the directed subsets of the down closure of ``bits``."""
-    down = _down_mask(p, bits)
+    down = _join(p.down, bits)
     out = down
     for d, s in directed_sups(p):
         if d & ~down == 0:

@@ -7,9 +7,8 @@ up-set used in its definition), complete distributivity of the open-set
 lattice, and executable checks for the theorems tying these together.
 On a finite poset the Scott opens are exactly the upper sets, which is
 what ``scott_topology`` and ``is_scott_open`` return; the laws that
-exercise the directed-subset definition read ``_reference_scott``, built
-from ``reference`` once per poset, and ``_reference_interiors``, its
-interior of every mask from one ``bitset.submask_unions`` sweep.
+exercise the directed-subset definition read ``reference.scott_masks``
+and ``reference.scott_interiors``, each built once per poset.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from typing import Iterable
 
 from . import reference
 from .approx import _family_masks, _family_scope, _lap_mask, _subject, _uap_mask
-from .auxrel import AuxRelation, _above_mask, classify, leq_aux, way_below
-from .bitset import ElementSet, iter_bits, mask_text, submask_unions
+from .auxrel import AuxRelation, classify, leq_aux, way_below
+from .bitset import ElementSet, iter_bits, mask_text, transpose
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -31,9 +30,10 @@ from .poset import (
     MAX_DIRECTED_UNIVERSE,
     Poset,
     _check_universe,
-    _is_upper_mask,
+    _closed,
+    _join,
+    _least,
     _per_poset,
-    _supremum_mask,
     _upper_list,
 )
 from .report import CheckReport
@@ -113,7 +113,7 @@ def is_scott_open(p: Poset, u: ElementSet) -> bool:
     inaccessibility is automatic and the test is upper-ness.
     """
     _check_universe(p, u)
-    return _is_upper_mask(p, u.bits)
+    return _closed(p.up, u.bits)
 
 
 @_per_poset
@@ -126,21 +126,6 @@ def scott_topology(p: Poset) -> Topology:
     if p.n > MAX_DIRECTED_UNIVERSE:
         raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
     return Topology(p, _upper_list(p))
-
-
-@_per_poset
-def _reference_scott(p: Poset) -> Topology:
-    """The Scott topology from the directed-subset definition in ``reference``.
-
-    Calls in a row on p share one topology.
-    """
-    return Topology(p, reference.scott_masks(p))
-
-
-@_per_poset
-def _reference_interiors(p: Poset) -> tuple[int, ...]:
-    """Every mask's interior in ``_reference_scott(p)``: the union of the opens inside."""
-    return submask_unions(p.n, ((u, u) for u in _reference_scott(p).masks))
 
 
 # -- interior / closure -------------------------------------------------------
@@ -215,10 +200,7 @@ def is_c_space(
         raise BadParameters(f"unknown upset mode {upset_mode!r}")
     inner = [_interior_mask(t, row) for row in rows]
     for u in t.masks:
-        covered = 0
-        for y in iter_bits(u):
-            covered |= inner[y]
-        missing = u & ~covered
+        missing = u & ~_join(inner, u)
         if missing:
             x = (missing & -missing).bit_length() - 1
             return False, {"element": x, "open": u, "mode": upset_mode}
@@ -334,7 +316,7 @@ def check_continuity_characterization(
     lower set.
     """
     wb = reference.way_below(p)
-    inner = _reference_interiors(p)
+    inner = reference.scott_interiors(p)
     full = (1 << p.n) - 1
     uppers = _upper_list(p)
 
@@ -402,7 +384,7 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
         cs, witness = is_c_space(mu)
         rep.add("cspace.int-implies-cspace", cs, witness)
 
-        sections = [_above_mask(r, x) for x in range(p.n)]
+        sections = transpose(r.sec)
 
         def not_a_base():
             for s in sections:
@@ -474,7 +456,7 @@ def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
     p = r.poset
     mu = mu_topology(r)
     cls = classify(r)
-    sups = [_supremum_mask(p, r.sec[x]) for x in range(p.n)]
+    sups = [_least(p.up, sec) for sec in r.sec]
 
     def inaccessible(mask: int) -> bool:
         for x in range(p.n):
@@ -489,7 +471,7 @@ def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
         (
             {"open": mask_text(u)}
             for u in mu.masks
-            if not _is_upper_mask(p, u) or not inaccessible(u)
+            if not _closed(p.up, u) or not inaccessible(u)
         ),
     )
     if cls.approximating:

@@ -34,9 +34,8 @@ from orderlab.auxrel import (
 from orderlab.bitset import ElementSet, mask_text
 from orderlab.errors import NotLower, NotUpper, PosetMismatch
 from orderlab.poset import (
-    _down_mask,
-    _is_lower_mask,
-    _is_upper_mask,
+    _closed,
+    _join,
     chain,
     diamond,
     down_closure,
@@ -314,6 +313,56 @@ def test_int_equivalence_agreement_over_every_small_instance():
             assert check_int_equivalences(r).verdict("int-char.agreement").passed
 
 
+def _statements_by_pair_scan(r):
+    """The five statements, with monotonicity read off every pair of upper or
+    of lower sets."""
+    p = r.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask  # as monkeypatched, if they are
+    uppers = [u.bits for u in enumerate_upper_sets(p)]
+    lowers = [l.bits for l in enumerate_lower_sets(p)]
+    s2 = all(lap_of(r, lap_of(r, u)) == lap_of(r, u) for u in uppers)
+    s4 = all(uap_of(r, uap_of(r, l)) == uap_of(r, l) for l in lowers)
+    s3 = (
+        s2
+        and all(lap_of(r, u) & ~u == 0 for u in uppers)
+        and all(lap_of(r, u) & ~lap_of(r, v) == 0 for u in uppers for v in uppers if u & ~v == 0)
+    )
+    s5 = (
+        s4
+        and all(l & ~uap_of(r, l) == 0 for l in lowers)
+        and all(uap_of(r, l) & ~uap_of(r, m) == 0 for l in lowers for m in lowers if l & ~m == 0)
+    )
+    return (classify(r).has_int, s2, s3, s4, s5)
+
+
+@pytest.mark.parametrize("mutant", [None, "lap", "uap"])
+def test_int_statements_on_covering_pairs_match_the_pair_scan(monkeypatch, mutant):
+    """Every relation with n <= 4, under the real operators and under mutants
+    that stay idempotent but are not monotone: lap sending the full set to the
+    empty set, or uap sending the empty set to the full set."""
+    real_lap, real_uap = approx._lap_mask, approx._uap_mask
+    if mutant == "lap":
+        monkeypatch.setattr(
+            approx, "_lap_mask", lambda r, b: 0 if b == (1 << r.poset.n) - 1 else real_lap(r, b)
+        )
+    if mutant == "uap":
+        monkeypatch.setattr(
+            approx, "_uap_mask", lambda r, b: (1 << r.poset.n) - 1 if b == 0 else real_uap(r, b)
+        )
+    relations = not_monotone = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            for r in enumerate_aux(p):
+                relations += 1
+                expected = _statements_by_pair_scan(r)
+                assert int_statements(r)[0] == expected
+                # the mutants keep idempotence and the kernel and closure
+                # inclusions, so only monotonicity can part s3 from s2 or s5 from s4
+                not_monotone += expected[1] != expected[2] or expected[3] != expected[4]
+    assert relations == 5560
+    assert (not_monotone > 0) == (mutant is not None)
+
+
 # -- algebra ------------------------------------------------------------------------
 
 
@@ -428,18 +477,18 @@ def _scanned_basic_laws(r, relation_laws, sets=None):
     )
     rep.law(
         "basic.uap-down-invariance",
-        ({"set": mask_text(b)} for b in masks if uap_of(r, b) != uap_of(r, _down_mask(p, b))),
+        ({"set": mask_text(b)} for b in masks if uap_of(r, b) != uap_of(r, _join(p.down, b))),
     )
     rep.law(
         "basic.uap-lower",
-        ({"set": mask_text(b)} for b in masks if not _is_lower_mask(p, uap_of(r, b))),
+        ({"set": mask_text(b)} for b in masks if not _closed(p.down, uap_of(r, b))),
     )
     rep.law(
         "basic.lap-preserves-upper",
         (
             {"set": mask_text(b)}
             for b in masks
-            if _is_upper_mask(p, b) and not _is_upper_mask(p, lap_of(r, b))
+            if _closed(p.up, b) and not _closed(p.up, lap_of(r, b))
         ),
     )
     rep.law(
@@ -447,7 +496,7 @@ def _scanned_basic_laws(r, relation_laws, sets=None):
         (
             {"set": mask_text(b), "op": "lap" if lap_of(r_leq, b) != b else "uap"}
             for b in masks
-            if lap_of(r_leq, b) != b or uap_of(r_leq, b) != _down_mask(p, b)
+            if lap_of(r_leq, b) != b or uap_of(r_leq, b) != _join(p.down, b)
         ),
     )
     rep.law(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from orderlab import approx, closures, poset, reference, topology
 from orderlab.bitset import ElementSet
 from orderlab.closures import (
-    _steps,
     check_sec5_theorems,
     has_one_step_closure,
     is_meet_continuous,
@@ -26,10 +25,9 @@ from orderlab.poset import (
     random_poset,
 )
 from orderlab.topology import (
+    Topology,
     _closure_mask,
     _interior_mask,
-    _reference_interiors,
-    _reference_scott,
     check_continuity_characterization,
     closure,
     scott_topology,
@@ -155,8 +153,8 @@ def test_the_directed_subset_laws_stop_before_tabulating_any_mask(monkeypatch):
 
 
 def _tables_match_the_per_mask_oracles(p):
-    sigma, full = _reference_scott(p), (1 << p.n) - 1
-    steps, inner = _steps(p), _reference_interiors(p)
+    sigma, full = Topology(p, reference.scott_masks(p)), (1 << p.n) - 1
+    steps, inner = reference.one_step_images(p), reference.scott_interiors(p)
     for b in range(1 << p.n):
         assert steps[b] == reference.one_step_mask(p, b)
         assert inner[b] == _interior_mask(sigma, b)

@@ -27,8 +27,7 @@ from orderlab.errors import AxiomViolation, BudgetExceeded
 from orderlab.poset import (
     Poset,
     _axiom_check,
-    _is_lower_mask,
-    _is_upper_mask,
+    _closed,
     _relabel,
     antichain,
     canonical_form,
@@ -59,11 +58,11 @@ def posets_by_sweep(n):
 
 
 def upper_sets_by_sweep(p):
-    return [m for m in range(1 << p.n) if _is_upper_mask(p, m)]
+    return [m for m in range(1 << p.n) if _closed(p.up, m)]
 
 
 def lower_sets_by_sweep(p):
-    return [m for m in range(1 << p.n) if _is_lower_mask(p, m)]
+    return [m for m in range(1 << p.n) if _closed(p.down, m)]
 
 
 def aux_by_sweep(p):

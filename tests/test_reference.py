@@ -11,9 +11,9 @@ from orderlab import reference
 from orderlab.bitset import iter_bits
 from orderlab.families import OMEGA, window
 from orderlab.poset import (
-    _down_mask,
-    _is_directed_mask,
-    _supremum_mask,
+    _directed,
+    _join,
+    _least,
     _upper_masks,
     enumerate_posets,
     random_poset,
@@ -22,16 +22,16 @@ from orderlab.poset import (
 
 def _tables_match_the_definitions(p):
     per_mask = tuple(
-        (d, _supremum_mask(p, d))
+        (d, _least(p.up, d))
         for d in range(1 << p.n)
-        if _is_directed_mask(p, d) and _supremum_mask(p, d) is not None
+        if _directed(p.up, d) and _least(p.up, d) is not None
     )
     assert reference.directed_sups(p) == per_mask
 
     rows = [(1 << p.n) - 1] * p.n
     for d, s in per_mask:
         for y in iter_bits(p.down[s]):
-            rows[y] &= _down_mask(p, d)
+            rows[y] &= _join(p.down, d)
     assert reference.way_below(p).sec == tuple(rows)
 
     assert reference.scott_masks(p) == tuple(
