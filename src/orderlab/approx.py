@@ -8,14 +8,16 @@ For a relation R on poset P and A subset of P:
 plus the Galois adjoints these operators have on the lattices of lower
 and upper sets, and executable checks for the laws they satisfy.
 
-Each relation on at most ``TABLE_MAX_N`` elements tabulates both operators
-on first use: hit(A), the x whose section meets A, is the union of the
-sections above the members of A (``bitset.row_unions`` of the transposed
-relation), and the poset's table of down(A) (``poset._down_table``, the
-same union over ``p.down``) serves all its relations.  lap(A) = A & hit(A),
-and uap(A) = full & ~hit(full ^ down(A)) since x misses uap(A) exactly when
-section(x) meets the complement of down(A).  Larger posets keep the loops:
-there a 2^n table costs more than a query.  Lower and upper sets,
+One formula serves every size: hit(A), the x whose section meets A, is
+the union of the sections above the members of A (``AuxRelation.above``,
+the transposed relation); lap(A) = A & hit(A), and uap(A) =
+full & ~hit(full & ~down(A)) since x misses uap(A) exactly when section(x)
+meets the complement of down(A).  Each relation on at most ``TABLE_MAX_N``
+elements tabulates both operators on first use, hit by
+``bitset.row_unions`` and down(A) from the poset's table
+(``poset._down_table``, the same union over ``p.down``) that serves all
+its relations; larger posets apply the formula per mask, as there a 2^n
+table costs more than a query.  Lower and upper sets,
 filtered sets and the lower adjoint use the row-level primitives of
 ``poset`` on ``p.down``, ``p.up`` and the sections.
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .auxrel import AuxRelation, aux_intersection, aux_subset, aux_union, classify, leq_aux
-from .bitset import ElementSet, iter_bits, mask_text, row_unions, transpose
+from .bitset import ElementSet, iter_bits, mask_text, row_unions
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     Poset,
@@ -55,7 +57,7 @@ TABLE_MAX_N = 8
 def _fill_tables(r: AuxRelation) -> tuple[list[int], list[int]]:
     p = r.poset
     full = (1 << p.n) - 1
-    hit = row_unions(transpose(r.sec))
+    hit = row_unions(r.above)
     r._lap = [a & h for a, h in enumerate(hit)]
     r._uap = [full & ~hit[full ^ d] for d in _down_table(p)]
     return r._lap, r._uap
@@ -64,23 +66,14 @@ def _fill_tables(r: AuxRelation) -> tuple[list[int], list[int]]:
 def _lap_mask(r: AuxRelation, bits: int) -> int:
     if r.poset.n <= TABLE_MAX_N:
         return (r._lap or _fill_tables(r)[0])[bits]
-    out = 0
-    for x in iter_bits(bits):
-        if r.sec[x] & bits:
-            out |= 1 << x
-    return out
+    return bits & _join(r.above, bits)
 
 
 def _uap_mask(r: AuxRelation, bits: int) -> int:
     if r.poset.n <= TABLE_MAX_N:
         return (r._uap or _fill_tables(r)[1])[bits]
-    p = r.poset
-    down_a = _join(p.down, bits)
-    out = 0
-    for x in range(p.n):
-        if r.sec[x] & ~down_a == 0:
-            out |= 1 << x
-    return out
+    full = (1 << r.poset.n) - 1
+    return full & ~_join(r.above, full & ~_join(r.poset.down, bits))
 
 
 def lap(r: AuxRelation, a: ElementSet) -> ElementSet:
@@ -329,10 +322,9 @@ def _relation_laws(r: AuxRelation) -> list[LawVerdict]:
     p = r.poset
     full = (1 << p.n) - 1
     rep = CheckReport(_subject(r), "relation")
-    above = transpose(r.sec)
     rep.law(
         "basic.principal-upper-section",
-        ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != above[a]),
+        ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != r.above[a]),
     )
     sections_nonempty = all(r.sec[x] for x in range(p.n))
     three_way = (

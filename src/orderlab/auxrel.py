@@ -28,11 +28,14 @@ class AuxRelation:
     """A relation stored column-wise: sec[j] is the mask of {i : i R j}.
 
     Immutable, so what depends on the relation alone is memoized: its
-    sorted pairs, ``classify`` result, report subject, induced topology
-    and, on small posets, the ``approx`` operator tables.
+    sorted pairs, ``classify`` result, report subject, induced topology,
+    transposed sections and, on small posets, the ``approx`` operator
+    tables.
     """
 
-    __slots__ = ("poset", "sec", "_pairs", "_class", "_subject", "_mu", "_lap", "_uap")
+    __slots__ = (
+        "poset", "sec", "_pairs", "_class", "_subject", "_mu", "_above", "_lap", "_uap"
+    )
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
         self.poset = poset
@@ -41,7 +44,15 @@ class AuxRelation:
             raise PosetMismatch(
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
-        self._pairs = self._class = self._subject = self._mu = self._lap = self._uap = None
+        self._pairs = self._class = self._subject = self._mu = None
+        self._above = self._lap = self._uap = None
+
+    @property
+    def above(self) -> tuple[int, ...]:
+        """above[x] is the mask of {y : x R y}, the transposed sections."""
+        if self._above is None:
+            self._above = transpose(self.sec)
+        return self._above
 
     def pairs(self) -> list[tuple[int, int]]:
         if self._pairs is None:
@@ -171,7 +182,7 @@ def section_above(r: AuxRelation, x: int) -> ElementSet:
     p = r.poset
     if not 0 <= x < p.n:
         raise IndexOutOfRange(f"element {x} outside universe of {p.n}")
-    return ElementSet(transpose(r.sec)[x], p.n)
+    return ElementSet(r.above[x], p.n)
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,7 @@ def classify(r: AuxRelation) -> AuxClass:
                 app = False
                 witnesses["approximating"] = x
                 break
-    above = transpose(r.sec)
+    above = r.above
     has_int = True
     for z in range(p.n):
         for x in iter_bits(r.sec[z]):

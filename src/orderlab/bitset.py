@@ -2,6 +2,10 @@
 
 Inside the library a set is an int mask (bit ``i`` set means element
 ``i`` is a member) and each set operation has one mask-level function.
+A predicate over every subset of an n-element universe is a plane, an int
+of 2^n bits whose bit m says whether it holds at mask m (Knuth, *TAOCP*
+4A, §7.1.1 and §7.1.3); ``planes`` gives the membership planes that such
+predicates are combined from, a few big-int operations for all 2^n masks.
 ``ElementSet``, a mask plus its universe size ``n``, is the public
 boundary type: a public function validates it, calls the mask-level
 code and boxes the result once.
@@ -10,9 +14,13 @@ code and boxes the result once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, PosetMismatch
+
+_PLANE_BITS = bytes.maketrans(b"01", b"\0\1")  # bin() digits as compress selectors
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -47,17 +55,46 @@ def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def planes(n: int) -> list[int]:
+    """The membership planes of an n-element universe: bit m of plane x is
+    set when mask m holds x, so plane x repeats 2^x zeros, then 2^x ones."""
+    out = []
+    for x in range(n):
+        half = 1 << x
+        plane, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << n:
+            plane |= plane << width
+            width *= 2
+        out.append(plane)
+    return out
+
+
+def plane_masks(plane: int, n: int) -> Iterator[int]:
+    """The masks over n bits whose bit is set in ``plane``, ascending; read at
+    C level, as a set-bit walk costs a 2^n-bit shift per member."""
+    return compress(range(1 << n), bin(plane)[:1:-1].encode().translate(_PLANE_BITS))
+
+
 def submask_unions(n: int, seeds: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Every mask m over n bits mapped to the OR of the (mask, value) seeds at
-    submasks of m, in one n·2^n sweep: the fast zeta transform over OR."""
-    table = [0] * (1 << n)
+    submasks of m, in one n·2^n sweep: the fast zeta transform over OR.
+
+    Bit i ORs each mask without it into the mask with it.  Those pairs sit
+    2^i apart in blocks of 2^(i+1), so each bit takes one slice pass per
+    offset or one per block, whichever are fewer."""
+    size = 1 << n
+    table = [0] * size
     for mask, value in seeds:
         table[mask] |= value
     for i in range(n):
-        bit = 1 << i
-        for m in range(bit, 1 << n):
-            if m & bit:
-                table[m] |= table[m ^ bit]
+        bit, step = 1 << i, 2 << i
+        if step * step <= size:
+            for j in range(bit):
+                table[bit + j :: step] = map(or_, table[bit + j :: step], table[j::step])
+        else:
+            for lo in range(0, size, step):
+                hi = lo + bit
+                table[hi : hi + bit] = map(or_, table[hi : hi + bit], table[lo:hi])
     return tuple(table)
 
 

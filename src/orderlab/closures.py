@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import reference
 from .approx import _uap_mask
-from .bitset import ElementSet, iter_bits, mask_text, transpose
+from .bitset import ElementSet, iter_bits, mask_text
 from .errors import OrderlabError
 from .poset import Poset, _down_table, down_closure
 from .report import CheckReport
@@ -112,7 +112,7 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         note="finite-trivial: both properties hold on every finite universe",
     )
 
-    way_up = transpose(wb.sec)
+    way_up = wb.above
     rep.law(
         "onestep.scott-interior-of-up-is-way-up",
         ({"element": x} for x in range(p.n) if inner[p.up[x]] != way_up[x]),

@@ -10,6 +10,9 @@ closed forms.
 
 ``directed_sups`` (an ``lru_cache``, as queries rebuild equal posets such
 as one window of a family) lists every directed set with its supremum.
+It decides directedness for all 2^n masks at once on truth-table planes
+(``bitset.planes``): one statement per incomparable pair clears the masks
+that hold the pair and none of its common upper bounds.
 The rest is built once per poset, through the memo of ``poset`` that the
 poset-level suites of a campaign share: ``subset_sups``, the directed
 suprema inside every mask, read by ``scott_masks`` and ``one_step_images``
@@ -22,11 +25,11 @@ lives here.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations, compress
-from operator import and_
+from itertools import combinations
+from operator import and_, or_
 
 from .auxrel import AuxRelation
-from .bitset import iter_bits, submask_unions
+from .bitset import iter_bits, plane_masks, planes, submask_unions
 from .errors import BudgetExceeded
 from .poset import MAX_DIRECTED_UNIVERSE, Poset, _down_table, _join, _per_poset, _upper_masks
 
@@ -37,17 +40,17 @@ def directed_sups(p: Poset) -> tuple[tuple[int, int], ...]:
     below all upper bounds); ``BudgetExceeded`` beyond ``MAX_DIRECTED_UNIVERSE``."""
     if p.n > MAX_DIRECTED_UNIVERSE:
         raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
-    up, masks = p.up, range(1 << p.n)
-    ok = [m != 0 for m in masks]  # every pair of members has an upper bound inside
+    up, held = p.up, planes(p.n)
+    ok = (1 << (1 << p.n)) - 2  # the plane of masks whose pairs have an upper bound inside
     for a, b in combinations(range(p.n), 2):
         common, pair = up[a] & up[b], 1 << a | 1 << b
         if not common & pair:  # else a or b bounds the pair in every mask holding both
-            ok = [o and (m & pair != pair or m & common != 0) for m, o in zip(masks, ok)]
+            ok &= ~(held[a] & held[b]) | reduce(or_, map(held.__getitem__, iter_bits(common)), 0)
     ubs = [(1 << p.n) - 1]  # ubs[m]: the upper bounds of every member of m
     for row in up:
         ubs += [u & row for u in ubs]
     least = {row: s for s, row in enumerate(up)}
-    return tuple((d, least[ubs[d]]) for d in compress(masks, ok) if ubs[d] in least)
+    return tuple((d, least[ubs[d]]) for d in plane_masks(ok, p.n) if ubs[d] in least)
 
 
 @_per_poset

@@ -19,7 +19,7 @@ from typing import Iterable
 from . import reference
 from .approx import _family_masks, _family_scope, _lap_mask, _subject, _uap_mask
 from .auxrel import AuxRelation, classify, leq_aux, way_below
-from .bitset import ElementSet, iter_bits, mask_text, transpose
+from .bitset import ElementSet, iter_bits, mask_text
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -384,7 +384,7 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
         cs, witness = is_c_space(mu)
         rep.add("cspace.int-implies-cspace", cs, witness)
 
-        sections = transpose(r.sec)
+        sections = r.above
 
         def not_a_base():
             for s in sections:

@@ -3,10 +3,10 @@
 import operator
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderlab import approx, topology
+from orderlab import approx, auxrel, topology
 from orderlab.approx import (
     _lap_mask,
     _uap_mask,
@@ -28,10 +28,11 @@ from orderlab.auxrel import (
     enumerate_aux,
     leq_aux,
     sample_aux,
+    section_above,
     section_below,
     validate_aux,
 )
-from orderlab.bitset import ElementSet, mask_text
+from orderlab.bitset import ElementSet, iter_bits, mask_text
 from orderlab.errors import NotLower, NotUpper, PosetMismatch
 from orderlab.poset import (
     _closed,
@@ -128,6 +129,42 @@ def test_operators_match_the_definitions_on_both_sides_of_the_table_bound(n):
         tabled = n <= 8
         _assert_operators_literal(r, range(1 << n) if tabled else range(0, 1 << n, 7))
         assert (r._lap is not None) == tabled and (r._uap is not None) == tabled
+
+
+def _per_element_lap_uap(r, bits):
+    """lap over the members of the set and uap over every element, one section each."""
+    down_a = _join(r.poset.down, bits)
+    lap_a = sum(1 << x for x in iter_bits(bits) if r.sec[x] & bits)
+    uap_a = sum(1 << x for x in range(r.poset.n) if r.sec[x] & ~down_a == 0)
+    return lap_a, uap_a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=approx.TABLE_MAX_N + 1, max_value=16),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(min_value=0, max_value=10**6),
+    st.data(),
+)
+def test_the_hit_formula_above_the_table_bound_matches_the_per_element_loops(n, density, seed, data):
+    r = sample_aux(random_poset(n, density, seed), seed=seed, density=density)
+    for bits in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)):
+        assert (_lap_mask(r, bits), _uap_mask(r, bits)) == _per_element_lap_uap(r, bits), bits
+    assert r._lap is r._uap is None
+
+
+def test_each_relation_is_transposed_once(monkeypatch):
+    transposed = []
+    real = auxrel.transpose
+    monkeypatch.setattr(auxrel, "transpose", lambda rows: transposed.append(rows) or real(rows))
+    for n in (4, approx.TABLE_MAX_N + 2):
+        r = sample_aux(chain(n), seed=n)  # pre-approximating, for the c-space laws
+        classify(r)
+        check_basic_laws(r, sets=[ElementSet(0b1011, n)])
+        check_int_equivalences(r)
+        topology.check_cspace_theorems(r)
+        assert [section_above(r, x).bits for x in range(n)] == list(r.above)
+        assert sum(rows is r.sec for rows in transposed) == 1
 
 
 def test_uap_ignores_everything_above_its_argument():

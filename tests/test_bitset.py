@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderlab.bitset import ElementSet, iter_bits, submask_unions
+from orderlab.bitset import ElementSet, iter_bits, plane_masks, planes, submask_unions
 from orderlab.errors import IndexOutOfRange, PosetMismatch
 
 
@@ -87,8 +87,8 @@ def test_text_parse_round_trip_property(bits):
 
 
 @given(
-    st.integers(min_value=0, max_value=6),
-    st.lists(st.tuples(st.integers(0, 2**6 - 1), st.integers(0, 2**8 - 1)), max_size=8),
+    st.integers(min_value=0, max_value=10),
+    st.lists(st.tuples(st.integers(0, 2**10 - 1), st.integers(0, 2**8 - 1)), max_size=8),
 )
 def test_submask_unions_or_the_values_seeded_below_each_mask(n, seeds):
     seeds = [(mask & ((1 << n) - 1), value) for mask, value in seeds]
@@ -100,3 +100,18 @@ def test_submask_unions_or_the_values_seeded_below_each_mask(n, seeds):
                 acc |= value
         expected.append(acc)
     assert submask_unions(n, seeds) == tuple(expected)
+
+
+def test_plane_x_holds_the_masks_that_hold_x():
+    for n in range(9):
+        held = planes(n)
+        assert len(held) == n
+        for x, plane in enumerate(held):
+            assert plane == sum(1 << m for m in range(1 << n) if m >> x & 1), (n, x)
+
+
+@given(st.integers(min_value=0, max_value=9), st.data())
+def test_plane_masks_reads_the_set_bits_in_order(n, data):
+    plane = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    assert list(plane_masks(plane, n)) == list(iter_bits(plane))
+

@@ -1,9 +1,12 @@
 """Symbolic infinite poset families and their finite-window consistency checks."""
 
+import tracemalloc
+
 import pytest
 
 from orderlab import reference
 from orderlab.errors import (
+    AxiomViolation,
     BadParameters,
     ForeignElement,
     UnknownSet,
@@ -171,10 +174,17 @@ def test_window_posets_pass_validation():
 
 
 def test_window_order_matches_the_family_order():
-    w = window(LADDER, 2, 2)
-    for i, x in enumerate(w.elements):
-        for j, y in enumerate(w.elements):
-            assert w.poset.leq(i, j) == family_order(LADDER, x, y)
+    # the closed-form sizes and rows, square and non-square, against every pair
+    for f in (LADDER, OMEGA):
+        for m in range(9):
+            for n in range(9):
+                elements = f.window_elements(m, n)
+                assert len(elements) == f.window_size(m, n)
+                pointwise = tuple(
+                    sum(1 << k for k, y in enumerate(elements) if family_order(f, x, y))
+                    for x in elements
+                )
+                assert window(f, m, n).poset.up == pointwise, (f.name, m, n)
 
 
 def test_window_bounds():
@@ -182,6 +192,32 @@ def test_window_bounds():
         window(LADDER, -1, 2)
     with pytest.raises(WindowTooLarge):
         window(LADDER, 15, 14)
+
+
+def test_an_oversized_window_is_refused_before_it_is_built():
+    for base in (LADDER, OMEGA):
+        # fails fast, where a window built first would fill the memory
+
+        class Unbuilt(type(base)):
+            def window_elements(self, m, n):
+                raise AssertionError("listed the elements of an oversized window")
+
+            window_rows = window_elements
+
+        with pytest.raises(WindowTooLarge):
+            window(Unbuilt(), 10**6, 10**6)
+    tracemalloc.start()
+    try:
+        for f in (LADDER, OMEGA):
+            with pytest.raises(WindowTooLarge, match="exceeds the cap of 240"):
+                window(f, 10**6, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(WindowTooLarge, match=r"^window of 241 elements exceeds the cap of 240$"):
+        window(OMEGA, 0, 239)
+    assert window(OMEGA, 0, 238).poset.n == 240
 
 
 # -- window soundness -------------------------------------------------------------------
@@ -256,6 +292,41 @@ def test_misdeclared_suprema_fail_with_the_first_witness_of_the_element_scan():
             f = Misdeclared()
             verdict = verify_window_soundness(f, 0, 4).verdict("window.declared-suprema")
             assert verdict.witness == _first_unsound_supremum(window(f, 0, 4))
+
+
+def _first_misplaced_pair(w):
+    """The pair scan the order-embedding law replaced, in (x, y) order."""
+    for xi, x in enumerate(w.elements):
+        for yi, y in enumerate(w.elements):
+            if bool(w.poset.up[xi] >> yi & 1) != w.family.leq(x, y):
+                return {"x": str(x), "y": str(y)}
+    return None
+
+
+def test_flipped_window_row_bits_fail_the_order_embedding_with_the_pair_scans_witness():
+    failing = 0
+    for base, m, n in ((LADDER, 1, 2), (LADDER, 2, 1), (OMEGA, 0, 4)):
+        size = base.window_size(m, n)
+        # one or two flipped bits in one row
+        flips = [(x, 1 << y | 1 << z) for x in range(size) for y in range(size) for z in range(y, size)]
+        for x, flip in flips:
+
+            class Flipped(type(base)):
+                def window_rows(self, m, n, x=x, flip=flip):
+                    rows = super().window_rows(m, n)
+                    rows[x] ^= flip
+                    return rows
+
+            f = Flipped()
+            try:
+                w = window(f, m, n)
+            except AxiomViolation:
+                continue  # the flip is no order; from_rows refuses it
+            verdict = verify_window_soundness(f, m, n).verdict("window.order-embedding")
+            assert not verdict.passed
+            assert verdict.witness == _first_misplaced_pair(w) is not None
+            failing += 1
+    assert failing >= 20
 
 
 def test_oversized_omega_window_skips_the_computed_comparison():
