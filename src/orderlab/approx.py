@@ -13,36 +13,43 @@ the union of the sections above the members of A (``AuxRelation.above``,
 the transposed relation); lap(A) = A & hit(A), and uap(A) =
 full & ~hit(full & ~down(A)) since x misses uap(A) exactly when section(x)
 meets the complement of down(A).  Each relation on at most ``TABLE_MAX_N``
-elements tabulates both operators on first use, hit by
-``bitset.row_unions`` and down(A) from the poset's table
-(``poset._down_table``, the same union over ``p.down``) that serves all
-its relations; larger posets apply the formula per mask, as there a 2^n
-table costs more than a query.  Lower and upper sets,
-filtered sets and the lower adjoint use the row-level primitives of
-``poset`` on ``p.down``, ``p.up`` and the sections.
+elements, the most whose masks fit in a byte, tabulates both operators on
+first use as ``bytes`` indexed by mask: hit by ``bitset.byte_unions`` and
+uap as three chained ``bytes.translate`` calls through the complement, hit
+and the poset's down table.  Larger posets apply the formula per mask, as
+there a 2^n table costs more than a query.  Lower and upper sets, filtered
+sets and the lower adjoint use the row-level primitives of ``poset`` on
+``p.down``, ``p.up`` and the sections.
 
-Work is done at the level it depends on.  The per-subset checks take one
-set or a family of sets and scan only those, so a campaign decides each
-relation's subsets in one call; a one-set report is the family report on
-that set.  ``check_algebra`` reads an operand's tables for a union or
-intersection equal to it.  The down table, the filtered-set table and the
-upper- and lower-set lists the lattice checks scan come from the one-entry
-per-poset memo of ``poset``.
+The laws over a family of sets are decided on lanes, SIMD within a
+register (Lamport, *CACM* 18(8), 1975; Knuth, *TAOCP* 4A, §7.1.3): lane k
+of an int holds a value at the k-th set of the family, one byte wide while
+n <= ``TABLE_MAX_N`` and ceil(n / 8) bytes above.  ``_gather`` maps each
+lane through an operator, a C-level translate through its table up to
+the bound and one per-mask call above it; a composition such as
+uap(down(A)) is one more gather.  A law is then a few big-int operations
+whose nonzero lanes are its failing sets, and its witness is the set at
+the lowest one, the first failing set in family order.  Whether a set is
+upper or filtered is a per-poset flag table, full where it holds and 0
+elsewhere.  A one-set report is the family report on that set.  The down
+table, the flag tables and the lanes of the upper- and lower-set lists
+and of their covering pairs come from the one-entry per-poset memo of
+``poset``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterable
 
 from .auxrel import AuxRelation, aux_intersection, aux_subset, aux_union, classify, leq_aux
-from .bitset import ElementSet, iter_bits, mask_text, row_unions
+from .bitset import ElementSet, byte_unions, iter_bits, mask_text
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     Poset,
     _check_universe,
     _closed,
     _directed,
-    _down_table,
     _join,
     _lower_list,
     _per_poset,
@@ -54,12 +61,12 @@ from .report import CheckReport, LawVerdict
 TABLE_MAX_N = 8
 
 
-def _fill_tables(r: AuxRelation) -> tuple[list[int], list[int]]:
+def _fill_tables(r: AuxRelation) -> tuple[bytes, bytes]:
     p = r.poset
-    full = (1 << p.n) - 1
-    hit = row_unions(r.above)
-    r._lap = [a & h for a, h in enumerate(hit)]
-    r._uap = [full & ~hit[full ^ d] for d in _down_table(p)]
+    hit, comp = byte_unions(r.above), _complements(p.n)
+    r._lap = (_int(hit) & _identity(p.n)).to_bytes(256, "little")
+    uap = _down_bytes(p).translate(comp).translate(hit).translate(comp)
+    r._uap = uap[: 1 << p.n].ljust(256, b"\0")
     return r._lap, r._uap
 
 
@@ -118,6 +125,161 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     return ElementSet(_lap_upper_adjoint_mask(r, b.bits), p.n)
 
 
+# -- lanes ---------------------------------------------------------------------
+
+
+def _width(n: int) -> int:
+    """The bytes of one lane: one up to the table bound, then ceil(n / 8)."""
+    return 1 if n <= TABLE_MAX_N else (n + 7) // 8
+
+
+def _pack(masks: Iterable[int], n: int) -> bytes:
+    """The masks as lanes, little-endian."""
+    if n <= TABLE_MAX_N:
+        return bytes(masks)
+    w = _width(n)
+    return b"".join(m.to_bytes(w, "little") for m in masks)
+
+
+# A lane operator: (its translate table, zero past the 2^n masks; its value
+# at one mask), both of one argument, a relation or a poset.
+_Op = tuple[Callable[..., bytes], Callable[..., int]]
+
+
+def _gather(lanes: bytes, n: int, op: _Op, arg) -> bytes:
+    """The operator at every lane: one translate through its table up to the
+    table bound, else one per-mask call per lane."""
+    table, at = op
+    if n <= TABLE_MAX_N:
+        return lanes.translate(table(arg))
+    w = _width(n)
+    return _pack(
+        (at(arg, _int(lanes[i : i + w])) for i in range(0, len(lanes), w)),
+        n,
+    )
+
+
+_from_bytes = int.from_bytes
+
+
+def _int(lanes: bytes) -> int:
+    return _from_bytes(lanes, "little")
+
+
+@lru_cache(maxsize=None)
+def _complements(n: int) -> bytes:
+    """The complement of each mask of n <= TABLE_MAX_N bits, as a translate table."""
+    return bytes(v ^ ((1 << n) - 1) for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> int:
+    """Lane m holds m, for every mask m of n <= TABLE_MAX_N bits."""
+    return _int(bytes(range(1 << n)))
+
+
+@lru_cache(maxsize=64)
+def _lane_constants(count: int, w: int) -> tuple[int, int, int]:
+    """1, the low 8w - 1 bits and the top bit in each of ``count`` lanes."""
+    ones = _int((b"\1" + bytes(w - 1)) * count)
+    top = 8 * w - 1
+    return ones, ones * ((1 << top) - 1), ones << top
+
+
+def _nonzero(x: int, low: int, high: int) -> int:
+    """The top bit of every lane of x that is not 0: adding the low bits
+    carries into it exactly when they are not all 0."""
+    return (((x & low) + low) | x) & high
+
+
+def _first_lane(e: int, w: int) -> int:
+    """The index of the lowest lane of e that is not 0."""
+    return ((e & -e).bit_length() - 1) // (8 * w)
+
+
+def _lane(x: int, k: int, w: int) -> int:
+    return x >> 8 * w * k & ((1 << 8 * w) - 1)
+
+
+@_per_poset
+def _down_bytes(p: Poset) -> bytes:
+    """down(A) for every mask A of p, indexed by A."""
+    return byte_unions(p.down)
+
+
+@_per_poset
+def _upper_flags(p: Poset) -> bytes:
+    """Whether each mask of p is an upper set: full or 0, indexed by mask."""
+    flags = bytearray(256)
+    for u in _upper_list(p):
+        flags[u] = (1 << p.n) - 1
+    return bytes(flags)
+
+
+@_per_poset
+def _filtered_flags(p: Poset) -> bytes:
+    """Whether each mask of p is filtered: full or 0, indexed by mask."""
+    full = (1 << p.n) - 1
+    return bytes(full * _directed(p.down, b) for b in range(1 << p.n)).ljust(256, b"\0")
+
+
+@_per_poset
+def _upper_lanes(p: Poset) -> bytes:
+    return _pack(_upper_list(p), p.n)
+
+
+@_per_poset
+def _lower_lanes(p: Poset) -> bytes:
+    return _pack(_lower_list(p), p.n)
+
+
+def _covers(p: Poset, sets: tuple[int, ...], rows: tuple[int, ...]) -> tuple[bytes, bytes]:
+    """The covering pairs s < s | {x} of ``sets``, the sets closed under
+    ``rows``, as the lanes of each s and of each s | {x}: x is outside s and
+    its row leaves s only at x."""
+    full = (1 << p.n) - 1
+    pairs = [
+        (s, s | 1 << x) for s in sets for x in iter_bits(full & ~s) if rows[x] & ~s == 1 << x
+    ]
+    return _pack((s for s, _ in pairs), p.n), _pack((t for _, t in pairs), p.n)
+
+
+@_per_poset
+def _upper_covers(p: Poset) -> tuple[bytes, bytes]:
+    return _covers(p, _upper_list(p), p.up)
+
+
+@_per_poset
+def _lower_covers(p: Poset) -> tuple[bytes, bytes]:
+    return _covers(p, _lower_list(p), p.down)
+
+
+def _rows(lanes: bytes, n: int) -> bytes:
+    """Each lane repeated once per lane: lane (i, j) of the result, i-major,
+    holds lane i, where it holds lane j in ``lanes`` repeated as a whole.
+    One-byte lanes are at most 256, so a translate of the row indices reads
+    them."""
+    w = _width(n)
+    m = len(lanes) // w
+    if w == 1:
+        return _row_indices(m).translate(lanes.ljust(256, b"\0"))
+    return b"".join(lanes[i : i + w] * m for i in range(0, len(lanes), w))
+
+
+@lru_cache(maxsize=64)
+def _row_indices(m: int) -> bytes:
+    return b"".join(bytes([i]) * m for i in range(m))
+
+
+_LAP: _Op = (lambda r: r._lap or _fill_tables(r)[0], lambda r, b: _lap_mask(r, b))
+_UAP: _Op = (lambda r: r._uap or _fill_tables(r)[1], lambda r, b: _uap_mask(r, b))
+_DOWN: _Op = (_down_bytes, lambda p, b: _join(p.down, b))
+_COMPLEMENT: _Op = (lambda p: _complements(p.n), lambda p, b: b ^ ((1 << p.n) - 1))
+_UPPER: _Op = (_upper_flags, lambda p, b: (1 << p.n) - 1 if _closed(p.up, b) else 0)
+_FILTERED: _Op = (_filtered_flags, lambda p, b: (1 << p.n) - 1 if _directed(p.down, b) else 0)
+_SEC_JOIN: _Op = (lambda r: byte_unions(r.sec), lambda r, b: _join(r.sec, b))
+
+
 # -- report helpers ----------------------------------------------------------
 
 
@@ -146,6 +308,11 @@ def _family_scope(masks: list[int] | range) -> str:
     return f"set={mask_text(masks[0])}" if len(masks) == 1 else f"{len(masks)} subsets"
 
 
+def _set_witness(e: int, masks, w: int) -> dict | None:
+    """The witness of a law whose failing lanes are those of e: the first failing set."""
+    return {"set": mask_text(masks[_first_lane(e, w)])} if e else None
+
+
 # -- partition ---------------------------------------------------------------
 
 
@@ -158,23 +325,28 @@ def check_partition(
     witness is that of the first failing set in the order of ``sets``.
     """
     p = r.poset
+    n, w = p.n, _width(p.n)
     masks = _family_masks(p, a, sets)
     rep = CheckReport(_subject(r), _family_scope(masks))
-    full = (1 << p.n) - 1
-    cover = disjoint = None
-    for b in masks:
-        lap_a = _lap_mask(r, b)
-        uap_rest = _uap_mask(r, b ^ full)
-        if cover is None and lap_a | uap_rest != full:
-            cover = {"lap": mask_text(lap_a), "uap-of-rest": mask_text(uap_rest)}
-        if disjoint is None and lap_a & uap_rest and _closed(p.up, b):
-            disjoint = {"overlap": mask_text(lap_a & uap_rest)}
-    rep.add("partition.cover", cover is None, cover)
+    family = _pack(masks, n)
+    lap_a = _int(_gather(family, n, _LAP, r))
+    uap_rest = _int(_gather(_gather(family, n, _COMPLEMENT, p), n, _UAP, r))
+    upper = _int(_gather(family, n, _UPPER, p))
+    uncovered = (lap_a | uap_rest) ^ ((1 << n) - 1) * _lane_constants(len(masks), w)[0]
+    overlap = lap_a & uap_rest & upper
+    k, j = _first_lane(uncovered, w), _first_lane(overlap, w)
+    rep.add(
+        "partition.cover",
+        not uncovered,
+        {"lap": mask_text(_lane(lap_a, k, w)), "uap-of-rest": mask_text(_lane(uap_rest, k, w))}
+        if uncovered
+        else None,
+    )
     rep.add(
         "partition.disjoint-on-upper",
-        disjoint is None,
-        disjoint,
-        note="" if any(_closed(p.up, b) for b in masks) else "vacuous: set not upper",
+        not overlap,
+        {"overlap": mask_text(_lane(overlap, j, w))} if overlap else None,
+        note="" if upper else "vacuous: set not upper",
     )
     return rep
 
@@ -182,56 +354,37 @@ def check_partition(
 # -- interpolation characterization -------------------------------------------
 
 
-def _not_idempotent(op, r: AuxRelation, masks: list[int]) -> Iterator[str]:
-    for m in masks:
-        once = op(r, m)
-        if op(r, once) != once:
-            yield mask_text(m)
-
-
-def _monotone(op, r: AuxRelation, sets: tuple[int, ...], rows: tuple[int, ...]) -> bool:
-    """Whether op is monotone on ``sets``, the sets closed under ``rows``.
-
-    Their lattice is finite and distributive, so op is monotone exactly when
-    it is on each covering pair s < s | {x}: x is outside s and its row
-    leaves s only at x.
-    """
-    full = (1 << r.poset.n) - 1
-    for s in sets:
-        image = op(r, s)
-        for x in iter_bits(full & ~s):
-            if rows[x] & ~s == 1 << x and image & ~op(r, s | 1 << x):
-                return False
-    return True
-
-
 def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool], dict]:
     """The five equivalent statements of the interpolation characterization.
 
     (1) interpolation; (2) lap idempotent on upper sets; (3) lap a kernel
     operator on the upper-set lattice; (4) uap idempotent on lower sets;
-    (5) uap a closure operator on the lower-set lattice.
+    (5) uap a closure operator on the lower-set lattice.  The lattices are
+    finite and distributive, so an operator is monotone on one exactly when
+    it is on each covering pair s < s | {x}.
     """
     p = r.poset
-    uppers, lowers = _upper_list(p), _lower_list(p)
-    lap_bad = next(_not_idempotent(_lap_mask, r, uppers), None)
-    uap_bad = next(_not_idempotent(_uap_mask, r, lowers), None)
-    s2, s4 = lap_bad is None, uap_bad is None
+    n, w = p.n, _width(p.n)
+    uppers, lowers = _upper_lanes(p), _lower_lanes(p)
+    lap_u, uap_l = _gather(uppers, n, _LAP, r), _gather(lowers, n, _UAP, r)
+    lap_bad = _int(_gather(lap_u, n, _LAP, r)) ^ _int(lap_u)
+    uap_bad = _int(_gather(uap_l, n, _UAP, r)) ^ _int(uap_l)
     witnesses = {
-        k: v
-        for k, v in (("lap-idempotent", lap_bad), ("uap-idempotent", uap_bad))
-        if v is not None
+        k: mask_text(sets[_first_lane(bad, w)])
+        for k, bad, sets in (
+            ("lap-idempotent", lap_bad, _upper_list(p)),
+            ("uap-idempotent", uap_bad, _lower_list(p)),
+        )
+        if bad
     }
-    s3 = (
-        s2
-        and all(_lap_mask(r, u) & ~u == 0 for u in uppers)
-        and _monotone(_lap_mask, r, uppers, p.up)
-    )
-    s5 = (
-        s4
-        and all(l & ~_uap_mask(r, l) == 0 for l in lowers)
-        and _monotone(_uap_mask, r, lowers, p.down)
-    )
+
+    def monotone(op: _Op, covers: tuple[bytes, bytes]) -> bool:
+        below, above = (_int(_gather(c, n, op, r)) for c in covers)
+        return not below & ~above
+
+    s2, s4 = not lap_bad, not uap_bad
+    s3 = s2 and not _int(lap_u) & ~_int(uppers) and monotone(_LAP, _upper_covers(p))
+    s5 = s4 and not _int(lowers) & ~_int(uap_l) and monotone(_UAP, _lower_covers(p))
     return (classify(r).has_int, s2, s3, s4, s5), witnesses
 
 
@@ -260,59 +413,46 @@ def check_int_equivalences(r: AuxRelation) -> CheckReport:
 # -- operator algebra ----------------------------------------------------------
 
 
-_SUBSET_LAWS = (
-    "basic.sandwich",
-    "basic.uap-down-invariance",
-    "basic.uap-lower",
-    "basic.lap-preserves-upper",
-    "basic.leq-identities",
-    "basic.membership-characterization",
-)
-
-
 def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -> CheckReport:
     """Sandwich, invariance, upper/lower facts and the whole-space equivalence.
 
     Checks each of ``sets``, else every subset; a law's witness is that of
-    the first failing set in the order of ``sets``.  Lower and upper sets are
-    recognised through down closures: b is lower when down(b) stays in b,
-    and upper when down of its complement misses b.
+    the first failing set in the order of ``sets``.  Membership is checked
+    against "section(x) meets A" read off the sections themselves.
     """
     p = r.poset
+    n, w = p.n, _width(p.n)
     masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    down = _down_table(p).__getitem__ if p.n <= TABLE_MAX_N else lambda b: _join(p.down, b)
-    full = (1 << p.n) - 1
+    family = _pack(masks, n)
+    lap_v, uap_v, down_v = (
+        _gather(family, n, op, arg) for op, arg in ((_LAP, r), (_UAP, r), (_DOWN, p))
+    )
+    b, lap_b, uap_b, down_b = map(_int, (family, lap_v, uap_v, down_v))
     r_leq = leq_aux(p)
-    witnesses: dict[str, dict] = {}
-
-    def fail(law: str, b: int, **extra) -> None:
-        if law not in witnesses:
-            witnesses[law] = {"set": mask_text(b), **extra}
-
-    for b in masks:
-        lap_b, uap_b, down_b = _lap_mask(r, b), _uap_mask(r, b), down(b)
-        if lap_b & ~b or b & ~uap_b:
-            fail("basic.sandwich", b)
-        if uap_b != _uap_mask(r, down_b):
-            fail("basic.uap-down-invariance", b)
-        if down(uap_b) & ~uap_b:
-            fail("basic.uap-lower", b)
-        if not down(full ^ b) & b and down(full ^ lap_b) & lap_b:
-            fail("basic.lap-preserves-upper", b)
-        leq_lap = _lap_mask(r_leq, b)
-        if leq_lap != b or _uap_mask(r_leq, b) != down_b:
-            fail("basic.leq-identities", b, op="lap" if leq_lap != b else "uap")
-        defined = 0
-        for x in iter_bits(b):
-            if r.sec[x] & b:
-                defined |= 1 << x
-        wrong = lap_b ^ defined
-        if wrong:
-            x = (wrong & -wrong).bit_length() - 1
-            fail("basic.membership-characterization", b, element=x)
-    for law in _SUBSET_LAWS:
-        rep.add(law, law not in witnesses, witnesses.get(law))
+    leq_lap = _int(_gather(family, n, _LAP, r_leq)) ^ b
+    leq_uap = _int(_gather(family, n, _UAP, r_leq)) ^ down_b
+    ones, low, high = _lane_constants(len(masks), w)
+    defined = 0
+    for x, sec in enumerate(r.sec):
+        defined |= _nonzero(b & sec * ones, low, high) >> 8 * w - 1 - x
+    failing = {
+        "basic.sandwich": (lap_b & ~b) | (b & ~uap_b),
+        "basic.uap-down-invariance": uap_b ^ _int(_gather(down_v, n, _UAP, r)),
+        "basic.uap-lower": _int(_gather(uap_v, n, _DOWN, p)) & ~uap_b,
+        "basic.lap-preserves-upper": (
+            _int(_gather(family, n, _UPPER, p)) & ~_int(_gather(lap_v, n, _UPPER, p))
+        ),
+        "basic.leq-identities": leq_lap | leq_uap,
+        "basic.membership-characterization": lap_b ^ (b & defined),
+    }
+    for law, e in failing.items():
+        witness = _set_witness(e, masks, w)
+        if law == "basic.leq-identities" and e:
+            witness["op"] = "lap" if _lane(leq_lap, _first_lane(e, w), w) else "uap"
+        elif law == "basic.membership-characterization" and e:
+            witness["element"] = (e & -e).bit_length() - 1 - 8 * w * _first_lane(e, w)
+        rep.add(law, not e, witness)
     rep.verdicts.extend(_relation_laws(r))
     return rep
 
@@ -353,74 +493,49 @@ def _operand_or(r: AuxRelation, r1: AuxRelation, r2: AuxRelation) -> AuxRelation
     return r1 if r1.sec == r.sec else r2 if r2.sec == r.sec else r
 
 
-@_per_poset
-def _filtered_table(p: Poset) -> tuple[bool, ...]:
-    """Whether each mask of p is filtered, indexed by mask."""
-    return tuple(_directed(p.down, b) for b in range(1 << p.n))
-
-
 def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
     """How the operators respond to union/intersection of relations, on every subset."""
     if r1.poset != r2.poset:
         raise PosetMismatch("relations live on different posets")
     p = r1.poset
-    masks = range(1 << p.n)
+    n, w = p.n, _width(p.n)
+    masks = range(1 << n)
     rep = CheckReport(
-        f"n={p.n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
+        f"n={n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
     )
-
-    if aux_subset(r1, r2):
-        rep.law(
-            "algebra.monotone-in-relation",
-            (
-                {"set": mask_text(b)}
-                for b in masks
-                if _lap_mask(r1, b) & ~_lap_mask(r2, b)
-                or _uap_mask(r2, b) & ~_uap_mask(r1, b)
-            ),
-        )
-    else:
-        rep.add(
-            "algebra.monotone-in-relation", True, note="vacuous: rel1 not below rel2"
-        )
-
+    family = _pack(masks, n)
     # A result equal to an operand reads that operand's tables: with the
     # order as r2, the union is r2 and the intersection r1.
     union = _operand_or(aux_union(r1, r2), r1, r2)
     meet = _operand_or(aux_intersection(r1, r2), r1, r2)
-    filtered = (
-        _filtered_table(p).__getitem__
-        if p.n <= TABLE_MAX_N
-        else lambda b: _directed(p.down, b)
+    lap1, uap1, lap2, uap2, lap_union, uap_union, lap_meet = (
+        _int(_gather(family, n, op, r))
+        for op, r in (
+            (_LAP, r1), (_UAP, r1), (_LAP, r2), (_UAP, r2), (_LAP, union), (_UAP, union), (_LAP, meet)
+        )
     )
-    rep.law(
-        "algebra.lap-of-union",
-        (
-            {"set": mask_text(b)}
-            for b in masks
-            if _lap_mask(union, b) != _lap_mask(r1, b) | _lap_mask(r2, b)
-        ),
-    )
-    rep.law(
-        "algebra.uap-of-union",
-        (
-            {"set": mask_text(b)}
-            for b in masks
-            if _uap_mask(union, b) != _uap_mask(r1, b) & _uap_mask(r2, b)
-        ),
-    )
-    rep.law(
-        "algebra.lap-of-intersection-on-filtered",
-        (
-            {"set": mask_text(b)}
-            for b in masks
-            if filtered(b)
-            and _lap_mask(meet, b) != _lap_mask(r1, b) & _lap_mask(r2, b)
-        ),
-    )
+    if aux_subset(r1, r2):
+        bad = (lap1 & ~lap2) | (uap2 & ~uap1)
+        rep.add("algebra.monotone-in-relation", not bad, _set_witness(bad, masks, w))
+    else:
+        rep.add(
+            "algebra.monotone-in-relation", True, note="vacuous: rel1 not below rel2"
+        )
+    filtered = _int(_gather(family, n, _FILTERED, p))
+    for law, bad in (
+        ("algebra.lap-of-union", lap_union ^ (lap1 | lap2)),
+        ("algebra.uap-of-union", uap_union ^ (uap1 & uap2)),
+        ("algebra.lap-of-intersection-on-filtered", filtered & (lap_meet ^ (lap1 & lap2))),
+    ):
+        rep.add(law, not bad, _set_witness(bad, masks, w))
 
-    # Both laws are symmetric and hold on the diagonal, so the first failing
-    # ordered pair has i < j and the scans visit only those.
+    # The pair laws report their first failing pair in scan order, reading
+    # the tables directly.  Both are symmetric and hold on the diagonal, so
+    # the first failing ordered pair has i < j and the scans visit only those.
+    if n <= TABLE_MAX_N:
+        uap_of, lap_of = _UAP[0](r1).__getitem__, _LAP[0](r1).__getitem__
+    else:
+        uap_of, lap_of = partial(_uap_mask, r1), partial(_lap_mask, r1)
     lowers = _lower_list(p)
     rep.law(
         "algebra.uap-preserves-lower-meets",
@@ -428,7 +543,7 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
             {"set1": mask_text(b1), "set2": mask_text(b2)}
             for i, b1 in enumerate(lowers)
             for b2 in lowers[i + 1 :]
-            if _uap_mask(r1, b1 & b2) != _uap_mask(r1, b1) & _uap_mask(r1, b2)
+            if uap_of(b1 & b2) != uap_of(b1) & uap_of(b2)
         ),
     )
     uppers = _upper_list(p)
@@ -438,37 +553,42 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
             {"set1": mask_text(u1), "set2": mask_text(u2)}
             for i, u1 in enumerate(uppers)
             for u2 in uppers[i + 1 :]
-            if _lap_mask(r1, u1 | u2) != _lap_mask(r1, u1) | _lap_mask(r1, u2)
+            if lap_of(u1 | u2) != lap_of(u1) | lap_of(u2)
         ),
     )
     return rep
 
 
 def check_adjunction(r: AuxRelation) -> CheckReport:
-    """Both Galois laws, quantified over the full lattices."""
+    """Both Galois laws, quantified over the full lattices.
+
+    Each law is decided on one lane per ordered pair (b, a), b-major, so its
+    witness is the first failing pair of a scan over b and then a.
+    """
     p = r.poset
+    n, w = p.n, _width(p.n)
     rep = CheckReport(_subject(r), "all lower and upper sets")
-    lowers, uppers = _lower_list(p), _upper_list(p)
-    g = [(b, _join(r.sec, b)) for b in lowers]
-    h = [(b, _lap_upper_adjoint_mask(r, b)) for b in uppers]
-    uap_of = [(a, _uap_mask(r, a)) for a in lowers]
-    lap_of = [(a, _lap_mask(r, a)) for a in uppers]
-    rep.law(
-        "adjoint.lower-galois",
-        (
-            {"b": mask_text(b), "a": mask_text(a)}
-            for b, g_b in g
-            for a, uap_a in uap_of
-            if (b & ~uap_a == 0) != (g_b & ~a == 0)
-        ),
+    low_sets, up_sets = _lower_list(p), _upper_list(p)
+    lowers, uppers = _lower_lanes(p), _upper_lanes(p)
+    # g(b), the union of b's sections, and h(b) = full ^ g(full ^ b), from one table
+    joins = _gather(lowers + _gather(uppers, n, _COMPLEMENT, p), n, _SEC_JOIN, r)
+    g, h = joins[: len(lowers)], _gather(joins[len(lowers) :], n, _COMPLEMENT, p)
+    # lane (b, a) of _rows(x) holds x(b), and of x * m holds x(a)
+    m, k = len(low_sets), len(up_sets)
+    lower = (  # b inside uap(a), against g(b) inside a
+        _int(_rows(lowers, n)) & ~_int(_gather(lowers, n, _UAP, r) * m),
+        _int(_rows(g, n)) & ~_int(lowers * m),
     )
-    rep.law(
-        "adjoint.upper-galois",
-        (
-            {"b": mask_text(b), "a": mask_text(a)}
-            for b, h_b in h
-            for a, lap_a in lap_of
-            if (lap_a & ~b == 0) != (a & ~h_b == 0)
-        ),
+    upper = (  # lap(a) inside b, against a inside h(b)
+        _int(_gather(uppers, n, _LAP, r) * k) & ~_int(_rows(uppers, n)),
+        _int(uppers * k) & ~_int(_rows(h, n)),
     )
+    for law, sets, outside in (
+        ("adjoint.lower-galois", low_sets, lower),
+        ("adjoint.upper-galois", up_sets, upper),
+    ):
+        _, low, high = _lane_constants(len(sets) ** 2, w)
+        bad = _nonzero(outside[0], low, high) ^ _nonzero(outside[1], low, high)
+        i, j = divmod(_first_lane(bad, w), len(sets))
+        rep.add(law, not bad, {"b": mask_text(sets[i]), "a": mask_text(sets[j])} if bad else None)
     return rep

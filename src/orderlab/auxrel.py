@@ -29,8 +29,9 @@ class AuxRelation:
 
     Immutable, so what depends on the relation alone is memoized: its
     sorted pairs, ``classify`` result, report subject, induced topology,
-    transposed sections and, on small posets, the ``approx`` operator
-    tables.
+    transposed sections and, on posets of at most ``approx.TABLE_MAX_N``
+    elements, the ``approx`` operator tables: ``bytes`` indexed by mask,
+    which the lane laws also use as translate tables.
     """
 
     __slots__ = (

@@ -14,6 +14,7 @@ code and boxes the result once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -43,6 +44,20 @@ def row_unions(rows: Sequence[int]) -> tuple[int, ...]:
     for row in rows:
         table += [t | row for t in table]
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _or_table(row: int) -> bytes:
+    return bytes(v | row for v in range(256))
+
+
+def byte_unions(rows: Sequence[int]) -> bytes:
+    """``row_unions`` of rows on at most 8 points as a ``bytes.translate``
+    table, zero past the masks; each doubling is one C-level translate."""
+    table = b"\0"
+    for row in rows:
+        table += table.translate(_or_table(row))
+    return table.ljust(256, b"\0")
 
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:

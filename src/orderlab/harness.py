@@ -209,9 +209,16 @@ def parse_fingerprint(fp: str) -> Instance:
             needs_rel = PROPERTIES[suite[9:]].needs_relation
         if rel is None and needs_rel:
             raise ValueError(f"suite {suite!r} needs a relation")
+        if rel is not None and not needs_rel and suite != "chain":
+            raise ValueError(f"suite {suite!r} takes no relation")
         needs_subset = suite == "partition" or suite == "chain" and rel is not None
         if subset is None and needs_subset:
             raise ValueError(f"suite {suite!r} needs a subset")
+        takes_subset = needs_subset or suite == "algebra" and rel2 is None
+        if subset is not None and not takes_subset:
+            raise ValueError(f"suite {suite!r} takes no subset here")
+        if rel2 is not None and (suite != "algebra" or subset is not None):
+            raise ValueError("only an algebra instance without a subset takes a second relation")
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
     rel, rel2 = (tuple(map(tuple, x)) if x is not None else None for x in (rel, rel2))

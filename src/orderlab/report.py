@@ -4,9 +4,10 @@ A verdict is either a hard assertion (failure when false), a finding
 (recorded when false but never a failure), or informational (excluded
 from aggregation entirely).
 
-A law that quantifies over a family of sets is decided by scanning the
-family for a counterexample (``CheckReport.law``).  Its witness is the
-first counterexample in scan order, and the scan stops there.
+A law that quantifies over a family of sets names the first failing set
+in family order as its witness, whether a scan finds it
+(``CheckReport.law`` stops at the first counterexample) or the lanes of
+``approx`` decide the whole family at once.
 """
 
 from __future__ import annotations

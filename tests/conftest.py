@@ -1,7 +1,9 @@
-"""Shared fixtures: the small named posets and relations used across the suite."""
+"""Shared fixtures: the small named posets and relations used across the suite,
+and a fault injector for the approximation operators."""
 
 import pytest
 
+from orderlab import approx, closures, topology
 from orderlab.auxrel import bottom_aux, leq_aux, validate_aux
 from orderlab.poset import antichain, chain, diamond
 
@@ -35,3 +37,41 @@ def r_bot(c3):
 @pytest.fixture
 def leq3(c3):
     return leq_aux(c3)
+
+
+@pytest.fixture
+def break_operators(monkeypatch):
+    """``break_operators(lap=f, uap=g)`` makes each operator answer
+    f(r, A, value) or g(r, A, value) in place of its value at A: in the
+    tables of every relation tabulated from then on, up to
+    ``approx.TABLE_MAX_N``, and in ``_lap_mask``/``_uap_mask`` of every
+    module that reads them above it."""
+
+    def install(lap=None, uap=None):
+        real_fill = approx._fill_tables
+
+        def fill(r):
+            tables = list(real_fill(r))
+            size = 1 << r.poset.n
+            for k, err in enumerate((lap, uap)):
+                if err is not None:
+                    wrong = (err(r, b, v) for b, v in enumerate(tables[k][:size]))
+                    tables[k] = bytes(wrong).ljust(256, b"\0")
+            r._lap, r._uap = tables
+            return r._lap, r._uap
+
+        monkeypatch.setattr(approx, "_fill_tables", fill)
+        for name, err in (("_lap_mask", lap), ("_uap_mask", uap)):
+            if err is None:
+                continue
+            real = getattr(approx, name)
+
+            def above_the_bound(r, b, real=real, err=err):
+                value = real(r, b)
+                return value if r.poset.n <= approx.TABLE_MAX_N else err(r, b, value)
+
+            for module in (approx, closures, topology):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, above_the_bound)
+
+    return install

@@ -35,7 +35,9 @@ from orderlab.auxrel import (
 from orderlab.bitset import ElementSet, iter_bits, mask_text
 from orderlab.errors import NotLower, NotUpper, PosetMismatch
 from orderlab.poset import (
+    Poset,
     _closed,
+    _directed,
     _join,
     chain,
     diamond,
@@ -209,15 +211,15 @@ def test_partition_cover_holds_even_on_non_upper_sets():
 
 
 @pytest.mark.parametrize("checker", [check_partition, check_chain_of_containments])
-def test_a_family_report_takes_each_law_from_its_first_failing_set(monkeypatch, checker):
+def test_a_family_report_takes_each_law_from_its_first_failing_set(break_operators, checker):
     """A call over ``sets`` gives each law the verdict and witness of the
     first one-set report that fails it, in the order of ``sets``."""
-    real_lap, real_uap = approx._lap_mask, approx._uap_mask
-    for module in (approx, topology):
-        # errs on a relation-dependent third of the sets, so that witnesses
-        # differ between sets and orders
-        monkeypatch.setattr(module, "_lap_mask", lambda r, b: real_lap(r, b) ^ ((sum(r.sec) + b) % 3 == 0))
-        monkeypatch.setattr(module, "_uap_mask", lambda r, b: real_uap(r, b) ^ ((sum(r.sec) + b) % 3 == 1) << 1)
+    # errs on a relation-dependent third of the sets, so that witnesses
+    # differ between sets and orders
+    break_operators(
+        lap=lambda r, b, v: v ^ ((sum(r.sec) + b) % 3 == 0),
+        uap=lambda r, b, v: v ^ ((sum(r.sec) + b) % 3 == 1) << 1,
+    )
     failed = 0
     for r in _relations_up_to(3):
         if checker is check_chain_of_containments and not classify(r).approximating:
@@ -373,19 +375,14 @@ def _statements_by_pair_scan(r):
 
 
 @pytest.mark.parametrize("mutant", [None, "lap", "uap"])
-def test_int_statements_on_covering_pairs_match_the_pair_scan(monkeypatch, mutant):
+def test_int_statements_on_covering_pairs_match_the_pair_scan(break_operators, mutant):
     """Every relation with n <= 4, under the real operators and under mutants
     that stay idempotent but are not monotone: lap sending the full set to the
     empty set, or uap sending the empty set to the full set."""
-    real_lap, real_uap = approx._lap_mask, approx._uap_mask
     if mutant == "lap":
-        monkeypatch.setattr(
-            approx, "_lap_mask", lambda r, b: 0 if b == (1 << r.poset.n) - 1 else real_lap(r, b)
-        )
+        break_operators(lap=lambda r, b, v: 0 if b == (1 << r.poset.n) - 1 else v)
     if mutant == "uap":
-        monkeypatch.setattr(
-            approx, "_uap_mask", lambda r, b: (1 << r.poset.n) - 1 if b == 0 else real_uap(r, b)
-        )
+        break_operators(uap=lambda r, b, v: (1 << r.poset.n) - 1 if b == 0 else v)
     relations = not_monotone = 0
     for n in range(1, 5):
         for p in enumerate_posets(n):
@@ -481,7 +478,7 @@ def _relations_up_to(n):
 
 
 @pytest.mark.parametrize("max_n, perturbed", [(4, False), (3, True)])
-def test_basic_laws_with_the_relation_memo_match_a_fresh_relation(monkeypatch, max_n, perturbed):
+def test_basic_laws_with_the_relation_memo_match_a_fresh_relation(break_operators, max_n, perturbed):
     """Each report of a relation equals the report of a new copy of it, which
     has nothing memoized."""
     if perturbed:
@@ -489,10 +486,7 @@ def test_basic_laws_with_the_relation_memo_match_a_fresh_relation(monkeypatch, m
         # that errs on a relation-dependent third of the sets makes verdicts
         # and witnesses differ between subsets and relations, so that a
         # verdict memoized from another call would show.
-        real_lap = approx._lap_mask
-        monkeypatch.setattr(
-            approx, "_lap_mask", lambda r, b: real_lap(r, b) ^ ((sum(r.sec) + b) % 3 == 0)
-        )
+        break_operators(lap=lambda r, b, v: v ^ ((sum(r.sec) + b) % 3 == 0))
     for r in _relations_up_to(max_n):
         for a in _sets(r.poset.n):
             memoized = check_basic_laws(r, sets=[a]).to_dict()
@@ -550,13 +544,14 @@ def _scanned_basic_laws(r, relation_laws, sets=None):
     return rep.to_dict()
 
 
-def _break_sandwich_and_lower_sets(monkeypatch):
+def _break_sandwich_and_lower_sets(break_operators):
     """Flip element 0 in lap of odd-sized sets and in uap of sets with an odd
     number of other elements: lap leaves the set, uap drops a member or stops
     being lower, on many sets of most relations."""
-    real_lap, real_uap = approx._lap_mask, approx._uap_mask
-    monkeypatch.setattr(approx, "_lap_mask", lambda r, b: real_lap(r, b) ^ b.bit_count() % 2)
-    monkeypatch.setattr(approx, "_uap_mask", lambda r, b: real_uap(r, b) ^ (b >> 1).bit_count() % 2)
+    break_operators(
+        lap=lambda r, b, v: v ^ b.bit_count() % 2,
+        uap=lambda r, b, v: v ^ (b >> 1).bit_count() % 2,
+    )
 
 
 def _assert_basic_laws_match_the_scans(r, singles):
@@ -565,7 +560,7 @@ def _assert_basic_laws_match_the_scans(r, singles):
     order than in ascending order."""
     n = r.poset.n
     down_twice = [ElementSet(b, n) for b in sorted(list(range(1 << n)) * 2, reverse=True)]
-    relation_laws = approx._relation_laws(AuxRelation(r.poset, r.sec))
+    relation_laws = _scanned_relation_laws(r)
     scanned = _scanned_basic_laws(r, relation_laws)
     assert check_basic_laws(r).to_dict() == scanned, (r.poset.up, r.sec)
     for a in singles:
@@ -581,9 +576,9 @@ def _assert_basic_laws_match_the_scans(r, singles):
 
 
 @pytest.mark.parametrize("broken", [False, True])
-def test_subset_law_table_matches_the_scans_on_every_small_relation(monkeypatch, broken):
+def test_subset_law_table_matches_the_scans_on_every_small_relation(break_operators, broken):
     if broken:
-        _break_sandwich_and_lower_sets(monkeypatch)
+        _break_sandwich_and_lower_sets(break_operators)
     reordered = 0
     for r in _relations_up_to(4):  # fresh relations, so nothing is tabulated yet
         reordered += _assert_basic_laws_match_the_scans(r, _sets(r.poset.n))
@@ -592,9 +587,9 @@ def test_subset_law_table_matches_the_scans_on_every_small_relation(monkeypatch,
 
 @pytest.mark.parametrize("broken", [False, True])
 @pytest.mark.parametrize("n", [8, 9])
-def test_subset_laws_match_the_scans_on_both_sides_of_the_table_bound(monkeypatch, broken, n):
+def test_subset_laws_match_the_scans_on_both_sides_of_the_table_bound(break_operators, broken, n):
     if broken:
-        _break_sandwich_and_lower_sets(monkeypatch)
+        _break_sandwich_and_lower_sets(break_operators)
     for seed in range(2):
         p = random_poset(n, 0.3, 1000 * n + seed)
         r = sample_aux(p, seed=seed)
@@ -604,10 +599,10 @@ def test_subset_laws_match_the_scans_on_both_sides_of_the_table_bound(monkeypatc
 
 
 def test_a_single_set_query_above_the_table_bound_builds_no_table(monkeypatch):
-    def no_table(p):
-        raise AssertionError("built a down table")
+    def no_table(rows):
+        raise AssertionError("built a table")
 
-    monkeypatch.setattr(approx, "_down_table", no_table)
+    monkeypatch.setattr(approx, "byte_unions", no_table)
     p = random_poset(approx.TABLE_MAX_N + 1, 0.3, 7)
     r = sample_aux(p, seed=7)
     assert check_basic_laws(r, sets=[ElementSet(0b101, p.n)]).ok
@@ -624,11 +619,11 @@ def _first_failing_pair(sets, op, combine):
     return None
 
 
-def test_half_pair_scans_find_the_full_scans_first_witness(monkeypatch):
+def test_half_pair_scans_find_the_full_scans_first_witness(break_operators):
     # Flipping bit 0 on odd-sized sets breaks both preservation laws.
-    real_lap, real_uap = approx._lap_mask, approx._uap_mask
-    monkeypatch.setattr(approx, "_lap_mask", lambda r, b: real_lap(r, b) ^ b.bit_count() % 2)
-    monkeypatch.setattr(approx, "_uap_mask", lambda r, b: real_uap(r, b) ^ b.bit_count() % 2)
+    break_operators(
+        lap=lambda r, b, v: v ^ b.bit_count() % 2, uap=lambda r, b, v: v ^ b.bit_count() % 2
+    )
     failing = 0
     for r in _relations_up_to(4):
         p = r.poset
@@ -650,3 +645,314 @@ def test_half_pair_scans_find_the_full_scans_first_witness(monkeypatch):
             )
             failing += witness is not None
     assert failing > 0
+
+
+# -- lane laws against the per-mask scans ------------------------------------------
+#
+# The scans below decide each law of the five lane checkers one mask at a
+# time through ``_lap_mask``/``_uap_mask`` (as broken, if they are), in the
+# order the lanes must reproduce: a law's witness is its first failing set.
+
+
+def _scanned_relation_laws(r):
+    p = r.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask
+    full = (1 << p.n) - 1
+    rep = CheckReport("", "")
+    rep.law(
+        "basic.principal-upper-section",
+        ({"element": a} for a in range(p.n) if lap_of(r, p.up[a]) != r.above[a]),
+    )
+    nonempty = all(r.sec)
+    three_way = nonempty == (uap_of(r, 0) == 0) == (lap_of(r, full) == full)
+    rep.add(
+        "basic.whole-space-equivalence",
+        three_way,
+        None
+        if three_way
+        else {
+            "sections-nonempty": nonempty,
+            "uap-empty": mask_text(uap_of(r, 0)),
+            "lap-full": mask_text(lap_of(r, full)),
+        },
+    )
+    rep.add("basic.lap-of-empty", lap_of(r, 0) == 0)
+    rep.add("basic.uap-of-full", uap_of(r, full) == full)
+    return rep.verdicts
+
+
+def _scanned_partition(r, masks):
+    p = r.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask
+    full = (1 << p.n) - 1
+    scope = f"set={mask_text(masks[0])}" if len(masks) == 1 else f"{len(masks)} subsets"
+    rep = CheckReport(f"n={p.n};rel={r.pairs()}", scope)
+    rep.law(
+        "partition.cover",
+        (
+            {"lap": mask_text(lap_of(r, b)), "uap-of-rest": mask_text(uap_of(r, b ^ full))}
+            for b in masks
+            if lap_of(r, b) | uap_of(r, b ^ full) != full
+        ),
+    )
+    rep.law(
+        "partition.disjoint-on-upper",
+        (
+            {"overlap": mask_text(lap_of(r, b) & uap_of(r, b ^ full))}
+            for b in masks
+            if lap_of(r, b) & uap_of(r, b ^ full) and _closed(p.up, b)
+        ),
+        note="" if any(_closed(p.up, b) for b in masks) else "vacuous: set not upper",
+    )
+    return rep
+
+
+def _scanned_int_equivalences(r):
+    p = r.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask
+    uppers = [u.bits for u in enumerate_upper_sets(p)]
+    lowers = [l.bits for l in enumerate_lower_sets(p)]
+    witnesses = {}
+    for key, op, sets in (("lap-idempotent", lap_of, uppers), ("uap-idempotent", uap_of, lowers)):
+        bad = next((b for b in sets if op(r, op(r, b)) != op(r, b)), None)
+        if bad is not None:
+            witnesses[key] = mask_text(bad)
+    stmts = _statements_by_pair_scan(r)
+    rep = CheckReport(f"n={p.n};rel={r.pairs()}", "all upper and lower sets")
+    for name, value in zip(
+        (
+            "interpolation",
+            "lap-idempotent-on-upper",
+            "lap-kernel-on-upper-lattice",
+            "uap-idempotent-on-lower",
+            "uap-closure-on-lower-lattice",
+        ),
+        stmts,
+    ):
+        rep.add(f"int-char.{name}", value, informational=True)
+    agree = len(set(stmts)) == 1
+    rep.add("int-char.agreement", agree, None if agree else {"statements": list(stmts), **witnesses})
+    return rep
+
+
+def _scanned_algebra(r1, r2):
+    p = r1.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask
+    masks = range(1 << p.n)
+    rep = CheckReport(f"n={p.n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets")
+    if auxrel.aux_subset(r1, r2):
+        rep.law(
+            "algebra.monotone-in-relation",
+            (
+                {"set": mask_text(b)}
+                for b in masks
+                if lap_of(r1, b) & ~lap_of(r2, b) or uap_of(r2, b) & ~uap_of(r1, b)
+            ),
+        )
+    else:
+        rep.add("algebra.monotone-in-relation", True, note="vacuous: rel1 not below rel2")
+    # the operands' own tables stand for a union or intersection equal to one
+    union, meet = (
+        next((x for x in (r1, r2) if x.sec == combined.sec), combined)
+        for combined in (auxrel.aux_union(r1, r2), auxrel.aux_intersection(r1, r2))
+    )
+    rep.law(
+        "algebra.lap-of-union",
+        ({"set": mask_text(b)} for b in masks if lap_of(union, b) != lap_of(r1, b) | lap_of(r2, b)),
+    )
+    rep.law(
+        "algebra.uap-of-union",
+        ({"set": mask_text(b)} for b in masks if uap_of(union, b) != uap_of(r1, b) & uap_of(r2, b)),
+    )
+    rep.law(
+        "algebra.lap-of-intersection-on-filtered",
+        (
+            {"set": mask_text(b)}
+            for b in masks
+            if _directed(p.down, b) and lap_of(meet, b) != lap_of(r1, b) & lap_of(r2, b)
+        ),
+    )
+    lowers = [l.bits for l in enumerate_lower_sets(p)]
+    uppers = [u.bits for u in enumerate_upper_sets(p)]
+    rep.law(
+        "algebra.uap-preserves-lower-meets",
+        _pair_witnesses(lowers, lambda b: uap_of(r1, b), operator.and_),
+    )
+    rep.law(
+        "algebra.lap-preserves-upper-joins",
+        _pair_witnesses(uppers, lambda b: lap_of(r1, b), operator.or_),
+    )
+    return rep
+
+
+def _pair_witnesses(sets, op, combine):
+    """Each pair i < j on which op does not preserve combine, in scan order."""
+    return (
+        {"set1": mask_text(b1), "set2": mask_text(b2)}
+        for i, b1 in enumerate(sets)
+        for b2 in sets[i + 1 :]
+        if op(combine(b1, b2)) != combine(op(b1), op(b2))
+    )
+
+
+def _scanned_adjunction(r):
+    p = r.poset
+    lap_of, uap_of = approx._lap_mask, approx._uap_mask
+    lowers = [l.bits for l in enumerate_lower_sets(p)]
+    uppers = [u.bits for u in enumerate_upper_sets(p)]
+    rep = CheckReport(f"n={p.n};rel={r.pairs()}", "all lower and upper sets")
+    rep.law(
+        "adjoint.lower-galois",
+        (
+            {"b": mask_text(b), "a": mask_text(a)}
+            for b in lowers
+            for a in lowers
+            if (b & ~uap_of(r, a) == 0) != (_join(r.sec, b) & ~a == 0)
+        ),
+    )
+    full = (1 << p.n) - 1
+    rep.law(
+        "adjoint.upper-galois",
+        (
+            {"b": mask_text(b), "a": mask_text(a)}
+            for b in uppers
+            for a in uppers
+            if (lap_of(r, a) & ~b == 0) != (a & _join(r.sec, b ^ full) == 0)
+        ),
+    )
+    return rep
+
+
+def _assert_lane_laws_match_the_scans(r, partners=(), families=()):
+    """Every lane checker on r gives the report of its scan: the algebra on
+    (r, partner) for each partner, partition and the basic laws on every
+    subset and on each family.  Returns the laws that fail."""
+    p = r.poset
+    pairs = [
+        (check_adjunction(r), _scanned_adjunction(r)),
+        (check_int_equivalences(r), _scanned_int_equivalences(r)),
+    ]
+    pairs += [(check_algebra(r, r2), _scanned_algebra(r, r2)) for r2 in partners]
+    relation_laws = _scanned_relation_laws(r)
+    for family in [None, *families]:
+        masks = range(1 << p.n) if family is None else [a.bits for a in family]
+        pairs.append((check_partition(r, sets=family), _scanned_partition(r, masks)))
+        basic = _scanned_basic_laws(r, relation_laws, family)
+        pairs.append((check_basic_laws(r, sets=family).to_dict(), basic))
+    failing = set()
+    for lanes, scanned in pairs:
+        lanes, scanned = (x if isinstance(x, dict) else x.to_dict() for x in (lanes, scanned))
+        assert lanes == scanned, (p.up, r.sec)
+        failing |= {v["law"] for v in lanes["verdicts"] if not v["passed"] and not v.get("informational")}
+    return failing
+
+
+def test_lane_laws_match_the_scans_on_every_small_relation():
+    relations = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            rels = list(enumerate_aux(p))
+            for i, r in enumerate(rels):
+                partners = (leq_aux(p), rels[(i + 1) % len(rels)])
+                assert not _assert_lane_laws_match_the_scans(r, partners)
+                relations += 1
+    assert relations == 5560
+
+
+_LANE_LAWS = {
+    "partition.cover",
+    "partition.disjoint-on-upper",
+    *(f"basic.{law}" for law in (
+        "sandwich", "uap-down-invariance", "uap-lower", "lap-preserves-upper", "leq-identities",
+        "membership-characterization", "principal-upper-section", "whole-space-equivalence",
+        "lap-of-empty", "uap-of-full",
+    )),
+    *(f"algebra.{law}" for law in (
+        "monotone-in-relation", "lap-of-union", "uap-of-union", "lap-of-intersection-on-filtered",
+        "uap-preserves-lower-meets", "lap-preserves-upper-joins",
+    )),
+    "adjoint.lower-galois",
+    "adjoint.upper-galois",
+    "int-char.agreement",
+}
+
+
+def test_one_corrupted_table_byte_gives_the_scans_first_witnesses(break_operators):
+    """One bit of one entry of one relation's lap or uap table flipped, for
+    each entry of every relation with n <= 3: every law fails somewhere, and
+    each report names the scan's first failing set."""
+    corrupt = {}
+
+    def err(which):
+        def flip(r, b, v):
+            hit = corrupt["sec"] == r.sec and corrupt["entry"] == (which, b)
+            return v ^ (1 << corrupt["bit"] if hit else 0)
+
+        return flip
+
+    break_operators(lap=err("lap"), uap=err("uap"))
+    failing, cases = set(), 0
+    for n in range(1, 4):
+        for q in enumerate_posets(n):
+            for i, sec in enumerate(r.sec for r in enumerate_aux(q)):
+                for which in ("lap", "uap"):
+                    for b in range(1 << n):
+                        # a fresh poset, so that its order relation is tabulated anew
+                        p = Poset(q.up)
+                        rels = [AuxRelation(p, s.sec) for s in enumerate_aux(p)]
+                        r = rels[i]
+                        corrupt.update(sec=sec, entry=(which, b), bit=(b + i) % n)
+                        partners = (leq_aux(p), rels[(i + 1) % len(rels)])
+                        failing |= _assert_lane_laws_match_the_scans(r, partners)
+                        cases += 1
+    assert failing == _LANE_LAWS, _LANE_LAWS - failing
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_lane_laws_match_the_scans_on_sampled_families(break_operators, broken):
+    """Unsorted families with repeats, on relations with 5 to 8 points, under
+    the real operators and under ones that err on many sets."""
+    if broken:
+        _break_sandwich_and_lower_sets(break_operators)
+    failing = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=5, max_value=8),
+        st.sampled_from([0.2, 0.3, 0.5]),
+        st.integers(min_value=0, max_value=10**6),
+        st.data(),
+    )
+    def check(n, density, seed, data):
+        p = random_poset(n, density, seed)
+        r = sample_aux(p, seed=seed, density=density)
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+        family = [ElementSet(b, n) for b in masks + masks[::3]]
+        failing.update(_assert_lane_laws_match_the_scans(r, families=[family]))
+
+    check()
+    assert bool(failing) == broken
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("n", [9, 10])
+def test_lane_laws_match_the_scans_above_the_table_bound(break_operators, broken, n):
+    """One-set families on relations with 9 and 10 points, where lanes are
+    two bytes wide and every gather is per mask; the lattice laws at n = 9."""
+    if broken:
+        _break_sandwich_and_lower_sets(break_operators)
+    for seed in range(2):
+        p = random_poset(n, 0.4, 1000 * n + seed)
+        r = sample_aux(p, seed=seed)
+        families = [[ElementSet(b, n)] for b in range(0, 1 << n, 53)]
+        for family in families:
+            masks = [family[0].bits]
+            assert check_partition(r, family[0]).to_dict() == _scanned_partition(r, masks).to_dict()
+            basic = _scanned_basic_laws(r, _scanned_relation_laws(r), family)
+            assert check_basic_laws(r, sets=family).to_dict() == basic
+        if n == 9:
+            assert check_algebra(r, leq_aux(p)).to_dict() == _scanned_algebra(r, leq_aux(p)).to_dict()
+            assert check_adjunction(r).to_dict() == _scanned_adjunction(r).to_dict()
+            assert check_int_equivalences(r).to_dict() == _scanned_int_equivalences(r).to_dict()
+        assert r._lap is r._uap is None

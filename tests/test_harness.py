@@ -232,22 +232,15 @@ def _family_calls_raise(monkeypatch):
         monkeypatch.setattr(harness, name, one_set)
 
 
-def _break_lap_and_uap(monkeypatch):
+def _break_lap_and_uap(break_operators):
     """Flip element 0 of lap({0,1}) on a fifth of the relations and of
-    uap({0}) on another fifth, in every module that reads the operators:
-    those relations fail laws of all three per-subset suites, and the
-    others pass."""
-    real_lap, real_uap = approx._lap_mask, approx._uap_mask
-
-    def lap(r, b):
-        return real_lap(r, b) ^ (b == 0b11 and sum(r.sec) % 5 == 0)
-
-    def uap(r, b):
-        return real_uap(r, b) ^ (b == 0b1 and sum(r.sec) % 5 == 1)
-
-    for module in (approx, topology):
-        monkeypatch.setattr(module, "_lap_mask", lap)
-        monkeypatch.setattr(module, "_uap_mask", uap)
+    uap({0}) on another fifth, in the tables that every module reads the
+    operators from: those relations fail laws of all three per-subset
+    suites, and the others pass."""
+    break_operators(
+        lap=lambda r, b, v: v ^ (b == 0b11 and sum(r.sec) % 5 == 0),
+        uap=lambda r, b, v: v ^ (b == 0b1 and sum(r.sec) % 5 == 1),
+    )
 
 
 @pytest.mark.parametrize(
@@ -263,13 +256,15 @@ def _break_lap_and_uap(monkeypatch):
     ],
     ids=["max-n-4", "max-n-4-broken", "sampled-n-5-broken"],
 )
-def test_batched_and_per_instance_runs_give_the_same_report(monkeypatch, scope, broken):
+def test_batched_and_per_instance_runs_give_the_same_report(
+    monkeypatch, break_operators, scope, broken
+):
     # The algebra instances that no subset enters run alike on both paths;
     # empty reports stand in for them, to keep the test fast.
     for name in ("check_adjunction", "check_algebra"):
         monkeypatch.setattr(harness, name, lambda *args: CheckReport("", ""))
     if broken:
-        _break_lap_and_uap(monkeypatch)
+        _break_lap_and_uap(break_operators)
     checked = []
     real_check = harness._check
     monkeypatch.setattr(harness, "_check", lambda *inst: checked.append(inst) or real_check(*inst))
@@ -303,8 +298,8 @@ def _relation_major(scope, suites):
                 yield from ((s, p, *i) for i in per_suite[s] if i[0] is not None and i[0].sec == r.sec)
 
 
-def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(monkeypatch):
-    _break_lap_and_uap(monkeypatch)
+def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_operators):
+    _break_lap_and_uap(break_operators)
     suites = ("algebra", "chain", "continuity", "partition")
     order = list(_relation_major(Scope(max_n=3), suites))
     inside = [
@@ -473,6 +468,35 @@ def test_fingerprint_rejects_a_boolean_subset():
 )
 def test_replay_rejects_an_under_specified_fingerprint(doc):
     with pytest.raises(BadParameters):
+        replay(_encode(doc))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["algebra", [1], [[0, 0]], 0, [[0, 0]]],
+        ["partition", [1], [[0, 0]], 0, [[0, 0]]],
+        ["sec5", [1], None, None, [[0, 0]]],
+        ["sec5", [1], [[0, 0]], None, None],
+        ["continuity", [1], None, 0, None],
+        ["chain", [1], None, 0, None],
+        ["int-char", [1], [[0, 0]], 0, None],
+        ["property:one-step-without-continuity", [1], [[0, 0]], None, None],
+    ],
+    ids=[
+        "subset-and-second-relation",
+        "second-relation-outside-algebra",
+        "second-relation-on-a-poset-suite",
+        "relation-on-a-poset-suite",
+        "subset-on-a-poset-suite",
+        "subset-without-relation-on-chain",
+        "subset-on-a-relation-suite",
+        "relation-on-a-poset-property",
+    ],
+)
+def test_replay_rejects_a_field_its_suite_does_not_read(doc):
+    """The harness never emits these shapes, and replay would drop the field."""
+    with pytest.raises(BadParameters, match="malformed fingerprint"):
         replay(_encode(doc))
 
 
