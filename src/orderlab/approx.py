@@ -23,8 +23,9 @@ sets and the lower adjoint use the row-level primitives of ``poset`` on
 
 The laws over a family of sets are decided on lanes, SIMD within a
 register (Lamport, *CACM* 18(8), 1975; Knuth, *TAOCP* 4A, §7.1.3): lane k
-of an int holds a value at the k-th set of the family, one byte wide while
-n <= ``TABLE_MAX_N`` and ceil(n / 8) bytes above.  ``_gather`` maps each
+of an int holds a value at the k-th set of the family, ``bitset.lane_width``
+bytes wide: one while n <= ``TABLE_MAX_N``, then two or four, so that
+``array`` packs and unpacks the lanes at C level.  ``_gather`` maps each
 lane through an operator, a C-level translate through its table up to
 the bound and one per-mask call above it; a composition such as
 uap(down(A)) is one more gather.  A law is then a few big-int operations
@@ -39,11 +40,13 @@ and of their covering pairs come from the one-entry per-poset memo of
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from .auxrel import AuxRelation, aux_intersection, aux_subset, aux_union, classify, leq_aux
-from .bitset import ElementSet, byte_unions, iter_bits, mask_text
+from .bitset import LANE_CODES, ElementSet, byte_unions, lane_width, mask_text
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     Poset,
@@ -128,22 +131,23 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
 # -- lanes ---------------------------------------------------------------------
 
 
-def _width(n: int) -> int:
-    """The bytes of one lane: one up to the table bound, then ceil(n / 8)."""
-    return 1 if n <= TABLE_MAX_N else (n + 7) // 8
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _pack(masks: Iterable[int], n: int) -> bytes:
-    """The masks as lanes, little-endian."""
-    if n <= TABLE_MAX_N:
+    """The masks as lanes, little-endian on every host."""
+    w = lane_width(n)
+    if w == 1:
         return bytes(masks)
-    w = _width(n)
-    return b"".join(m.to_bytes(w, "little") for m in masks)
+    lanes = array(LANE_CODES[w], masks)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes.tobytes()
 
 
-# A lane operator: (its translate table, zero past the 2^n masks; its value
-# at one mask), both of one argument, a relation or a poset.
-_Op = tuple[Callable[..., bytes], Callable[..., int]]
+# A lane operator: (its translate table, zero past the 2^n masks; its
+# function of one mask), both of one argument, a relation or a poset.
+_Op = tuple[Callable[..., bytes], Callable[..., Callable[[int], int]]]
 
 
 def _gather(lanes: bytes, n: int, op: _Op, arg) -> bytes:
@@ -152,11 +156,10 @@ def _gather(lanes: bytes, n: int, op: _Op, arg) -> bytes:
     table, at = op
     if n <= TABLE_MAX_N:
         return lanes.translate(table(arg))
-    w = _width(n)
-    return _pack(
-        (at(arg, _int(lanes[i : i + w])) for i in range(0, len(lanes), w)),
-        n,
-    )
+    masks = array(LANE_CODES[lane_width(n)], lanes)
+    if _BIG_ENDIAN:
+        masks.byteswap()
+    return _pack(map(at(arg), masks), n)
 
 
 _from_bytes = int.from_bytes
@@ -238,9 +241,14 @@ def _covers(p: Poset, sets: tuple[int, ...], rows: tuple[int, ...]) -> tuple[byt
     ``rows``, as the lanes of each s and of each s | {x}: x is outside s and
     its row leaves s only at x."""
     full = (1 << p.n) - 1
-    pairs = [
-        (s, s | 1 << x) for s in sets for x in iter_bits(full & ~s) if rows[x] & ~s == 1 << x
-    ]
+    pairs = []
+    for s in sets:
+        rest = full & ~s
+        while rest:
+            bit = rest & -rest
+            if rows[bit.bit_length() - 1] & ~s == bit:
+                pairs.append((s, s | bit))
+            rest ^= bit
     return _pack((s for s, _ in pairs), p.n), _pack((t for _, t in pairs), p.n)
 
 
@@ -259,7 +267,7 @@ def _rows(lanes: bytes, n: int) -> bytes:
     holds lane i, where it holds lane j in ``lanes`` repeated as a whole.
     One-byte lanes are at most 256, so a translate of the row indices reads
     them."""
-    w = _width(n)
+    w = lane_width(n)
     m = len(lanes) // w
     if w == 1:
         return _row_indices(m).translate(lanes.ljust(256, b"\0"))
@@ -271,13 +279,13 @@ def _row_indices(m: int) -> bytes:
     return b"".join(bytes([i]) * m for i in range(m))
 
 
-_LAP: _Op = (lambda r: r._lap or _fill_tables(r)[0], lambda r, b: _lap_mask(r, b))
-_UAP: _Op = (lambda r: r._uap or _fill_tables(r)[1], lambda r, b: _uap_mask(r, b))
-_DOWN: _Op = (_down_bytes, lambda p, b: _join(p.down, b))
-_COMPLEMENT: _Op = (lambda p: _complements(p.n), lambda p, b: b ^ ((1 << p.n) - 1))
-_UPPER: _Op = (_upper_flags, lambda p, b: (1 << p.n) - 1 if _closed(p.up, b) else 0)
-_FILTERED: _Op = (_filtered_flags, lambda p, b: (1 << p.n) - 1 if _directed(p.down, b) else 0)
-_SEC_JOIN: _Op = (lambda r: byte_unions(r.sec), lambda r, b: _join(r.sec, b))
+_LAP: _Op = (lambda r: r._lap or _fill_tables(r)[0], lambda r: partial(_lap_mask, r))
+_UAP: _Op = (lambda r: r._uap or _fill_tables(r)[1], lambda r: partial(_uap_mask, r))
+_DOWN: _Op = (_down_bytes, lambda p: partial(_join, p.down))
+_COMPLEMENT: _Op = (lambda p: _complements(p.n), lambda p: ((1 << p.n) - 1).__xor__)
+_UPPER: _Op = (_upper_flags, lambda p: lambda b: ((1 << p.n) - 1) * _closed(p.up, b))
+_FILTERED: _Op = (_filtered_flags, lambda p: lambda b: ((1 << p.n) - 1) * _directed(p.down, b))
+_SEC_JOIN: _Op = (lambda r: byte_unions(r.sec), lambda r: partial(_join, r.sec))
 
 
 # -- report helpers ----------------------------------------------------------
@@ -325,7 +333,7 @@ def check_partition(
     witness is that of the first failing set in the order of ``sets``.
     """
     p = r.poset
-    n, w = p.n, _width(p.n)
+    n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, a, sets)
     rep = CheckReport(_subject(r), _family_scope(masks))
     family = _pack(masks, n)
@@ -364,7 +372,7 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     it is on each covering pair s < s | {x}.
     """
     p = r.poset
-    n, w = p.n, _width(p.n)
+    n, w = p.n, lane_width(p.n)
     uppers, lowers = _upper_lanes(p), _lower_lanes(p)
     lap_u, uap_l = _gather(uppers, n, _LAP, r), _gather(lowers, n, _UAP, r)
     lap_bad = _int(_gather(lap_u, n, _LAP, r)) ^ _int(lap_u)
@@ -421,7 +429,7 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     against "section(x) meets A" read off the sections themselves.
     """
     p = r.poset
-    n, w = p.n, _width(p.n)
+    n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
     family = _pack(masks, n)
@@ -498,7 +506,7 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
     if r1.poset != r2.poset:
         raise PosetMismatch("relations live on different posets")
     p = r1.poset
-    n, w = p.n, _width(p.n)
+    n, w = p.n, lane_width(p.n)
     masks = range(1 << n)
     rep = CheckReport(
         f"n={n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
@@ -566,7 +574,7 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     witness is the first failing pair of a scan over b and then a.
     """
     p = r.poset
-    n, w = p.n, _width(p.n)
+    n, w = p.n, lane_width(p.n)
     rep = CheckReport(_subject(r), "all lower and upper sets")
     low_sets, up_sets = _lower_list(p), _upper_list(p)
     lowers, uppers = _lower_lanes(p), _upper_lanes(p)

@@ -217,13 +217,13 @@ def classify(r: AuxRelation) -> AuxClass:
                 break
     above = r.above
     has_int = True
-    for z in range(p.n):
-        for x in iter_bits(r.sec[z]):
-            if not above[x] & r.sec[z]:
-                has_int = False
-                witnesses["has_int"] = (x, z)
-                break
-        if not has_int:
+    for z, sec in enumerate(r.sec):
+        rest = sec  # from the lowest x in sec(z), until one has no step into it
+        while rest and above[(rest & -rest).bit_length() - 1] & sec:
+            rest &= rest - 1
+        if rest:
+            has_int = False
+            witnesses["has_int"] = ((rest & -rest).bit_length() - 1, z)
             break
     r._class = AuxClass(pre, app, has_int, witnesses)
     return r._class

@@ -6,7 +6,8 @@ A predicate over every subset of an n-element universe is a plane, an int
 of 2^n bits whose bit m says whether it holds at mask m (Knuth, *TAOCP*
 4A, §7.1.1 and §7.1.3); ``planes`` gives the membership planes that such
 predicates are combined from, a few big-int operations for all 2^n masks.
-``ElementSet``, a mask plus its universe size ``n``, is the public
+A lane int holds one value per mask in ``lane_width(n)`` bytes instead, as
+in ``submask_unions``.  ``ElementSet``, a mask plus its universe size ``n``, is the public
 boundary type: a public function validates it, calls the mask-level
 code and boxes the result once.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, PosetMismatch
@@ -65,8 +65,9 @@ def transpose(rows: Sequence[int]) -> tuple[int, ...]:
     row j is set when bit j of row i is."""
     out = [0] * len(rows)
     for i, row in enumerate(rows):
-        for j in iter_bits(row):
-            out[j] |= 1 << i
+        while row:
+            out[(row & -row).bit_length() - 1] |= 1 << i
+            row &= row - 1
     return tuple(out)
 
 
@@ -90,27 +91,38 @@ def plane_masks(plane: int, n: int) -> Iterator[int]:
     return compress(range(1 << n), bin(plane)[:1:-1].encode().translate(_PLANE_BITS))
 
 
-def submask_unions(n: int, seeds: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Every mask m over n bits mapped to the OR of the (mask, value) seeds at
-    submasks of m, in one n·2^n sweep: the fast zeta transform over OR.
+LANE_CODES = {1: "B", 2: "H", 4: "I"}  # the array type of each lane width
 
-    Bit i ORs each mask without it into the mask with it.  Those pairs sit
-    2^i apart in blocks of 2^(i+1), so each bit takes one slice pass per
-    offset or one per block, whichever are fewer."""
-    size = 1 << n
-    table = [0] * size
+
+def lane_width(n: int) -> int:
+    """The bytes of a lane that holds a mask over n <= 32 bits: 1, 2 or 4."""
+    return 1 if n <= 8 else 2 if n <= 16 else 4
+
+
+def submask_unions(n: int, seeds: Iterable[tuple[int, int]]) -> bytes | memoryview:
+    """Every mask m over n bits mapped to the OR of the (mask, value) seeds at
+    submasks of m, as ``bytes`` for one-byte lanes, else a ``memoryview`` cast.
+
+    The fast zeta transform over OR on one int, whose lane m holds the value
+    at m (values must fit a lane): bit i ORs each lane without bit i into the
+    lane 2^i above it, one shift, AND and OR.  The bits commute, so they run
+    downward, each lane mask one shift and XOR from the last (like 0x0000ffff,
+    0x00ff00ff, 0x0f0f0f0f).  Steps move whole bytes, so native-order lanes
+    are right on any host."""
+    w = lane_width(n)
+    code = LANE_CODES[w]
+    seeded = bytearray(w << n)
+    lanes = memoryview(seeded).cast(code)
     for mask, value in seeds:
-        table[mask] |= value
-    for i in range(n):
-        bit, step = 1 << i, 2 << i
-        if step * step <= size:
-            for j in range(bit):
-                table[bit + j :: step] = map(or_, table[bit + j :: step], table[j::step])
-        else:
-            for lo in range(0, size, step):
-                hi = lo + bit
-                table[hi : hi + bit] = map(or_, table[hi : hi + bit], table[lo:hi])
-    return tuple(table)
+        lanes[mask] |= value
+    x = int.from_bytes(seeded, "little")
+    keep = every = (1 << (8 * w << n)) - 1
+    for i in reversed(range(n)):
+        shift = 8 * w << i
+        keep = (keep ^ keep << shift) & every  # the lanes of the masks without bit i
+        x |= (x & keep) << shift
+    table = x.to_bytes(w << n, "little")
+    return table if w == 1 else memoryview(table).cast(code)
 
 
 @dataclass(frozen=True, slots=True)

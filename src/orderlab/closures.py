@@ -9,15 +9,28 @@ from the directed-subset tables in ``reference`` rather than from the
 closed forms: way-below, the Scott interior of every mask (a set is open
 when it is its own interior) and the one-step image of every mask, each
 built once per poset.
+
+The laws are decided on the lanes of ``approx``, one lane per mask or per
+directed set; a law's witness is its lowest failing lane, the first
+failing mask of an ascending scan.
 """
 
 from __future__ import annotations
 
 from . import reference
-from .approx import _uap_mask
-from .bitset import ElementSet, iter_bits, mask_text
+from .approx import (
+    _DOWN,
+    _UAP,
+    _gather,
+    _int,
+    _lane_constants,
+    _nonzero,
+    _pack,
+    _set_witness,
+)
+from .bitset import ElementSet, lane_width
 from .errors import OrderlabError
-from .poset import Poset, _down_table, down_closure
+from .poset import Poset, down_closure
 from .report import CheckReport
 
 
@@ -37,70 +50,66 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     closedness of every image.  The two readings are equivalent, so a
     disagreement is an internal error rather than a result.
     """
-    inner = reference.scott_interiors(p)
-    via_closure = True
-    via_fixed = True
-    witness = None
-    full = (1 << p.n) - 1
-    for bits, step in enumerate(reference.one_step_images(p)):
-        if step != full ^ inner[full ^ bits]:
-            if via_closure:
-                witness = {"set": mask_text(bits)}
-            via_closure = False
-        if inner[full ^ step] != full ^ step:  # the complement is not open
-            via_fixed = False
-    if via_closure != via_fixed:
+    closures = reference.scott_closure_lanes(p)
+    n, w = p.n, lane_width(p.n)
+    steps = _int(_pack(reference.one_step_images(p), n))
+    missed = steps ^ closures
+    # an image is closed when its complement is its own interior
+    rest = steps ^ ((1 << n) - 1) * _lane_constants(1 << n, w)[0]
+    inner = _gather(rest.to_bytes(w << n, "little"), n, reference.INTERIOR, p)
+    if (not missed) != (_int(inner) == rest):
         raise OrderlabError(
             "one-step closure criteria disagree; definitions are inconsistent"
         )
-    return via_closure, None if via_closure else witness
+    return not missed, _set_witness(missed, range(1 << n), w)
 
 
 def is_meet_continuous(p: Poset) -> bool:
-    """Below a directed supremum, the element is reached from below the set."""
-    inner = reference.scott_interiors(p)
-    down = _down_table(p)
-    full = (1 << p.n) - 1
-    for mask, s in reference.directed_sups(p):
-        for x in iter_bits(p.down[s]):
-            # x misses the closure of C when it is in the interior of full ^ C
-            if inner[full ^ (down[mask] & p.down[x])] >> x & 1:
-                return False
+    """Below a directed supremum, the element is reached from below the set.
+
+    One lane per directed set C with supremum s, and one step per element x:
+    x <= s misses the closure of down(C) & down(x) when it is in the interior
+    of the complement."""
+    n, w = p.n, lane_width(p.n)
+    sups = reference.directed_sups(p)
+    directed = _pack((d for d, _ in sups), n)
+    reached = _int(_gather(directed, n, _DOWN, p))
+    below_sup = _int(_pack((p.down[s] for _, s in sups), n))
+    ones = _lane_constants(len(sups), w)[0]
+    fulls = ((1 << n) - 1) * ones
+    for x in range(n):
+        rest = (reached & p.down[x] * ones) ^ fulls
+        inside = _int(_gather(rest.to_bytes(len(directed), "little"), n, reference.INTERIOR, p))
+        if inside & below_sup & (1 << x) * ones:
+            return False
     return True
 
 
 def check_sec5_theorems(p: Poset) -> CheckReport:
-    """Laws tying the one-step operator to down closure and Scott closure."""
-    inner = reference.scott_interiors(p)
+    """Laws tying the one-step operator to down closure and Scott closure.
+
+    Each law over every mask is decided on one lane per mask, so its witness
+    is the first failing mask."""
+    closures = reference.scott_closure_lanes(p)
     wb = reference.way_below(p)
-    down = _down_table(p)
-    full = (1 << p.n) - 1
-    rep = CheckReport(f"poset n={p.n}", f"all {1 << p.n} subsets")
-    steps = reference.one_step_images(p)
-
-    def failing(bad):
-        return ({"set": mask_text(b)} for b, step in enumerate(steps) if bad(b, step))
-
-    def unsandwiched(b, step):
-        return b & ~down[b] or down[b] & ~step or step & ~(full ^ inner[full ^ b])
-
+    n, w = p.n, lane_width(p.n)
+    steps = _int(_pack(reference.one_step_images(p), n))
+    masks = range(1 << n)
+    family = _pack(masks, n)
+    _, low, high = _lane_constants(1 << n, w)
+    rep = CheckReport(f"poset n={n}", f"all {1 << n} subsets")
+    sets, down = _int(family), _int(_gather(family, n, _DOWN, p))
+    uap = _int(_gather(family, n, _UAP, wb))
+    fixed, closed = _nonzero(steps ^ sets, low, high), _nonzero(closures ^ sets, low, high)
     discriminating = "discriminating: exercises the literal quantifier oracle"
-    rep.law("onestep.sandwich", failing(unsandwiched), note=discriminating)
-    rep.law(
-        "onestep.below-uap-of-way-below",
-        failing(lambda b, step: step & ~_uap_mask(wb, b)),
-        note=discriminating,
-    )
-    rep.law(
-        "onestep.fixed-iff-scott-closed",
-        failing(lambda b, step: (step == b) != (inner[full ^ b] == full ^ b)),
-        note=discriminating,
-    )
-    rep.law(
-        "onestep.equals-down-closure",
-        failing(lambda b, step: step != down[b]),
-        note="finite-trivial: every directed set on a finite universe has a greatest element",
-    )
+    finite = "finite-trivial: every directed set on a finite universe has a greatest element"
+    for law, bad, note in (
+        ("onestep.sandwich", sets & ~down | down & ~steps | steps & ~closures, discriminating),
+        ("onestep.below-uap-of-way-below", steps & ~uap, discriminating),
+        ("onestep.fixed-iff-scott-closed", fixed ^ closed, discriminating),
+        ("onestep.equals-down-closure", steps ^ down, finite),
+    ):
+        rep.add(law, not bad, _set_witness(bad, masks, w), note=note)
 
     one_step_prop, osc_witness = has_one_step_closure(p)
     rep.add("onestep.one-step-closure", one_step_prop, osc_witness, informational=True)
@@ -112,10 +121,10 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
         note="finite-trivial: both properties hold on every finite universe",
     )
 
-    way_up = wb.above
+    inner, way_up = reference.scott_interiors(p), wb.above
     rep.law(
         "onestep.scott-interior-of-up-is-way-up",
-        ({"element": x} for x in range(p.n) if inner[p.up[x]] != way_up[x]),
+        ({"element": x} for x in range(n) if inner[p.up[x]] != way_up[x]),
         note="finite-trivial: both sides collapse to the principal upper set",
     )
     return rep

@@ -51,7 +51,7 @@ from .auxrel import (
     validate_aux,
     way_below,
 )
-from .bitset import ElementSet
+from .bitset import ElementSet, transpose
 from .closures import check_sec5_theorems, has_one_step_closure
 from .errors import BadParameters, BudgetExceeded
 from .poset import (
@@ -198,7 +198,7 @@ def parse_fingerprint(fp: str) -> Instance:
             raise ValueError("rows do not fit the universe")
         if subset is not None and not 0 <= subset < 1 << len(rows):
             raise ValueError("subset does not fit the universe")
-        _axiom_check(rows, len(rows))
+        _axiom_check(rows, transpose(rows))
         for pairs in (rel, rel2):
             if type(pairs) not in (list, type(None)) or any(
                 list(map(type, pr)) != [int, int] for pr in pairs or ()

@@ -80,17 +80,21 @@ class Poset:
 # -- validation ---------------------------------------------------------
 
 
-def _axiom_check(rows: list[int] | tuple[int, ...], n: int) -> None:
-    """Raise AxiomViolation unless rows form a partial order."""
+def _axiom_check(up: Sequence[int], down: Sequence[int]) -> None:
+    """Raise AxiomViolation unless the up-rows ``up``, whose transpose is
+    ``down``, form a partial order.  Antisymmetry fails at the least i with
+    some j != i both above and below it, and the least such j, so i < j."""
+    n = len(up)
     for i in range(n):
-        if not rows[i] >> i & 1:
+        if not up[i] >> i & 1:
             raise AxiomViolation("reflexivity", (i, i))
     for i in range(n):
-        for j in iter_bits(rows[i]):
-            if j != i and rows[j] >> i & 1:
-                raise AxiomViolation("antisymmetry", (min(i, j), max(i, j)))
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise AxiomViolation("antisymmetry", (i, j))
     for i in range(n):
-        missing = _join(rows, rows[i]) & ~rows[i]
+        missing = _join(up, up[i]) & ~up[i]
         if missing:
             k = (missing & -missing).bit_length() - 1
             raise AxiomViolation("transitivity", (i, k))
@@ -111,9 +115,9 @@ def from_rows(rows: Iterable[int], labels: Iterable[str] | None = None) -> Poset
     No universe-size cap is applied here; ``validate_poset`` is the
     capped public entry point for external input.
     """
-    rows = tuple(rows)
-    _axiom_check(rows, len(rows))
-    return Poset(rows, labels)
+    p = Poset(rows, labels)
+    _axiom_check(p.up, p.down)
+    return p
 
 
 def validate_poset(
@@ -141,8 +145,9 @@ def validate_poset(
         for i in range(n):
             rows[i] |= 1 << i
         _transitive_close(rows, n)
-    _axiom_check(rows, n)
-    return Poset(rows, labels)
+    p = Poset(rows, labels)
+    _axiom_check(p.up, p.down)
+    return p
 
 
 # -- order primitives ---------------------------------------------------
@@ -151,16 +156,19 @@ def validate_poset(
 def _join(rows: Sequence[int], bits: int) -> int:
     """The OR of the members' rows: up(bits) on ``p.up``, down(bits) on ``p.down``."""
     out = 0
-    for i in iter_bits(bits):
-        out |= rows[i]
+    while bits:
+        out |= rows[(bits & -bits).bit_length() - 1]
+        bits &= bits - 1
     return out
 
 
 def _closed(rows: Sequence[int], bits: int) -> bool:
     """Every member's row stays inside: upper on ``p.up``, lower on ``p.down``."""
-    for i in iter_bits(bits):
-        if rows[i] & ~bits:
+    rest = bits
+    while rest:
+        if rows[(rest & -rest).bit_length() - 1] & ~bits:
             return False
+        rest &= rest - 1
     return True
 
 
@@ -169,12 +177,14 @@ def _directed(rows: Sequence[int], bits: int) -> bool:
     ``p.up``, filtered on ``p.down``."""
     if not bits:
         return False
-    members = list(iter_bits(bits))
-    for a in range(len(members)):
-        ra = rows[members[a]]
-        for b in range(a + 1, len(members)):
-            if not ra & rows[members[b]] & bits:
+    seen, rest = [], bits  # the rows, inside bits, of the members before this one
+    while rest:
+        row = rows[(rest & -rest).bit_length() - 1] & bits
+        for earlier in seen:
+            if not earlier & row:
                 return False
+        seen.append(row)
+        rest &= rest - 1
     return True
 
 
@@ -184,11 +194,15 @@ def _least(rows: Sequence[int], bits: int) -> int | None:
     if not bits:
         return None
     bounds = (1 << len(rows)) - 1
-    for i in iter_bits(bits):
-        bounds &= rows[i]
-    for m in iter_bits(bounds):
+    while bits:
+        bounds &= rows[(bits & -bits).bit_length() - 1]
+        bits &= bits - 1
+    rest = bounds
+    while rest:
+        m = (rest & -rest).bit_length() - 1
         if bounds & ~rows[m] == 0:
             return m
+        rest &= rest - 1
     return None
 
 
@@ -423,12 +437,12 @@ def random_poset(n: int, p: float, seed: int) -> Poset:
 
 
 def _relabel(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(rows)
-    new = [0] * n
-    for i in range(n):
+    new = [0] * len(rows)
+    for i, row in enumerate(rows):
         r = 0
-        for j in iter_bits(rows[i]):
-            r |= 1 << perm[j]
+        while row:
+            r |= 1 << perm[(row & -row).bit_length() - 1]
+            row &= row - 1
         new[perm[i]] = r
     return tuple(new)
 

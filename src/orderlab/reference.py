@@ -18,8 +18,10 @@ poset-level suites of a campaign share: ``subset_sups``, the directed
 suprema inside every mask, read by ``scott_masks`` and ``one_step_images``
 (whose per-mask oracle is ``one_step_mask``); ``scott_interiors``, from
 the Scott opens; and ``way_below``, which reads ``poset._down_table``, the
-table the approximation operators share.  Every reference-derived table
-lives here.
+table the approximation operators share.  ``subset_sups`` and
+``scott_interiors`` are each one ``bitset.submask_unions``, ``bytes`` up
+to ``approx.TABLE_MAX_N``; the laws read them on lanes.  Every
+reference-derived table lives here.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 
+from .approx import TABLE_MAX_N, _down_bytes, _int, _lane_constants, _Op, _pack
 from .auxrel import AuxRelation
-from .bitset import iter_bits, plane_masks, planes, submask_unions
+from .bitset import iter_bits, lane_width, plane_masks, planes, submask_unions
 from .errors import BudgetExceeded
 from .poset import MAX_DIRECTED_UNIVERSE, Poset, _down_table, _join, _per_poset, _upper_masks
 
@@ -54,7 +57,7 @@ def directed_sups(p: Poset) -> tuple[tuple[int, int], ...]:
 
 
 @_per_poset
-def subset_sups(p: Poset) -> tuple[int, ...]:
+def subset_sups(p: Poset) -> bytes | memoryview:
     """The suprema of the directed subsets of every mask, indexed by mask."""
     sups = directed_sups(p)  # checks the budget before the table is built
     return submask_unions(p.n, ((d, 1 << s) for d, s in sups))
@@ -80,17 +83,36 @@ def scott_masks(p: Poset) -> tuple[int, ...]:
 
 
 @_per_poset
-def scott_interiors(p: Poset) -> tuple[int, ...]:
+def scott_interiors(p: Poset) -> bytes | memoryview:
     """Every mask's Scott interior, indexed by mask: the union of the opens inside."""
     return submask_unions(p.n, ((u, u) for u in scott_masks(p)))
 
 
 @_per_poset
-def one_step_images(p: Poset) -> tuple[int, ...]:
-    """``one_step_mask`` of every mask, indexed by mask: down(b) and the
-    suprema of the directed subsets of down(b)."""
+def one_step_images(p: Poset) -> bytes | tuple[int, ...]:
+    """``one_step_mask`` of every mask, indexed by mask: the suprema of the
+    directed subsets of down(b), among them each member as a singleton.  Up
+    to ``TABLE_MAX_N`` it is one translate of the down table."""
     sups = subset_sups(p)
-    return tuple(down | sups[down] for down in _down_table(p))
+    if p.n <= TABLE_MAX_N:
+        return _down_bytes(p).translate(sups.ljust(256, b"\0"))[: 1 << p.n]
+    return tuple(map(sups.__getitem__, _down_table(p)))
+
+
+# The interiors as a lane operator of ``approx``: a translate table up to
+# TABLE_MAX_N, an entry at one mask above.
+INTERIOR: _Op = (
+    lambda p: scott_interiors(p).ljust(256, b"\0"),
+    lambda p: scott_interiors(p).__getitem__,
+)
+
+
+def scott_closure_lanes(p: Poset) -> int:
+    """The Scott closure full ^ interior(full ^ b) of every mask b, one lane
+    per mask in order: the interiors in reverse lane order, complemented."""
+    n = p.n
+    fulls = ((1 << n) - 1) * _lane_constants(1 << n, lane_width(n))[0]
+    return _int(_pack(scott_interiors(p)[::-1], n)) ^ fulls
 
 
 def one_step_mask(p: Poset, bits: int) -> int:

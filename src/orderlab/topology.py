@@ -14,12 +14,30 @@ and ``reference.scott_interiors``, each built once per poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from . import reference
-from .approx import _family_masks, _family_scope, _lap_mask, _subject, _uap_mask
+from .approx import (
+    _COMPLEMENT,
+    _LAP,
+    _UAP,
+    _family_masks,
+    _family_scope,
+    _first_lane,
+    _gather,
+    _int,
+    _lane_constants,
+    _lap_mask,
+    _nonzero,
+    _pack,
+    _set_witness,
+    _subject,
+    _uap_mask,
+    _upper_lanes,
+)
 from .auxrel import AuxRelation, classify, leq_aux, way_below
-from .bitset import ElementSet, iter_bits, mask_text
+from .bitset import ElementSet, iter_bits, lane_width, mask_text
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -102,7 +120,13 @@ def mu_topology(r: AuxRelation) -> Topology:
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     if r._mu is None:
-        r._mu = Topology(p, [m for m in _upper_list(p) if _lap_mask(r, m) == m])
+        n, w = p.n, lane_width(p.n)
+        uppers = _upper_lanes(p)
+        moved = _int(_gather(uppers, n, _LAP, r)) ^ _int(uppers)
+        _, low, high = _lane_constants(len(uppers) // w, w)
+        # 1 in the lowest byte of each lane that lap fixes, 0 in the others
+        fixed = (_nonzero(moved, low, high) ^ high) >> 8 * w - 1
+        r._mu = Topology(p, compress(_upper_list(p), fixed.to_bytes(len(uppers), "little")[::w]))
     return r._mu
 
 
@@ -313,18 +337,20 @@ def check_continuity_characterization(
     definitions in ``reference``.  The two existential statements are
     searched over the order itself and way-below; the order always
     settles them, since it is approximating and fixes every upper and
-    lower set.
+    lower set.  Each is decided on one lane per upper set or per mask.
     """
     wb = reference.way_below(p)
-    inner = reference.scott_interiors(p)
-    full = (1 << p.n) - 1
-    uppers = _upper_list(p)
+    n, w = p.n, lane_width(p.n)
+    uppers = _upper_lanes(p)
+    lowers = _gather(uppers, n, _COMPLEMENT, p)  # lane by lane, the complements
+    interiors = _gather(uppers, n, reference.INTERIOR, p)
+    closures = _gather(interiors, n, _COMPLEMENT, p)  # of the lowers
 
     def lap_matches(r: AuxRelation) -> bool:
-        return all(_lap_mask(r, u) == inner[u] for u in uppers)
+        return _gather(uppers, n, _LAP, r) == interiors
 
-    def uap_matches(r: AuxRelation) -> bool:  # on the lower sets full ^ u
-        return all(_uap_mask(r, full ^ u) == full ^ inner[u] for u in uppers)
+    def uap_matches(r: AuxRelation) -> bool:
+        return _gather(lowers, n, _UAP, r) == closures
 
     s1 = is_continuous(p)
     s2 = lap_matches(wb)
@@ -361,15 +387,12 @@ def check_continuity_characterization(
             note="given relation only; does not affect the theorem verdict",
         )
 
-    rep.law(
-        "continuity.scott-closure-criterion",
-        (
-            {"set": mask_text(bits), "element": next(iter_bits(diff))}
-            for bits in range(1 << p.n)
-            for diff in [full ^ inner[full ^ bits] ^ _uap_mask(wb, bits)]
-            if diff
-        ),
-    )
+    masks = range(1 << n)
+    diff = reference.scott_closure_lanes(p) ^ _int(_gather(_pack(masks, n), n, _UAP, wb))
+    witness = _set_witness(diff, masks, w)
+    if diff:
+        witness["element"] = (diff & -diff).bit_length() - 1 - 8 * w * _first_lane(diff, w)
+    rep.add("continuity.scott-closure-criterion", not diff, witness)
     return rep
 
 

@@ -1,10 +1,10 @@
 """Shared fixtures: the small named posets and relations used across the suite,
-and a fault injector for the approximation operators."""
+and fault injectors for the approximation operators and the reference tables."""
 
 import pytest
 
-from orderlab import approx, closures, topology
-from orderlab.auxrel import bottom_aux, leq_aux, validate_aux
+from orderlab import approx, closures, reference, topology
+from orderlab.auxrel import AuxRelation, bottom_aux, leq_aux, validate_aux
 from orderlab.poset import antichain, chain, diamond
 
 
@@ -73,5 +73,40 @@ def break_operators(monkeypatch):
             for module in (approx, closures, topology):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, above_the_bound)
+
+    return install
+
+
+@pytest.fixture
+def break_reference(monkeypatch):
+    """``break_reference(table, entry, bit)`` flips ``bit`` in one entry of a
+    reference table, for every poset from then on: ``"interiors"`` and
+    ``"one-step"`` flip the entry at mask ``entry`` of ``scott_interiors`` or
+    ``one_step_images``; ``"way-below"`` flips it in row ``entry`` of the
+    sections of ``way_below``, a fresh relation on each call.  Each call
+    replaces the previous fault."""
+    names = {
+        "interiors": "scott_interiors",
+        "one-step": "one_step_images",
+        "way-below": "way_below",
+    }
+    real = {table: getattr(reference, name) for table, name in names.items()}
+
+    def install(table, entry, bit):
+        for other, name in names.items():
+            monkeypatch.setattr(reference, name, real[other])
+        build = real[table]
+
+        def broken(p):
+            if table == "way-below":
+                sec = list(build(p).sec)
+                sec[entry] ^= bit
+                return AuxRelation(p, sec)
+            values = build(p)
+            wrong = list(values)
+            wrong[entry] ^= bit
+            return bytes(wrong) if isinstance(values, bytes) else tuple(wrong)
+
+        monkeypatch.setattr(reference, names[table], broken)
 
     return install

@@ -1,5 +1,8 @@
 """Bit-mask subset values: construction, rendering, and set algebra."""
 
+import random
+from operator import or_
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,7 +102,39 @@ def test_submask_unions_or_the_values_seeded_below_each_mask(n, seeds):
             if mask & ~b == 0:
                 acc |= value
         expected.append(acc)
-    assert submask_unions(n, seeds) == tuple(expected)
+    assert tuple(submask_unions(n, seeds)) == tuple(expected)
+
+
+def _submask_unions_by_slice_passes(n, seeds):
+    """``submask_unions`` as a list: bit i ORs each mask without it into the
+    mask with it, one slice pass per offset or one per block."""
+    size = 1 << n
+    table = [0] * size
+    for mask, value in seeds:
+        table[mask] |= value
+    for i in range(n):
+        bit, step = 1 << i, 2 << i
+        if step * step <= size:
+            for j in range(bit):
+                table[bit + j :: step] = map(or_, table[bit + j :: step], table[j::step])
+        else:
+            for lo in range(0, size, step):
+                hi = lo + bit
+                table[hi : hi + bit] = map(or_, table[hi : hi + bit], table[lo:hi])
+    return tuple(table)
+
+
+@pytest.mark.parametrize("n", [*range(13), 16, 17, 20])
+def test_lane_submask_unions_match_the_slice_passes(n):
+    """Every n to 12, the lane-width edges 8/9 and 16/17, and n = 20; values
+    fill the lane, as wide as 8, 16 or 32 bits."""
+    rng = random.Random(n)
+    width = 8 if n <= 8 else 16 if n <= 16 else 32
+    for count in (0, 1, 5, 1 << n if n <= 12 else 64):
+        seeds = [(rng.getrandbits(n), rng.getrandbits(width)) for _ in range(count)]
+        table = submask_unions(n, seeds)
+        assert len(table) == 1 << n
+        assert tuple(table) == _submask_unions_by_slice_passes(n, seeds), (n, count)
 
 
 def test_plane_x_holds_the_masks_that_hold_x():

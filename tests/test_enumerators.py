@@ -22,7 +22,7 @@ from orderlab.auxrel import (
     enumerate_aux,
     leq_aux,
 )
-from orderlab.bitset import iter_bits
+from orderlab.bitset import iter_bits, transpose
 from orderlab.errors import AxiomViolation, BudgetExceeded
 from orderlab.poset import (
     Poset,
@@ -50,7 +50,7 @@ def posets_by_sweep(n):
             i, j = off_diagonal[b]
             rows[i] |= 1 << j
         try:
-            _axiom_check(rows, n)
+            _axiom_check(rows, transpose(rows))
         except AxiomViolation:
             continue
         out.append(tuple(rows))

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from orderlab import poset as poset_module
 from orderlab.auxrel import leq_aux
-from orderlab.bitset import ElementSet
+from orderlab.bitset import ElementSet, iter_bits
 from orderlab.errors import AxiomViolation, BadParameters, IndexOutOfRange
 from orderlab.poset import (
+    _join,
     _lower_list,
     _upper_list,
     antichain,
@@ -331,3 +332,47 @@ def test_supremum_is_least_upper_bound(pst):
 def test_from_rows_rejects_invalid_rows():
     with pytest.raises(AxiomViolation):
         from_rows((0b11, 0b11))
+
+
+def _axiom_walk(rows, n):
+    """The order axioms with antisymmetry decided by walking every set bit
+    of every row, as ``_axiom_check`` did before it read the transpose."""
+    for i in range(n):
+        if not rows[i] >> i & 1:
+            raise AxiomViolation("reflexivity", (i, i))
+    for i in range(n):
+        for j in iter_bits(rows[i]):
+            if j != i and rows[j] >> i & 1:
+                raise AxiomViolation("antisymmetry", (min(i, j), max(i, j)))
+    for i in range(n):
+        missing = _join(rows, rows[i]) & ~rows[i]
+        if missing:
+            raise AxiomViolation("transitivity", (i, (missing & -missing).bit_length() - 1))
+
+
+def _axioms(check, rows):
+    try:
+        check(rows)
+    except AxiomViolation as exc:
+        return exc.kind, exc.witness
+    return None
+
+
+def test_axiom_check_on_the_transpose_matches_the_row_walk_on_corrupted_rows():
+    """Every one- and two-bit flip of the rows of every labeled poset with
+    n <= 5 (two-bit flips up to n = 4): the same verdict, kind and pair."""
+    kinds = set()
+    for n in range(1, 6):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        flips = [(c,) for c in cells]
+        if n <= 4:
+            flips += [(c, d) for k, c in enumerate(cells) for d in cells[k + 1 :]]
+        for p in enumerate_posets(n):
+            for flip in flips:
+                rows = list(p.up)
+                for i, j in flip:
+                    rows[i] ^= 1 << j
+                expected = _axioms(lambda r: _axiom_walk(r, n), rows)
+                assert _axioms(from_rows, rows) == expected, (rows, flip)
+                kinds.add(expected and expected[0])
+    assert kinds == {None, "reflexivity", "antisymmetry", "transitivity"}
