@@ -12,12 +12,15 @@ One formula serves every size: hit(A), the x whose section meets A, is
 the union of the sections above the members of A (``AuxRelation.above``,
 the transposed relation); lap(A) = A & hit(A), and uap(A) =
 full & ~hit(full & ~down(A)) since x misses uap(A) exactly when section(x)
-meets the complement of down(A).  Each relation on at most ``TABLE_MAX_N``
-elements, the most whose masks fit in a byte, tabulates both operators on
-first use as ``bytes`` indexed by mask: hit by ``bitset.byte_unions`` and
-uap as three chained ``bytes.translate`` calls through the complement, hit
-and the poset's down table.  Larger posets apply the formula per mask, as
-there a 2^n table costs more than a query.  Lower and upper sets, filtered
+meets the complement of down(A).  Both unions come from one kernel,
+``bitset.ByteUnions``: one 256-entry table per byte of a mask.  Each
+relation on at most ``TABLE_MAX_N`` elements, the most whose masks fit in a
+byte, tabulates both operators on first use as ``bytes`` indexed by mask:
+lap as one int AND and uap as three chained ``bytes.translate`` calls
+through the complement, hit and the poset's down table.  Above the bound a
+2^n table costs more than a query, so each relation keeps its hit tables
+and each poset its down tables instead, ceil(n/8) of at most 256 entries,
+and a union costs one lookup per byte.  Lower and upper sets, filtered
 sets and the lower adjoint use the row-level primitives of ``poset`` on
 ``p.down``, ``p.up`` and the sections.
 
@@ -26,27 +29,28 @@ register (Lamport, *CACM* 18(8), 1975; Knuth, *TAOCP* 4A, §7.1.3): lane k
 of an int holds a value at the k-th set of the family, ``bitset.lane_width``
 bytes wide: one while n <= ``TABLE_MAX_N``, then two or four, so that
 ``array`` packs and unpacks the lanes at C level.  ``_gather`` maps each
-lane through an operator, a C-level translate through its table up to
-the bound and one per-mask call above it; a composition such as
-uap(down(A)) is one more gather.  A law is then a few big-int operations
+lane through an operator: a C-level translate through its table up to the
+bound, and above it ceil(n/8)^2 byte-sliced translates and big-int ORs for
+the unions (lap, uap, down, the sections' join), an XOR for the
+complement, and one call per lane for the flag tables.  A composition such
+as uap(down(A)) is one more gather.  A law is then a few big-int operations
 whose nonzero lanes are its failing sets, and its witness is the set at
 the lowest one, the first failing set in family order.  Whether a set is
 upper or filtered is a per-poset flag table, full where it holds and 0
 elsewhere.  A one-set report is the family report on that set.  The down
-table, the flag tables and the lanes of the upper- and lower-set lists
+tables, the flag tables and the lanes of the upper- and lower-set lists
 and of their covering pairs come from the one-entry per-poset memo of
 ``poset``.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import and_, or_
 from typing import Callable, Iterable
 
 from .auxrel import AuxRelation, aux_intersection, aux_subset, aux_union, classify, leq_aux
-from .bitset import LANE_CODES, ElementSet, byte_unions, lane_width, mask_text
+from .bitset import ByteUnions, ElementSet, lane_width, mask_text, pack, unpack
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     Poset,
@@ -66,24 +70,43 @@ TABLE_MAX_N = 8
 
 def _fill_tables(r: AuxRelation) -> tuple[bytes, bytes]:
     p = r.poset
-    hit, comp = byte_unions(r.above), _complements(p.n)
+    hit, comp = ByteUnions.byte_table(r.above), _complements(p.n)
     r._lap = (_int(hit) & _identity(p.n)).to_bytes(256, "little")
     uap = _down_bytes(p).translate(comp).translate(hit).translate(comp)
     r._uap = uap[: 1 << p.n].ljust(256, b"\0")
     return r._lap, r._uap
 
 
+def _hit(r: AuxRelation) -> ByteUnions:
+    """hit(A) for a relation above ``TABLE_MAX_N``, kept by the relation."""
+    if r._hit is None:
+        r._hit = ByteUnions(r.above)
+    return r._hit
+
+
+@_per_poset
+def _down_bytes(p: Poset) -> bytes:
+    """down(A) for every mask A of p up to ``TABLE_MAX_N``, indexed by A."""
+    return ByteUnions.byte_table(p.down)
+
+
+@_per_poset
+def _down(p: Poset) -> ByteUnions:
+    """down(A) for every mask A of p above ``TABLE_MAX_N``."""
+    return ByteUnions(p.down)
+
+
 def _lap_mask(r: AuxRelation, bits: int) -> int:
     if r.poset.n <= TABLE_MAX_N:
         return (r._lap or _fill_tables(r)[0])[bits]
-    return bits & _join(r.above, bits)
+    return bits & _hit(r)(bits)
 
 
 def _uap_mask(r: AuxRelation, bits: int) -> int:
     if r.poset.n <= TABLE_MAX_N:
         return (r._uap or _fill_tables(r)[1])[bits]
     full = (1 << r.poset.n) - 1
-    return full & ~_join(r.above, full & ~_join(r.poset.down, bits))
+    return full ^ _hit(r)(full ^ _down(r.poset)(bits))
 
 
 def lap(r: AuxRelation, a: ElementSet) -> ElementSet:
@@ -131,35 +154,25 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
 # -- lanes ---------------------------------------------------------------------
 
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
 def _pack(masks: Iterable[int], n: int) -> bytes:
     """The masks as lanes, little-endian on every host."""
     w = lane_width(n)
-    if w == 1:
-        return bytes(masks)
-    lanes = array(LANE_CODES[w], masks)
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes.tobytes()
+    return bytes(masks) if w == 1 else pack(masks, w)
 
 
-# A lane operator: (its translate table, zero past the 2^n masks; its
-# function of one mask), both of one argument, a relation or a poset.
-_Op = tuple[Callable[..., bytes], Callable[..., Callable[[int], int]]]
+# A lane operator: (its translate table of one argument, a relation or a
+# poset, zero past the 2^n masks; above the table bound, the lane int of its
+# values at (argument, lanes, n)).
+_Op = tuple[Callable[..., bytes], Callable[..., int]]
 
 
 def _gather(lanes: bytes, n: int, op: _Op, arg) -> bytes:
     """The operator at every lane: one translate through its table up to the
-    table bound, else one per-mask call per lane."""
-    table, at = op
+    table bound, else its lanes above it."""
+    table, above = op
     if n <= TABLE_MAX_N:
         return lanes.translate(table(arg))
-    masks = array(LANE_CODES[lane_width(n)], lanes)
-    if _BIG_ENDIAN:
-        masks.byteswap()
-    return _pack(map(at(arg), masks), n)
+    return above(arg, lanes, n).to_bytes(len(lanes), "little")
 
 
 _from_bytes = int.from_bytes
@@ -204,10 +217,10 @@ def _lane(x: int, k: int, w: int) -> int:
     return x >> 8 * w * k & ((1 << 8 * w) - 1)
 
 
-@_per_poset
-def _down_bytes(p: Poset) -> bytes:
-    """down(A) for every mask A of p, indexed by A."""
-    return byte_unions(p.down)
+def _fulls(lanes: bytes, n: int) -> int:
+    """The full set in every lane of ``lanes``."""
+    w = lane_width(n)
+    return ((1 << n) - 1) * _lane_constants(len(lanes) // w, w)[0]
 
 
 @_per_poset
@@ -279,13 +292,30 @@ def _row_indices(m: int) -> bytes:
     return b"".join(bytes([i]) * m for i in range(m))
 
 
-_LAP: _Op = (lambda r: r._lap or _fill_tables(r)[0], lambda r: partial(_lap_mask, r))
-_UAP: _Op = (lambda r: r._uap or _fill_tables(r)[1], lambda r: partial(_uap_mask, r))
-_DOWN: _Op = (_down_bytes, lambda p: partial(_join, p.down))
-_COMPLEMENT: _Op = (lambda p: _complements(p.n), lambda p: ((1 << p.n) - 1).__xor__)
-_UPPER: _Op = (_upper_flags, lambda p: lambda b: ((1 << p.n) - 1) * _closed(p.up, b))
-_FILTERED: _Op = (_filtered_flags, lambda p: lambda b: ((1 << p.n) - 1) * _directed(p.down, b))
-_SEC_JOIN: _Op = (lambda r: byte_unions(r.sec), lambda r: partial(_join, r.sec))
+def _per_mask(at: Callable[..., Callable[[int], int]]) -> Callable[..., int]:
+    """The lanes of ``at(arg)``, a function of one mask: one call per lane."""
+    return lambda arg, lanes, n: _int(_pack(map(at(arg), unpack(lanes, lane_width(n))), n))
+
+
+def _uap_lanes(r: AuxRelation, lanes: bytes, n: int) -> int:
+    full = _fulls(lanes, n)
+    rest = _down(r.poset).gather(lanes) ^ full
+    return _hit(r).gather(rest.to_bytes(len(lanes), "little")) ^ full
+
+
+_LAP: _Op = (
+    lambda r: r._lap or _fill_tables(r)[0], lambda r, lanes, n: _int(lanes) & _hit(r).gather(lanes)
+)
+_UAP: _Op = (lambda r: r._uap or _fill_tables(r)[1], _uap_lanes)
+_DOWN: _Op = (_down_bytes, lambda p, lanes, n: _down(p).gather(lanes))
+_COMPLEMENT: _Op = (lambda p: _complements(p.n), lambda p, lanes, n: _int(lanes) ^ _fulls(lanes, n))
+_UPPER: _Op = (_upper_flags, _per_mask(lambda p: lambda b: ((1 << p.n) - 1) * _closed(p.up, b)))
+_FILTERED: _Op = (
+    _filtered_flags, _per_mask(lambda p: lambda b: ((1 << p.n) - 1) * _directed(p.down, b))
+)
+_SEC_JOIN: _Op = (
+    lambda r: ByteUnions.byte_table(r.sec), lambda r, lanes, n: ByteUnions(r.sec).gather(lanes)
+)
 
 
 # -- report helpers ----------------------------------------------------------
@@ -537,33 +567,20 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
     ):
         rep.add(law, not bad, _set_witness(bad, masks, w))
 
-    # The pair laws report their first failing pair in scan order, reading
-    # the tables directly.  Both are symmetric and hold on the diagonal, so
-    # the first failing ordered pair has i < j and the scans visit only those.
-    if n <= TABLE_MAX_N:
-        uap_of, lap_of = _UAP[0](r1).__getitem__, _LAP[0](r1).__getitem__
-    else:
-        uap_of, lap_of = partial(_uap_mask, r1), partial(_lap_mask, r1)
-    lowers = _lower_list(p)
-    rep.law(
-        "algebra.uap-preserves-lower-meets",
-        (
-            {"set1": mask_text(b1), "set2": mask_text(b2)}
-            for i, b1 in enumerate(lowers)
-            for b2 in lowers[i + 1 :]
-            if uap_of(b1 & b2) != uap_of(b1) & uap_of(b2)
-        ),
-    )
-    uppers = _upper_list(p)
-    rep.law(
-        "algebra.lap-preserves-upper-joins",
-        (
-            {"set1": mask_text(u1), "set2": mask_text(u2)}
-            for i, u1 in enumerate(uppers)
-            for u2 in uppers[i + 1 :]
-            if lap_of(u1 | u2) != lap_of(u1) | lap_of(u2)
-        ),
-    )
+    # The pair laws: one lane per pair (i, j) of lower (upper) sets, i-major,
+    # where b1 & b2 (b1 | b2) is _rows(sets) & (|) sets * m.  Both laws are
+    # symmetric and hold on the diagonal, and lane (i, j) comes before (j, i)
+    # for i < j, so the first failing lane is the first failing pair i < j.
+    for law, sets, lanes, op, combine in (
+        ("algebra.uap-preserves-lower-meets", _lower_list(p), _lower_lanes(p), _UAP, and_),
+        ("algebra.lap-preserves-upper-joins", _upper_list(p), _upper_lanes(p), _LAP, or_),
+    ):
+        m = len(sets)
+        pairs = combine(_int(_rows(lanes, n)), _int(lanes * m)).to_bytes(m * len(lanes), "little")
+        values = _gather(lanes, n, op, r1)
+        bad = _int(_gather(pairs, n, op, r1)) ^ combine(_int(_rows(values, n)), _int(values * m))
+        i, j = divmod(_first_lane(bad, w), m)
+        rep.add(law, not bad, {"set1": mask_text(sets[i]), "set2": mask_text(sets[j])} if bad else None)
     return rep
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .bitset import ElementSet, iter_bits, transpose
+from .bitset import ByteUnions, ElementSet, iter_bits, lane_width, transpose, unpack
 from .errors import (
     AxiomViolation,
     BudgetExceeded,
@@ -29,13 +29,14 @@ class AuxRelation:
 
     Immutable, so what depends on the relation alone is memoized: its
     sorted pairs, ``classify`` result, report subject, induced topology,
-    transposed sections and, on posets of at most ``approx.TABLE_MAX_N``
-    elements, the ``approx`` operator tables: ``bytes`` indexed by mask,
-    which the lane laws also use as translate tables.
+    transposed sections and the ``approx`` operator tables: on posets of at
+    most ``approx.TABLE_MAX_N`` elements ``bytes`` indexed by mask, which the
+    lane laws also use as translate tables, and above it the byte-sliced
+    ``bitset.ByteUnions`` of the transposed sections.
     """
 
     __slots__ = (
-        "poset", "sec", "_pairs", "_class", "_subject", "_mu", "_above", "_lap", "_uap"
+        "poset", "sec", "_pairs", "_class", "_subject", "_mu", "_above", "_lap", "_uap", "_hit"
     )
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
@@ -46,7 +47,7 @@ class AuxRelation:
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
         self._pairs = self._class = self._subject = self._mu = None
-        self._above = self._lap = self._uap = None
+        self._above = self._lap = self._uap = self._hit = None
 
     @property
     def above(self) -> tuple[int, ...]:
@@ -262,7 +263,9 @@ def enumerate_aux(p: Poset, budget: int | None = None) -> Iterator[AuxRelation]:
     The relations are exactly the upper sets of the pair order
     (x, y) <= (u, z) iff u <= x and y <= z that contain the bottom pairs,
     so the output-sensitive upper-set enumerator lists them with no cap
-    on the number of pairs.
+    on the number of pairs.  A relation's sections are one lane int, lane j
+    holding sec[j], looked up byte by byte of its encoding in a
+    ``bitset.ByteUnions`` where pair b = (i, j) sets bit i of lane j.
     """
     pairs = _leq_pairs(p)
     index = {pair: b for b, pair in enumerate(pairs)}
@@ -273,14 +276,12 @@ def enumerate_aux(p: Poset, budget: int | None = None) -> Iterator[AuxRelation]:
     bot = bottom(p)
     start = 0 if bot is None else sum(1 << index[bot, y] for y in range(p.n))
     masks = _upper_masks(pair_order.up, pair_order.down, start)
+    w = lane_width(p.n)
+    sections = ByteUnions([1 << i + 8 * w * j for i, j in pairs], w * p.n)
     for emitted, mask in enumerate(masks, 1):
         if budget is not None and emitted > budget:
             raise BudgetExceeded(f"more than {budget} auxiliary relations")
-        sec = [0] * p.n
-        for b in iter_bits(mask):
-            i, j = pairs[b]
-            sec[j] |= 1 << i
-        yield AuxRelation(p, tuple(sec))
+        yield AuxRelation(p, unpack(sections(mask).to_bytes(w * p.n, "little"), w))
 
 
 def sample_aux(p: Poset, seed: int, density: float = 0.3) -> AuxRelation:

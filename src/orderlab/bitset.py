@@ -7,13 +7,17 @@ of 2^n bits whose bit m says whether it holds at mask m (Knuth, *TAOCP*
 4A, §7.1.1 and §7.1.3); ``planes`` gives the membership planes that such
 predicates are combined from, a few big-int operations for all 2^n masks.
 A lane int holds one value per mask in ``lane_width(n)`` bytes instead, as
-in ``submask_unions``.  ``ElementSet``, a mask plus its universe size ``n``, is the public
-boundary type: a public function validates it, calls the mask-level
-code and boxes the result once.
+in ``submask_unions``.  ``ByteUnions`` is the one kernel for "the OR of the
+rows of a mask's members": one 256-entry lookup per byte of a mask, or
+byte-sliced ``bytes.translate`` calls over a whole lane int.  ``ElementSet``,
+a mask plus its universe size ``n``, is the public boundary type: a public
+function validates it, calls the mask-level code and boxes the result once.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -44,20 +48,6 @@ def row_unions(rows: Sequence[int]) -> tuple[int, ...]:
     for row in rows:
         table += [t | row for t in table]
     return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _or_table(row: int) -> bytes:
-    return bytes(v | row for v in range(256))
-
-
-def byte_unions(rows: Sequence[int]) -> bytes:
-    """``row_unions`` of rows on at most 8 points as a ``bytes.translate``
-    table, zero past the masks; each doubling is one C-level translate."""
-    table = b"\0"
-    for row in rows:
-        table += table.translate(_or_table(row))
-    return table.ljust(256, b"\0")
 
 
 def transpose(rows: Sequence[int]) -> tuple[int, ...]:
@@ -91,12 +81,108 @@ def plane_masks(plane: int, n: int) -> Iterator[int]:
     return compress(range(1 << n), bin(plane)[:1:-1].encode().translate(_PLANE_BITS))
 
 
-LANE_CODES = {1: "B", 2: "H", 4: "I"}  # the array type of each lane width
+LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # the array type of each item width
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def lane_width(n: int) -> int:
     """The bytes of a lane that holds a mask over n <= 32 bits: 1, 2 or 4."""
     return 1 if n <= 8 else 2 if n <= 16 else 4
+
+
+def pack(values: Iterable[int], w: int) -> bytes:
+    """The values as little-endian lanes of w bytes, on every host."""
+    lanes = array(LANE_CODES[w], values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes.tobytes()
+
+
+def unpack(lanes: bytes, w: int) -> array:
+    """The values of little-endian lanes of w bytes, read at C level."""
+    values = array(LANE_CODES[w], lanes)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values
+
+
+@lru_cache(maxsize=16)
+def _doubling_ones(item: int) -> tuple[int, ...]:
+    """1 in each of the 2^i lanes of ``item`` bytes that row i of a chunk fills."""
+    return tuple(int.from_bytes((b"\1" + bytes(item - 1)) * (1 << i), "little") for i in range(8))
+
+
+def _doubled(rows: Sequence[int], item: int) -> bytes:
+    """The ``row_unions`` of at most 8 rows as little-endian lanes of ``item``
+    bytes: each row doubles the lane int, one shift and OR."""
+    table, shift = 0, 8 * item
+    for ones, row in zip(_doubling_ones(item), rows):
+        table |= (table | row * ones) << shift
+        shift *= 2
+    return table.to_bytes(shift // 8, "little")
+
+
+class ByteUnions:
+    """The OR of rows[i] over the members i of a mask, one lookup per byte of
+    the mask (a byte-sliced table; Knuth, *TAOCP* 4A, §7.1.3).
+
+    ``slices[k]`` is the ``row_unions`` of rows 8k..8k+7, indexed by byte k
+    of a mask: an ``array`` of items of ``width`` bytes rounded up to 1, 2, 4
+    or 8, else a tuple of ints.  A lane gather reads the byte planes of the
+    slices (built on its first call): plane (k, j) maps byte k of a lane to
+    byte j of its union as a ``bytes.translate`` table.  Up to 8 rows over 8
+    bits the one plane is the whole table, which ``byte_table`` builds
+    without the slices.
+    """
+
+    __slots__ = ("width", "slices", "_planes")
+
+    def __init__(self, rows: Sequence[int], width: int = 0):
+        """``width`` is the bytes of a union, by default those of a mask over
+        len(rows) bits."""
+        self.width = width or (len(rows) + 7) // 8 or 1
+        item = next((w for w in LANE_CODES if w >= self.width), self.width)
+        chunks = (_doubled(rows[k : k + 8], item) for k in range(0, len(rows) or 1, 8))
+        if item in LANE_CODES:
+            self.slices = tuple(unpack(data, item) for data in chunks)
+        else:
+            self.slices = tuple(
+                tuple(int.from_bytes(data[i : i + item], "little") for i in range(0, len(data), item))
+                for data in chunks
+            )
+        self._planes = None
+
+    @staticmethod
+    def byte_table(rows: Sequence[int]) -> bytes:
+        """The unions of at most 8 rows over 8 bits as a translate table, zero
+        past the masks."""
+        return _doubled(rows, 1).ljust(256, b"\0")
+
+    def __call__(self, mask: int) -> int:
+        """The union at ``mask``, which must fit len(rows) bits."""
+        out = 0
+        for table in self.slices:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    def gather(self, lanes: bytes) -> int:
+        """The union at every lane of ``lanes``, little-endian lanes as wide as
+        the items, as one lane int: byte k of every lane translated into each
+        byte j of its share of the union, ORed over k."""
+        item = self.slices[0].itemsize
+        if self._planes is None:
+            self._planes = tuple(
+                tuple(data[j::item] for j in range(self.width))
+                for data in (pack(t, item).ljust(256 * item, b"\0") for t in self.slices)
+            )
+        out, buf = 0, bytearray(len(lanes))
+        for k, row in enumerate(self._planes):
+            source = lanes[k::item]
+            for j, plane in enumerate(row):
+                buf[j::item] = source.translate(plane)
+            out |= int.from_bytes(buf, "little")
+        return out
 
 
 def submask_unions(n: int, seeds: Iterable[tuple[int, int]]) -> bytes | memoryview:

@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .approx import TABLE_MAX_N, _down_bytes, _int, _lane_constants, _Op, _pack
+from .approx import TABLE_MAX_N, _down_bytes, _int, _lane_constants, _Op, _pack, _per_mask
 from .auxrel import AuxRelation
 from .bitset import iter_bits, lane_width, plane_masks, planes, submask_unions
 from .errors import BudgetExceeded
@@ -103,7 +103,7 @@ def one_step_images(p: Poset) -> bytes | tuple[int, ...]:
 # TABLE_MAX_N, an entry at one mask above.
 INTERIOR: _Op = (
     lambda p: scott_interiors(p).ljust(256, b"\0"),
-    lambda p: scott_interiors(p).__getitem__,
+    _per_mask(lambda p: scott_interiors(p).__getitem__),
 )
 
 

@@ -3,7 +3,7 @@ and fault injectors for the approximation operators and the reference tables."""
 
 import pytest
 
-from orderlab import approx, closures, reference, topology
+from orderlab import approx, reference
 from orderlab.auxrel import AuxRelation, bottom_aux, leq_aux, validate_aux
 from orderlab.poset import antichain, chain, diamond
 
@@ -41,14 +41,16 @@ def leq3(c3):
 
 @pytest.fixture
 def break_operators(monkeypatch):
-    """``break_operators(lap=f, uap=g)`` makes each operator answer
-    f(r, A, value) or g(r, A, value) in place of its value at A: in the
-    tables of every relation tabulated from then on, up to
-    ``approx.TABLE_MAX_N``, and in ``_lap_mask``/``_uap_mask`` of every
-    module that reads them above it."""
+    """``break_operators(lap=f, uap=g)`` corrupts the operator tables of every
+    relation tabulated from then on.  Up to ``approx.TABLE_MAX_N`` each
+    operator answers f(r, A, value) or g(r, A, value) in place of its value
+    at A.  Above it both read the byte-sliced hit tables, so f and then g
+    rewrite their entries: entry e of slice k, the hit of the one-byte mask
+    A = e << 8k, becomes f(r, A, entry), then g of that.  Single queries and
+    lane gathers read the same rewritten entries."""
 
     def install(lap=None, uap=None):
-        real_fill = approx._fill_tables
+        real_fill, real_hit = approx._fill_tables, approx._hit
 
         def fill(r):
             tables = list(real_fill(r))
@@ -60,19 +62,17 @@ def break_operators(monkeypatch):
             r._lap, r._uap = tables
             return r._lap, r._uap
 
+        def hit(r):
+            if r._hit is None:
+                for k, entries in enumerate(real_hit(r).slices):
+                    for e, v in enumerate(entries):
+                        for err in filter(None, (lap, uap)):
+                            v = err(r, e << 8 * k, v)
+                        entries[e] = v
+            return r._hit
+
         monkeypatch.setattr(approx, "_fill_tables", fill)
-        for name, err in (("_lap_mask", lap), ("_uap_mask", uap)):
-            if err is None:
-                continue
-            real = getattr(approx, name)
-
-            def above_the_bound(r, b, real=real, err=err):
-                value = real(r, b)
-                return value if r.poset.n <= approx.TABLE_MAX_N else err(r, b, value)
-
-            for module in (approx, closures, topology):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, above_the_bound)
+        monkeypatch.setattr(approx, "_hit", hit)
 
     return install
 

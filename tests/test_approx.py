@@ -1,6 +1,7 @@
 """Lower/upper approximation operators, their adjoints, and their algebra."""
 
 import operator
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from orderlab.auxrel import (
     section_below,
     validate_aux,
 )
-from orderlab.bitset import ElementSet, iter_bits, mask_text
+from orderlab.bitset import ElementSet, iter_bits, lane_width, mask_text, unpack
 from orderlab.errors import NotLower, NotUpper, PosetMismatch
 from orderlab.poset import (
     Poset,
@@ -123,6 +124,15 @@ def test_operator_tables_match_the_definitions_on_every_small_relation():
                 assert r._lap is not None and r._uap is not None
 
 
+def _assert_no_table_per_mask(r):
+    """Above the table bound a relation memoizes no 2^n table, only the
+    ceil(n/8) byte slices of its hit tables, of at most 256 entries each."""
+    n = r.poset.n
+    assert r._lap is r._uap is None
+    assert len(r._hit.slices) == -(-n // 8)
+    assert all(len(entries) <= 256 for entries in r._hit.slices)
+
+
 @pytest.mark.parametrize("n", [7, 8, 9, 10])
 def test_operators_match_the_definitions_on_both_sides_of_the_table_bound(n):
     for seed in range(3):
@@ -130,7 +140,10 @@ def test_operators_match_the_definitions_on_both_sides_of_the_table_bound(n):
         r = sample_aux(p, seed=seed)
         tabled = n <= 8
         _assert_operators_literal(r, range(1 << n) if tabled else range(0, 1 << n, 7))
-        assert (r._lap is not None) == tabled and (r._uap is not None) == tabled
+        if tabled:
+            assert r._lap is not None and r._uap is not None
+        else:
+            _assert_no_table_per_mask(r)
 
 
 def _per_element_lap_uap(r, bits):
@@ -152,7 +165,56 @@ def test_the_hit_formula_above_the_table_bound_matches_the_per_element_loops(n, 
     r = sample_aux(random_poset(n, density, seed), seed=seed, density=density)
     for bits in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16)):
         assert (_lap_mask(r, bits), _uap_mask(r, bits)) == _per_element_lap_uap(r, bits), bits
-    assert r._lap is r._uap is None
+    _assert_no_table_per_mask(r)
+
+
+def _hit_formula_lap_uap(r, bits):
+    """lap and uap by the hit formula, one bit walk per union."""
+    full = (1 << r.poset.n) - 1
+    hit = partial(_join, r.above)
+    return bits & hit(bits), full & ~hit(full & ~_join(r.poset.down, bits))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(min_value=9, max_value=12),
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_the_byte_sliced_operators_match_the_hit_formula_on_every_mask(n, density, seed):
+    r = sample_aux(random_poset(n, density, seed), seed=seed, density=density)
+    for bits in range(1 << n):
+        assert (_lap_mask(r, bits), _uap_mask(r, bits)) == _hit_formula_lap_uap(r, bits), bits
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.sampled_from([8, 9, 16, 17, 24]), st.integers(min_value=1, max_value=24)),
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.integers(min_value=0, max_value=10**6),
+    st.data(),
+)
+def test_each_union_gather_matches_the_per_mask_oracle_lane_by_lane(n, density, seed, data):
+    """Single queries and the gathers of the union operators on sampled
+    families, at every lane width (1, 2 and 4 bytes) and on both sides of
+    n = 16/17, against bit walks one mask at a time."""
+    p = random_poset(n, density, seed)
+    r = sample_aux(p, seed=seed, density=density)
+    full = (1 << n) - 1
+    masks = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=40))
+    oracles = {
+        "lap": (approx._LAP, r, lambda b: _hit_formula_lap_uap(r, b)[0]),
+        "uap": (approx._UAP, r, lambda b: _hit_formula_lap_uap(r, b)[1]),
+        "down": (approx._DOWN, p, partial(_join, p.down)),
+        "sections' join": (approx._SEC_JOIN, r, partial(_join, r.sec)),
+        "complement": (approx._COMPLEMENT, p, full.__xor__),
+    }
+    family = approx._pack(masks, n)
+    for name, (op, arg, oracle) in oracles.items():
+        lanes = approx._gather(family, n, op, arg)
+        assert list(unpack(lanes, lane_width(n))) == [oracle(b) for b in masks], (name, masks)
+    for bits in masks:
+        assert (_lap_mask(r, bits), _uap_mask(r, bits)) == _hit_formula_lap_uap(r, bits), bits
 
 
 def test_each_relation_is_transposed_once(monkeypatch):
@@ -599,15 +661,22 @@ def test_subset_laws_match_the_scans_on_both_sides_of_the_table_bound(break_oper
 
 
 def test_a_single_set_query_above_the_table_bound_builds_no_table(monkeypatch):
-    def no_table(rows):
-        raise AssertionError("built a table")
+    """No table with an entry per mask: only byte slices, ceil(n/8) tables of
+    at most 256 entries for each union."""
+    built = []
 
-    monkeypatch.setattr(approx, "byte_unions", no_table)
+    def sliced(rows):
+        built.append(real(rows))
+        return built[-1]
+
+    real = approx.ByteUnions
+    monkeypatch.setattr(approx, "ByteUnions", sliced)
     p = random_poset(approx.TABLE_MAX_N + 1, 0.3, 7)
     r = sample_aux(p, seed=7)
     assert check_basic_laws(r, sets=[ElementSet(0b101, p.n)]).ok
-    assert r._lap is r._uap is None
+    _assert_no_table_per_mask(r)
     assert leq_aux(p)._lap is None
+    assert built and all(len(t.slices) == 2 and max(map(len, t.slices)) <= 256 for t in built)
 
 
 def _first_failing_pair(sets, op, combine):
@@ -939,7 +1008,8 @@ def test_lane_laws_match_the_scans_on_sampled_families(break_operators, broken):
 @pytest.mark.parametrize("n", [9, 10])
 def test_lane_laws_match_the_scans_above_the_table_bound(break_operators, broken, n):
     """One-set families on relations with 9 and 10 points, where lanes are
-    two bytes wide and every gather is per mask; the lattice laws at n = 9."""
+    two bytes wide and the operators' gathers are byte-sliced; the lattice
+    laws at n = 9."""
     if broken:
         _break_sandwich_and_lower_sets(break_operators)
     for seed in range(2):
@@ -955,4 +1025,40 @@ def test_lane_laws_match_the_scans_above_the_table_bound(break_operators, broken
             assert check_algebra(r, leq_aux(p)).to_dict() == _scanned_algebra(r, leq_aux(p)).to_dict()
             assert check_adjunction(r).to_dict() == _scanned_adjunction(r).to_dict()
             assert check_int_equivalences(r).to_dict() == _scanned_int_equivalences(r).to_dict()
-        assert r._lap is r._uap is None
+        _assert_no_table_per_mask(r)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_the_pair_laws_match_the_scans_on_sampled_posets(break_operators, corrupt):
+    """``check_algebra`` with the order as second relation against its scans,
+    on posets with 2 to 10 points, so on both sides of the table bound.  With
+    ``corrupt``, one bit of one table entry of each relation is flipped: of
+    one mask's lap and uap up to the bound, of one hit slice entry above."""
+    if corrupt:
+
+        def flip(shift):
+            def err(r, b, v):
+                target = 37 * sum(r.sec) % (1 << min(r.poset.n, 8))
+                return v ^ (1 << (sum(r.sec) + shift) % r.poset.n if b == target else 0)
+
+            return err
+
+        break_operators(lap=flip(0), uap=flip(1))
+    failing = set()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from([0.2, 0.3, 0.5]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def check(n, density, seed):
+        p = random_poset(n, density, seed)
+        r = sample_aux(p, seed=seed, density=density)
+        report = check_algebra(r, leq_aux(p)).to_dict()
+        assert report == _scanned_algebra(r, leq_aux(p)).to_dict(), (p.up, r.sec)
+        failing.update(v["law"] for v in report["verdicts"] if not v["passed"])
+
+    check()
+    pair_laws = {"algebra.uap-preserves-lower-meets", "algebra.lap-preserves-upper-joins"}
+    assert bool(failing & pair_laws) == corrupt

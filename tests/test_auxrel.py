@@ -1,11 +1,14 @@
 """Auxiliary relations: axioms, closure, way-below, classification, the relation lattice."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderlab import reference
 from orderlab.auxrel import (
+    _leq_pairs,
     aux_closure,
     aux_intersection,
     aux_subset,
@@ -20,11 +23,14 @@ from orderlab.auxrel import (
     validate_aux,
     way_below,
 )
-from orderlab.bitset import ElementSet
+from orderlab.bitset import ElementSet, iter_bits
 from orderlab.closures import one_step
 from orderlab.errors import AxiomViolation, PosetMismatch, SeedViolatesOrder
 from orderlab.poset import (
+    Poset,
+    _upper_masks,
     antichain,
+    bottom,
     chain,
     diamond,
     enumerate_directed_subsets,
@@ -272,6 +278,49 @@ def test_enumerate_aux_results_are_valid():
 def test_enumerate_aux_without_bottom_includes_empty_relation(a2):
     rels = [r.pairs() for r in enumerate_aux(a2)]
     assert [] in rels
+
+
+def _sections_by_bit_walk(p):
+    """``enumerate_aux`` with each relation's sections built by walking the
+    set bits of its pair encoding: pair bit b = (i, j) sets bit i of sec[j]."""
+    pairs = _leq_pairs(p)
+    index = {pair: b for b, pair in enumerate(pairs)}
+    pair_order = Poset(
+        sum(1 << index[u, z] for u in iter_bits(p.down[x]) for z in iter_bits(p.up[y]))
+        for x, y in pairs
+    )
+    bot = bottom(p)
+    start = 0 if bot is None else sum(1 << index[bot, y] for y in range(p.n))
+    for mask in _upper_masks(pair_order.up, pair_order.down, start):
+        sec = [0] * p.n
+        for b in iter_bits(mask):
+            i, j = pairs[b]
+            sec[j] |= 1 << i
+        yield tuple(sec)
+
+
+def test_enumerate_aux_sections_match_the_bit_walk_on_every_labeled_poset():
+    relations = 0
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            got = [r.sec for r in enumerate_aux(p)]
+            assert got == list(_sections_by_bit_walk(p)), p.up
+            relations += len(got)
+    assert relations > 10**5
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=10),
+    st.sampled_from([0.3, 0.5, 0.7]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_enumerate_aux_sections_match_the_bit_walk_on_sampled_posets(n, density, seed):
+    """Lanes of one byte up to n = 8 and of two above, on the first 3,000
+    relations of each poset."""
+    p = random_poset(n, density, seed)
+    got = [r.sec for r in islice(enumerate_aux(p), 3000)]
+    assert got == list(islice(_sections_by_bit_walk(p), 3000)), p.up
 
 
 def test_sample_aux_is_seed_deterministic_and_valid(c3):

@@ -7,7 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orderlab.bitset import ElementSet, iter_bits, plane_masks, planes, submask_unions
+from orderlab.bitset import (
+    ByteUnions,
+    ElementSet,
+    iter_bits,
+    lane_width,
+    pack,
+    plane_masks,
+    planes,
+    row_unions,
+    submask_unions,
+    unpack,
+)
 from orderlab.errors import IndexOutOfRange, PosetMismatch
 
 
@@ -150,3 +161,44 @@ def test_plane_masks_reads_the_set_bits_in_order(n, data):
     plane = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
     assert list(plane_masks(plane, n)) == list(iter_bits(plane))
 
+
+
+def _union_by_bit_walk(rows, mask):
+    out = 0
+    for i in iter_bits(mask):
+        out |= rows[i]
+    return out
+
+
+@given(
+    st.integers(min_value=0, max_value=70),
+    st.sampled_from([0, 3, 9, 20]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_byte_unions_look_up_the_union_of_the_members_rows(n, width, seed):
+    """Every item width: one, two, four and eight bytes, and a tuple of ints
+    past eight, whether rows are as wide as the masks or ``width`` bytes."""
+    rng = random.Random(seed)
+    bits = 8 * width or n
+    rows = [rng.getrandbits(bits) for _ in range(n)]
+    unions = ByteUnions(rows, width)
+    assert len(unions.slices) == max(1, -(-n // 8))
+    for k, entries in enumerate(unions.slices):
+        assert tuple(entries) == row_unions(rows[8 * k : 8 * k + 8])
+    for mask in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))]:
+        assert unions(mask) == _union_by_bit_walk(rows, mask), (n, width, mask)
+
+
+@pytest.mark.parametrize("n", [*range(1, 19), 23, 24, 25, 31, 32])
+def test_byte_unions_gather_every_lane_as_its_lookup(n):
+    """Lanes of one, two and four bytes, on both sides of n = 8/9 and 16/17:
+    the byte-sliced translates give each lane the union at its mask."""
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    unions = ByteUnions(rows)
+    w = lane_width(n)
+    masks = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(300))]
+    gathered = unions.gather(pack(masks, w)).to_bytes(w * len(masks), "little")
+    assert list(unpack(gathered, w)) == [_union_by_bit_walk(rows, m) for m in masks]
+    if n <= 8:  # the whole table, one translate
+        assert ByteUnions.byte_table(rows) == bytes(map(unions, range(1 << n))).ljust(256, b"\0")
