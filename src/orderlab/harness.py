@@ -12,14 +12,16 @@ joins them in suite order, so a run of one suite keeps the order it had
 alone.  A campaign hands the objects it generates (poset, relation,
 subset, second relation) straight to the checkers.
 
-The per-subset instances of ``algebra``, ``partition`` and ``chain`` on one
-relation are first decided as a batch: one call of the checker that
-``_check`` dispatches to, over the relation's whole subset family.  If that
-report has no failure and no finding, every instance of the batch is
-tallied as passed.  If it has any, if it raises, or if the instance cap
-falls inside the batch, the relation runs per instance, so its entries are
-exactly those of a per-instance run.  A capped run therefore counts its
-first instances in the order above: poset, relation, suite, subset.
+The relations of a poset are taken in batches of ``approx.BATCH``.  One
+call of ``approx.batch_failures`` per batch decides, for every relation at
+once, whether the ``algebra``, ``int-char`` and ``partition`` checkers pass
+on it; ``chain`` is decided by one call of its checker over the relation's
+whole subset family.  A (suite, relation) that passes is tallied as passed,
+all its instances at once, with no report built.  One that fails, a batch
+that raises, and a tally that would cross the instance cap or start past
+the deadline run per instance instead, so their entries are exactly those
+of a per-instance run, and a capped run counts its first instances in the
+order above.
 
 Each failure or finding carries a fingerprint that reconstructs the
 instance exactly; replay is the only code that decodes one, and it
@@ -31,9 +33,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .approx import (
+    BATCH,
+    BATCHED_SUITES,
+    batch_failures,
     check_adjunction,
     check_algebra,
     check_basic_laws,
@@ -275,21 +281,6 @@ def _check(
     raise BadParameters(f"unknown suite {suite!r}")
 
 
-def _instances_for(suite: str, scope: Scope, p: Poset, pi: int) -> Iterable[tuple]:
-    """The (relation, subset, second relation) of each instance on p."""
-    if suite in _POSET_SUITES:
-        yield None, None, None
-        if suite != "chain":
-            return
-    subsets = _scope_subsets(scope, p, pi)
-    for r in _scope_relations(scope, p, pi):
-        singles, per_subset = _relation_plan(suite, p, r)
-        yield from singles
-        if per_subset:
-            for bits in subsets:
-                yield r, bits, None
-
-
 def _relation_plan(suite: str, p: Poset, r: AuxRelation) -> tuple[tuple[tuple, ...], bool]:
     """The instances of a relation suite on r that no subset enters, as
     (relation, subset, second relation), and whether one instance per
@@ -362,7 +353,7 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     """Run and tally each instance as it is generated, in one serial pass.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance and each batch.  An exception a checker raises
+    before each instance and each tally of a passing batch.  An exception a checker raises
     fails the hard law ``internal.error`` of its instance, with
     ``"<Type>: <message>"`` as the witness, and the run goes on.  ``jobs``
     is accepted for compatibility and ignored.
@@ -376,11 +367,12 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     cap = scope.max_instances
     poset_suites = [s for s in suite_list if s in _POSET_SUITES]
     rel_suites = [s for s in suite_list if s in _REL_SUITES or s == "chain"]
+    batched = [s for s in rel_suites if s in BATCHED_SUITES]
     attempted = passed = 0
 
     def instances() -> Iterable[tuple]:
-        """The campaign's instances in run order; a relation's per-subset
-        instances that pass as one batch are tallied here and not yielded."""
+        """The campaign's instances in run order; a relation's instances of a
+        suite that pass as a batch are tallied here and not yielded."""
         nonlocal attempted, passed
         for pi, p in enumerate(_scope_posets(scope)):
             for suite in poset_suites:
@@ -389,23 +381,29 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
                 continue
             subsets = _scope_subsets(scope, p, pi)
             sets = [ElementSet(bits, p.n) for bits in subsets]
-            for r in _scope_relations(scope, p, pi):
-                for suite in rel_suites:
-                    singles, per_subset = _relation_plan(suite, p, r)
-                    for inst in singles:
-                        yield (suite, p, *inst)
-                    if not per_subset:
-                        continue
-                    if (
-                        (cap is None or attempted + len(sets) <= cap)
-                        and (deadline is None or time.monotonic() <= deadline)
-                        and _batch_passes(suite, r, sets)
-                    ):
-                        attempted += len(sets)
-                        passed += len(sets)
-                    else:
-                        for bits in subsets:
-                            yield suite, p, r, bits, None
+            rels = _scope_relations(scope, p, pi)
+            while chunk := list(islice(rels, BATCH)):
+                bad = dict.fromkeys(rel_suites, b"\1" * len(chunk))
+                try:  # a batch that raises leaves its relations to run per instance
+                    bad.update(batch_failures(p, chunk, subsets, batched) if batched else {})
+                except Exception:
+                    pass
+                for k, r in enumerate(chunk):
+                    for suite in rel_suites:
+                        singles, per_subset = _relation_plan(suite, p, r)
+                        count = len(singles) + per_subset * len(subsets)
+                        if (
+                            count
+                            and (cap is None or attempted + count <= cap)
+                            and (deadline is None or time.monotonic() <= deadline)
+                            and (_chain_passes(r, sets) if suite == "chain" else not bad[suite][k])
+                        ):
+                            attempted += count
+                            passed += count
+                            continue
+                        yield from ((suite, p, *inst) for inst in singles)
+                        if per_subset:
+                            yield from ((suite, p, r, bits, None) for bits in subsets)
 
     found = {suite: ([], []) for suite in suite_list}  # failures, findings
     incomplete = False
@@ -442,17 +440,11 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     )
 
 
-def _batch_passes(suite: str, r: AuxRelation, sets: list[ElementSet]) -> bool:
-    """Whether one call of the checker that ``_check`` runs on each
-    per-subset instance of ``suite`` on r, over all of ``sets``, shows no
-    failure and no finding; a raising checker shows nothing."""
-    checker = {
-        "algebra": check_basic_laws,
-        "chain": check_chain_of_containments,
-        "partition": check_partition,
-    }[suite]
+def _chain_passes(r: AuxRelation, sets: list[ElementSet]) -> bool:
+    """Whether the chain checker on r over all of ``sets`` shows no failure and
+    no finding; a raising checker shows nothing."""
     try:
-        rep = checker(r, sets=sets)
+        rep = check_chain_of_containments(r, sets=sets)
     except Exception:
         return False
     return not rep.failures and not rep.findings

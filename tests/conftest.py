@@ -47,10 +47,23 @@ def break_operators(monkeypatch):
     at A.  Above it both read the byte-sliced hit tables, so f and then g
     rewrite their entries: entry e of slice k, the hit of the one-byte mask
     A = e << 8k, becomes f(r, A, entry), then g of that.  Single queries and
-    lane gathers read the same rewritten entries."""
+    lane gathers read the same rewritten entries, and so does a batch of
+    several relations: its lap (uap) at the lane of set A for relation r is
+    the entry at A of r's rewritten table."""
 
     def install(lap=None, uap=None):
-        real_fill, real_hit = approx._fill_tables, approx._hit
+        real_fill, real_hit, real_batch = approx._fill_tables, approx._hit, approx._batch_operators
+
+        def batch(p, rels):
+            lanes = real_batch(p, rels)  # one relation reads its own tables
+            tables = [fill(r) for r in rels] if len(rels) > 1 else None
+            for k, name in enumerate(("lap", "uap")):
+                if tables and (lap, uap)[k] is not None:
+                    wrong = lambda x, k=k: bytes(
+                        tables[i % len(rels)][k][a] for i, a in enumerate(x)
+                    )
+                    setattr(lanes, name, wrong)
+            return lanes
 
         def fill(r):
             tables = list(real_fill(r))
@@ -73,6 +86,7 @@ def break_operators(monkeypatch):
 
         monkeypatch.setattr(approx, "_fill_tables", fill)
         monkeypatch.setattr(approx, "_hit", hit)
+        monkeypatch.setattr(approx, "_batch_operators", batch)
 
     return install
 

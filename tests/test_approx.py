@@ -1,6 +1,7 @@
 """Lower/upper approximation operators, their adjoints, and their algebra."""
 
 import operator
+import random
 from functools import partial
 
 import pytest
@@ -1062,3 +1063,174 @@ def test_the_pair_laws_match_the_scans_on_sampled_posets(break_operators, corrup
     check()
     pair_laws = {"algebra.uap-preserves-lower-meets", "algebra.lap-preserves-upper-joins"}
     assert bool(failing & pair_laws) == corrupt
+
+
+# -- relation batches against the checkers ---------------------------------------------
+
+
+def _checker_failures(r, masks):
+    """Per batched suite, whether a checker that the suite runs on r fails a
+    law, the per-subset ones over ``masks``."""
+    sets = [ElementSet(bits, r.poset.n) for bits in masks]
+    reports = {
+        "algebra": (
+            check_adjunction(r),
+            check_algebra(r, leq_aux(r.poset)),
+            check_basic_laws(r, sets=sets),
+        ),
+        "int-char": (check_int_equivalences(r),),
+        "partition": (check_partition(r, sets=sets),),
+    }
+    return {s: any(rep.failures or rep.findings for rep in reps) for s, reps in reports.items()}
+
+
+def _perturbed(p, rels, rng):
+    """Three relations with arbitrary sections, and each of ``rels`` with one
+    section bit flipped: mostly not auxiliary relations."""
+    n = p.n
+    out = [AuxRelation(p, [rng.getrandbits(n) for _ in range(n)]) for _ in range(3)]
+    for r in rels:
+        sec = list(r.sec)
+        sec[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        out.append(AuxRelation(p, sec))
+    return out
+
+
+def _assert_batches_flag_the_checker_failures(p, rels, masks):
+    """Batches of ``approx.BATCH`` relations flag exactly the relations whose
+    checkers fail, suite by suite.  Returns how many relations fail."""
+    flags = {s: b"" for s in approx.BATCHED_SUITES}
+    for start in range(0, len(rels), approx.BATCH):
+        batch = approx.batch_failures(p, rels[start : start + approx.BATCH], masks, flags)
+        flags = {s: flags[s] + batch[s] for s in flags}
+    failing = 0
+    for k, r in enumerate(rels):
+        expected = _checker_failures(r, masks)
+        assert {s: flags[s][k] != 0 for s in flags} == expected, (p.up, r.sec)
+        failing += any(expected.values())
+    return failing
+
+
+def test_batches_flag_exactly_the_failing_relations_on_every_small_poset():
+    """Every relation on every labeled poset with n <= 4, three arbitrary
+    relations per poset and each relation with one section bit flipped."""
+    rng = random.Random(4)
+    relations = failing = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            rels = list(enumerate_aux(p))
+            rels += _perturbed(p, rels, rng)
+            relations += len(rels)
+            failing += _assert_batches_flag_the_checker_failures(p, rels, range(1 << n))
+    assert relations == 2 * 5560 + 3 * 242 and failing > 3000
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([0.2, 0.4, 0.6]),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_batches_flag_exactly_the_failing_relations_on_sampled_posets(n, density, seed, sampled):
+    """Up to n = 8 one byte per (set, relation); above it, and for a batch of
+    one, the relations' own tables.  Over every subset or a sample of them."""
+    rng = random.Random(seed)
+    p = random_poset(n, density, seed)
+    rels = list(dict.fromkeys(
+        [leq_aux(p), bottom_aux(p)] + [sample_aux(p, seed=seed + k) for k in range(4)]
+    ))
+    rels += _perturbed(p, rels, rng)
+    masks = sorted(rng.sample(range(1 << n), min(6, 1 << n))) if sampled else range(1 << n)
+    _assert_batches_flag_the_checker_failures(p, rels, masks)
+    _assert_batches_flag_the_checker_failures(p, rels[-1:], masks)
+
+
+def test_batches_under_broken_operators_flag_exactly_the_failing_relations(break_operators):
+    """The batch reads lap and uap where ``break_operators`` rewrites them."""
+    break_operators(
+        lap=lambda r, b, v: v ^ (b == 0b11 and sum(r.sec) % 5 == 0),
+        uap=lambda r, b, v: v ^ (b == 0b1 and sum(r.sec) % 5 == 1),
+    )
+    failing = 0
+    for n in range(1, 4):
+        for p in enumerate_posets(n):
+            failing += _assert_batches_flag_the_checker_failures(p, list(enumerate_aux(p)), range(1 << n))
+    assert failing > 0
+
+
+def test_batches_flag_a_broken_sections_join_that_only_the_adjunction_reads(monkeypatch):
+    """Only the Galois laws read the sections' join, so a join that drops
+    element 0 from g(full) on every third relation fails nothing else."""
+    full_of = lambda r: (1 << r.poset.n) - 1
+    broken = lambda r: sum(r.sec) % 3 == 0
+    table, above = approx._SEC_JOIN
+
+    def join_table(r):
+        wrong = bytearray(table(r))
+        wrong[full_of(r)] &= ~1 if broken(r) else 255
+        return bytes(wrong)
+
+    monkeypatch.setattr(approx, "_SEC_JOIN", (join_table, above))
+    real_batch = approx._batch_operators
+
+    def batch(p, rels):
+        lanes, full = real_batch(p, rels), (1 << p.n) - 1
+        real_join = lanes.join
+
+        def join(x):
+            out = bytearray(real_join(x))
+            for i, a in enumerate(x):
+                if a == full and broken(rels[i % len(rels)]):
+                    out[i] &= ~1
+            return bytes(out)
+
+        lanes.join = join
+        return lanes
+
+    monkeypatch.setattr(approx, "_batch_operators", batch)
+    only_adjunction = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            rels = list(enumerate_aux(p))
+            _assert_batches_flag_the_checker_failures(p, rels, range(1 << n))
+            only_adjunction += sum(not check_adjunction(r).ok for r in rels)
+    assert only_adjunction > 0
+
+
+def _force_lane(out, bit):
+    """A lane-law result with ``bit`` set in one of its failing-lane ints."""
+    if isinstance(out, dict):
+        first = next(iter(out))
+        return {**out, first: out[first] | bit}
+    if isinstance(out, tuple) and isinstance(out[0], dict):  # _relation_lanes
+        return (_force_lane(out[0], bit), out[1])
+    if isinstance(out, tuple):  # _partition_lanes: the overlap is last
+        return (*out[:-1], out[-1] | bit)
+    if isinstance(out[0], tuple):  # the pair laws: (law, first, second, bad)
+        return [(*out[0][:-1], out[0][-1] | bit), *out[1:]]
+    return [out[0] | bit, *out[1:]]  # _int_lanes: statement (2)
+
+
+@pytest.mark.parametrize(
+    "name, suite",
+    [
+        ("_basic_lanes", "algebra"),
+        ("_relation_lanes", "algebra"),
+        ("_algebra_lanes", "algebra"),
+        ("_pair_lanes", "algebra"),
+        ("_adjunction_lanes", "algebra"),
+        ("_partition_lanes", "partition"),
+        ("_int_lanes", "int-char"),
+    ],
+)
+def test_every_lane_law_reaches_the_batch_verdict(monkeypatch, name, suite):
+    """Forcing one failing lane into one lane law of a batch flags that lane's
+    relation, and that relation alone: every law enters its suite's verdict."""
+    p = diamond()
+    rels = list(enumerate_aux(p))
+    k = next(k for k, r in enumerate(rels) if r.sec == p.down)  # passes every statement
+    real = getattr(approx, name)
+    monkeypatch.setattr(approx, name, lambda *args: _force_lane(real(*args), 1 << 8 * k))
+    flags = approx.batch_failures(p, rels, range(1 << p.n), [suite])[suite]
+    assert [i for i, flag in enumerate(flags) if flag] == [k]

@@ -242,6 +242,25 @@ def test_lattice_operations_preserve_validity():
             validate_aux(p, aux_intersection(r1, r2).pairs())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0.2, 0.4, 0.6]),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([0.2, 0.5, 0.8]),
+)
+def test_auxiliary_relations_are_closed_under_union_and_intersection(n, density, seed, keep):
+    """aux_union and aux_intersection do not re-check the axioms, by this
+    theorem: each of aux-1, aux-2 and aux-3 holds of the union and the
+    intersection of two relations when it holds of both."""
+    p = random_poset(n, density, seed)
+    rels = [sample_aux(p, seed=seed + k, density=keep) for k in range(3)] + [leq_aux(p), bottom_aux(p)]
+    for r1 in rels:
+        for r2 in rels:
+            for combined in (aux_union(r1, r2), aux_intersection(r1, r2)):
+                assert validate_aux(p, combined.pairs()).sec == combined.sec
+
+
 def test_order_relation_tops_the_lattice_and_bottom_relation_floors_it(c3):
     for r in enumerate_aux(c3):
         assert aux_subset(r, leq_aux(c3))

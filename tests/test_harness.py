@@ -2,6 +2,7 @@
 
 import functools
 import json
+import types
 
 import pytest
 
@@ -13,10 +14,13 @@ from orderlab.harness import (
     SUITES,
     Instance,
     Scope,
+    _POSET_SUITES,
     _check,
     _fingerprint_of,
-    _instances_for,
+    _relation_plan,
     _scope_posets,
+    _scope_relations,
+    _scope_subsets,
     fingerprint,
     parse_fingerprint,
     register_property,
@@ -26,6 +30,21 @@ from orderlab.harness import (
 )
 from orderlab.poset import chain, diamond
 from orderlab.report import CheckReport
+
+
+def _instances_for(suite, scope, p, pi):
+    """The (relation, subset, second relation) of each instance of a suite on p."""
+    if suite in _POSET_SUITES:
+        yield None, None, None
+        if suite != "chain":
+            return
+    subsets = _scope_subsets(scope, p, pi)
+    for r in _scope_relations(scope, p, pi):
+        singles, per_subset = _relation_plan(suite, p, r)
+        yield from singles
+        if per_subset:
+            for bits in subsets:
+                yield r, bits, None
 
 
 # -- scope validation ---------------------------------------------------------
@@ -124,6 +143,9 @@ def test_a_raising_checker_fails_its_instances_and_the_run_goes_on(monkeypatch, 
         return real(r, a)
 
     monkeypatch.setattr(harness, "check_partition", broken)
+    # the batch decides partition without the checker; when it raises, every
+    # relation runs per instance, through the checker
+    _batches_raise(monkeypatch)
     rep = run_suite(scope, ["partition"])
     raising = [
         _fingerprint_of("partition", p, r, bits, r2)
@@ -213,30 +235,38 @@ def test_parallel_run_matches_serial():
     assert serial.to_json() == parallel.to_json()
 
 
-# -- relation-major order and per-relation batches --------------------------------------
+# -- relation-major order and relation batches -----------------------------------------
 
-_BATCHED = ("check_basic_laws", "check_partition", "check_chain_of_containments")
+
+def _batches_raise(monkeypatch):
+    """Make the relation batch raise, so that every relation of the batched
+    suites runs per instance."""
+
+    def batch(*args):
+        raise RuntimeError("batch")
+
+    monkeypatch.setattr(harness, "batch_failures", batch)
 
 
 def _family_calls_raise(monkeypatch):
-    """Make the three per-subset checkers in ``harness`` raise when asked
-    about more than one set, so that every batch runs per instance."""
-    for name in _BATCHED:
-        real = getattr(harness, name)
+    """Make the relation batch raise, and the chain checker when asked about
+    more than one set, so that every batch runs per instance."""
+    _batches_raise(monkeypatch)
+    real = harness.check_chain_of_containments
 
-        def one_set(r, a=None, sets=None, real=real):
-            if sets is not None and len(sets) > 1:
-                raise RuntimeError("family call")
-            return real(r, a) if a is not None else real(r, sets=sets)
+    def one_set(r, a=None, sets=None):
+        if sets is not None and len(sets) > 1:
+            raise RuntimeError("family call")
+        return real(r, a) if a is not None else real(r, sets=sets)
 
-        monkeypatch.setattr(harness, name, one_set)
+    monkeypatch.setattr(harness, "check_chain_of_containments", one_set)
 
 
 def _break_lap_and_uap(break_operators):
     """Flip element 0 of lap({0,1}) on a fifth of the relations and of
     uap({0}) on another fifth, in the tables that every module reads the
-    operators from: those relations fail laws of all three per-subset
-    suites, and the others pass."""
+    operators from: those relations fail laws of all four per-relation
+    suites that the batch and the chain checker decide, and the others pass."""
     break_operators(
         lap=lambda r, b, v: v ^ (b == 0b11 and sum(r.sec) % 5 == 0),
         uap=lambda r, b, v: v ^ (b == 0b1 and sum(r.sec) % 5 == 1),
@@ -268,7 +298,7 @@ def test_batched_and_per_instance_runs_give_the_same_report(
     checked = []
     real_check = harness._check
     monkeypatch.setattr(harness, "_check", lambda *inst: checked.append(inst) or real_check(*inst))
-    suites = ["algebra", "chain", "partition"]
+    suites = ["algebra", "chain", "int-char", "partition"]
     batched = run_suite(scope, suites)
     per_subset_checked = sum(bits is not None for _, _, _, bits, _ in checked)
     _family_calls_raise(monkeypatch)
@@ -279,7 +309,9 @@ def test_batched_and_per_instance_runs_give_the_same_report(
     assert batched.attempted == len(checked) and not batched.incomplete
     if broken:
         # the relations that fail go per instance, the others pass as batches
-        assert {e["law"].split(".")[0] for e in batched.failures} == {"basic", "chain", "partition"}
+        assert {e["law"].split(".")[0] for e in batched.failures} == {
+            "basic", "chain", "int-char", "partition"
+        }
         assert 0 < per_subset_checked < per_subset
     else:
         assert batched.failures == [] and per_subset_checked == 0 < per_subset
@@ -298,30 +330,71 @@ def _relation_major(scope, suites):
                 yield from ((s, p, *i) for i in per_suite[s] if i[0] is not None and i[0].sec == r.sec)
 
 
-def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_operators):
-    _break_lap_and_uap(break_operators)
-    suites = ("algebra", "chain", "continuity", "partition")
-    order = list(_relation_major(Scope(max_n=3), suites))
-    inside = [
-        cap
-        for cap in range(1, len(order))
-        if order[cap][3] is not None and order[cap][:3] == order[cap - 1][:3]
-    ]
-    caps = inside[:: len(inside) // 12]
-    found = {s: ([], []) for s in suites}
+_CUT_SUITES = ("algebra", "chain", "continuity", "int-char", "partition")
+
+
+def _prefix_reports(order):
+    """For each k, the (passed, failures, findings) of running the first k
+    instances of ``order`` one at a time."""
+    found = {s: ([], []) for s in _CUT_SUITES}
     passed = 0
-    for done, inst in enumerate(order):
-        if done in caps:
-            rep = run_suite(Scope(max_n=3, max_instances=done), suites)
-            assert (rep.attempted, rep.passed, rep.incomplete) == (done, passed, True)
-            assert rep.failures == [e for s in suites for e in found[s][0]], done
-            assert rep.findings == [e for s in suites for e in found[s][1]], done
+    for inst in order:
+        yield passed, *([e for s in _CUT_SUITES for e in found[s][i]] for i in (0, 1))
         verdicts = _check(*inst)
         passed += not verdicts.failures
         fp = _fingerprint_of(*inst)
         for out, bad in zip(found[inst[0]], (verdicts.failures, verdicts.findings)):
             out.extend({"law": v.law, "fingerprint": fp, "witness": v.witness} for v in bad)
-    assert found["algebra"][0] and found["partition"][0]
+
+
+def _inside_a_batch(order, cap):
+    """Whether the first ``cap`` instances end inside one relation's instances
+    of a suite, or between two relations of one poset."""
+    (suite, p, r), (last_suite, last_p, last_r) = order[cap][:3], order[cap - 1][:3]
+    return r is not None and p is last_p and (suite, r) != (last_suite, last_r) or (
+        (suite, r) == (last_suite, last_r) and order[cap][3] is not None
+    )
+
+
+def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_operators):
+    _break_lap_and_uap(break_operators)
+    order = list(_relation_major(Scope(max_n=3), _CUT_SUITES))
+    inside = [cap for cap in range(1, len(order)) if _inside_a_batch(order, cap)]
+    between = [cap for cap in inside if order[cap][2] is not order[cap - 1][2]]
+    caps = set(inside[:: len(inside) // 12] + between[:: len(between) // 6])
+    prefixes = list(_prefix_reports(order))
+    for cap in sorted(caps):
+        rep = run_suite(Scope(max_n=3, max_instances=cap), _CUT_SUITES)
+        passed, failures, findings = prefixes[cap]
+        assert (rep.attempted, rep.passed, rep.incomplete) == (cap, passed, True)
+        assert (rep.failures, rep.findings) == (failures, findings), cap
+    assert any(e["law"].startswith("int-char") for e in prefixes[-1][1])
+    assert {order[cap][0] for cap in caps} >= {"algebra", "int-char", "partition"}
+
+
+def test_a_deadline_inside_a_batch_stops_at_an_instance_boundary(monkeypatch, break_operators):
+    """The clock passes the deadline after a given number of readings; the run
+    then holds exactly its first ``attempted`` instances in run order."""
+    _break_lap_and_uap(break_operators)
+    order = list(_relation_major(Scope(max_n=3), _CUT_SUITES))
+    prefixes = list(_prefix_reports(order)) + [None]
+    readings = []
+    monkeypatch.setattr(
+        harness, "time", types.SimpleNamespace(monotonic=lambda: readings.append(0) or 0.0)
+    )
+    run_suite(Scope(max_n=3, wall_time_s=1.0), _CUT_SUITES)
+    cuts = set()
+    for count in range(1, len(readings) + 2, len(readings) // 40):
+        clock = iter(range(count))
+        monkeypatch.setattr(
+            harness, "time", types.SimpleNamespace(monotonic=lambda: next(clock, 1e10) * 1e-9)
+        )
+        rep = run_suite(Scope(max_n=3, wall_time_s=1.0), _CUT_SUITES)
+        passed, failures, findings = prefixes[rep.attempted]
+        assert (rep.passed, rep.failures, rep.findings) == (passed, failures, findings)
+        cuts.add(rep.attempted)
+    assert len(cuts) > 30
+    assert sum(_inside_a_batch(order, cut) for cut in cuts if 0 < cut < len(order)) >= 10
 
 
 def test_a_campaign_tabulates_each_relation_and_sweeps_each_poset_once(monkeypatch):
