@@ -22,7 +22,7 @@ The laws over a family of sets are decided on lanes, SIMD within a register
 of an int holds set j of the family for relation k, in ``bitset.lane_width``
 bytes.  A checker's lanes hold one relation, and ``_gather`` maps them
 through its tables, or through byte-sliced translates above the bound.  A
-batch's lanes hold up to ``BATCH`` relations of one poset at one byte per
+batch's lanes hold up to ``BATCH`` relations of a small poset at one byte per
 (set, relation), bitsliced across relations (Biham, FSE 1997): a union (hit,
 the sections' join) is n rounds of acc |= (x >> i & ones) * 255 & row_i over
 the whole family, row_i tiling row i of every relation, while down, the
@@ -347,12 +347,10 @@ def _unions(rows: list[int], count: int) -> Callable[[bytes], bytes]:
 
 
 def _batch_operators(p: Poset, rels: Sequence[AuxRelation]) -> _Lanes:
-    """The lanes of relations on p, where a batch reads lap and uap: one
-    relation's tables, else one byte per (set, relation), n <= ``TABLE_MAX_N``,
-    with lap(x) = x & hit(x), uap(x) = comp(hit(comp(down(x)))), the unions
-    from ``_unions`` and down and comp a translate each."""
-    if len(rels) == 1:
-        return _single(rels[0])
+    """The lanes of several relations on p, n <= ``TABLE_MAX_N``, where a batch
+    reads lap and uap: one byte per (set, relation), with lap(x) = x & hit(x),
+    uap(x) = comp(hit(comp(down(x)))), the unions from ``_unions`` and down
+    and comp a translate each."""
     comp, down, ones = _complements(p.n), _down_bytes(p), _int(b"\1" * len(rels))
     secs = [_int(bytes(row)) for row in zip(*(r.sec for r in rels))]
     # the sections transposed on lanes: bit j of above(i) is bit i of sec(j)
@@ -718,6 +716,7 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
 # -- every relation of a batch at once -------------------------------------------
 
 BATCH = 64  # relations per batch
+SHARED_MAX_SETS = 48  # the most upper sets of a poset whose relations share lanes
 BATCHED_SUITES = ("algebra", "int-char", "partition")
 
 
@@ -726,16 +725,30 @@ def batch_failures(
 ) -> dict[str, bytes]:
     """Per suite of ``BATCHED_SUITES`` in ``suites``, one byte per relation of
     ``rels``, not 0 exactly where a checker that the suite runs on it (the
-    per-subset ones over ``masks``) fails a law.  The checkers' lane laws
-    decide every relation at once; all of a suite's failing lanes fold to one
-    lane per relation together, since every family's lanes are blocks of one
-    lane per relation.  Above ``TABLE_MAX_N`` relations go one at a time.
-    ``basic.leq-identities`` is decided once, on the sets alone."""
-    n, w = p.n, lane_width(p.n)
-    if len(rels) > 1 and n > TABLE_MAX_N:
-        each = [batch_failures(p, [r], masks, suites) for r in rels]
+    per-subset ones over ``masks``) fails a law.  Relations share lanes up to
+    ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``, above which the m^2 lanes of the
+    pair laws (m upper sets) make shared unions slower than their tables."""
+    if len(rels) == 1 or p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
+        each = [_group_failures(p, [r], _single(r), masks, suites) for r in rels]
         return {s: b"".join(f[s] for f in each) for s in each[0]}
-    lanes, size = _batch_operators(p, rels), 8 * w * len(rels)
+    return _group_failures(p, rels, _batch_operators(p, rels), masks, suites)
+
+
+_leq_memo: list = [None, None, False]  # poset, masks, whether leq-identities fails
+
+
+def _leq_fails(p: Poset, masks: Sequence[int]) -> bool:
+    """Decided once for the batches of a poset, which share p and ``masks``."""
+    if _leq_memo[0] is not p or _leq_memo[1] is not masks:
+        _leq_memo[:] = p, masks, any(_leq_identities(p, _pack(masks, p.n)))
+    return _leq_memo[2]
+
+
+def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, bytes]:
+    """``batch_failures`` of relations on the ``lanes`` they share.  All of a
+    suite's failing lanes fold to one lane per relation together, since every
+    family's lanes are blocks of one lane per relation."""
+    n, w, size = p.n, lane_width(p.n), 8 * lane_width(p.n) * len(rels)
     _, low, high = _lane_constants(len(rels), w)
 
     def flag(e: int) -> int:  # the top bit of the lane of each relation that e fails
@@ -760,6 +773,5 @@ def batch_failures(
             *_algebra_lanes(lanes, leq, leq, lanes, everything).values(),
             *(bad for *_, bad in _pair_lanes(lanes) + _adjunction_lanes(lanes)),
         ]
-        leq_fails = any(_leq_identities(p, _pack(masks, n)))
-        fails["algebra"] = flag(reduce(or_, laws)) | high * leq_fails
+        fails["algebra"] = flag(reduce(or_, laws)) | high * _leq_fails(p, masks)
     return {s: (e >> 8 * w - 1).to_bytes(size // 8, "little")[::w] for s, e in fails.items()}

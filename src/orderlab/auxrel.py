@@ -234,8 +234,9 @@ def classify(r: AuxRelation) -> AuxClass:
 
 
 def aux_union(r1: AuxRelation, r2: AuxRelation) -> AuxRelation:
-    """No re-check: aux-1, aux-2 and aux-3 hold of a union (and an intersection)
-    when they hold of both operands."""
+    """Like ``aux_intersection``, trusts its operands: no ``AxiomViolation``, as
+    aux-1, aux-2 and aux-3 hold of a union and an intersection of relations
+    that satisfy them."""
     _check_same_poset(r1, r2)
     return AuxRelation(r1.poset, (a | b for a, b in zip(r1.sec, r2.sec)))
 

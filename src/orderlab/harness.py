@@ -13,10 +13,10 @@ alone.  A campaign hands the objects it generates (poset, relation,
 subset, second relation) straight to the checkers.
 
 The relations of a poset are taken in batches of ``approx.BATCH``.  One
-call of ``approx.batch_failures`` per batch decides, for every relation at
-once, whether the ``algebra``, ``int-char`` and ``partition`` checkers pass
-on it; ``chain`` is decided by one call of its checker over the relation's
-whole subset family.  A (suite, relation) that passes is tallied as passed,
+call of ``approx.batch_failures`` per batch decides, for every relation
+(together on a small poset), whether the ``algebra``, ``int-char`` and
+``partition`` checkers pass on it; ``chain`` is decided by one call of its
+checker over the relation's whole subset family.  A (suite, relation) that passes is tallied as passed,
 all its instances at once, with no report built.  One that fails, a batch
 that raises, and a tally that would cross the instance cap or start past
 the deadline run per instance instead, so their entries are exactly those
@@ -150,7 +150,7 @@ def _scope_relations(scope: Scope, p: Poset, pi: int) -> Iterator[AuxRelation]:
     once: here, or by ``aux_closure`` for a sampled one.
 
     Lazy, and only their sections are kept to drop repeats, so a caller that
-    holds one relation at a time holds one relation's memoized tables."""
+    holds ``approx.BATCH`` relations at a time holds their memoized tables."""
     if scope.rel_mode == "enumerate":
         rels = enumerate_aux(p)
     elif scope.rel_mode == "builtins":
@@ -353,10 +353,10 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     """Run and tally each instance as it is generated, in one serial pass.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance and each tally of a passing batch.  An exception a checker raises
-    fails the hard law ``internal.error`` of its instance, with
-    ``"<Type>: <message>"`` as the witness, and the run goes on.  ``jobs``
-    is accepted for compatibility and ignored.
+    before each instance and each tally of a passing batch.  An exception a
+    checker raises fails the hard law ``internal.error`` of its instance, with
+    ``"<Type>: <message>"`` as the witness, and the run goes on.  ``jobs`` is
+    accepted for compatibility and ignored.
     """
     suite_list = tuple(sorted(set(suites)))
     for s in suite_list:

@@ -55,10 +55,9 @@ def break_operators(monkeypatch):
         real_fill, real_hit, real_batch = approx._fill_tables, approx._hit, approx._batch_operators
 
         def batch(p, rels):
-            lanes = real_batch(p, rels)  # one relation reads its own tables
-            tables = [fill(r) for r in rels] if len(rels) > 1 else None
+            lanes, tables = real_batch(p, rels), [fill(r) for r in rels]
             for k, name in enumerate(("lap", "uap")):
-                if tables and (lap, uap)[k] is not None:
+                if (lap, uap)[k] is not None:
                     wrong = lambda x, k=k: bytes(
                         tables[i % len(rels)][k][a] for i, a in enumerate(x)
                     )

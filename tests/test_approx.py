@@ -1133,8 +1133,9 @@ def test_batches_flag_exactly_the_failing_relations_on_every_small_poset():
     st.booleans(),
 )
 def test_batches_flag_exactly_the_failing_relations_on_sampled_posets(n, density, seed, sampled):
-    """Up to n = 8 one byte per (set, relation); above it, and for a batch of
-    one, the relations' own tables.  Over every subset or a sample of them."""
+    """Up to n = 8 and ``approx.SHARED_MAX_SETS`` upper sets one byte per
+    (set, relation); above either, and for a batch of one, the relations' own
+    tables.  Over every subset or a sample of them."""
     rng = random.Random(seed)
     p = random_poset(n, density, seed)
     rels = list(dict.fromkeys(

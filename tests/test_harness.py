@@ -334,12 +334,14 @@ _CUT_SUITES = ("algebra", "chain", "continuity", "int-char", "partition")
 
 
 def _prefix_reports(order):
-    """For each k, the (passed, failures, findings) of running the first k
-    instances of ``order`` one at a time."""
+    """For each k up to len(order), the (passed, failures, findings) of running
+    the first k instances of ``order`` one at a time."""
     found = {s: ([], []) for s in _CUT_SUITES}
     passed = 0
-    for inst in order:
+    for inst in [*order, None]:
         yield passed, *([e for s in _CUT_SUITES for e in found[s][i]] for i in (0, 1))
+        if inst is None:
+            return
         verdicts = _check(*inst)
         passed += not verdicts.failures
         fp = _fingerprint_of(*inst)
@@ -368,7 +370,10 @@ def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_opera
         passed, failures, findings = prefixes[cap]
         assert (rep.attempted, rep.passed, rep.incomplete) == (cap, passed, True)
         assert (rep.failures, rep.findings) == (failures, findings), cap
-    assert any(e["law"].startswith("int-char") for e in prefixes[-1][1])
+    # the broken operators fail laws of every batched suite, so the caps are
+    # compared on failing tallies too
+    failing = {parse_fingerprint(e["fingerprint"]).suite for e in prefixes[-1][1]}
+    assert failing >= {"algebra", "int-char", "partition"}
     assert {order[cap][0] for cap in caps} >= {"algebra", "int-char", "partition"}
 
 
@@ -377,7 +382,7 @@ def test_a_deadline_inside_a_batch_stops_at_an_instance_boundary(monkeypatch, br
     then holds exactly its first ``attempted`` instances in run order."""
     _break_lap_and_uap(break_operators)
     order = list(_relation_major(Scope(max_n=3), _CUT_SUITES))
-    prefixes = list(_prefix_reports(order)) + [None]
+    prefixes = list(_prefix_reports(order))
     readings = []
     monkeypatch.setattr(
         harness, "time", types.SimpleNamespace(monotonic=lambda: readings.append(0) or 0.0)
