@@ -5,7 +5,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orderlab import approx, auxrel, topology
@@ -1132,6 +1132,8 @@ def test_batches_flag_exactly_the_failing_relations_on_every_small_poset():
     st.integers(min_value=0, max_value=10**6),
     st.booleans(),
 )
+@example(8, 0.4, 0, False)  # 48 upper sets: shared lanes
+@example(8, 0.2, 2, False)  # 72 upper sets: each relation's tables
 def test_batches_flag_exactly_the_failing_relations_on_sampled_posets(n, density, seed, sampled):
     """Up to n = 8 and ``approx.SHARED_MAX_SETS`` upper sets one byte per
     (set, relation); above either, and for a batch of one, the relations' own
