@@ -30,8 +30,12 @@ complement and the upper and filtered flags stay one translate each.  Each
 law is a few big-int operations, shared by its checker and
 ``batch_failures``, whose nonzero lanes are its failing sets: a checker's
 witness is the set at the lowest one, and a batch folds them to one lane per
-relation in halving ORs.  The per-poset tables and set lists come from the
-one-entry memo of ``poset``.
+relation in halving ORs; ``basic.leq-identities``, which does not depend on
+the relation, is decided once per batch.  The per-poset tables and set lists
+come from the one-entry memo of ``poset``.  Only this module knows the table
+bound and the tables behind the lanes: other modules pack lanes with
+``_pack`` and map them with ``_gather`` through an operator ``_Op``, and a
+table indexed by mask, such as a reference table, is its own (``_TABLE``).
 """
 
 from __future__ import annotations
@@ -255,18 +259,10 @@ def _lower_covers(p: Poset) -> tuple[bytes, bytes]:
 
 
 def _spread(lanes: bytes, m: int, size: int) -> bytes:
-    """Each block of ``size`` bytes of ``lanes`` repeated m times in place.  Up
-    to 256 one-byte blocks a translate of the block indices reads them."""
+    """Each block of ``size`` bytes of ``lanes`` repeated m times in place."""
     if m == 1:
         return lanes
-    if size == 1 and len(lanes) <= 256:
-        return _block_indices(len(lanes), m).translate(lanes.ljust(256, b"\0"))
     return b"".join(lanes[i : i + size] * m for i in range(0, len(lanes), size))
-
-
-@lru_cache(maxsize=256)
-def _block_indices(count: int, m: int) -> bytes:
-    return b"".join(bytes([i]) * m for i in range(count))
 
 
 def _per_mask(at: Callable[..., Callable[[int], int]]) -> Callable[..., int]:
@@ -293,6 +289,8 @@ _FILTERED: _Op = (
 _SEC_JOIN: _Op = (
     lambda r: ByteUnions.byte_table(r.sec), lambda r, lanes, n: ByteUnions(r.sec).gather(lanes)
 )
+# A table of one mask per mask, such as a reference table, as its own operator.
+_TABLE: _Op = (lambda table: table.ljust(256, b"\0"), _per_mask(lambda table: table.__getitem__))
 
 
 # -- lanes of several relations ------------------------------------------------
@@ -734,16 +732,6 @@ def batch_failures(
     return _group_failures(p, rels, _batch_operators(p, rels), masks, suites)
 
 
-_leq_memo: list = [None, None, False]  # poset, masks, whether leq-identities fails
-
-
-def _leq_fails(p: Poset, masks: Sequence[int]) -> bool:
-    """Decided once for the batches of a poset, which share p and ``masks``."""
-    if _leq_memo[0] is not p or _leq_memo[1] is not masks:
-        _leq_memo[:] = p, masks, any(_leq_identities(p, _pack(masks, p.n)))
-    return _leq_memo[2]
-
-
 def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, bytes]:
     """``batch_failures`` of relations on the ``lanes`` they share.  All of a
     suite's failing lanes fold to one lane per relation together, since every
@@ -754,7 +742,8 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     def flag(e: int) -> int:  # the top bit of the lane of each relation that e fails
         return _nonzero(_fold(e, size), low, high) if len(rels) > 1 else high * (e != 0)
 
-    family = lanes.tile(_pack(masks, n))
+    packed = _pack(masks, n)
+    family = lanes.tile(packed)
     fails = {}
     if "partition" in suites:
         fails["partition"] = flag(reduce(or_, _partition_lanes(lanes, family)[3:]))
@@ -773,5 +762,6 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
             *_algebra_lanes(lanes, leq, leq, lanes, everything).values(),
             *(bad for *_, bad in _pair_lanes(lanes) + _adjunction_lanes(lanes)),
         ]
-        fails["algebra"] = flag(reduce(or_, laws)) | high * _leq_fails(p, masks)
+        # basic.leq-identities does not depend on the relation: all fail it or none
+        fails["algebra"] = flag(reduce(or_, laws)) | high * any(_leq_identities(p, packed))
     return {s: (e >> 8 * w - 1).to_bytes(size // 8, "little")[::w] for s, e in fails.items()}

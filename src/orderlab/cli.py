@@ -483,7 +483,7 @@ def _cmd_search(args) -> int:
     return 0 if witness is None else 3
 
 
-def _add_scope_flags(sp, *, subset_default="all") -> None:
+def _add_scope_flags(sp) -> None:
     sp.add_argument("--max-n", type=int, default=3, dest="max_n")
     sp.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
     sp.add_argument(
@@ -500,7 +500,7 @@ def _add_scope_flags(sp, *, subset_default="all") -> None:
     sp.add_argument(
         "--subset-mode",
         choices=("all", "sample"),
-        default=subset_default,
+        default="all",
         dest="subset_mode",
     )
     sp.add_argument("--subset-sample", type=int, default=8, dest="subset_sample")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from . import reference
 from .approx import (
     _DOWN,
+    _TABLE,
     _UAP,
     _gather,
     _int,
@@ -56,7 +57,7 @@ def has_one_step_closure(p: Poset) -> tuple[bool, dict | None]:
     missed = steps ^ closures
     # an image is closed when its complement is its own interior
     rest = steps ^ ((1 << n) - 1) * _lane_constants(1 << n, w)[0]
-    inner = _gather(rest.to_bytes(w << n, "little"), n, reference.INTERIOR, p)
+    inner = _gather(rest.to_bytes(w << n, "little"), n, _TABLE, reference.scott_interiors(p))
     if (not missed) != (_int(inner) == rest):
         raise OrderlabError(
             "one-step closure criteria disagree; definitions are inconsistent"
@@ -71,7 +72,7 @@ def is_meet_continuous(p: Poset) -> bool:
     x <= s misses the closure of down(C) & down(x) when it is in the interior
     of the complement."""
     n, w = p.n, lane_width(p.n)
-    sups = reference.directed_sups(p)
+    sups, inner = reference.directed_sups(p), reference.scott_interiors(p)
     directed = _pack((d for d, _ in sups), n)
     reached = _int(_gather(directed, n, _DOWN, p))
     below_sup = _int(_pack((p.down[s] for _, s in sups), n))
@@ -79,7 +80,7 @@ def is_meet_continuous(p: Poset) -> bool:
     fulls = ((1 << n) - 1) * ones
     for x in range(n):
         rest = (reached & p.down[x] * ones) ^ fulls
-        inside = _int(_gather(rest.to_bytes(len(directed), "little"), n, reference.INTERIOR, p))
+        inside = _int(_gather(rest.to_bytes(len(directed), "little"), n, _TABLE, inner))
         if inside & below_sup & (1 << x) * ones:
             return False
     return True

@@ -17,10 +17,12 @@ The rest is built once per poset, through the memo of ``poset`` that the
 poset-level suites of a campaign share: ``subset_sups``, the directed
 suprema inside every mask, read by ``scott_masks`` and ``one_step_images``
 (whose per-mask oracle is ``one_step_mask``); ``scott_interiors``, from
-the Scott opens; and ``way_below``, which reads ``poset._down_table``, the
-table the approximation operators share.  ``subset_sups`` and
-``scott_interiors`` are each one ``bitset.submask_unions``, ``bytes`` up
-to ``approx.TABLE_MAX_N``; the laws read them on lanes.  Every
+the Scott opens; and ``way_below``.  ``way_below`` and ``one_step_images``
+read the down closures off ``poset._down_table``, never off the byte
+tables of the approximation operators, so a law that compares the engine
+with this oracle compares two computations.  ``subset_sups`` and
+``scott_interiors`` are each one ``bitset.submask_unions``, indexed by
+mask; the laws read them on the lanes of ``approx``.  Every
 reference-derived table lives here.
 """
 
@@ -30,11 +32,11 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .approx import TABLE_MAX_N, _down_bytes, _int, _lane_constants, _Op, _pack, _per_mask
+from .approx import _int, _lane_constants, _pack
 from .auxrel import AuxRelation
 from .bitset import iter_bits, lane_width, plane_masks, planes, submask_unions
 from .errors import BudgetExceeded
-from .poset import MAX_DIRECTED_UNIVERSE, Poset, _down_table, _join, _per_poset, _upper_masks
+from .poset import MAX_DIRECTED_UNIVERSE, Poset, _down_table, _join, _per_poset, _upper_list
 
 
 @lru_cache(maxsize=2048)
@@ -79,7 +81,7 @@ def scott_masks(p: Poset) -> tuple[int, ...]:
     """The upper sets that every directed set with its supremum inside meets:
     no directed subset of the complement has its supremum inside."""
     sups, full = subset_sups(p), (1 << p.n) - 1
-    return tuple(m for m in _upper_masks(p.up, p.down) if not sups[full ^ m] & m)
+    return tuple(m for m in _upper_list(p) if not sups[full ^ m] & m)
 
 
 @_per_poset
@@ -89,22 +91,11 @@ def scott_interiors(p: Poset) -> bytes | memoryview:
 
 
 @_per_poset
-def one_step_images(p: Poset) -> bytes | tuple[int, ...]:
+def one_step_images(p: Poset) -> tuple[int, ...]:
     """``one_step_mask`` of every mask, indexed by mask: the suprema of the
-    directed subsets of down(b), among them each member as a singleton.  Up
-    to ``TABLE_MAX_N`` it is one translate of the down table."""
-    sups = subset_sups(p)
-    if p.n <= TABLE_MAX_N:
-        return _down_bytes(p).translate(sups.ljust(256, b"\0"))[: 1 << p.n]
-    return tuple(map(sups.__getitem__, _down_table(p)))
-
-
-# The interiors as a lane operator of ``approx``: a translate table up to
-# TABLE_MAX_N, an entry at one mask above.
-INTERIOR: _Op = (
-    lambda p: scott_interiors(p).ljust(256, b"\0"),
-    _per_mask(lambda p: scott_interiors(p).__getitem__),
-)
+    directed subsets of down(b), among them each member as a singleton.  The
+    sweep of ``subset_sups`` checks the budget before the down table is built."""
+    return tuple(map(subset_sups(p).__getitem__, _down_table(p)))
 
 
 def scott_closure_lanes(p: Poset) -> int:

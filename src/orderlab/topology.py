@@ -21,6 +21,7 @@ from . import reference
 from .approx import (
     _COMPLEMENT,
     _LAP,
+    _TABLE,
     _UAP,
     _family_masks,
     _family_scope,
@@ -343,7 +344,7 @@ def check_continuity_characterization(
     n, w = p.n, lane_width(p.n)
     uppers = _upper_lanes(p)
     lowers = _gather(uppers, n, _COMPLEMENT, p)  # lane by lane, the complements
-    interiors = _gather(uppers, n, reference.INTERIOR, p)
+    interiors = _gather(uppers, n, _TABLE, reference.scott_interiors(p))
     closures = _gather(interiors, n, _COMPLEMENT, p)  # of the lowers
 
     def lap_matches(r: AuxRelation) -> bool:
@@ -402,10 +403,10 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     mu = mu_topology(r)
     cls = classify(r)
     rep = CheckReport(_subject(r), "induced topology")
+    cs_spec, witness = is_c_space(mu, "specialization")
 
     if cls.has_int:
-        cs, witness = is_c_space(mu)
-        rep.add("cspace.int-implies-cspace", cs, witness)
+        rep.add("cspace.int-implies-cspace", cs_spec, witness)
 
         sections = r.above
 
@@ -430,7 +431,6 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
             "cspace.sections-form-base", True, note="vacuous: no interpolation"
         )
 
-    cs_spec, _ = is_c_space(mu, "specialization")
     cs_under, _ = is_c_space(mu, "underlying")
     converse_ok = not (cs_spec and not cls.approximating)
     rep.add(

@@ -47,6 +47,7 @@ from orderlab.poset import (
     enumerate_lower_sets,
     enumerate_posets,
     enumerate_upper_sets,
+    from_rows,
     random_poset,
 )
 from orderlab.report import CheckReport
@@ -1225,15 +1226,36 @@ def _force_lane(out, bit):
         ("_adjunction_lanes", "algebra"),
         ("_partition_lanes", "partition"),
         ("_int_lanes", "int-char"),
+        ("_leq_identities", "algebra"),
     ],
 )
 def test_every_lane_law_reaches_the_batch_verdict(monkeypatch, name, suite):
     """Forcing one failing lane into one lane law of a batch flags that lane's
-    relation, and that relation alone: every law enters its suite's verdict."""
+    relation, and that relation alone: every law enters its suite's verdict.
+    ``basic.leq-identities`` does not depend on the relation, so its failing
+    lane flags every relation of the batch."""
     p = diamond()
     rels = list(enumerate_aux(p))
     k = next(k for k, r in enumerate(rels) if r.sec == p.down)  # passes every statement
     real = getattr(approx, name)
     monkeypatch.setattr(approx, name, lambda *args: _force_lane(real(*args), 1 << 8 * k))
     flags = approx.batch_failures(p, rels, range(1 << p.n), [suite])[suite]
-    assert [i for i, flag in enumerate(flags) if flag] == [k]
+    flagged = [i for i, flag in enumerate(flags) if flag]
+    assert flagged == (list(range(len(rels))) if name == "_leq_identities" else [k])
+
+
+def test_each_batch_of_a_poset_decides_leq_identities(monkeypatch):
+    """A poset with more relations than ``BATCH`` takes several batches over
+    one family of subsets, and each batch decides ``basic.leq-identities``
+    itself: forced to fail, it flags every relation of every batch."""
+    p = from_rows((1, 3, 5, 15, 23))  # a five-point class with 198 relations
+    rels, masks = list(enumerate_aux(p)), range(1 << p.n)
+    assert len(rels) == 198
+    real, calls = approx._leq_identities, []
+    monkeypatch.setattr(
+        approx, "_leq_identities", lambda *args: calls.append(args) or _force_lane(real(*args), 1)
+    )
+    for start in range(0, len(rels), approx.BATCH):
+        flags = approx.batch_failures(p, rels[start : start + approx.BATCH], masks, ["algebra"])
+        assert all(flags["algebra"])
+    assert len(calls) == 4

@@ -180,3 +180,28 @@ def test_the_one_step_and_scott_closure_tables_match_the_per_mask_oracles():
         _tables_match_the_per_mask_oracles(p)
 
     sampled()
+
+
+def test_a_wrong_entry_of_the_engine_down_table_fails_equals_down_closure():
+    """The one-step images read the oracle's own down closures, not the
+    engine's byte table of them (the table ``_DOWN`` gathers and
+    ``_fill_tables`` reads).  Dropping one element of down(b) minus b from
+    that table at one mask b fails ``onestep.equals-down-closure``, on every
+    labeled poset with n <= 4 that has such a mask."""
+    broken = 0
+    try:
+        for n in range(1, 5):
+            for p in enumerate_posets(n):
+                table = approx._down_bytes(p)  # p is now the poset of the memo
+                b = next((b for b in range(1 << n) if table[b] != b), None)
+                if b is None:
+                    continue
+                extra = table[b] & ~b
+                wrong = bytearray(table)
+                wrong[b] ^= extra & -extra
+                poset._memo[approx._down_bytes.__wrapped__] = bytes(wrong)
+                assert not check_sec5_theorems(p).verdict("onestep.equals-down-closure").passed
+                broken += 1
+    finally:
+        poset._memo_poset = None  # no later test reads the wrong table
+    assert broken == 242 - 4  # every labeled poset with n <= 4 but the antichains

@@ -421,13 +421,11 @@ def test_a_campaign_tabulates_each_relation_and_sweeps_each_poset_once(monkeypat
 
 def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch):
     way_below, scott = [], []
-    real_aux, real_upper = reference.AuxRelation, reference._upper_masks
+    real_aux, real_upper = reference.AuxRelation, reference._upper_list
     monkeypatch.setattr(
         reference, "AuxRelation", lambda p, rows: way_below.append(p) or real_aux(p, rows)
     )
-    monkeypatch.setattr(
-        reference, "_upper_masks", lambda up, down: scott.append(up) or real_upper(up, down)
-    )
+    monkeypatch.setattr(reference, "_upper_list", lambda p: scott.append(p.up) or real_upper(p))
     scope = Scope(
         max_n=5, rel_mode="sample", rel_sample=1, subset_mode="sample", subset_sample=4, seed=1
     )
