@@ -177,21 +177,8 @@ def _opens_dot(t: Topology) -> str:
     masks = t.masks
     if len(masks) > 128:
         raise BudgetExceeded(f"{len(masks)} opens is too many to render")
-    lines = ["digraph opens {", "  rankdir=BT;"]
-    for k, m in enumerate(masks):
-        lines.append(f'  {k} [label="{{{mask_text(m)}}}"];')
-    for a, ma in enumerate(masks):
-        for b, mb in enumerate(masks):
-            if ma == mb or ma & ~mb:
-                continue
-            covered = any(
-                mc not in (ma, mb) and not ma & ~mc and not mc & ~mb
-                for mc in masks
-            )
-            if not covered:
-                lines.append(f"  {a} -> {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    up = [sum(1 << k for k, mb in enumerate(masks) if not ma & ~mb) for ma in masks]
+    return export_dot(Poset(up, [f"{{{mask_text(m)}}}" for m in masks]), name="opens")
 
 
 def _emit_topology(t: Topology, fmt: str, out: str | None) -> None:
@@ -343,15 +330,9 @@ def _topology_for(args, p: Poset) -> Topology:
     return scott_topology(p)
 
 
-def _cmd_topology_mu(args) -> int:
+def _cmd_topology(args) -> int:
     p = _load_poset_arg(args.poset)
-    _emit_topology(mu_topology(_load_rel(p, args.rel)), args.format, args.out)
-    return 0
-
-
-def _cmd_topology_scott(args) -> int:
-    p = _load_poset_arg(args.poset)
-    _emit_topology(scott_topology(p), args.format, args.out)
+    _emit_topology(_topology_for(args, p), args.format, args.out)
     return 0
 
 
@@ -596,17 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     # topology
     topo_p = top.add_parser("topology", help="induced and Scott topologies")
     tsub = topo_p.add_subparsers(dest="sub", required=True)
-    sp = tsub.add_parser("mu")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--rel", required=True)
-    sp.add_argument("--out", default=None)
-    _fmt(sp, ("json", "text", "dot"), "json")
-    sp.set_defaults(func=_cmd_topology_mu)
-    sp = tsub.add_parser("scott")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--out", default=None)
-    _fmt(sp, ("json", "text", "dot"), "json")
-    sp.set_defaults(func=_cmd_topology_scott)
+    for name in ("mu", "scott"):
+        sp = tsub.add_parser(name)
+        sp.add_argument("--poset", required=True)
+        if name == "mu":
+            sp.add_argument("--rel", required=True)
+        sp.add_argument("--out", default=None)
+        _fmt(sp, ("json", "text", "dot"), "json")
+        sp.set_defaults(func=_cmd_topology, topology=name)
     for name in ("interior", "closure"):
         sp = tsub.add_parser(name)
         sp.add_argument("--poset", required=True)

@@ -26,6 +26,10 @@ order above.
 Each failure or finding carries a fingerprint that reconstructs the
 instance exactly; replay is the only code that decodes one, and it
 re-validates what it decodes before re-executing the instance in isolation.
+One table, ``_SHAPES``, maps each instance shape (the suite, and whether a
+relation, a subset and a second relation are given) to its checker: the
+campaign dispatches through it, its keys give the suite lists, and replay
+accepts exactly its shapes, besides the witness of a ``property:`` search.
 """
 
 from __future__ import annotations
@@ -82,19 +86,24 @@ from .topology import (
 
 VERSION = "0.1.0"
 
-SUITES = (
-    "algebra",
-    "chain",
-    "continuity",
-    "cspace",
-    "int-char",
-    "mu-topology",
-    "partition",
-    "sec5",
-)
-
-_REL_SUITES = ("algebra", "cspace", "int-char", "mu-topology", "partition")
-_POSET_SUITES = ("chain", "continuity", "sec5")  # one instance per poset
+# (suite, has relation, has subset, has second relation) -> the checker of
+# every instance of that shape, called as check(p, r, subset, second relation)
+_SHAPES: dict[tuple[str, bool, bool, bool], Callable[..., CheckReport]] = {
+    ("algebra", True, False, False): lambda p, r, *_: check_adjunction(r),
+    ("algebra", True, True, False): lambda p, r, a, _: check_basic_laws(r, sets=[a]),
+    ("algebra", True, False, True): lambda p, r, _, r2: check_algebra(r, r2),
+    ("chain", False, False, False): lambda p, *_: check_mu_way_below_is_scott(p),
+    ("chain", True, True, False): lambda p, r, a, _: check_chain_of_containments(r, a),
+    ("continuity", False, False, False): lambda p, *_: check_continuity_characterization(p),
+    ("cspace", True, False, False): lambda p, r, *_: check_cspace_theorems(r),
+    ("int-char", True, False, False): lambda p, r, *_: check_int_equivalences(r),
+    ("mu-topology", True, False, False): lambda p, r, *_: check_mu_laws(r),
+    ("partition", True, True, False): lambda p, r, a, _: check_partition(r, a),
+    ("sec5", False, False, False): lambda p, *_: check_sec5_theorems(p),
+}
+SUITES = tuple(sorted({suite for suite, *_ in _SHAPES}))
+_POSET_SUITES = tuple(suite for suite, rel, *_ in _SHAPES if not rel)  # one instance per poset
+_REL_SUITES = tuple(sorted({suite for suite, rel, *_ in _SHAPES if rel}))
 _REL_MODES = ("enumerate", "sample", "builtins")
 _SUBSET_MODES = ("all", "sample")
 _BUILTIN_RELS = {"leq": leq_aux, "bottom": bottom_aux, "way-below": way_below}
@@ -210,21 +219,12 @@ def parse_fingerprint(fp: str) -> Instance:
                 list(map(type, pr)) != [int, int] for pr in pairs or ()
             ):
                 raise ValueError("relation is not a list of integer pairs")
-        needs_rel = suite in _REL_SUITES
-        if suite.startswith("property:") and suite[9:] in PROPERTIES:
-            needs_rel = PROPERTIES[suite[9:]].needs_relation
-        if rel is None and needs_rel:
-            raise ValueError(f"suite {suite!r} needs a relation")
-        if rel is not None and not needs_rel and suite != "chain":
-            raise ValueError(f"suite {suite!r} takes no relation")
-        needs_subset = suite == "partition" or suite == "chain" and rel is not None
-        if subset is None and needs_subset:
-            raise ValueError(f"suite {suite!r} needs a subset")
-        takes_subset = needs_subset or suite == "algebra" and rel2 is None
-        if subset is not None and not takes_subset:
-            raise ValueError(f"suite {suite!r} takes no subset here")
-        if rel2 is not None and (suite != "algebra" or subset is not None):
-            raise ValueError("only an algebra instance without a subset takes a second relation")
+        shape = (suite, rel is not None, subset is not None, rel2 is not None)
+        if shape not in _SHAPES and not (
+            suite.startswith("property:")
+            and shape[1:] == (_property(suite[9:]).needs_relation, False, False)
+        ):
+            raise ValueError(f"no checker for the instance shape {shape}")
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
     rel, rel2 = (tuple(map(tuple, x)) if x is not None else None for x in (rel, rel2))
@@ -243,7 +243,6 @@ def _check(
     suite: str, p: Poset, r: AuxRelation | None, bits: int | None, r2: AuxRelation | None
 ) -> CheckReport:
     """Run one instance's suite on live objects: the one check dispatcher."""
-    a = ElementSet(bits, p.n) if bits is not None else None
     if suite.startswith("property:"):
         prop_id = suite.split(":", 1)[1]
         detail = _property(prop_id).detail(p, r)
@@ -256,29 +255,10 @@ def _check(
             note="passed means the counterexample reproduces",
         )
         return rep
-    if suite == "int-char":
-        return check_int_equivalences(r)
-    if suite == "partition":
-        return check_partition(r, a)
-    if suite == "algebra":
-        if r2 is not None:
-            return check_algebra(r, r2)
-        if a is not None:
-            return check_basic_laws(r, sets=[a])
-        return check_adjunction(r)
-    if suite == "chain":
-        if r is None:
-            return check_mu_way_below_is_scott(p)
-        return check_chain_of_containments(r, a)
-    if suite == "continuity":
-        return check_continuity_characterization(p)
-    if suite == "cspace":
-        return check_cspace_theorems(r)
-    if suite == "mu-topology":
-        return check_mu_laws(r)
-    if suite == "sec5":
-        return check_sec5_theorems(p)
-    raise BadParameters(f"unknown suite {suite!r}")
+    shape = (suite, r is not None, bits is not None, r2 is not None)
+    if shape not in _SHAPES:
+        raise BadParameters(f"no checker for the instance shape {shape}")
+    return _SHAPES[shape](p, r, ElementSet(bits, p.n) if bits is not None else None, r2)
 
 
 def _relation_plan(suite: str, p: Poset, r: AuxRelation) -> tuple[tuple[tuple, ...], bool]:
@@ -366,7 +346,7 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     deadline = start + scope.wall_time_s if scope.wall_time_s else None
     cap = scope.max_instances
     poset_suites = [s for s in suite_list if s in _POSET_SUITES]
-    rel_suites = [s for s in suite_list if s in _REL_SUITES or s == "chain"]
+    rel_suites = [s for s in suite_list if s in _REL_SUITES]
     batched = [s for s in rel_suites if s in BATCHED_SUITES]
     attempted = passed = 0
 

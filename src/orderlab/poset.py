@@ -145,9 +145,7 @@ def validate_poset(
         for i in range(n):
             rows[i] |= 1 << i
         _transitive_close(rows, n)
-    p = Poset(rows, labels)
-    _axiom_check(p.up, p.down)
-    return p
+    return from_rows(rows, labels)
 
 
 # -- order primitives ---------------------------------------------------

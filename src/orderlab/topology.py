@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator
 
 from . import reference
 from .approx import (
@@ -97,15 +98,14 @@ def check_topology_invariants(t: Topology) -> CheckReport:
     rep = CheckReport(f"topology on n={p.n}", f"{len(t.masks)} opens")
     rep.add("topology.contains-empty", 0 in t._mask_set)
     rep.add("topology.contains-full", full in t._mask_set)
-    rep.law(
-        "topology.binary-intersection",
-        ({"u": u, "v": v} for u in t.masks for v in t.masks if u & v not in t._mask_set),
-    )
-    rep.law(
-        "topology.binary-union",
-        ({"u": u, "v": v} for u in t.masks for v in t.masks if u | v not in t._mask_set),
-    )
+    for law, op in (("intersection", and_), ("union", or_)):
+        rep.law(f"topology.binary-{law}", ({"u": u, "v": v} for u, v in _unclosed_pairs(t, op)))
     return rep
+
+
+def _unclosed_pairs(t: Topology, op: Callable[[int, int], int]) -> Iterator[tuple[int, int]]:
+    """The pairs (u, v) of opens, u-major, whose ``op(u, v)`` is not open."""
+    return ((u, v) for u in t.masks for v in t.masks if op(u, v) not in t._mask_set)
 
 
 # -- construction -----------------------------------------------------------
@@ -244,9 +244,7 @@ def opens_completely_distributive(t: Topology) -> bool:
     """
     if len(t.masks) > 128:
         raise BudgetExceeded(f"{len(t.masks)} opens is beyond the triple scan")
-    return all(
-        u & v in t._mask_set and u | v in t._mask_set for u in t.masks for v in t.masks
-    )
+    return not any(next(_unclosed_pairs(t, op), None) for op in (and_, or_))
 
 
 def is_continuous(p: Poset) -> bool:
@@ -329,9 +327,7 @@ def check_mu_way_below_is_scott(p: Poset) -> CheckReport:
     return rep
 
 
-def check_continuity_characterization(
-    p: Poset, r_opt: AuxRelation | None = None
-) -> CheckReport:
+def check_continuity_characterization(p: Poset) -> CheckReport:
     """Five equivalent statements of continuity, plus the closure criterion.
 
     Way-below and the Scott topology come from the directed-subset
@@ -377,17 +373,6 @@ def check_continuity_characterization(
         None if len(set(stmts)) == 1 else {"statements": list(stmts)},
     )
 
-    if r_opt is not None:
-        inst_app = classify(r_opt).approximating
-        inst = inst_app and lap_matches(r_opt) and uap_matches(r_opt)
-        rep.add(
-            "continuity.instance-check",
-            inst,
-            {"approximating": inst_app},
-            informational=True,
-            note="given relation only; does not affect the theorem verdict",
-        )
-
     masks = range(1 << n)
     diff = reference.scott_closure_lanes(p) ^ _int(_gather(_pack(masks, n), n, _UAP, wb))
     witness = _set_witness(diff, masks, w)
@@ -431,7 +416,6 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
             "cspace.sections-form-base", True, note="vacuous: no interpolation"
         )
 
-    cs_under, _ = is_c_space(mu, "underlying")
     converse_ok = not (cs_spec and not cls.approximating)
     rep.add(
         "cspace.converse-approximating",
@@ -440,7 +424,7 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
         if converse_ok
         else {
             "c-space-specialization": cs_spec,
-            "c-space-underlying": cs_under,
+            "c-space-underlying": is_c_space(mu, "underlying")[0],
             "approximating": cls.approximating,
         },
         finding=True,

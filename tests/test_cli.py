@@ -6,7 +6,11 @@ import json
 import pytest
 
 from orderlab import cli
+from orderlab.auxrel import classify, enumerate_aux
+from orderlab.bitset import mask_text
 from orderlab.cli import main
+from orderlab.poset import enumerate_posets, poset_to_json
+from orderlab.topology import mu_topology, scott_topology
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +188,64 @@ def test_topology_opens_lattice_dot(files, capsys):
     assert '0 [label="{}"];' in out
     assert '3 [label="{0,1,2}"];' in out
     assert out.count("->") == 3
+
+
+def _opens_dot_by_scan(masks) -> str:
+    """The Hasse diagram of the opens as DOT, from a scan of every triple,
+    as the CLI prints it: with one more newline."""
+    lines = ["digraph opens {", "  rankdir=BT;"]
+    for k, m in enumerate(masks):
+        lines.append(f'  {k} [label="{{{mask_text(m)}}}"];')
+    for a, ma in enumerate(masks):
+        for b, mb in enumerate(masks):
+            if ma == mb or ma & ~mb:
+                continue
+            covered = any(
+                mc not in (ma, mb) and not ma & ~mc and not mc & ~mb
+                for mc in masks
+            )
+            if not covered:
+                lines.append(f"  {a} -> {b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n\n"
+
+
+def test_opens_dot_matches_the_triple_scan_on_every_small_topology(tmp_path, capsys):
+    # one parser for all runs: building it is most of the cost of main()
+    parser = cli.build_parser()
+
+    def dot(*argv):
+        args = parser.parse_args(["topology", *argv, "--format", "dot"])
+        assert args.func(args) == 0
+        return capsys.readouterr().out
+
+    poset_file, rel_file = tmp_path / "p.json", tmp_path / "r.json"
+    rendered = 0
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            poset_file.write_text(json.dumps(poset_to_json(p)), encoding="utf-8")
+            out = dot("scott", "--poset", str(poset_file))
+            assert out == _opens_dot_by_scan(scott_topology(p).masks), p.up
+            for r in enumerate_aux(p):
+                if not classify(r).pre_approximating:
+                    continue
+                rel_file.write_text(json.dumps([list(pr) for pr in r.pairs()]), encoding="utf-8")
+                out = dot("mu", "--poset", str(poset_file), "--rel", str(rel_file))
+                assert out == _opens_dot_by_scan(mu_topology(r).masks), r.sec
+                rendered += 1
+    assert rendered == 1319
+
+
+def test_opens_dot_renders_128_opens_and_refuses_more(tmp_path, capsys):
+    for n, opens in ((7, 128), (8, 256)):
+        path = tmp_path / f"a{n}.json"
+        assert main(["poset", "gen", "--kind", "antichain", "--n", str(n), "--out", str(path)]) == 0
+        code, out, err = run(capsys, "topology", "scott", "--poset", str(path), "--format", "dot")
+        if opens <= 128:
+            assert code == 0 and out.count("[label=") == opens and out.count("->") == opens * n // 2
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"orderlab: error: {opens} opens is too many to render\n"
 
 
 def test_topology_interior_and_closure(files, capsys):

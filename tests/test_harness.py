@@ -15,6 +15,7 @@ from orderlab.harness import (
     Instance,
     Scope,
     _POSET_SUITES,
+    _SHAPES,
     _check,
     _fingerprint_of,
     _relation_plan,
@@ -558,6 +559,7 @@ def test_replay_rejects_an_under_specified_fingerprint(doc):
         ["chain", [1], None, 0, None],
         ["int-char", [1], [[0, 0]], 0, None],
         ["property:one-step-without-continuity", [1], [[0, 0]], None, None],
+        ["nosuch", [1], None, None, None],
     ],
     ids=[
         "subset-and-second-relation",
@@ -568,12 +570,70 @@ def test_replay_rejects_an_under_specified_fingerprint(doc):
         "subset-without-relation-on-chain",
         "subset-on-a-relation-suite",
         "relation-on-a-poset-property",
+        "unknown-suite",
     ],
 )
 def test_replay_rejects_a_field_its_suite_does_not_read(doc):
     """The harness never emits these shapes, and replay would drop the field."""
     with pytest.raises(BadParameters, match="malformed fingerprint"):
         replay(_encode(doc))
+
+
+@pytest.mark.parametrize("suite", SUITES + tuple(f"property:{p}" for p in sorted(PROPERTIES)))
+@pytest.mark.parametrize("has_rel", [False, True])
+@pytest.mark.parametrize("has_subset", [False, True])
+@pytest.mark.parametrize("has_rel2", [False, True])
+def test_a_fingerprint_parses_exactly_when_the_table_has_its_shape(
+    suite, has_rel, has_subset, has_rel2
+):
+    doc = [
+        suite, [1], [[0, 0]] if has_rel else None, 0 if has_subset else None,
+        [[0, 0]] if has_rel2 else None,
+    ]
+    if suite.startswith("property:"):
+        needs_rel = PROPERTIES[suite[9:]].needs_relation
+        known = (has_rel, has_subset, has_rel2) == (needs_rel, False, False)
+    else:
+        known = (suite, has_rel, has_subset, has_rel2) in _SHAPES
+    if known:
+        assert parse_fingerprint(_encode(doc)) == Instance(
+            suite, (1,), ((0, 0),) if has_rel else None, doc[3], ((0, 0),) if has_rel2 else None
+        )
+    else:
+        with pytest.raises(BadParameters, match="malformed fingerprint"):
+            parse_fingerprint(_encode(doc))
+
+
+def test_the_shape_table_covers_every_instance_a_campaign_runs_alone(monkeypatch, break_operators):
+    """Under broken operators every suite has failing relations, so every
+    shape runs one instance at a time somewhere in the n <= 3 campaign."""
+    _break_lap_and_uap(break_operators)
+    shapes = []
+    real_check = harness._check
+
+    def check(suite, p, r, bits, r2):
+        shapes.append((suite, r is not None, bits is not None, r2 is not None))
+        return real_check(suite, p, r, bits, r2)
+
+    monkeypatch.setattr(harness, "_check", check)
+    rep = run_suite(Scope(max_n=3), SUITES)
+    assert rep.failures and not any(e["law"] == "internal.error" for e in rep.failures)
+    assert set(shapes) == set(_SHAPES)
+
+
+def test_the_underlying_c_space_is_computed_only_for_a_converse_finding(monkeypatch):
+    calls = []
+    real = topology.is_c_space
+
+    def counted(t, upset_mode="specialization"):
+        calls.append(upset_mode)
+        return real(t, upset_mode)
+
+    monkeypatch.setattr(topology, "is_c_space", counted)
+    rep = run_suite(Scope(max_n=4), ["cspace"])
+    converse = [e for e in rep.findings if e["law"] == "cspace.converse-approximating"]
+    assert calls.count("underlying") == len(converse) == 1077
+    assert all("c-space-underlying" in e["witness"] for e in converse)
 
 
 def test_findings_replay_to_the_same_verdict():

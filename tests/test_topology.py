@@ -317,14 +317,6 @@ def test_five_statements_hold_on_every_small_poset():
         assert rep.verdict("continuity.scott-closure-criterion").passed
 
 
-def test_optional_relation_instance_is_reported_without_affecting_agreement(c3, r1):
-    rep = check_continuity_characterization(c3, r_opt=r1)
-    assert rep.ok
-    inst = rep.verdict("continuity.instance-check")
-    assert inst.informational
-    assert not inst.passed
-
-
 def test_characterization_on_singleton():
     p = chain(1)
     rep = check_continuity_characterization(p)
