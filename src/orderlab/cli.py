@@ -26,6 +26,7 @@ from .auxrel import (
 from .closures import is_meet_continuous, one_step
 from .errors import BadParameters, BudgetExceeded, OrderlabError
 from .families import (
+    FAMILIES,
     FamilyElement,
     family_membership,
     family_order,
@@ -39,6 +40,8 @@ from .harness import (
     SUITES,
     Scope,
     _BUILTIN_RELS,
+    _REL_MODES,
+    _SUBSET_MODES,
     run_suite,
     search_counterexample,
 )
@@ -163,13 +166,8 @@ def _emit_report(rep: CheckReport, fmt: str) -> int:
             status = "PASS" if v.passed else ("FINDING" if v.finding else "FAIL")
             tail = f"  # {v.note}" if v.note else ""
             print(f"{status:7s} {v.law}{tail}")
-        bad = len(rep.failures)
-        print(f"failures={bad} findings={len(rep.findings)}")
-    if rep.failures:
-        return 1
-    if rep.findings:
-        return 3
-    return 0
+        print(f"failures={len(rep.failures)} findings={len(rep.findings)}")
+    return rep.exit_code
 
 
 def _opens_dot(t: Topology) -> str:
@@ -202,20 +200,18 @@ def _cmd_poset_validate(args) -> int:
     return 0
 
 
+# the --kind choices, each with the poset it builds from the parsed arguments
+_GENERATORS = {
+    "chain": lambda args: chain(args.n),
+    "antichain": lambda args: antichain(args.n),
+    "diamond": lambda args: diamond(),
+    "boolean": lambda args: boolean(args.k),
+    "random": lambda args: random_poset(args.n, args.p, args.seed),
+}
+
+
 def _cmd_poset_gen(args) -> int:
-    kind = args.kind
-    if kind == "chain":
-        p = chain(args.n)
-    elif kind == "antichain":
-        p = antichain(args.n)
-    elif kind == "diamond":
-        p = diamond()
-    elif kind == "boolean":
-        p = boolean(args.k)
-    elif kind == "random":
-        p = random_poset(args.n, args.p, args.seed)
-    else:
-        raise BadParameters(f"unknown kind {kind!r}")
+    p = _GENERATORS[args.kind](args)
     if args.format == "dot":
         _emit(export_dot(p), args.out)
     elif args.format == "text":
@@ -377,24 +373,12 @@ def _cmd_closure_meet_continuous(args) -> int:
 
 def _cmd_family(args) -> int:
     fam = get_family(args.family)
-    sub = args.sub
-    if sub == "order":
-        value = family_order(
-            fam, FamilyElement.parse(args.x), FamilyElement.parse(args.y)
-        )
-        print("true" if value else "false")
+    if args.sub in ("order", "member", "wb"):
+        x = FamilyElement.parse(args.x)
+        operands = (args.set_name, x) if args.sub == "member" else (x, FamilyElement.parse(args.y))
+        print("true" if args.query(fam, *operands) else "false")
         return 0
-    if sub == "member":
-        value = family_membership(fam, args.set_name, FamilyElement.parse(args.x))
-        print("true" if value else "false")
-        return 0
-    if sub == "wb":
-        value = family_way_below(
-            fam, FamilyElement.parse(args.x), FamilyElement.parse(args.y)
-        )
-        print("true" if value else "false")
-        return 0
-    if sub == "window":
+    if args.sub == "window":
         w = window(fam, args.m, args.n)
         if args.format == "dot":
             _emit(export_dot(w.poset), args.out)
@@ -409,8 +393,7 @@ def _cmd_family(args) -> int:
         else:
             _emit(_dump(poset_to_json(w.poset)), args.out)
         return 0
-    rep = verify_window_soundness(fam, args.m, args.n)
-    return _emit_report(rep, args.format)
+    return _emit_report(verify_window_soundness(fam, args.m, args.n), args.format)
 
 
 # -- check / search / verify ----------------------------------------------------
@@ -467,23 +450,13 @@ def _cmd_search(args) -> int:
 def _add_scope_flags(sp) -> None:
     sp.add_argument("--max-n", type=int, default=3, dest="max_n")
     sp.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-    sp.add_argument(
-        "--rel-mode",
-        choices=("enumerate", "sample", "builtins"),
-        default="enumerate",
-        dest="rel_mode",
-    )
+    sp.add_argument("--rel-mode", choices=_REL_MODES, default="enumerate", dest="rel_mode")
     sp.add_argument("--rel-sample", type=int, default=5, dest="rel_sample")
     sp.add_argument(
         "--rel-builtins", default="leq", dest="rel_builtins",
-        help="comma-separated: leq,bottom,way-below",
+        help=f"comma-separated: {','.join(_BUILTIN_RELS)}",
     )
-    sp.add_argument(
-        "--subset-mode",
-        choices=("all", "sample"),
-        default="all",
-        dest="subset_mode",
-    )
+    sp.add_argument("--subset-mode", choices=_SUBSET_MODES, default="all", dest="subset_mode")
     sp.add_argument("--subset-sample", type=int, default=8, dest="subset_sample")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--max-instances", type=int, default=None, dest="max_instances")
@@ -509,11 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poset", required=True)
     sp.set_defaults(func=_cmd_poset_validate)
     sp = psub.add_parser("gen")
-    sp.add_argument(
-        "--kind",
-        required=True,
-        choices=("chain", "antichain", "diamond", "boolean", "random"),
-    )
+    sp.add_argument("--kind", required=True, choices=_GENERATORS)
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--p", type=float, default=0.3)
@@ -617,12 +586,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # family
     fam_p = top.add_parser("family", help="symbolic infinite poset families")
-    fam_p.add_argument("family", choices=("ladder", "omega"))
+    fam_p.add_argument("family", choices=FAMILIES)
     fsub = fam_p.add_subparsers(dest="sub", required=True)
     sp = fsub.add_parser("order")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
-    sp.set_defaults(func=_cmd_family)
+    sp.set_defaults(func=_cmd_family, query=family_order)
     sp = fsub.add_parser("member")
     sp.add_argument(
         "--set-name",
@@ -631,11 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="set_name",
     )
     sp.add_argument("--x", required=True)
-    sp.set_defaults(func=_cmd_family)
+    sp.set_defaults(func=_cmd_family, query=family_membership)
     sp = fsub.add_parser("wb")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
-    sp.set_defaults(func=_cmd_family)
+    sp.set_defaults(func=_cmd_family, query=family_way_below)
     sp = fsub.add_parser("window")
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--n", type=int, required=True)

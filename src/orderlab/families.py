@@ -1,6 +1,6 @@
 """Symbolic countably-infinite posets with decidable order rules.
 
-Two built-in families:
+Two built-in families, ``FAMILIES`` by name:
 
 * ladder -- columns of chains a(i,0) < a(i,1) < ... whose declared suprema
   form a second chain b(0) < b(1) < ... with declared supremum top.  The
@@ -20,7 +20,8 @@ oversized window is refused before anything is built, and
 pair.  Window verification checks that the analytic answers and the
 computed finite answers never disagree on the window, completing declared
 chains by their declared suprema instead of ever computing an infinite
-supremum.
+supremum: the window's one step is ``reference.one_step_mask`` with the
+declared chains as its directed sets.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     UnknownSet,
     WindowTooLarge,
 )
-from .poset import Poset, _join, from_rows
+from .poset import Poset, from_rows
 from .report import CheckReport
 
 MAX_WINDOW = 240
@@ -216,16 +217,16 @@ class OmegaFamily:
 
 LADDER = LadderFamily()
 OMEGA = OmegaFamily()
+FAMILIES = {f.name: f for f in (LADDER, OMEGA)}
 
 Family = LadderFamily | OmegaFamily
 
 
 def get_family(name: str) -> Family:
-    if name == "ladder":
-        return LADDER
-    if name == "omega":
-        return OMEGA
-    raise BadParameters(f"unknown family {name!r}")
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise BadParameters(f"unknown family {name!r}") from None
 
 
 def _admit(f: Family, *elements: FamilyElement) -> None:
@@ -293,16 +294,6 @@ def window(f: Family, m: int, n: int) -> Window:
     return Window(f, p, tuple(elements), m, n)
 
 
-def _window_one_step_mask(w: Window, bits: int) -> int:
-    """Down closure in the window plus declared-supremum completions."""
-    down = _join(w.poset.down, bits)
-    out = down
-    for chain, members in w.declared:
-        if members and members & ~down == 0:
-            out |= 1 << w.index(chain.sup)
-    return out
-
-
 def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
     """Check the analytic family answers against a computed finite window."""
     w = window(f, m, n)
@@ -341,7 +332,8 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
     rep.law("window.declared-suprema", unsound_suprema())
 
     if isinstance(f, LadderFamily):
-        step = _window_one_step_mask(w, w.mask(lambda e: f.member("A", e)))
+        sups = [(members, w.index(c.sup)) for c, members in w.declared if members]
+        step = reference.one_step_mask(p, w.mask(lambda e: f.member("A", e)), sups)
         rep.law(
             "window.one-step-consistency",
             (

@@ -6,7 +6,9 @@ closure operator is the down closure (Gierz et al., *Continuous Lattices
 and Domains*).  The engine uses those closed forms.  This module keeps
 the literal definitions, read off whole-mask tables, as the oracle for the
 laws that exercise the definitions and for the differential tests of the
-closed forms.
+closed forms.  ``one_step_mask`` also serves the finite windows of a
+family: their declared chains stand in for the directed sets, since a
+finite directed set's supremum is already in the down closure.
 
 ``directed_sups`` (an ``lru_cache``, as queries rebuild equal posets such
 as one window of a family) lists every directed set with its supremum.
@@ -106,11 +108,12 @@ def scott_closure_lanes(p: Poset) -> int:
     return _int(_pack(scott_interiors(p)[::-1], n)) ^ fulls
 
 
-def one_step_mask(p: Poset, bits: int) -> int:
-    """Suprema of the directed subsets of the down closure of ``bits``."""
+def one_step_mask(p: Poset, bits: int, sups=None) -> int:
+    """Suprema of the directed subsets of the down closure of ``bits``; a
+    window passes its declared chains as ``sups``, (members, supremum) pairs."""
     down = _join(p.down, bits)
     out = down
-    for d, s in directed_sups(p):
+    for d, s in directed_sups(p) if sups is None else sups:
         if d & ~down == 0:
             out |= 1 << s
     return out

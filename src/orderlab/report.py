@@ -80,6 +80,11 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failures
 
+    @property
+    def exit_code(self) -> int:
+        """The CLI's exit code, by the rule of ``RunReport``: 1 for a failure, 3 for a finding."""
+        return 1 if self.failures else 3 if self.findings else 0
+
     def verdict(self, law: str) -> LawVerdict:
         for v in self.verdicts:
             if v.law == law:

@@ -382,9 +382,14 @@ def check_continuity_characterization(p: Poset) -> CheckReport:
     return rep
 
 
+@_per_poset
+def _classical_scott(p: Poset) -> tuple[bool, bool]:
+    """Whether the Scott topology of p is a c-space, and whether p is continuous."""
+    return is_c_space(scott_topology(p))[0], is_continuous(p)
+
+
 def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     """Interpolation forces a c-space; the converse directions are findings."""
-    p = r.poset
     mu = mu_topology(r)
     cls = classify(r)
     rep = CheckReport(_subject(r), "induced topology")
@@ -447,9 +452,7 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
             "cspace.cdl-vs-approximating", True, note="vacuous: no interpolation"
         )
 
-    sigma = scott_topology(p)
-    cs_sigma, _ = is_c_space(sigma)
-    cont = is_continuous(p)
+    cs_sigma, cont = _classical_scott(r.poset)
     rep.add(
         "cspace.classical-scott",
         cs_sigma == cont,

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through main()."""
 
+import argparse
 import hashlib
 import json
 
@@ -9,7 +10,10 @@ from orderlab import cli
 from orderlab.auxrel import classify, enumerate_aux
 from orderlab.bitset import mask_text
 from orderlab.cli import main
+from orderlab.families import FAMILIES
+from orderlab.harness import _BUILTIN_RELS, _REL_MODES, _SUBSET_MODES
 from orderlab.poset import enumerate_posets, poset_to_json
+from orderlab.report import CheckReport
 from orderlab.topology import mu_topology, scott_topology
 
 
@@ -321,6 +325,21 @@ def test_family_order_member_wb(capsys):
     assert code == 0 and out == "false\n"
 
 
+@pytest.mark.parametrize("m,n", [(0, 0), (2, 3), (3, 2)])
+def test_family_ladder_verify_passes(capsys, m, n):
+    code, out, _ = run(capsys, "family", "ladder", "verify", "--m", str(m), "--n", str(n))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("finding,code", [(False, 1), (True, 3)])
+def test_family_verify_exits_by_the_report(capsys, monkeypatch, finding, code):
+    def verify(f, m, n):
+        return CheckReport(f.name, "window").add("law", False, finding=finding)
+
+    monkeypatch.setattr(cli, "verify_window_soundness", verify)
+    assert run(capsys, "family", "ladder", "verify", "--n", "1", "--format", "text")[0] == code
+
+
 def test_family_window_json(capsys):
     code, out, _ = run(capsys, "family", "ladder", "window",
                        "--m", "1", "--n", "1")
@@ -338,6 +357,25 @@ def test_family_verify_passes(capsys):
 
 
 # -- check / verify / search ---------------------------------------------------
+
+
+def _argument(parser, *path, dest):
+    """The action of ``dest`` in the subcommand that ``path`` names."""
+    for name in path:
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_the_cli_choices_are_the_library_tables():
+    parser = cli.build_parser()
+    assert list(_argument(parser, "poset", "gen", dest="kind").choices) == list(cli._GENERATORS)
+    assert list(_argument(parser, "family", dest="family").choices) == list(FAMILIES)
+    for command in ("check", "verify", "search"):
+        assert tuple(_argument(parser, command, dest="rel_mode").choices) == _REL_MODES
+        assert tuple(_argument(parser, command, dest="subset_mode").choices) == _SUBSET_MODES
+        help_text = _argument(parser, command, dest="rel_builtins").help
+        assert help_text == "comma-separated: " + ",".join(_BUILTIN_RELS)
 
 
 def test_check_single_suite(capsys):

@@ -1,5 +1,6 @@
 """Symbolic infinite poset families and their finite-window consistency checks."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -25,7 +26,7 @@ from orderlab.families import (
     verify_window_soundness,
     window,
 )
-from orderlab.poset import hasse, validate_poset
+from orderlab.poset import _join, hasse, validate_poset
 
 
 def fe(text):
@@ -344,3 +345,34 @@ def test_equal_windows_share_one_directed_sweep():
     hits = reference.directed_sups.cache_info().hits
     assert reference.directed_sups(second) is sweep
     assert reference.directed_sups.cache_info().hits == hits + 1
+
+
+def _window_one_step_oracle(w, bits):
+    """Down closure in the window plus declared-supremum completions."""
+    down = _join(w.poset.down, bits)
+    out = down
+    for chain, members in w.declared:
+        if members and members & ~down == 0:
+            out |= 1 << w.index(chain.sup)
+    return out
+
+
+def test_the_reference_one_step_with_declared_chains_matches_the_window_oracle():
+    rng = random.Random(0)
+    sweeps = reference.directed_sups.cache_info()
+    for f in (LADDER, OMEGA):
+        for m in range(4):
+            for n in range(4):
+                w = window(f, m, n)
+                p = w.poset
+                chains = [(members, w.index(c.sup)) for c, members in w.declared if members]
+                if p.n <= 12:
+                    masks = range(1 << p.n)
+                else:
+                    masks = [w.mask(lambda e: e.kind == "a"), *p.down]
+                    masks += [rng.getrandbits(p.n) for _ in range(200)]
+                for bits in masks:
+                    step = reference.one_step_mask(p, bits, chains)
+                    assert step == _window_one_step_oracle(w, bits)
+    # a window's one step never reaches the directed-set sweep
+    assert reference.directed_sups.cache_info()[:2] == sweeps[:2]

@@ -636,6 +636,20 @@ def test_the_underlying_c_space_is_computed_only_for_a_converse_finding(monkeypa
     assert all("c-space-underlying" in e["witness"] for e in converse)
 
 
+def test_the_classical_scott_law_is_decided_once_per_poset(monkeypatch):
+    calls = []
+    real = topology.is_c_space
+
+    def counted(t, upset_mode="specialization"):
+        calls.append("scott" if t is topology.scott_topology(t.poset) else upset_mode)
+        return real(t, upset_mode)
+
+    monkeypatch.setattr(topology, "is_c_space", counted)
+    run_suite(Scope(max_n=4), ["cspace"])
+    assert calls.count("scott") == 242  # one per labeled poset with 1 <= n <= 4
+    assert calls.count("specialization") == 1319 and calls.count("underlying") == 1077
+
+
 def test_findings_replay_to_the_same_verdict():
     rep = run_suite(
         Scope(posets=(chain(3),), rel_mode="builtins", rel_builtins=("bottom",)),

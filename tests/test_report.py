@@ -41,6 +41,14 @@ def test_law_keeps_the_first_counterexample_and_stops_there():
     assert not v.passed and v.witness == {"set": "0"}
 
 
+def test_exit_code_is_0_for_a_pass_1_for_a_failure_and_3_for_a_finding():
+    passing = CheckReport("s", "scope").add("p", True).add("i", False, informational=True)
+    assert passing.exit_code == 0
+    assert CheckReport("s", "scope").add("f", False).exit_code == 1
+    assert CheckReport("s", "scope").add("f", False, finding=True).exit_code == 3
+    assert CheckReport("s", "scope").add("f", False, finding=True).add("x", False).exit_code == 1
+
+
 def test_law_forwards_the_verdict_kind():
     rep = CheckReport("s", "scope")
     rep.law("f", [{"a": 1}], finding=True, note="recorded")
