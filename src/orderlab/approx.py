@@ -31,28 +31,37 @@ law is a few big-int operations, shared by its checker and
 ``batch_failures``, whose nonzero lanes are its failing sets: a checker's
 witness is the set at the lowest one, and a batch folds them to one lane per
 relation in halving ORs; ``basic.leq-identities``, which does not depend on
-the relation, is decided once per batch.  The per-poset tables and set lists
-come from the one-entry memo of ``poset``.  Only this module knows the table
-bound and the tables behind the lanes: other modules pack lanes with
-``_pack`` and map them with ``_gather`` through an operator ``_Op``, and a
-table indexed by mask, such as a reference table, is its own (``_TABLE``).
+the relation, is decided once per batch.  The laws of the induced topology
+mu_R live here too, for ``topology`` to report: its opens are the upper-set
+lanes that lap fixes, its pair laws read the open flags of each incomparable
+pair of sets and of their intersection and union, and the chain of
+containments takes the mu interior of each mask from one zeta transform of
+the opens.  The per-poset tables and set lists come from the one-entry memo
+of ``poset``.  Only this module knows the table bound and the tables behind
+the lanes: other modules pack lanes with ``_pack`` and map them with
+``_gather`` through an operator ``_Op``, and a table indexed by mask, such as
+a reference table, is its own (``_TABLE``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
+from itertools import compress
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .auxrel import AuxRelation, aux_subset, classify, leq_aux
-from .bitset import ByteUnions, ElementSet, lane_width, mask_text, pack, unpack
-from .errors import NotLower, NotUpper, PosetMismatch
+from .bitset import ByteUnions, ElementSet, lane_width, mask_text, pack, submask_unions, unpack
+from .errors import BudgetExceeded, NotLower, NotUpper, PosetMismatch
 from .poset import (
+    MAX_DIRECTED_UNIVERSE,
     Poset,
     _check_universe,
     _closed,
     _directed,
     _join,
+    _least,
     _lower_list,
     _per_poset,
     _upper_list,
@@ -711,11 +720,145 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     return rep
 
 
+# -- the induced topology ----------------------------------------------------------
+#
+# The opens of mu_R are the upper sets that lap fixes; ``topology`` builds its
+# reports from these lanes.
+
+
+def _sup_bit(p: Poset, b: int) -> int:
+    """The supremum of the mask b as a one-bit mask, 0 where there is none."""
+    s = _least(p.up, b)
+    return 0 if s is None else 1 << s
+
+
+@_per_poset
+def _sup_bytes(p: Poset) -> bytes:
+    """``_sup_bit`` of every mask of p up to ``TABLE_MAX_N``: the element
+    whose up-set is the upper bounds of the mask, an AND of up-sets doubled
+    once per element."""
+    least, bounds = {row: 1 << s for s, row in enumerate(p.up)}, [(1 << p.n) - 1]
+    for row in p.up:
+        bounds += [b & row for b in bounds]
+    return bytes([0, *(least.get(b, 0) for b in bounds[1:])]).ljust(256, b"\0")
+
+
+def _opens(lanes: _Lanes) -> tuple[bytes, int]:
+    """The upper sets on lanes, and the top bit of each lane whose set lap fixes."""
+    p, w = lanes.p, lane_width(lanes.p.n)
+    tiled = lanes.tile(_upper_lanes(p))
+    _, low, high = _lane_constants(len(tiled) // w, w)
+    return tiled, _nonzero(_int(lanes.lap(tiled)) ^ _int(tiled), low, high) ^ high
+
+
+def _mu_pairs(p: Poset, live: list[int]) -> tuple[list[int], ...]:
+    """Indices into the upper sets of p, for each incomparable pair of the
+    sets at ``live``, first-major: of its first set, of its second, of their
+    intersection and of their union.  A pair of opens whose intersection
+    (union) is not open is incomparable, and so is the first such pair of a
+    scan of all pairs, as its first set comes before its second."""
+    uppers = _upper_list(p)
+    # ascending, so a set never holds a later one
+    pairs = [(i, j) for a, i in enumerate(live) for j in live[a + 1 :] if uppers[i] & ~uppers[j]]
+    return (
+        [i for i, _ in pairs],
+        [j for _, j in pairs],
+        [bisect_left(uppers, uppers[i] & uppers[j]) for i, j in pairs],
+        [bisect_left(uppers, uppers[i] | uppers[j]) for i, j in pairs],
+    )
+
+
+def _mu_lanes(
+    lanes: _Lanes, tiled: bytes, fixed: int, approximating: bool
+) -> tuple[dict[str, int], int, tuple]:
+    """The failing lanes of the laws of ``check_mu_laws`` in report order, the
+    last three those of approximating relations, from the upper-set lanes
+    ``tiled`` and the top bits ``fixed`` of the open ones; row x of the
+    specialization order at lane x, the AND of the open sets that hold x,
+    read only if some relation is ``approximating``; and the indices of the
+    sets of each pair lane, from ``_mu_pairs`` over the sets open for some
+    relation."""
+    p, n, w, count = lanes.p, lanes.p.n, lane_width(lanes.p.n), lanes.count
+    size, step = len(tiled), w * count  # the bytes of all sets, of one
+    m, u, block = size // step, _int(tiled), 8 * step
+    ones, _, high = _lane_constants(size // w, w)
+    shut, opens = high ^ fixed, (fixed >> 8 * w - 1) * ((1 << 8 * w) - 1)
+    flags = opens.to_bytes(size, "little")
+    live = [j for j in range(m) if flags.count(0, j * step, j * step + step) < step]
+    pairs = _mu_pairs(p, live)
+
+    def at(lanes: bytes, *indices: list[int]) -> Iterator[int]:
+        """For each list of indices, the lanes of the set at each index, and
+        of no set at len(upper sets)."""
+        sets = [lanes[i : i + step] for i in range(0, size, step)] + [bytes(step)]
+        return (_int(b"".join(map(sets.__getitem__, each))) for each in indices)
+
+    first, second, meet, join = at(flags, *pairs) if pairs[0] else (0, 0, 0, 0)
+    # lanes (x, set): sup(sec x) lies in the set, and sec x misses it
+    _, low_n, high_n = _lane_constants(n * size // w, w)
+    secs = b"".join(sec.to_bytes(step, "little") for sec in lanes.secs)
+    if count == 1:  # n suprema, fewer than the masks of a table
+        sups = _pack([_sup_bit(p, sec) for sec in lanes.secs], n)
+    else:
+        sups = secs.translate(_sup_bytes(p))
+    every = _int(tiled * n)
+    inside = _nonzero(every & _int(lanes.tile(sups, m)), low_n, high_n)
+    reached = _fold(inside & ~_nonzero(every & _int(lanes.tile(secs, m)), low_n, high_n), 8 * size)
+    rows = wrong = 0
+    if approximating:  # lanes (i, x): the complement of the i-th live set that holds x, if open
+        uppers = _upper_list(p)
+        holders = [[j for j in live if uppers[j] >> x & 1] for x in range(n)]
+        gather = [h[i] if i < len(h) else m for i in range(max(map(len, holders))) for h in holders]
+        full = (1 << n) - 1
+        rows = _fold(*at((opens & ~u & full * ones).to_bytes(size, "little"), gather), n * block)
+        rows ^= full * _lane_constants(n * count, w)[0]
+        wrong = _fold(rows ^ _int(lanes.tile(_pack(p.up, n))), block)
+    return {
+        "topology.contains-empty": shut & (1 << block) - 1,
+        "topology.contains-full": shut >> block * (m - 1),
+        "topology.binary-intersection": first & second & ~meet,
+        "topology.binary-union": first & second & ~join,
+        "mu.open-implies-inaccessible": fixed & reached,
+        "mu.inaccessible-implies-open": shut & ~reached,
+        "mu.finer-than-scott": shut,
+        "mu.specialization-recovers-order": wrong,
+    }, rows, pairs[:2]
+
+
+def _chain_fails(lanes: _Lanes, family: bytes) -> bool:
+    """Whether a link of the chain fails at some lane of ``family``."""
+    chain = _chain_lanes(lanes, family)
+    return any(below & ~above for below, above in zip(chain, chain[1:]))
+
+
+def _chain_lanes(lanes: _Lanes, family: bytes) -> list[int]:
+    """Scott interior, mu interior, lap, the set, uap, mu closure and Scott
+    closure at each lane of ``family``, on the lanes of one relation: the
+    Scott interior is full ^ down(full ^ b) and the closure down(b); the mu
+    interior is one zeta transform of the opens, read through ``_TABLE``."""
+    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    h, fulls = len(family), _fulls(family, n)
+    both = family + _gather(family, n, _COMPLEMENT, p)
+    tiled, fixed = _opens(lanes)
+    opens = compress(_upper_list(p), (fixed >> 8 * w - 1).to_bytes(len(tiled), "little")[::w])
+    mu = _int(_gather(both, n, _TABLE, submask_unions(n, ((s, s) for s in opens))))
+    down = _int(_gather(both, n, _DOWN, p))
+    return [
+        down >> 8 * h ^ fulls,
+        mu & (1 << 8 * h) - 1,
+        _int(lanes.lap(family)),
+        _int(family),
+        _int(lanes.uap(family)),
+        mu >> 8 * h ^ fulls,
+        down & (1 << 8 * h) - 1,
+    ]
+
+
 # -- every relation of a batch at once -------------------------------------------
 
 BATCH = 64  # relations per batch
 SHARED_MAX_SETS = 48  # the most upper sets of a poset whose relations share lanes
-BATCHED_SUITES = ("algebra", "int-char", "partition")
+BATCHED_SUITES = ("algebra", "chain", "int-char", "mu-topology", "partition")
 
 
 def batch_failures(
@@ -726,7 +869,9 @@ def batch_failures(
     per-subset ones over ``masks``) fails a law.  Relations share lanes up to
     ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``, above which the m^2 lanes of the
     pair laws (m upper sets) make shared unions slower than their tables."""
-    if len(rels) == 1 or p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
+    if len(rels) == 1:
+        return _group_failures(p, rels, _single(rels[0]), masks, suites)
+    if p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
         each = [_group_failures(p, [r], _single(r), masks, suites) for r in rels]
         return {s: b"".join(f[s] for f in each) for s in each[0]}
     return _group_failures(p, rels, _batch_operators(p, rels), masks, suites)
@@ -745,6 +890,27 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     packed = _pack(masks, n)
     family = lanes.tile(packed)
     fails = {}
+    if "chain" in suites or "mu-topology" in suites:
+        if n > MAX_DIRECTED_UNIVERSE:  # where the checkers' Scott side refuses p
+            raise BudgetExceeded(f"universe of {n} exceeds {MAX_DIRECTED_UNIVERSE}")
+        pre = app = 0  # the top bit of the lane of each relation of the class
+        for k, r in enumerate(rels):
+            cls, top = classify(r), 1 << 8 * w * k + 8 * w - 1
+            pre, app = pre | top * cls.pre_approximating, app | top * cls.approximating
+    if "mu-topology" in suites:  # a relation that is not pre-approximating has no instance
+        fails["mu-topology"] = pre
+        if pre:
+            laws = list(_mu_lanes(lanes, *_opens(lanes), app != 0)[0].values())
+            fails["mu-topology"] &= flag(reduce(or_, laws[:5])) | app & flag(reduce(or_, laws[5:]))
+    if "chain" in suites:
+        # nor has one that is not approximating a chain instance.  On a finite
+        # poset the order is the one approximating auxiliary relation, so a
+        # batch holds few, and each is decided on its own lanes.
+        fails["chain"] = sum(
+            1 << 8 * w * k + 8 * w - 1
+            for k, r in enumerate(rels)
+            if classify(r).approximating and _chain_fails(_single(r), packed)
+        )
     if "partition" in suites:
         fails["partition"] = flag(reduce(or_, _partition_lanes(lanes, family)[3:]))
     if "int-char" in suites:  # flags where a statement is false

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .approx import lap, lap_upper_adjoint, uap, uap_lower_adjoint
 from .bitset import mask_text
@@ -58,7 +59,7 @@ from .poset import (
     poset_to_json,
     random_poset,
 )
-from .report import CheckReport
+from .report import CheckReport, exit_code_of
 from .topology import (
     Topology,
     closure as topo_closure,
@@ -444,7 +445,7 @@ def _cmd_search(args) -> int:
             print(_dump(witness["detail"]))
     else:
         print(_dump(witness))
-    return 0 if witness is None else 3
+    return exit_code_of(False, witness is not None)  # a witness is a finding
 
 
 def _add_scope_flags(sp) -> None:
@@ -642,10 +643,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once: building it costs more than many a command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return 0

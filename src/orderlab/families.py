@@ -21,7 +21,8 @@ pair.  Window verification checks that the analytic answers and the
 computed finite answers never disagree on the window, completing declared
 chains by their declared suprema instead of ever computing an infinite
 supremum: the window's one step is ``reference.one_step_mask`` with the
-declared chains as its directed sets.
+declared chains as its directed sets, and ``window.one-step-consistency``
+asks it to agree with ``Aprime`` on every element of the window.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def verify_window_soundness(f: Family, m: int, n: int) -> CheckReport:
             (
                 {"element": str(e)}
                 for k, e in enumerate(w.elements)
-                if step >> k & 1 and not f.member("Aprime", e)
+                if step >> k & 1 != f.member("Aprime", e)
             ),
         )
 

@@ -14,14 +14,13 @@ subset, second relation) straight to the checkers.
 
 The relations of a poset are taken in batches of ``approx.BATCH``.  One
 call of ``approx.batch_failures`` per batch decides, for every relation
-(together on a small poset), whether the ``algebra``, ``int-char`` and
-``partition`` checkers pass on it; ``chain`` is decided by one call of its
-checker over the relation's whole subset family.  A (suite, relation) that passes is tallied as passed,
-all its instances at once, with no report built.  One that fails, a batch
-that raises, and a tally that would cross the instance cap or start past
-the deadline run per instance instead, so their entries are exactly those
-of a per-instance run, and a capped run counts its first instances in the
-order above.
+(together on a small poset), whether the checkers of each relation suite
+but ``cspace`` pass on it.  A (suite, relation) that passes is tallied as
+passed, all its instances at once, with no report built.  One that fails,
+a ``cspace`` instance, a batch that raises, and a tally that would cross
+the instance cap or start past the deadline run per instance instead, so
+their entries are exactly those of a per-instance run, and a capped run
+counts its first instances in the order above.
 
 Each failure or finding carries a fingerprint that reconstructs the
 instance exactly; replay is the only code that decodes one, and it
@@ -71,7 +70,7 @@ from .poset import (
     enumerate_posets,
     poset_to_json,
 )
-from .report import CheckReport
+from .report import CheckReport, exit_code_of
 from .topology import (
     check_chain_of_containments,
     check_continuity_characterization,
@@ -322,11 +321,7 @@ class RunReport:
 
     @property
     def exit_code(self) -> int:
-        if self.failures:
-            return 1
-        if self.findings:
-            return 3
-        return 0
+        return exit_code_of(self.failures, self.findings)
 
 
 def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
@@ -360,7 +355,6 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
             if not rel_suites:
                 continue
             subsets = _scope_subsets(scope, p, pi)
-            sets = [ElementSet(bits, p.n) for bits in subsets]
             rels = _scope_relations(scope, p, pi)
             while chunk := list(islice(rels, BATCH)):
                 bad = dict.fromkeys(rel_suites, b"\1" * len(chunk))
@@ -376,7 +370,7 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
                             count
                             and (cap is None or attempted + count <= cap)
                             and (deadline is None or time.monotonic() <= deadline)
-                            and (_chain_passes(r, sets) if suite == "chain" else not bad[suite][k])
+                            and not bad[suite][k]
                         ):
                             attempted += count
                             passed += count
@@ -418,16 +412,6 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
         incomplete=incomplete,
         elapsed_s=time.monotonic() - start,
     )
-
-
-def _chain_passes(r: AuxRelation, sets: list[ElementSet]) -> bool:
-    """Whether the chain checker on r over all of ``sets`` shows no failure and
-    no finding; a raising checker shows nothing."""
-    try:
-        rep = check_chain_of_containments(r, sets=sets)
-    except Exception:
-        return False
-    return not rep.failures and not rep.findings
 
 
 def replay(entry: dict | str) -> CheckReport:

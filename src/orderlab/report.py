@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
+def exit_code_of(failures, findings) -> int:
+    """The CLI's exit code for a report or a run: 1 for a failure, 3 for a finding, else 0."""
+    return 1 if failures else 3 if findings else 0
+
+
 @dataclass
 class LawVerdict:
     law: str
@@ -82,8 +87,7 @@ class CheckReport:
 
     @property
     def exit_code(self) -> int:
-        """The CLI's exit code, by the rule of ``RunReport``: 1 for a failure, 3 for a finding."""
-        return 1 if self.failures else 3 if self.findings else 0
+        return exit_code_of(self.failures, self.findings)
 
     def verdict(self, law: str) -> LawVerdict:
         for v in self.verdicts:

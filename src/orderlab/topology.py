@@ -9,6 +9,12 @@ On a finite poset the Scott opens are exactly the upper sets, which is
 what ``scott_topology`` and ``is_scott_open`` return; the laws that
 exercise the directed-subset definition read ``reference.scott_masks``
 and ``reference.scott_interiors``, each built once per poset.
+``check_mu_laws``, ``check_mu_inaccessibility`` and
+``check_chain_of_containments`` decide their laws on the lanes of
+``approx`` (``_mu_lanes``, ``_chain_lanes``), which a campaign's relation
+batch shares, and only turn the first failing lane of each law into its
+witness: the first failing open, upper set, pair of opens or subset of a
+scan in ascending order.
 """
 
 from __future__ import annotations
@@ -24,18 +30,22 @@ from .approx import (
     _LAP,
     _TABLE,
     _UAP,
+    _add_pair_laws,
+    _chain_lanes,
     _family_masks,
     _family_scope,
     _first_lane,
     _gather,
     _int,
+    _lane,
     _lane_constants,
-    _lap_mask,
+    _mu_lanes,
     _nonzero,
+    _opens,
     _pack,
     _set_witness,
+    _single,
     _subject,
-    _uap_mask,
     _upper_lanes,
 )
 from .auxrel import AuxRelation, classify, leq_aux, way_below
@@ -52,7 +62,6 @@ from .poset import (
     _check_universe,
     _closed,
     _join,
-    _least,
     _per_poset,
     _upper_list,
 )
@@ -269,34 +278,22 @@ def check_chain_of_containments(
     one-set report also lists the chain's values, as an informational verdict.
     """
     p = r.poset
+    n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, a, sets)
     cls = classify(r)
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     if not cls.approximating:
         raise NotApproximating(cls.witnesses.get("approximating"))
-    sigma = scott_topology(p)
-    mu = mu_topology(r)
+    scott_topology(p)  # refuses a universe beyond the directed-set budget
     rep = CheckReport(_subject(r), _family_scope(masks))
-    witnesses: list[dict | None] = [None] * len(_CHAIN_LINKS)
-    for b in masks:
-        chain = (
-            _interior_mask(sigma, b),
-            _interior_mask(mu, b),
-            _lap_mask(r, b),
-            b,
-            _uap_mask(r, b),
-            _closure_mask(mu, b),
-            _closure_mask(sigma, b),
-        )
-        if len(masks) == 1:
-            values = {name: mask_text(bits) for name, bits in zip(_CHAIN_NAMES, chain)}
-            rep.add("chain.values", True, values, informational=True)
-        for k, (name1, name2) in enumerate(_CHAIN_LINKS):
-            if witnesses[k] is None and chain[k] & ~chain[k + 1]:
-                witnesses[k] = {name1: mask_text(chain[k]), name2: mask_text(chain[k + 1])}
-    for (name1, name2), witness in zip(_CHAIN_LINKS, witnesses):
-        rep.add(f"chain.{name1}-below-{name2}", witness is None, witness)
+    chain = _chain_lanes(_single(r), _pack(masks, n))
+    if len(masks) == 1:
+        values = {name: mask_text(bits) for name, bits in zip(_CHAIN_NAMES, chain)}
+        rep.add("chain.values", True, values, informational=True)
+    for names, below, above in zip(_CHAIN_LINKS, chain, chain[1:]):
+        link = ("chain.{}-below-{}".format(*names), below, above, below & ~above)
+        _add_pair_laws(rep, [link], names, w)
     return rep
 
 
@@ -461,79 +458,55 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     return rep
 
 
+# the laws of _mu_lanes that only an approximating relation must satisfy, and
+# the note each takes on any other
+_MU_VACUOUS = {
+    "mu.inaccessible-implies-open": "vacuous: relation not approximating",
+    "mu.finer-than-scott": "vacuous: not approximating",
+    "mu.specialization-recovers-order": "vacuous: not approximating",
+}
+
+
+def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
+    """The laws ``laws`` of ``approx._mu_lanes``, on the lanes of r: a law
+    over the opens or the upper sets names the first failing one, a law over
+    pairs of opens the first failing pair."""
+    p = r.poset
+    n, w = p.n, lane_width(p.n)
+    mu_topology(r)  # raises NotPreApproximating; cspace reads the relation's copy
+    approximating = classify(r).approximating
+    lanes = _single(r)
+    failing, lanes_of_rows, pairs = _mu_lanes(lanes, *_opens(lanes), approximating)
+    rows = [_lane(lanes_of_rows, x, w) for x in range(n)]
+    uppers = _upper_list(p)
+    rep = CheckReport(_subject(r), scope)
+    for law, bad in list(failing.items())[laws]:
+        if law in _MU_VACUOUS and not approximating:
+            rep.add(law, True, note=_MU_VACUOUS[law])
+            continue
+        k = _first_lane(bad, w)
+        if not bad or law.startswith("topology.contains"):
+            witness = None
+        elif law.startswith("topology.binary"):
+            witness = {"u": uppers[pairs[0][k]], "v": uppers[pairs[1][k]]}
+        elif law == "mu.specialization-recovers-order":
+            twins = (rows[x] >> y & rows[y] >> x & 1 for x in range(n) for y in range(x + 1, n))
+            witness = {"rows": rows, "t0": not any(twins)}
+        elif law == "mu.finer-than-scott":
+            witness = {"missing": [uppers[k]]}
+        else:
+            witness = {"open" if law.endswith("inaccessible") else "set": mask_text(uppers[k])}
+        rep.add(law, not bad, witness)
+    return rep
+
+
 def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
     """Opens are exactly the upper sets no section-supremum can sneak into."""
-    p = r.poset
-    mu = mu_topology(r)
-    cls = classify(r)
-    sups = [_least(p.up, sec) for sec in r.sec]
-
-    def inaccessible(mask: int) -> bool:
-        for x in range(p.n):
-            s = sups[x]
-            if s is not None and mask >> s & 1 and r.sec[x] & mask == 0:
-                return False
-        return True
-
-    rep = CheckReport(_subject(r), "all upper sets")
-    rep.law(
-        "mu.open-implies-inaccessible",
-        (
-            {"open": mask_text(u)}
-            for u in mu.masks
-            if not _closed(p.up, u) or not inaccessible(u)
-        ),
-    )
-    if cls.approximating:
-        rep.law(
-            "mu.inaccessible-implies-open",
-            (
-                {"set": mask_text(m)}
-                for m in _upper_list(p)
-                if inaccessible(m) and m not in mu._mask_set
-            ),
-        )
-    else:
-        rep.add(
-            "mu.inaccessible-implies-open",
-            True,
-            note="vacuous: relation not approximating",
-        )
-    return rep
+    return _mu_report(r, "all upper sets", slice(4, 6))
 
 
 def check_mu_laws(r: AuxRelation) -> CheckReport:
     """Bundle of structural laws for the induced topology."""
-    p = r.poset
-    cls = classify(r)
-    inaccessibility = check_mu_inaccessibility(r)
-    mu = r._mu  # built and kept on the relation by the check above
-    rep = CheckReport(_subject(r), "induced topology")
-    rep.verdicts.extend(check_topology_invariants(mu).verdicts)
-    rep.verdicts.extend(inaccessibility.verdicts)
-    sigma = scott_topology(p)
-    if cls.approximating:
-        finer = all(m in mu._mask_set for m in sigma.masks)
-        rep.add(
-            "mu.finer-than-scott",
-            finer,
-            None
-            if finer
-            else {"missing": [m for m in sigma.masks if m not in mu._mask_set][:1]},
-        )
-        spec = specialization_order(mu)
-        rep.add(
-            "mu.specialization-recovers-order",
-            spec.rows == p.up and spec.is_t0,
-            None
-            if spec.rows == p.up and spec.is_t0
-            else {"rows": list(spec.rows), "t0": spec.is_t0},
-        )
-    else:
-        rep.add("mu.finer-than-scott", True, note="vacuous: not approximating")
-        rep.add(
-            "mu.specialization-recovers-order",
-            True,
-            note="vacuous: not approximating",
-        )
+    rep = _mu_report(r, "induced topology", slice(None))
+    scott_topology(r.poset)  # refuses a universe beyond the directed-set budget
     return rep

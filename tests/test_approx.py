@@ -2,6 +2,7 @@
 
 import operator
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -51,7 +52,7 @@ from orderlab.poset import (
     random_poset,
 )
 from orderlab.report import CheckReport
-from orderlab.topology import check_chain_of_containments
+from orderlab.topology import check_chain_of_containments, check_mu_laws
 
 
 def _sets(n):
@@ -1071,15 +1072,20 @@ def test_the_pair_laws_match_the_scans_on_sampled_posets(break_operators, corrup
 
 def _checker_failures(r, masks):
     """Per batched suite, whether a checker that the suite runs on r fails a
-    law, the per-subset ones over ``masks``."""
+    law, the per-subset ones over ``masks``: none runs the chain on a relation
+    that is not approximating, nor the mu laws on one that is not
+    pre-approximating."""
     sets = [ElementSet(bits, r.poset.n) for bits in masks]
+    cls = classify(r)
     reports = {
         "algebra": (
             check_adjunction(r),
             check_algebra(r, leq_aux(r.poset)),
             check_basic_laws(r, sets=sets),
         ),
+        "chain": (check_chain_of_containments(r, sets=sets),) if cls.approximating else (),
         "int-char": (check_int_equivalences(r),),
+        "mu-topology": (check_mu_laws(r),) if cls.pre_approximating else (),
         "partition": (check_partition(r, sets=sets),),
     }
     return {s: any(rep.failures or rep.findings for rep in reps) for s, reps in reports.items()}
@@ -1099,16 +1105,17 @@ def _perturbed(p, rels, rng):
 
 def _assert_batches_flag_the_checker_failures(p, rels, masks):
     """Batches of ``approx.BATCH`` relations flag exactly the relations whose
-    checkers fail, suite by suite.  Returns how many relations fail."""
+    checkers fail, suite by suite.  Counts the relations that fail, under
+    "relations", and those that fail each suite."""
     flags = {s: b"" for s in approx.BATCHED_SUITES}
     for start in range(0, len(rels), approx.BATCH):
         batch = approx.batch_failures(p, rels[start : start + approx.BATCH], masks, flags)
         flags = {s: flags[s] + batch[s] for s in flags}
-    failing = 0
+    failing = Counter()
     for k, r in enumerate(rels):
         expected = _checker_failures(r, masks)
         assert {s: flags[s][k] != 0 for s in flags} == expected, (p.up, r.sec)
-        failing += any(expected.values())
+        failing.update(["relations"] * any(expected.values()) + [s for s in flags if expected[s]])
     return failing
 
 
@@ -1116,14 +1123,14 @@ def test_batches_flag_exactly_the_failing_relations_on_every_small_poset():
     """Every relation on every labeled poset with n <= 4, three arbitrary
     relations per poset and each relation with one section bit flipped."""
     rng = random.Random(4)
-    relations = failing = 0
+    relations, failing = 0, Counter()
     for n in range(1, 5):
         for p in enumerate_posets(n):
             rels = list(enumerate_aux(p))
             rels += _perturbed(p, rels, rng)
             relations += len(rels)
             failing += _assert_batches_flag_the_checker_failures(p, rels, range(1 << n))
-    assert relations == 2 * 5560 + 3 * 242 and failing > 3000
+    assert relations == 2 * 5560 + 3 * 242 and failing["relations"] > 3000
 
 
 @settings(max_examples=30, deadline=None)
@@ -1156,11 +1163,11 @@ def test_batches_under_broken_operators_flag_exactly_the_failing_relations(break
         lap=lambda r, b, v: v ^ (b == 0b11 and sum(r.sec) % 5 == 0),
         uap=lambda r, b, v: v ^ (b == 0b1 and sum(r.sec) % 5 == 1),
     )
-    failing = 0
+    failing = Counter()
     for n in range(1, 4):
         for p in enumerate_posets(n):
             failing += _assert_batches_flag_the_checker_failures(p, list(enumerate_aux(p)), range(1 << n))
-    assert failing > 0
+    assert set(failing) == {"relations", *approx.BATCHED_SUITES}, failing
 
 
 def test_batches_flag_a_broken_sections_join_that_only_the_adjunction_reads(monkeypatch):
@@ -1207,13 +1214,13 @@ def _force_lane(out, bit):
     if isinstance(out, dict):
         first = next(iter(out))
         return {**out, first: out[first] | bit}
-    if isinstance(out, tuple) and isinstance(out[0], dict):  # _relation_lanes
-        return (_force_lane(out[0], bit), out[1])
+    if isinstance(out, tuple) and isinstance(out[0], dict):  # _relation_lanes, _mu_lanes
+        return (_force_lane(out[0], bit), *out[1:])
     if isinstance(out, tuple):  # _partition_lanes: the overlap is last
         return (*out[:-1], out[-1] | bit)
     if isinstance(out[0], tuple):  # the pair laws: (law, first, second, bad)
         return [(*out[0][:-1], out[0][-1] | bit), *out[1:]]
-    return [out[0] | bit, *out[1:]]  # _int_lanes: statement (2)
+    return [out[0] | bit, *out[1:]]  # _int_lanes: statement (2); _chain_lanes: Scott interior
 
 
 @pytest.mark.parametrize(
@@ -1227,6 +1234,8 @@ def _force_lane(out, bit):
         ("_partition_lanes", "partition"),
         ("_int_lanes", "int-char"),
         ("_leq_identities", "algebra"),
+        ("_mu_lanes", "mu-topology"),
+        ("_chain_lanes", "chain"),
     ],
 )
 def test_every_lane_law_reaches_the_batch_verdict(monkeypatch, name, suite):

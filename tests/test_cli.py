@@ -378,6 +378,29 @@ def test_the_cli_choices_are_the_library_tables():
         assert help_text == "comma-separated: " + ",".join(_BUILTIN_RELS)
 
 
+def test_main_builds_its_parser_once_and_answers_alike_with_it(capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    argv = ["verify", "--max-n", "2", "--suite", "all", "--seed", "0", "--format", "json"]
+    runs = [(main(argv), capsys.readouterr()) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == 3  # cspace findings at n = 2
+    fresh = real()
+    for path in ([], ["verify"], ["poset", "gen"]):
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main([*path, "--help"])
+            helps.append((stop.value.code, capsys.readouterr().out))
+        parser = fresh
+        for name in path:
+            subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = subparsers.choices[name]
+        assert helps == [(0, parser.format_help())] * 2
+    assert len(builds) == 1
+
+
 def test_check_single_suite(capsys):
     code, out, _ = run(capsys, "check", "--suite", "int-char", "--max-n", "2",
                        "--format", "text")

@@ -243,6 +243,16 @@ def test_trivial_ladder_window_soundness():
     assert verify_window_soundness(LADDER, 0, 0).ok
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (2, 3), (12, 12)])
+def test_a_one_step_that_drops_the_declared_chains_fails_its_law(monkeypatch, m, n):
+    """Without the chains the step of A is its down closure, A itself, which
+    misses the column suprema b(j) of ``Aprime``: the law names the first."""
+    real = reference.one_step_mask
+    monkeypatch.setattr(reference, "one_step_mask", lambda p, bits, sups=None: real(p, bits, []))
+    verdict = verify_window_soundness(LADDER, m, n).verdict("window.one-step-consistency")
+    assert not verdict.passed and verdict.witness == {"element": "b(0)"}
+
+
 def test_omega_window_soundness():
     rep = verify_window_soundness(OMEGA, 0, 8)
     assert rep.ok

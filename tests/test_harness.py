@@ -249,25 +249,11 @@ def _batches_raise(monkeypatch):
     monkeypatch.setattr(harness, "batch_failures", batch)
 
 
-def _family_calls_raise(monkeypatch):
-    """Make the relation batch raise, and the chain checker when asked about
-    more than one set, so that every batch runs per instance."""
-    _batches_raise(monkeypatch)
-    real = harness.check_chain_of_containments
-
-    def one_set(r, a=None, sets=None):
-        if sets is not None and len(sets) > 1:
-            raise RuntimeError("family call")
-        return real(r, a) if a is not None else real(r, sets=sets)
-
-    monkeypatch.setattr(harness, "check_chain_of_containments", one_set)
-
-
 def _break_lap_and_uap(break_operators):
     """Flip element 0 of lap({0,1}) on a fifth of the relations and of
     uap({0}) on another fifth, in the tables that every module reads the
-    operators from: those relations fail laws of all four per-relation
-    suites that the batch and the chain checker decide, and the others pass."""
+    operators from: those relations fail laws of all five suites that the
+    batch decides, and the others pass."""
     break_operators(
         lap=lambda r, b, v: v ^ (b == 0b11 and sum(r.sec) % 5 == 0),
         uap=lambda r, b, v: v ^ (b == 0b1 and sum(r.sec) % 5 == 1),
@@ -299,10 +285,10 @@ def test_batched_and_per_instance_runs_give_the_same_report(
     checked = []
     real_check = harness._check
     monkeypatch.setattr(harness, "_check", lambda *inst: checked.append(inst) or real_check(*inst))
-    suites = ["algebra", "chain", "int-char", "partition"]
+    suites = ["algebra", "chain", "int-char", "mu-topology", "partition"]
     batched = run_suite(scope, suites)
     per_subset_checked = sum(bits is not None for _, _, _, bits, _ in checked)
-    _family_calls_raise(monkeypatch)
+    _batches_raise(monkeypatch)
     checked.clear()
     per_instance = run_suite(scope, suites)
     per_subset = sum(bits is not None for _, _, _, bits, _ in checked)
@@ -311,7 +297,7 @@ def test_batched_and_per_instance_runs_give_the_same_report(
     if broken:
         # the relations that fail go per instance, the others pass as batches
         assert {e["law"].split(".")[0] for e in batched.failures} == {
-            "basic", "chain", "int-char", "partition"
+            "basic", "chain", "int-char", "mu", "partition", "topology"
         }
         assert 0 < per_subset_checked < per_subset
     else:
@@ -331,7 +317,7 @@ def _relation_major(scope, suites):
                 yield from ((s, p, *i) for i in per_suite[s] if i[0] is not None and i[0].sec == r.sec)
 
 
-_CUT_SUITES = ("algebra", "chain", "continuity", "int-char", "partition")
+_CUT_SUITES = ("algebra", "chain", "continuity", "int-char", "mu-topology", "partition")
 
 
 def _prefix_reports(order):
@@ -365,6 +351,7 @@ def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_opera
     inside = [cap for cap in range(1, len(order)) if _inside_a_batch(order, cap)]
     between = [cap for cap in inside if order[cap][2] is not order[cap - 1][2]]
     caps = set(inside[:: len(inside) // 12] + between[:: len(between) // 6])
+    caps |= {next(cap for cap in inside if order[cap][0] == s) for s in approx.BATCHED_SUITES}
     prefixes = list(_prefix_reports(order))
     for cap in sorted(caps):
         rep = run_suite(Scope(max_n=3, max_instances=cap), _CUT_SUITES)
@@ -374,8 +361,8 @@ def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_opera
     # the broken operators fail laws of every batched suite, so the caps are
     # compared on failing tallies too
     failing = {parse_fingerprint(e["fingerprint"]).suite for e in prefixes[-1][1]}
-    assert failing >= {"algebra", "int-char", "partition"}
-    assert {order[cap][0] for cap in caps} >= {"algebra", "int-char", "partition"}
+    assert failing >= set(approx.BATCHED_SUITES)
+    assert {order[cap][0] for cap in caps} >= set(approx.BATCHED_SUITES)
 
 
 def test_a_deadline_inside_a_batch_stops_at_an_instance_boundary(monkeypatch, break_operators):
@@ -418,6 +405,30 @@ def test_a_campaign_tabulates_each_relation_and_sweeps_each_poset_once(monkeypat
     assert rep.attempted == 199030 and (len(posets), relations) == (242, 5560)
     assert len({id(r) for r in filled}) == len(filled) <= relations + 2 * len(posets)
     assert sweeps.cache_info().misses == len(posets)
+
+
+def test_a_max_n_4_campaign_runs_no_mu_or_relation_chain_checker(monkeypatch):
+    """The batch decides the mu laws of all 1,319 pre-approximating relations
+    and the chains of the 242 approximating ones, so the reports a campaign
+    builds are those of the poset-level instances and of cspace (22,471
+    verdicts at the parent, whose checkers ran 1,319 and 242 times)."""
+    calls = {"mu": 0, "chain": 0, "add": 0}
+
+    def counted(key, real):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(harness, "check_mu_laws", counted("mu", harness.check_mu_laws))
+    monkeypatch.setattr(
+        harness, "check_chain_of_containments", counted("chain", harness.check_chain_of_containments)
+    )
+    monkeypatch.setattr(CheckReport, "add", counted("add", CheckReport.add))
+    rep = run_suite(Scope(max_n=4), SUITES)
+    assert rep.attempted == 199030 and rep.exit_code == 3
+    assert calls == {"mu": 0, "chain": 0, "add": 10467}
 
 
 def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch):

@@ -17,7 +17,8 @@ from orderlab.auxrel import AuxRelation, classify, enumerate_aux
 from orderlab.bitset import ElementSet
 from orderlab.closures import check_sec5_theorems
 from orderlab.poset import Poset, antichain, chain, diamond
-from orderlab.report import CheckReport
+from orderlab.harness import RunReport
+from orderlab.report import CheckReport, exit_code_of
 from orderlab.topology import (
     Topology,
     check_continuity_characterization,
@@ -47,6 +48,11 @@ def test_exit_code_is_0_for_a_pass_1_for_a_failure_and_3_for_a_finding():
     assert CheckReport("s", "scope").add("f", False).exit_code == 1
     assert CheckReport("s", "scope").add("f", False, finding=True).exit_code == 3
     assert CheckReport("s", "scope").add("f", False, finding=True).add("x", False).exit_code == 1
+    # a campaign and a search (whose witness is a finding) follow the one rule
+    assert [exit_code_of(f, g) for f in (False, True) for g in (False, True)] == [0, 3, 1, 1]
+    for failures, findings in ((0, 0), (0, 2), (1, 0), (1, 2)):
+        run = RunReport((), 0, 0, [{}] * failures, [{}] * findings, 0)
+        assert run.exit_code == exit_code_of(failures, findings)
 
 
 def test_law_forwards_the_verdict_kind():

@@ -1,26 +1,40 @@
 """Induced and Scott topologies, interior/closure, specialization, c-spaces."""
 
-import pytest
+import random
+from itertools import product
 
-from orderlab import topology
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orderlab import approx, topology
+from orderlab.approx import _family_scope, _lap_mask, _subject, _uap_mask
 from orderlab.auxrel import (
     AuxRelation,
     classify,
     enumerate_aux,
     leq_aux,
+    sample_aux,
     validate_aux,
     way_below,
 )
-from orderlab.bitset import ElementSet
+from orderlab.bitset import ElementSet, mask_text
 from orderlab.errors import BadParameters, BudgetExceeded, NotApproximating, NotPreApproximating
 from orderlab.poset import (
+    MAX_DIRECTED_UNIVERSE,
+    Poset,
+    _closed,
+    _least,
+    _upper_list,
     antichain,
     chain,
     diamond,
     enumerate_posets,
     enumerate_upper_sets,
+    random_poset,
     validate_poset,
 )
+from orderlab.report import CheckReport
 from orderlab.topology import (
     Topology,
     check_chain_of_containments,
@@ -392,3 +406,230 @@ def test_bundled_laws_for_approximating_relations():
                 assert finer.note == "" and spec.note == ""
             else:
                 assert "vacuous" in finer.note and "vacuous" in spec.note
+
+
+# -- the lane checkers against the per-open scans they replaced --------------------------
+
+
+def _scanned_mu_inaccessibility(r):
+    """``check_mu_inaccessibility`` as a scan over the opens and the upper sets."""
+    p = r.poset
+    mu = mu_topology(r)
+    cls = classify(r)
+    sups = [_least(p.up, sec) for sec in r.sec]
+
+    def inaccessible(mask):
+        for x in range(p.n):
+            s = sups[x]
+            if s is not None and mask >> s & 1 and r.sec[x] & mask == 0:
+                return False
+        return True
+
+    rep = CheckReport(_subject(r), "all upper sets")
+    rep.law(
+        "mu.open-implies-inaccessible",
+        ({"open": mask_text(u)} for u in mu.masks if not _closed(p.up, u) or not inaccessible(u)),
+    )
+    if cls.approximating:
+        rep.law(
+            "mu.inaccessible-implies-open",
+            (
+                {"set": mask_text(m)}
+                for m in _upper_list(p)
+                if inaccessible(m) and m not in mu._mask_set
+            ),
+        )
+    else:
+        rep.add("mu.inaccessible-implies-open", True, note="vacuous: relation not approximating")
+    return rep
+
+
+def _scanned_mu_laws(r):
+    """``check_mu_laws`` from the scans of the opens: the topology's pair scan,
+    the inaccessibility scan, and the specialization order of the opens."""
+    p = r.poset
+    cls = classify(r)
+    inaccessibility = _scanned_mu_inaccessibility(r)
+    mu = mu_topology(r)
+    rep = CheckReport(_subject(r), "induced topology")
+    rep.verdicts.extend(check_topology_invariants(mu).verdicts)
+    rep.verdicts.extend(inaccessibility.verdicts)
+    sigma = scott_topology(p)
+    if cls.approximating:
+        missing = [m for m in sigma.masks if m not in mu._mask_set]
+        rep.add("mu.finer-than-scott", not missing, {"missing": missing[:1]} if missing else None)
+        spec = specialization_order(mu)
+        ok = spec.rows == p.up and spec.is_t0
+        rep.add(
+            "mu.specialization-recovers-order",
+            ok,
+            None if ok else {"rows": list(spec.rows), "t0": spec.is_t0},
+        )
+    else:
+        rep.add("mu.finer-than-scott", True, note="vacuous: not approximating")
+        rep.add("mu.specialization-recovers-order", True, note="vacuous: not approximating")
+    return rep
+
+
+def _scanned_chain(r, masks):
+    """``check_chain_of_containments`` over ``masks`` as a scan: the seven
+    sets of each mask from the opens, the operators and the Scott opens."""
+    p = r.poset
+    sigma, mu = scott_topology(p), mu_topology(r)
+    rep = CheckReport(_subject(r), _family_scope(masks))
+    names = topology._CHAIN_NAMES
+    witnesses = [None] * (len(names) - 1)
+    for b in masks:
+        chain = (
+            topology._interior_mask(sigma, b),
+            topology._interior_mask(mu, b),
+            _lap_mask(r, b),
+            b,
+            _uap_mask(r, b),
+            topology._closure_mask(mu, b),
+            topology._closure_mask(sigma, b),
+        )
+        if len(masks) == 1:
+            values = {name: mask_text(bits) for name, bits in zip(names, chain)}
+            rep.add("chain.values", True, values, informational=True)
+        for k, (name1, name2) in enumerate(zip(names, names[1:])):
+            if witnesses[k] is None and chain[k] & ~chain[k + 1]:
+                witnesses[k] = {name1: mask_text(chain[k]), name2: mask_text(chain[k + 1])}
+    for name1, name2, witness in zip(names, names[1:], witnesses):
+        rep.add(f"chain.{name1}-below-{name2}", witness is None, witness)
+    return rep
+
+
+def _assert_mu_and_chain_match_the_scans(r, families=()):
+    """The mu laws, the inaccessibility laws and, on an approximating r, the
+    chain over every subset, each set alone and each of ``families`` give the
+    reports of their scans.  Returns the laws that fail."""
+    p = r.poset
+    cls = classify(r)
+    pairs = []
+    if cls.pre_approximating:
+        pairs += [
+            (check_mu_laws(r), _scanned_mu_laws(r)),
+            (check_mu_inaccessibility(r), _scanned_mu_inaccessibility(r)),
+        ]
+    if cls.approximating:
+        pairs.append((check_chain_of_containments(r), _scanned_chain(r, range(1 << p.n))))
+        for family in families:
+            masks = [a.bits for a in family]
+            checked = check_chain_of_containments(r, sets=family)
+            pairs.append((checked, _scanned_chain(r, masks)))
+            if len(family) == 1:
+                pairs.append((check_chain_of_containments(r, family[0]), _scanned_chain(r, masks)))
+    failing = set()
+    for lanes, scanned in pairs:
+        assert lanes.to_dict() == scanned.to_dict(), (p.up, r.sec)
+        failing |= {v.law for v in lanes.failures}
+    return failing
+
+
+def _small_relations(rng):
+    """Every relation on every labeled poset with n <= 4, then three with
+    arbitrary sections and each relation with one section bit flipped."""
+    for n in range(1, 5):
+        for p in enumerate_posets(n):
+            rels = list(enumerate_aux(p))
+            yield from rels
+            yield from (AuxRelation(p, [rng.getrandbits(n) for _ in range(n)]) for _ in range(3))
+            for r in rels:
+                sec = list(r.sec)
+                sec[rng.randrange(n)] ^= 1 << rng.randrange(n)
+                yield AuxRelation(p, sec)
+
+
+def test_mu_and_chain_reports_match_the_scans_on_every_small_relation():
+    rng, counts = random.Random(5), {"pre": 0, "approximating": 0}
+    for r in _small_relations(rng):
+        cls = classify(r)
+        families = [[ElementSet(b, r.poset.n)] for b in range(1 << r.poset.n)]
+        assert not _assert_mu_and_chain_match_the_scans(r, families if r.poset.n <= 3 else ())
+        counts["pre"] += cls.pre_approximating
+        counts["approximating"] += cls.approximating
+    assert counts["pre"] > 1319 and counts["approximating"] > 242
+
+
+_MU_AND_CHAIN_LAWS = {
+    "topology.contains-empty",
+    "topology.contains-full",
+    "topology.binary-intersection",
+    "topology.binary-union",
+    "mu.open-implies-inaccessible",
+    "mu.inaccessible-implies-open",
+    "mu.finer-than-scott",
+    "mu.specialization-recovers-order",
+    *(f"chain.{a}-below-{b}" for a, b in zip(topology._CHAIN_NAMES, topology._CHAIN_NAMES[1:])),
+}
+
+
+def test_one_corrupted_table_entry_gives_the_scans_first_witnesses(break_operators):
+    """One bit of one lap or uap entry of one relation flipped, for each entry
+    of every relation with n <= 3: every mu law and chain link fails
+    somewhere, and each report names the scan's first failing set or pair.
+    But mu.open-implies-inaccessible: a finite directed section holds its
+    supremum, so it meets every set that holds the supremum."""
+    corrupt = {}
+
+    def err(which):
+        def flip(r, b, v):
+            hit = corrupt["sec"] == r.sec and corrupt["entry"] == (which, b)
+            return v ^ (1 << corrupt["bit"] if hit else 0)
+
+        return flip
+
+    break_operators(lap=err("lap"), uap=err("uap"))
+    failing, cases = set(), 0
+    for n in range(1, 4):
+        for q in enumerate_posets(n):
+            for i, sec in enumerate(r.sec for r in enumerate_aux(q)):
+                for which, b, bit in product(("lap", "uap"), range(1 << n), range(n)):
+                    r = AuxRelation(Poset(q.up), sec)  # a fresh relation, tabulated anew
+                    corrupt.update(sec=sec, entry=(which, b), bit=bit)
+                    failing |= _assert_mu_and_chain_match_the_scans(r)
+                    cases += 1
+    assert failing == _MU_AND_CHAIN_LAWS - {"mu.open-implies-inaccessible"}
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_mu_and_chain_reports_match_the_scans_on_sampled_posets(break_operators, broken):
+    """Posets with 2 to 10 points, so on both sides of the table bound, with a
+    sampled relation, the order and sampled families with repeats; broken,
+    lap and uap err on every third mask of every relation."""
+    if broken:
+        break_operators(
+            lap=lambda r, b, v: v ^ (b % 3 == 0) * (b & -b),
+            uap=lambda r, b, v: v ^ (b % 3 == 1) * (1 << (b % r.poset.n)),
+        )
+    failing = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from([0.2, 0.3, 0.5]),
+        st.integers(min_value=0, max_value=10**6),
+        st.data(),
+    )
+    def check(n, density, seed, data):
+        p = random_poset(n, density, seed)
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+        families = [[ElementSet(b, n) for b in masks + masks[::3]], [ElementSet(masks[0], n)]]
+        for r in (sample_aux(p, seed=seed, density=density), leq_aux(p)):
+            failing.update(_assert_mu_and_chain_match_the_scans(r, families))
+
+    check()
+    assert bool(failing) == broken
+
+
+def test_only_the_bundled_mu_laws_refuse_a_universe_beyond_the_directed_budget():
+    p = chain(MAX_DIRECTED_UNIVERSE + 1)
+    r = leq_aux(p)
+    assert check_mu_inaccessibility(r).ok
+    for check in (check_mu_laws, lambda r: check_chain_of_containments(r, p.full_set())):
+        with pytest.raises(BudgetExceeded):
+            check(r)
+    with pytest.raises(BudgetExceeded):
+        approx.batch_failures(p, [r], [0], ["mu-topology"])
