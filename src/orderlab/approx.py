@@ -33,10 +33,11 @@ witness is the set at the lowest one, and a batch folds them to one lane per
 relation in halving ORs; ``basic.leq-identities``, which does not depend on
 the relation, is decided once per batch.  The laws of the induced topology
 mu_R live here too, for ``topology`` to report: its opens are the upper-set
-lanes that lap fixes, its pair laws read the open flags of each incomparable
-pair of sets and of their intersection and union, and the chain of
-containments takes the mu interior of each mask from one zeta transform of
-the opens.  The per-poset tables and set lists come from the one-entry memo
+lanes that lap fixes (``mu_topology`` lists them from the same lanes), its
+pair laws take lap at the intersection and union of each pair of sets, or
+for a batch read their known open flags, and the chain of containments takes
+the mu interior of each mask from ``_INTERIOR``, one zeta transform of the
+opens up to the table bound.  The per-poset tables and set lists come from the one-entry memo
 of ``poset``.  Only this module knows the table bound and the tables behind
 the lanes: other modules pack lanes with ``_pack`` and map them with
 ``_gather`` through an operator ``_Op``, and a table indexed by mask, such as
@@ -45,15 +46,14 @@ a reference table, is its own (``_TABLE``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import compress
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .auxrel import AuxRelation, aux_subset, classify, leq_aux
 from .bitset import ByteUnions, ElementSet, lane_width, mask_text, pack, submask_unions, unpack
-from .errors import BudgetExceeded, NotLower, NotUpper, PosetMismatch
+from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
     MAX_DIRECTED_UNIVERSE,
     Poset,
@@ -320,11 +320,20 @@ class _Lanes:
         return _spread(lanes, m, self.count * w) if m else _spread(lanes, self.count, w)
 
 
-def _single(r: AuxRelation) -> _Lanes:
+class _Single(_Lanes):
     """A checker's lanes: one relation, through its tables."""
-    n = r.poset.n
-    ops = (lambda x, op=op: _gather(x, n, op, r) for op in (_LAP, _UAP, _SEC_JOIN))
-    return _Lanes(r.poset, 1, r.sec, r.above, *ops)
+
+    def __init__(self, r: AuxRelation):
+        self.p, self.count, self.secs, self.aboves, self.r = r.poset, 1, r.sec, r.above, r
+
+    def lap(self, lanes: bytes) -> bytes:
+        return _gather(lanes, self.p.n, _LAP, self.r)
+
+    def uap(self, lanes: bytes) -> bytes:
+        return _gather(lanes, self.p.n, _UAP, self.r)
+
+    def join(self, lanes: bytes) -> bytes:
+        return _gather(lanes, self.p.n, _SEC_JOIN, self.r)
 
 
 def _repeat(value: int, block: int, size: int) -> int:
@@ -446,7 +455,7 @@ def check_partition(
     n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, a, sets)
     rep = CheckReport(_subject(r), _family_scope(masks))
-    lap_a, uap_rest, upper, uncovered, overlap = _partition_lanes(_single(r), _pack(masks, n))
+    lap_a, uap_rest, upper, uncovered, overlap = _partition_lanes(_Single(r), _pack(masks, n))
     k, j = _first_lane(uncovered, w), _first_lane(overlap, w)
     rep.add(
         "partition.cover",
@@ -500,7 +509,7 @@ def int_statements(r: AuxRelation) -> tuple[tuple[bool, bool, bool, bool, bool],
     """
     p = r.poset
     w = lane_width(p.n)
-    lap_bad, s3_bad, uap_bad, s5_bad = _int_lanes(_single(r))
+    lap_bad, s3_bad, uap_bad, s5_bad = _int_lanes(_Single(r))
     witnesses = {
         k: mask_text(sets[_first_lane(bad, w)])
         for k, bad, sets in (
@@ -602,7 +611,7 @@ def check_basic_laws(r: AuxRelation, sets: Iterable[ElementSet] | None = None) -
     n, w = p.n, lane_width(p.n)
     masks = _family_masks(p, None, sets)
     rep = CheckReport(_subject(r), f"{len(masks)} subsets")
-    family, lanes = _pack(masks, n), _single(r)
+    family, lanes = _pack(masks, n), _Single(r)
     leq_lap, leq_uap = _leq_identities(p, family)
     failing = list(_basic_lanes(lanes, family).items())
     failing.insert(4, ("basic.leq-identities", leq_lap | leq_uap))
@@ -675,8 +684,8 @@ def check_algebra(r1: AuxRelation, r2: AuxRelation) -> CheckReport:
     masks = range(1 << n)
     rep = CheckReport(f"n={n};rel1={r1.pairs()};rel2={r2.pairs()}", f"{len(masks)} subsets")
     below = aux_subset(r1, r2)
-    one, union, meet = (_single(r) for r in (r1, _combined(r1, r2, or_), _combined(r1, r2, and_)))
-    for law, bad in _algebra_lanes(one, _single(r2), union, meet, _pack(masks, n)).items():
+    one, union, meet = (_Single(r) for r in (r1, _combined(r1, r2, or_), _combined(r1, r2, and_)))
+    for law, bad in _algebra_lanes(one, _Single(r2), union, meet, _pack(masks, n)).items():
         if law == "algebra.monotone-in-relation" and not below:
             rep.add(law, True, note="vacuous: rel1 not below rel2")
         else:
@@ -716,7 +725,7 @@ def check_adjunction(r: AuxRelation) -> CheckReport:
     """Both Galois laws, quantified over the full lattices: a law's witness is
     the first failing pair (b, a) of a scan over b and then a."""
     rep = CheckReport(_subject(r), "all lower and upper sets")
-    _add_pair_laws(rep, _adjunction_lanes(_single(r)), ("b", "a"), lane_width(r.poset.n))
+    _add_pair_laws(rep, _adjunction_lanes(_Single(r)), ("b", "a"), lane_width(r.poset.n))
     return rep
 
 
@@ -732,17 +741,6 @@ def _sup_bit(p: Poset, b: int) -> int:
     return 0 if s is None else 1 << s
 
 
-@_per_poset
-def _sup_bytes(p: Poset) -> bytes:
-    """``_sup_bit`` of every mask of p up to ``TABLE_MAX_N``: the element
-    whose up-set is the upper bounds of the mask, an AND of up-sets doubled
-    once per element."""
-    least, bounds = {row: 1 << s for s, row in enumerate(p.up)}, [(1 << p.n) - 1]
-    for row in p.up:
-        bounds += [b & row for b in bounds]
-    return bytes([0, *(least.get(b, 0) for b in bounds[1:])]).ljust(256, b"\0")
-
-
 def _opens(lanes: _Lanes) -> tuple[bytes, int]:
     """The upper sets on lanes, and the top bit of each lane whose set lap fixes."""
     p, w = lanes.p, lane_width(lanes.p.n)
@@ -751,97 +749,122 @@ def _opens(lanes: _Lanes) -> tuple[bytes, int]:
     return tiled, _nonzero(_int(lanes.lap(tiled)) ^ _int(tiled), low, high) ^ high
 
 
-def _mu_pairs(p: Poset, live: list[int]) -> tuple[list[int], ...]:
-    """Indices into the upper sets of p, for each incomparable pair of the
-    sets at ``live``, first-major: of its first set, of its second, of their
-    intersection and of their union.  A pair of opens whose intersection
-    (union) is not open is incomparable, and so is the first such pair of a
-    scan of all pairs, as its first set comes before its second."""
+def _open_masks(lanes: _Lanes) -> list[int]:
+    """The opens of the one relation of ``lanes``, ascending."""
+    tiled, fixed = _opens(lanes)
+    w = lane_width(lanes.p.n)
+    is_open = (fixed >> 8 * w - 1).to_bytes(len(tiled), "little")[::w]
+    return list(compress(_upper_list(lanes.p), is_open))
+
+
+def _inside(opens: Iterable[int], bits: int) -> int:
+    """The union of the ``opens`` inside the mask ``bits``: its interior."""
+    out = 0
+    for s in opens:
+        if s & ~bits == 0:
+            out |= s
+    return out
+
+
+# The interior in the topology of the opens t[1] on t[0] points: up to the
+# table bound one zeta transform of the opens, above it ``_inside`` per mask.
+_INTERIOR: _Op = (
+    lambda t: submask_unions(t[0], ((s, s) for s in t[1])).ljust(256, b"\0"),
+    _per_mask(lambda t: partial(_inside, t[1])),
+)
+
+
+@_per_poset
+def _upper_pairs(p: Poset) -> tuple[bytes, ...]:
+    """For each incomparable pair of the upper sets of p, first-major, the
+    index among them of its first set, of its second, of their intersection
+    and of their union, in a byte: p has at most ``TABLE_MAX_N`` points, so
+    at most 256 upper sets.  A comparable pair holds its intersection and
+    union, so only an incomparable one can fail a pair law."""
     uppers = _upper_list(p)
+    index = {u: k for k, u in enumerate(uppers)}
     # ascending, so a set never holds a later one
-    pairs = [(i, j) for a, i in enumerate(live) for j in live[a + 1 :] if uppers[i] & ~uppers[j]]
-    return (
-        [i for i, _ in pairs],
-        [j for _, j in pairs],
-        [bisect_left(uppers, uppers[i] & uppers[j]) for i, j in pairs],
-        [bisect_left(uppers, uppers[i] | uppers[j]) for i, j in pairs],
-    )
+    pairs = [
+        (i, j, index[a & b], index[a | b])
+        for i, a in enumerate(uppers)
+        for j, b in enumerate(uppers[i + 1 :], i + 1)
+        if a & ~b
+    ]
+    return tuple(map(bytes, zip(*pairs))) or (b"",) * 4
 
 
-def _mu_lanes(
-    lanes: _Lanes, tiled: bytes, fixed: int, approximating: bool
-) -> tuple[dict[str, int], int, tuple]:
+def _mu_lanes(lanes: _Lanes, approximating: bool) -> tuple[dict[str, int], int]:
     """The failing lanes of the laws of ``check_mu_laws`` in report order, the
-    last three those of approximating relations, from the upper-set lanes
-    ``tiled`` and the top bits ``fixed`` of the open ones; row x of the
+    last three those of approximating relations, and row x of the
     specialization order at lane x, the AND of the open sets that hold x,
-    read only if some relation is ``approximating``; and the indices of the
-    sets of each pair lane, from ``_mu_pairs`` over the sets open for some
-    relation."""
+    read only if some relation is ``approximating``.  A pair law fails where
+    both sets of a pair are open and their intersection (union) is not: one
+    relation has a lane per pair (i, j) of upper sets, i-major, several one
+    per pair of ``_upper_pairs``."""
     p, n, w, count = lanes.p, lanes.p.n, lane_width(lanes.p.n), lanes.count
+    tiled, fixed = _opens(lanes)
     size, step = len(tiled), w * count  # the bytes of all sets, of one
     m, u, block = size // step, _int(tiled), 8 * step
-    ones, _, high = _lane_constants(size // w, w)
-    shut, opens = high ^ fixed, (fixed >> 8 * w - 1) * ((1 << 8 * w) - 1)
-    flags = opens.to_bytes(size, "little")
-    live = [j for j in range(m) if flags.count(0, j * step, j * step + step) < step]
-    pairs = _mu_pairs(p, live)
-
-    def at(lanes: bytes, *indices: list[int]) -> Iterator[int]:
-        """For each list of indices, the lanes of the set at each index, and
-        of no set at len(upper sets)."""
-        sets = [lanes[i : i + step] for i in range(0, size, step)] + [bytes(step)]
-        return (_int(b"".join(map(sets.__getitem__, each))) for each in indices)
-
-    first, second, meet, join = at(flags, *pairs) if pairs[0] else (0, 0, 0, 0)
+    # the constants of the (element, set) lanes: a narrower family's are their low lanes
+    ones, low, high = _lane_constants(n * m * count, w)
+    shut = fixed ^ high & (1 << 8 * size) - 1
+    flags = fixed.to_bytes(size, "little")
+    if count == 1:  # one relation: its lap at each pair's intersection (union)
+        both = _int(lanes.tile(flags, m)) & _int(flags * m)  # at lane (i, j): sets i and j open
+        _, low2, high2 = _lane_constants(m * m, w)
+        firsts, seconds = _int(lanes.tile(tiled, m)), _int(tiled * m)
+        pairs = (op(firsts, seconds).to_bytes(m * size, "little") for op in (and_, or_))
+        meet, join = (both & _nonzero(_int(lanes.lap(x)) ^ _int(x), low2, high2) for x in pairs)
+    else:  # several: gather the known flags, cheaper than a bitsliced lap on m^2 lanes
+        blocks = [flags[i : i + step] for i in range(0, size, step)]
+        gathered = (_int(b"".join(map(blocks.__getitem__, k))) for k in _upper_pairs(p))
+        first, second, *combined = gathered
+        meet, join = (first & second & ~flag for flag in combined)
     # lanes (x, set): sup(sec x) lies in the set, and sec x misses it
-    _, low_n, high_n = _lane_constants(n * size // w, w)
     secs = b"".join(sec.to_bytes(step, "little") for sec in lanes.secs)
-    if count == 1:  # n suprema, fewer than the masks of a table
-        sups = _pack([_sup_bit(p, sec) for sec in lanes.secs], n)
-    else:
-        sups = secs.translate(_sup_bytes(p))
+    masks = unpack(secs, w)
+    sup = {s: _sup_bit(p, s) for s in set(masks)}  # the relations of a batch share sections
+    sups = _pack(map(sup.__getitem__, masks), n)
     every = _int(tiled * n)
-    inside = _nonzero(every & _int(lanes.tile(sups, m)), low_n, high_n)
-    reached = _fold(inside & ~_nonzero(every & _int(lanes.tile(secs, m)), low_n, high_n), 8 * size)
+    inside = _nonzero(every & _int(lanes.tile(sups, m)), low, high)
+    reached = _fold(inside & ~_nonzero(every & _int(lanes.tile(secs, m)), low, high), 8 * size)
     rows = wrong = 0
-    if approximating:  # lanes (i, x): the complement of the i-th live set that holds x, if open
-        uppers = _upper_list(p)
-        holders = [[j for j in live if uppers[j] >> x & 1] for x in range(n)]
-        gather = [h[i] if i < len(h) else m for i in range(max(map(len, holders))) for h in holders]
+    if approximating:  # row x: full but the complements of the open sets that hold x
         full = (1 << n) - 1
-        rows = _fold(*at((opens & ~u & full * ones).to_bytes(size, "little"), gather), n * block)
-        rows ^= full * _lane_constants(n * count, w)[0]
+        outside = (fixed >> 8 * w - 1) * full & ~u  # the complement of each open set, else 0
+        one = ones & (1 << 8 * size) - 1
+        for x in range(n):
+            rows |= _fold(outside & (u >> x & one) * full, block) << block * x
+        rows ^= full * (ones & (1 << n * block) - 1)
         wrong = _fold(rows ^ _int(lanes.tile(_pack(p.up, n))), block)
     return {
         "topology.contains-empty": shut & (1 << block) - 1,
         "topology.contains-full": shut >> block * (m - 1),
-        "topology.binary-intersection": first & second & ~meet,
-        "topology.binary-union": first & second & ~join,
+        "topology.binary-intersection": meet,
+        "topology.binary-union": join,
         "mu.open-implies-inaccessible": fixed & reached,
         "mu.inaccessible-implies-open": shut & ~reached,
         "mu.finer-than-scott": shut,
         "mu.specialization-recovers-order": wrong,
-    }, rows, pairs[:2]
+    }, rows
 
 
 def _chain_fails(lanes: _Lanes, family: bytes) -> bool:
-    """Whether a link of the chain fails at some lane of ``family``."""
-    chain = _chain_lanes(lanes, family)
+    """Whether a link of the chain of the one relation of ``lanes`` fails at
+    some lane of ``family``."""
+    chain = _chain_lanes(lanes, family, _open_masks(lanes))
     return any(below & ~above for below, above in zip(chain, chain[1:]))
 
 
-def _chain_lanes(lanes: _Lanes, family: bytes) -> list[int]:
+def _chain_lanes(lanes: _Lanes, family: bytes, opens: Sequence[int]) -> list[int]:
     """Scott interior, mu interior, lap, the set, uap, mu closure and Scott
-    closure at each lane of ``family``, on the lanes of one relation: the
-    Scott interior is full ^ down(full ^ b) and the closure down(b); the mu
-    interior is one zeta transform of the opens, read through ``_TABLE``."""
-    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    closure at each lane of ``family``, on the lanes of one relation with the
+    ``opens``: the Scott interior is full ^ down(full ^ b) and the closure
+    down(b); the mu interior is ``_INTERIOR``."""
+    p, n = lanes.p, lanes.p.n
     h, fulls = len(family), _fulls(family, n)
     both = family + _gather(family, n, _COMPLEMENT, p)
-    tiled, fixed = _opens(lanes)
-    opens = compress(_upper_list(p), (fixed >> 8 * w - 1).to_bytes(len(tiled), "little")[::w])
-    mu = _int(_gather(both, n, _TABLE, submask_unions(n, ((s, s) for s in opens))))
+    mu = _int(_gather(both, n, _INTERIOR, (n, opens)))
     down = _int(_gather(both, n, _DOWN, p))
     return [
         down >> 8 * h ^ fulls,
@@ -870,9 +893,9 @@ def batch_failures(
     ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``, above which the m^2 lanes of the
     pair laws (m upper sets) make shared unions slower than their tables."""
     if len(rels) == 1:
-        return _group_failures(p, rels, _single(rels[0]), masks, suites)
+        return _group_failures(p, rels, _Single(rels[0]), masks, suites)
     if p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
-        each = [_group_failures(p, [r], _single(r), masks, suites) for r in rels]
+        each = [_group_failures(p, [r], _Single(r), masks, suites) for r in rels]
         return {s: b"".join(f[s] for f in each) for s in each[0]}
     return _group_failures(p, rels, _batch_operators(p, rels), masks, suites)
 
@@ -890,9 +913,9 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     packed = _pack(masks, n)
     family = lanes.tile(packed)
     fails = {}
+    if n > MAX_DIRECTED_UNIVERSE:  # the checkers' Scott side refuses p: they run per instance
+        suites = [s for s in suites if s not in ("chain", "mu-topology")]
     if "chain" in suites or "mu-topology" in suites:
-        if n > MAX_DIRECTED_UNIVERSE:  # where the checkers' Scott side refuses p
-            raise BudgetExceeded(f"universe of {n} exceeds {MAX_DIRECTED_UNIVERSE}")
         pre = app = 0  # the top bit of the lane of each relation of the class
         for k, r in enumerate(rels):
             cls, top = classify(r), 1 << 8 * w * k + 8 * w - 1
@@ -900,7 +923,7 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     if "mu-topology" in suites:  # a relation that is not pre-approximating has no instance
         fails["mu-topology"] = pre
         if pre:
-            laws = list(_mu_lanes(lanes, *_opens(lanes), app != 0)[0].values())
+            laws = list(_mu_lanes(lanes, app != 0)[0].values())
             fails["mu-topology"] &= flag(reduce(or_, laws[:5])) | app & flag(reduce(or_, laws[5:]))
     if "chain" in suites:
         # nor has one that is not approximating a chain instance.  On a finite
@@ -909,7 +932,7 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
         fails["chain"] = sum(
             1 << 8 * w * k + 8 * w - 1
             for k, r in enumerate(rels)
-            if classify(r).approximating and _chain_fails(_single(r), packed)
+            if classify(r).approximating and _chain_fails(_Single(r), packed)
         )
     if "partition" in suites:
         fails["partition"] = flag(reduce(or_, _partition_lanes(lanes, family)[3:]))
@@ -921,7 +944,7 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
         # A relation inside the order has it as its union with the order and
         # itself as the intersection.  One that is not fails
         # basic.principal-upper-section: above(y) leaves up(y), lap(up(y)) not.
-        leq, everything = _single(leq_aux(p)), lanes.tile(_pack(range(1 << n), n))
+        leq, everything = _Single(leq_aux(p)), lanes.tile(_pack(range(1 << n), n))
         laws = [
             *_basic_lanes(lanes, family).values(),
             *_relation_lanes(lanes)[0].values(),

@@ -1,10 +1,11 @@
 """Topologies induced by auxiliary relations, and the Scott topology.
 
 The opens of the induced topology are the upper sets fixed by the lower
-approximation operator.  The module also provides interior/closure,
-specialization order, the c-space property (with both readings of the
-up-set used in its definition), complete distributivity of the open-set
-lattice, and executable checks for the theorems tying these together.
+approximation operator, read off the lanes of ``approx`` (``_open_masks``).
+The module also provides interior/closure, specialization order, the
+c-space property (with both readings of the up-set used in its
+definition), complete distributivity of the open-set lattice, and
+executable checks for the theorems tying these together.
 On a finite poset the Scott opens are exactly the upper sets, which is
 what ``scott_topology`` and ``is_scott_open`` return; the laws that
 exercise the directed-subset definition read ``reference.scott_masks``
@@ -20,7 +21,6 @@ scan in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
@@ -28,6 +28,7 @@ from . import reference
 from .approx import (
     _COMPLEMENT,
     _LAP,
+    _Single,
     _TABLE,
     _UAP,
     _add_pair_laws,
@@ -36,15 +37,13 @@ from .approx import (
     _family_scope,
     _first_lane,
     _gather,
+    _inside,
     _int,
     _lane,
-    _lane_constants,
     _mu_lanes,
-    _nonzero,
-    _opens,
+    _open_masks,
     _pack,
     _set_witness,
-    _single,
     _subject,
     _upper_lanes,
 )
@@ -130,13 +129,7 @@ def mu_topology(r: AuxRelation) -> Topology:
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     if r._mu is None:
-        n, w = p.n, lane_width(p.n)
-        uppers = _upper_lanes(p)
-        moved = _int(_gather(uppers, n, _LAP, r)) ^ _int(uppers)
-        _, low, high = _lane_constants(len(uppers) // w, w)
-        # 1 in the lowest byte of each lane that lap fixes, 0 in the others
-        fixed = (_nonzero(moved, low, high) ^ high) >> 8 * w - 1
-        r._mu = Topology(p, compress(_upper_list(p), fixed.to_bytes(len(uppers), "little")[::w]))
+        r._mu = Topology(p, _open_masks(_Single(r)))
     return r._mu
 
 
@@ -166,11 +159,7 @@ def scott_topology(p: Poset) -> Topology:
 
 
 def _interior_mask(t: Topology, bits: int) -> int:
-    out = 0
-    for m in t.masks:
-        if m & ~bits == 0:
-            out |= m
-    return out
+    return _inside(t.masks, bits)
 
 
 def interior(t: Topology, a: ElementSet) -> ElementSet:
@@ -287,7 +276,7 @@ def check_chain_of_containments(
         raise NotApproximating(cls.witnesses.get("approximating"))
     scott_topology(p)  # refuses a universe beyond the directed-set budget
     rep = CheckReport(_subject(r), _family_scope(masks))
-    chain = _chain_lanes(_single(r), _pack(masks, n))
+    chain = _chain_lanes(_Single(r), _pack(masks, n), mu_topology(r).masks)
     if len(masks) == 1:
         values = {name: mask_text(bits) for name, bits in zip(_CHAIN_NAMES, chain)}
         rep.add("chain.values", True, values, informational=True)
@@ -473,10 +462,11 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
     pairs of opens the first failing pair."""
     p = r.poset
     n, w = p.n, lane_width(p.n)
-    mu_topology(r)  # raises NotPreApproximating; cspace reads the relation's copy
-    approximating = classify(r).approximating
-    lanes = _single(r)
-    failing, lanes_of_rows, pairs = _mu_lanes(lanes, *_opens(lanes), approximating)
+    cls = classify(r)
+    if not cls.pre_approximating:
+        raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
+    approximating = cls.approximating
+    failing, lanes_of_rows = _mu_lanes(_Single(r), approximating)
     rows = [_lane(lanes_of_rows, x, w) for x in range(n)]
     uppers = _upper_list(p)
     rep = CheckReport(_subject(r), scope)
@@ -488,7 +478,8 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
         if not bad or law.startswith("topology.contains"):
             witness = None
         elif law.startswith("topology.binary"):
-            witness = {"u": uppers[pairs[0][k]], "v": uppers[pairs[1][k]]}
+            i, j = divmod(k, len(uppers))
+            witness = {"u": uppers[i], "v": uppers[j]}
         elif law == "mu.specialization-recovers-order":
             twins = (rows[x] >> y & rows[y] >> x & 1 for x in range(n) for y in range(x + 1, n))
             witness = {"rows": rows, "t0": not any(twins)}

@@ -294,6 +294,17 @@ def test_chain_requires_an_approximating_relation(r1, v_relation):
         check_chain_of_containments(v_relation, ElementSet.empty(3))
 
 
+def test_a_one_set_chain_above_the_table_bound_builds_no_interior_table(monkeypatch):
+    """Above ``TABLE_MAX_N`` the mu interior of a set is the union of the
+    relation's opens inside it: no table with an entry per mask."""
+    monkeypatch.setattr(approx, "submask_unions", lambda n, seeds: pytest.fail("a zeta table"))
+    p = random_poset(16, 0.5, 2)
+    r, a = leq_aux(p), ElementSet(12345, 16)
+    rep = check_chain_of_containments(r, a)
+    assert rep.ok
+    assert rep.verdict("chain.values").witness["mu-interior"] == interior(mu_topology(r), a).text()
+
+
 def test_chain_holds_for_every_approximating_relation_small():
     for p in enumerate_posets(3):
         for r in enumerate_aux(p):
@@ -384,12 +395,13 @@ def test_inaccessibility_fixtures(r1, r_bot):
     assert "vacuous" in rep.verdict("mu.inaccessible-implies-open").note
 
 
-def test_bundled_laws_build_the_induced_topology_once(monkeypatch):
+def test_bundled_laws_build_no_induced_topology(monkeypatch):
+    """The bundle reads the lanes of approx: it builds no ``Topology``."""
     built = []
     monkeypatch.setattr(topology, "mu_topology", lambda r: built.append(r) or mu_topology(r))
     rep = check_mu_laws(leq_aux(diamond()))
     assert rep.ok and rep.verdict("mu.inaccessible-implies-open") is not None
-    assert len(built) == 1
+    assert built == []
 
 
 def test_bundled_laws_for_approximating_relations():
@@ -631,5 +643,6 @@ def test_only_the_bundled_mu_laws_refuse_a_universe_beyond_the_directed_budget()
     for check in (check_mu_laws, lambda r: check_chain_of_containments(r, p.full_set())):
         with pytest.raises(BudgetExceeded):
             check(r)
-    with pytest.raises(BudgetExceeded):
-        approx.batch_failures(p, [r], [0], ["mu-topology"])
+    # the batch leaves both suites to the checkers, and decides the others
+    flags = approx.batch_failures(p, [r], [0], ["chain", "mu-topology", "partition"])
+    assert flags == {"partition": b"\0"}
