@@ -37,8 +37,11 @@ lanes that lap fixes (``mu_topology`` lists them from the same lanes), its
 pair laws take lap at the intersection and union of each pair of sets, or
 for a batch read their known open flags, and the chain of containments takes
 the mu interior of each mask from ``_INTERIOR``, one zeta transform of the
-opens up to the table bound.  The per-poset tables and set lists come from the one-entry memo
-of ``poset``.  Only this module knows the table bound and the tables behind
+opens up to the table bound.  A specialization row, an interior and a
+c-space cover are each the OR of the values whose key lies inside a set
+(``_below``): for one relation up to the table bound a zeta table too.
+The per-poset tables and set lists come from the one-entry memo of
+``poset``.  Only this module knows the table bound and the tables behind
 the lanes: other modules pack lanes with ``_pack`` and map them with
 ``_gather`` through an operator ``_Op``, and a table indexed by mask, such as
 a reference table, is its own (``_TABLE``).
@@ -742,18 +745,21 @@ def _sup_bit(p: Poset, b: int) -> int:
 
 
 def _opens(lanes: _Lanes) -> tuple[bytes, int]:
-    """The upper sets on lanes, and the top bit of each lane whose set lap fixes."""
+    """The upper sets on lanes that lap fixes, the others 0, and the top bit of
+    each lane whose set lap fixes."""
     p, w = lanes.p, lane_width(lanes.p.n)
     tiled = lanes.tile(_upper_lanes(p))
     _, low, high = _lane_constants(len(tiled) // w, w)
-    return tiled, _nonzero(_int(lanes.lap(tiled)) ^ _int(tiled), low, high) ^ high
+    fixed = _nonzero(_int(lanes.lap(tiled)) ^ _int(tiled), low, high) ^ high
+    opened = _int(tiled) & (fixed >> 8 * w - 1) * ((1 << p.n) - 1)
+    return opened.to_bytes(len(tiled), "little"), fixed
 
 
 def _open_masks(lanes: _Lanes) -> list[int]:
     """The opens of the one relation of ``lanes``, ascending."""
-    tiled, fixed = _opens(lanes)
+    opened, fixed = _opens(lanes)
     w = lane_width(lanes.p.n)
-    is_open = (fixed >> 8 * w - 1).to_bytes(len(tiled), "little")[::w]
+    is_open = (fixed >> 8 * w - 1).to_bytes(len(opened), "little")[::w]
     return list(compress(_upper_list(lanes.p), is_open))
 
 
@@ -793,33 +799,101 @@ def _upper_pairs(p: Poset) -> tuple[bytes, ...]:
     return tuple(map(bytes, zip(*pairs))) or (b"",) * 4
 
 
-def _mu_lanes(lanes: _Lanes, approximating: bool) -> tuple[dict[str, int], int]:
-    """The failing lanes of the laws of ``check_mu_laws`` in report order, the
-    last three those of approximating relations, and row x of the
-    specialization order at lane x, the AND of the open sets that hold x,
-    read only if some relation is ``approximating``.  A pair law fails where
-    both sets of a pair are open and their intersection (union) is not: one
-    relation has a lane per pair (i, j) of upper sets, i-major, several one
-    per pair of ``_upper_pairs``."""
+@lru_cache(maxsize=None)
+def _points(n: int) -> tuple[bytes, bytes]:
+    """The one-point sets {x} at lane x, and their complements."""
+    return _pack([1 << x for x in range(n)], n), _pack([(1 << n) - 1 ^ 1 << x for x in range(n)], n)
+
+
+def _below(lanes: _Lanes, keys: bytes | None, values: bytes, queries: bytes) -> bytes:
+    """At lane (q, k) of ``queries``, the OR of the values at the lanes (i, k)
+    whose key lies inside query q of relation k; by default the keys are the
+    points.  One relation up to the table bound translates the queries
+    through the zeta table of its (key, value) pairs, or for the points the
+    table of the values' unions; otherwise each lane (i, q, k) is tested."""
     p, n, w, count = lanes.p, lanes.p.n, lane_width(lanes.p.n), lanes.count
-    tiled, fixed = _opens(lanes)
-    size, step = len(tiled), w * count  # the bytes of all sets, of one
-    m, u, block = size // step, _int(tiled), 8 * step
-    # the constants of the (element, set) lanes: a narrower family's are their low lanes
-    ones, low, high = _lane_constants(n * m * count, w)
-    shut = fixed ^ high & (1 << 8 * size) - 1
+    if count == 1 and n <= TABLE_MAX_N:
+        table = submask_unions(n, zip(keys, values)) if keys else ByteUnions.byte_table(values)
+        return queries.translate(table.ljust(256, b"\0"))
+    keys = keys or lanes.tile(_points(n)[0])
+    m, q = len(keys) // (w * count), len(queries) // (w * count)
+    _, low, high = _lane_constants(m * q * count, w)
+    inside = _nonzero(_int(lanes.tile(keys, q)) & ~_int(queries * m), low, high) ^ high
+    found = _int(lanes.tile(values, q)) & (inside >> 8 * w - 1) * ((1 << n) - 1)
+    return _fold(found, 8 * len(queries)).to_bytes(len(queries), "little")
+
+
+def _spec_rows(lanes: _Lanes, opened: bytes) -> int:
+    """Row x of the specialization order of mu_R at lane x for each relation,
+    from the ``opened`` lanes of ``_opens``: the AND of the opens that hold
+    x, full ^ the OR of their complements, which lie inside full ^ {x}."""
+    p, n = lanes.p, lanes.p.n
+    shut = _gather(opened, n, _COMPLEMENT, p)
+    return _int(_gather(_below(lanes, shut, shut, lanes.tile(_points(n)[1])), n, _COMPLEMENT, p))
+
+
+def _cspace_lanes(lanes: _Lanes, opened: bytes, rows: int) -> int:
+    """At lane (t, j, k) of an open U_j, the points of U_j that the union over
+    its points of the interiors of their up-sets misses: in the
+    specialization order, whose ``rows`` are given (t = 0), and in p (1)."""
+    p, n, step = lanes.p, lanes.p.n, lane_width(lanes.p.n) * lanes.count
+    ups = (rows.to_bytes(n * step, "little"), lanes.tile(_pack(p.up, n)))
+    # the union of the opens inside each up-set, then of those of an open's points
+    covers = (_below(lanes, None, _below(lanes, opened, opened, up), opened) for up in ups)
+    return _int(opened * 2) & ~_int(b"".join(covers))
+
+
+def _base_lanes(lanes: _Lanes, opened: bytes) -> tuple[int, int]:
+    """Lane (y, k) not 0 where the section above(y) of relation k is not open,
+    and at lane (j, k) of an open U_j the points of U_j that the union of the
+    sections above its points that lie inside U_j misses."""
+    p, n, step = lanes.p, lanes.p.n, lane_width(lanes.p.n) * lanes.count
+    sections = b"".join(a.to_bytes(step, "little") for a in lanes.aboves)
+    keys = (_int(sections) | _int(lanes.tile(_points(n)[0]))).to_bytes(n * step, "little")
+    missing = _int(opened) & ~_int(_below(lanes, keys, sections, opened))
+    moved = _int(lanes.lap(sections)) ^ _int(sections)
+    lower = _gather(_gather(sections, n, _UPPER, p), n, _COMPLEMENT, p)  # full where not upper
+    return moved | _int(lower), missing
+
+
+def _open_pairs(lanes: _Lanes, opens: tuple[bytes, int]) -> tuple[int, int]:
+    """The failing lanes of the binary intersection and union laws of mu_R:
+    where both sets of a pair are open and their intersection (union) is
+    not.  One relation has a lane per pair (i, j) of upper sets, i-major,
+    several one per pair of ``_upper_pairs``."""
+    w, count = lane_width(lanes.p.n), lanes.count
+    opened, fixed = opens
+    size, step = len(opened), w * count  # the bytes of all sets, of one
     flags = fixed.to_bytes(size, "little")
     if count == 1:  # one relation: its lap at each pair's intersection (union)
+        m = size // w
         both = _int(lanes.tile(flags, m)) & _int(flags * m)  # at lane (i, j): sets i and j open
-        _, low2, high2 = _lane_constants(m * m, w)
-        firsts, seconds = _int(lanes.tile(tiled, m)), _int(tiled * m)
+        _, low, high = _lane_constants(m * m, w)
+        firsts, seconds = _int(lanes.tile(opened, m)), _int(opened * m)
         pairs = (op(firsts, seconds).to_bytes(m * size, "little") for op in (and_, or_))
-        meet, join = (both & _nonzero(_int(lanes.lap(x)) ^ _int(x), low2, high2) for x in pairs)
-    else:  # several: gather the known flags, cheaper than a bitsliced lap on m^2 lanes
-        blocks = [flags[i : i + step] for i in range(0, size, step)]
-        gathered = (_int(b"".join(map(blocks.__getitem__, k))) for k in _upper_pairs(p))
-        first, second, *combined = gathered
-        meet, join = (first & second & ~flag for flag in combined)
+        return tuple(both & _nonzero(_int(lanes.lap(x)) ^ _int(x), low, high) for x in pairs)
+    # several: gather the known flags, cheaper than a bitsliced lap on m^2 lanes
+    blocks = [flags[i : i + step] for i in range(0, size, step)]
+    gathered = (_int(b"".join(map(blocks.__getitem__, k))) for k in _upper_pairs(lanes.p))
+    first, second, *combined = gathered
+    return tuple(first & second & ~flag for flag in combined)
+
+
+def _mu_lanes(
+    lanes: _Lanes, opens: tuple[bytes, int], rows: int, pairs: tuple[int, int]
+) -> dict[str, int]:
+    """The failing lanes of the laws of ``check_mu_laws`` in report order, the
+    last three those of approximating relations, from the ``opens`` of
+    ``_opens``, the ``rows`` of ``_spec_rows``, 0 if no relation is
+    approximating, and the ``pairs`` of ``_open_pairs``."""
+    p, n, w, count = lanes.p, lanes.p.n, lane_width(lanes.p.n), lanes.count
+    fixed, tiled = opens[1], lanes.tile(_upper_lanes(p))
+    size, step = len(tiled), w * count  # the bytes of all sets, of one
+    m, block = size // step, 8 * step
+    # the constants of the (element, set) lanes: a narrower family's are their low lanes
+    _, low, high = _lane_constants(n * m * count, w)
+    shut = fixed ^ high & (1 << 8 * size) - 1
+    meet, join = pairs
     # lanes (x, set): sup(sec x) lies in the set, and sec x misses it
     secs = b"".join(sec.to_bytes(step, "little") for sec in lanes.secs)
     masks = unpack(secs, w)
@@ -828,15 +902,7 @@ def _mu_lanes(lanes: _Lanes, approximating: bool) -> tuple[dict[str, int], int]:
     every = _int(tiled * n)
     inside = _nonzero(every & _int(lanes.tile(sups, m)), low, high)
     reached = _fold(inside & ~_nonzero(every & _int(lanes.tile(secs, m)), low, high), 8 * size)
-    rows = wrong = 0
-    if approximating:  # row x: full but the complements of the open sets that hold x
-        full = (1 << n) - 1
-        outside = (fixed >> 8 * w - 1) * full & ~u  # the complement of each open set, else 0
-        one = ones & (1 << 8 * size) - 1
-        for x in range(n):
-            rows |= _fold(outside & (u >> x & one) * full, block) << block * x
-        rows ^= full * (ones & (1 << n * block) - 1)
-        wrong = _fold(rows ^ _int(lanes.tile(_pack(p.up, n))), block)
+    wrong = _fold(rows ^ _int(lanes.tile(_pack(p.up, n))), block) if rows else 0
     return {
         "topology.contains-empty": shut & (1 << block) - 1,
         "topology.contains-full": shut >> block * (m - 1),
@@ -846,7 +912,7 @@ def _mu_lanes(lanes: _Lanes, approximating: bool) -> tuple[dict[str, int], int]:
         "mu.inaccessible-implies-open": shut & ~reached,
         "mu.finer-than-scott": shut,
         "mu.specialization-recovers-order": wrong,
-    }, rows
+    }
 
 
 def _chain_fails(lanes: _Lanes, family: bytes) -> bool:
@@ -881,15 +947,21 @@ def _chain_lanes(lanes: _Lanes, family: bytes, opens: Sequence[int]) -> list[int
 
 BATCH = 64  # relations per batch
 SHARED_MAX_SETS = 48  # the most upper sets of a poset whose relations share lanes
-BATCHED_SUITES = ("algebra", "chain", "int-char", "mu-topology", "partition")
+MAX_CDL_OPENS = 128  # the most opens whose complete distributivity cspace decides
+# every relation suite: ``batch_failures`` decides them all
+BATCHED_SUITES = ("algebra", "chain", "cspace", "int-char", "mu-topology", "partition")
 
 
 def batch_failures(
     p: Poset, rels: Sequence[AuxRelation], masks: Sequence[int], suites: Iterable[str]
 ) -> dict[str, bytes]:
     """Per suite of ``BATCHED_SUITES`` in ``suites``, one byte per relation of
-    ``rels``, not 0 exactly where a checker that the suite runs on it (the
-    per-subset ones over ``masks``) fails a law.  Relations share lanes up to
+    ``rels``, bit 0 set exactly where a checker that the suite runs on it (the
+    per-subset ones over ``masks``) fails a law, but cspace.classical-scott.
+    cspace's bits 1-5 (``topology.cspace_entries``) say whether mu_R is a
+    c-space in the specialization and the underlying reading, whether its
+    opens are completely distributive, and whether the relation is
+    approximating and has interpolation.  Relations share lanes up to
     ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``, above which the m^2 lanes of the
     pair laws (m upper sets) make shared unions slower than their tables."""
     if len(rels) == 1:
@@ -905,40 +977,56 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     suite's failing lanes fold to one lane per relation together, since every
     family's lanes are blocks of one lane per relation."""
     n, w, size = p.n, lane_width(p.n), 8 * lane_width(p.n) * len(rels)
-    _, low, high = _lane_constants(len(rels), w)
+    ones, low, high = _lane_constants(len(rels), w)
 
-    def flag(e: int) -> int:  # the top bit of the lane of each relation that e fails
-        return _nonzero(_fold(e, size), low, high) if len(rels) > 1 else high * (e != 0)
+    def flag(e: int) -> int:  # bit 0 of the lane of each relation that e fails
+        return _nonzero(_fold(e, size), low, high) >> 8 * w - 1 if len(rels) > 1 else int(e != 0)
 
     packed = _pack(masks, n)
     family = lanes.tile(packed)
     fails = {}
     if n > MAX_DIRECTED_UNIVERSE:  # the checkers' Scott side refuses p: they run per instance
-        suites = [s for s in suites if s not in ("chain", "mu-topology")]
-    if "chain" in suites or "mu-topology" in suites:
-        pre = app = 0  # the top bit of the lane of each relation of the class
-        for k, r in enumerate(rels):
-            cls, top = classify(r), 1 << 8 * w * k + 8 * w - 1
-            pre, app = pre | top * cls.pre_approximating, app | top * cls.approximating
-    if "mu-topology" in suites:  # a relation that is not pre-approximating has no instance
-        fails["mu-topology"] = pre
+        suites = [s for s in suites if s not in ("chain", "cspace", "mu-topology")]
+    pre = app = has_int = 0  # bit 0 of the lane of each relation of the class
+    for k, r in enumerate(rels if {"cspace", "int-char", "mu-topology"} & set(suites) else ()):
+        cls, bit = classify(r), 1 << 8 * w * k
+        pre, app = pre | bit * cls.pre_approximating, app | bit * cls.approximating
+        has_int |= bit * cls.has_int
+    # a relation that is not pre-approximating has no mu-topology or cspace instance
+    if pre and ("mu-topology" in suites or "cspace" in suites):
+        opens = _opens(lanes)
+        rows = _spec_rows(lanes, opens[0]) if app or "cspace" in suites else 0
+        pairs = _open_pairs(lanes, opens)
+    if "mu-topology" in suites:
+        laws = list(_mu_lanes(lanes, opens, rows, pairs).values()) if pre else ()
+        fails["mu-topology"] = pre and pre & (
+            flag(reduce(or_, laws[:5])) | app & flag(reduce(or_, laws[5:]))
+        )
+    if "cspace" in suites:
+        fails["cspace"] = 0
         if pre:
-            laws = list(_mu_lanes(lanes, app != 0)[0].values())
-            fails["mu-topology"] &= flag(reduce(or_, laws[:5])) | app & flag(reduce(or_, laws[5:]))
+            missing, block = _cspace_lanes(lanes, opens[0], rows), 8 * len(opens[0])
+            spec, under = flag(missing & (1 << block) - 1), flag(missing >> block)
+            base = flag(reduce(or_, _base_lanes(lanes, opens[0]))) if has_int else 0
+            closed = flag(reduce(or_, pairs)) ^ ones
+            # only one relation's lanes hold more opens than cdl's budget
+            many = len(rels) == 1 and opens[1].bit_count() > MAX_CDL_OPENS
+            hard = has_int & (spec | base | many)
+            bits = (hard, spec ^ ones, under ^ ones, closed, app, has_int)
+            fails["cspace"] = pre * 63 & sum(e << b for b, e in enumerate(bits))
     if "chain" in suites:
         # nor has one that is not approximating a chain instance.  On a finite
         # poset the order is the one approximating auxiliary relation, so a
         # batch holds few, and each is decided on its own lanes.
         fails["chain"] = sum(
-            1 << 8 * w * k + 8 * w - 1
+            1 << 8 * w * k
             for k, r in enumerate(rels)
             if classify(r).approximating and _chain_fails(_Single(r), packed)
         )
     if "partition" in suites:
         fails["partition"] = flag(reduce(or_, _partition_lanes(lanes, family)[3:]))
     if "int-char" in suites:  # flags where a statement is false
-        no_int = _int(_pack([not classify(r).has_int for r in rels], n)) << 8 * w - 1
-        stmts = [no_int, *map(flag, _int_lanes(lanes))]
+        stmts = [has_int ^ ones, *map(flag, _int_lanes(lanes))]
         fails["int-char"] = reduce(or_, map(xor, stmts, stmts[1:]))
     if "algebra" in suites:
         # A relation inside the order has it as its union with the order and
@@ -952,5 +1040,5 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
             *(bad for *_, bad in _pair_lanes(lanes) + _adjunction_lanes(lanes)),
         ]
         # basic.leq-identities does not depend on the relation: all fail it or none
-        fails["algebra"] = flag(reduce(or_, laws)) | high * any(_leq_identities(p, packed))
-    return {s: (e >> 8 * w - 1).to_bytes(size // 8, "little")[::w] for s, e in fails.items()}
+        fails["algebra"] = flag(reduce(or_, laws)) | ones * any(_leq_identities(p, packed))
+    return {s: e.to_bytes(size // 8, "little")[::w] for s, e in fails.items()}

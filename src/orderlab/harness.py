@@ -15,12 +15,13 @@ subset, second relation) straight to the checkers.
 The relations of a poset are taken in batches of ``approx.BATCH``.  One
 call of ``approx.batch_failures`` per batch decides, for every relation
 (together on a small poset), whether the checkers of each relation suite
-but ``cspace`` pass on it.  A (suite, relation) that passes is tallied as
-passed, all its instances at once, with no report built.  One that fails,
-a ``cspace`` instance, a batch that raises, and a tally that would cross
-the instance cap or start past the deadline run per instance instead, so
-their entries are exactly those of a per-instance run, and a capped run
-counts its first instances in the order above.
+pass on it.  A (suite, relation) that passes is tallied as passed, all its
+instances at once, with no report built; the findings of a passing
+``cspace`` instance are built from its batch byte
+(``topology.cspace_entries``).  One that fails, a batch that raises, and a
+tally that would cross the instance cap or start past the deadline run per
+instance instead, so their entries are exactly those of a per-instance run,
+and a capped run counts its first instances in the order above.
 
 Each failure or finding carries a fingerprint that reconstructs the
 instance exactly; replay is the only code that decodes one, and it
@@ -77,6 +78,7 @@ from .topology import (
     check_cspace_theorems,
     check_mu_laws,
     check_mu_way_below_is_scott,
+    cspace_entries,
     is_c_space,
     is_continuous,
     mu_topology,
@@ -197,7 +199,7 @@ class Instance:
 
 
 def fingerprint(inst: Instance) -> str:
-    doc = _jsonable([inst.suite, inst.rows, inst.rel, inst.subset, inst.rel2])
+    doc = [inst.suite, inst.rows, inst.rel, inst.subset, inst.rel2]  # tuples dump as arrays
     return json.dumps(doc, separators=(",", ":")).encode("ascii").hex()
 
 
@@ -328,7 +330,8 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     """Run and tally each instance as it is generated, in one serial pass.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance and each tally of a passing batch.  An exception a
+    before each instance and each tally of a passing batch, whose findings
+    join the report in run order as a checked instance's would.  An exception a
     checker raises fails the hard law ``internal.error`` of its instance, with
     ``"<Type>: <message>"`` as the witness, and the run goes on.  ``jobs`` is
     accepted for compatibility and ignored.
@@ -345,9 +348,12 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
     batched = [s for s in rel_suites if s in BATCHED_SUITES]
     attempted = passed = 0
 
+    found = {suite: ([], []) for suite in suite_list}  # failures, findings
+
     def instances() -> Iterable[tuple]:
         """The campaign's instances in run order; a relation's instances of a
-        suite that pass as a batch are tallied here and not yielded."""
+        suite that pass as a batch are tallied here and not yielded, and the
+        findings of a passing cspace instance are built from its batch byte."""
         nonlocal attempted, passed
         for pi, p in enumerate(_scope_posets(scope)):
             for suite in poset_suites:
@@ -366,20 +372,29 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
                     for suite in rel_suites:
                         singles, per_subset = _relation_plan(suite, p, r)
                         count = len(singles) + per_subset * len(subsets)
+                        flags = bad[suite][k]  # cspace's byte also holds what it finds
+                        entries = None if flags else ()
+                        if suite == "cspace" and count:
+                            entries = cspace_entries(p, flags)
                         if (
                             count
                             and (cap is None or attempted + count <= cap)
                             and (deadline is None or time.monotonic() <= deadline)
-                            and not bad[suite][k]
+                            and entries is not None
                         ):
                             attempted += count
                             passed += count
+                            if entries:
+                                fp = _fingerprint_of(suite, p, r, None, None)
+                                found[suite][1].extend(
+                                    {"law": law, "fingerprint": fp, "witness": witness}
+                                    for law, witness in entries
+                                )
                             continue
                         yield from ((suite, p, *inst) for inst in singles)
                         if per_subset:
                             yield from ((suite, p, r, bits, None) for bits in subsets)
 
-    found = {suite: ([], []) for suite in suite_list}  # failures, findings
     incomplete = False
     for inst in instances():
         if attempted == cap or (deadline is not None and time.monotonic() > deadline):

@@ -10,12 +10,13 @@ On a finite poset the Scott opens are exactly the upper sets, which is
 what ``scott_topology`` and ``is_scott_open`` return; the laws that
 exercise the directed-subset definition read ``reference.scott_masks``
 and ``reference.scott_interiors``, each built once per poset.
-``check_mu_laws``, ``check_mu_inaccessibility`` and
-``check_chain_of_containments`` decide their laws on the lanes of
-``approx`` (``_mu_lanes``, ``_chain_lanes``), which a campaign's relation
-batch shares, and only turn the first failing lane of each law into its
-witness: the first failing open, upper set, pair of opens or subset of a
-scan in ascending order.
+``check_mu_laws``, ``check_mu_inaccessibility``,
+``check_chain_of_containments`` and ``check_cspace_theorems`` decide their
+laws on the lanes of ``approx``, which a campaign's relation batch shares,
+and only turn the first failing lane of each law into its witness: the
+first failing open, section, upper set, pair of opens or subset of a scan
+in ascending order.  ``is_c_space`` and ``opens_completely_distributive``
+scan the opens of any topology.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ from typing import Callable, Iterable, Iterator
 
 from . import reference
 from .approx import (
+    MAX_CDL_OPENS,
     _COMPLEMENT,
     _LAP,
     _Single,
     _TABLE,
     _UAP,
     _add_pair_laws,
+    _base_lanes,
     _chain_lanes,
+    _cspace_lanes,
     _family_masks,
     _family_scope,
     _first_lane,
@@ -42,13 +46,16 @@ from .approx import (
     _lane,
     _mu_lanes,
     _open_masks,
+    _open_pairs,
+    _opens,
     _pack,
     _set_witness,
+    _spec_rows,
     _subject,
     _upper_lanes,
 )
 from .auxrel import AuxRelation, classify, leq_aux, way_below
-from .bitset import ElementSet, iter_bits, lane_width, mask_text
+from .bitset import ElementSet, lane_width, mask_text
 from .errors import (
     BadParameters,
     BudgetExceeded,
@@ -237,10 +244,10 @@ def opens_completely_distributive(t: Topology) -> bool:
     are closed under pairwise intersection and union, which are then the
     lattice's meet and join, the lattice is distributive, and a finite
     distributive lattice is completely distributive.  Only that closure
-    can fail, so only it is checked.  More than 128 opens raise
-    ``BudgetExceeded``.
+    can fail, so only it is checked.  More than ``MAX_CDL_OPENS`` opens
+    raise ``BudgetExceeded``.
     """
-    if len(t.masks) > 128:
+    if len(t.masks) > MAX_CDL_OPENS:
         raise BudgetExceeded(f"{len(t.masks)} opens is beyond the triple scan")
     return not any(next(_unclosed_pairs(t, op), None) for op in (and_, or_))
 
@@ -374,71 +381,82 @@ def _classical_scott(p: Poset) -> tuple[bool, bool]:
     return is_c_space(scott_topology(p))[0], is_continuous(p)
 
 
+def _cspace_findings(spec, under, cdl, approximating, has_int) -> dict[str, dict]:
+    """The finding laws of ``check_cspace_theorems`` that fail, with their
+    witnesses, from whether mu_R is a c-space in the specialization and in
+    the underlying reading, whether its opens are completely distributive,
+    and whether the relation is approximating and has interpolation."""
+    out = {}
+    if spec and not approximating:
+        keys = ("c-space-specialization", "c-space-underlying", "approximating")
+        out["cspace.converse-approximating"] = dict(zip(keys, (spec, under, approximating)))
+    if has_int and cdl != approximating:
+        keys = ("completely-distributive", "approximating")
+        out["cspace.cdl-vs-approximating"] = dict(zip(keys, (cdl, approximating)))
+    return out
+
+
+def cspace_entries(p: Poset, flags: int) -> list[tuple[str, dict]] | None:
+    """The findings, as (law, witness), of the cspace instance of a relation
+    on p whose byte of ``approx.batch_failures`` is ``flags``, or None where
+    it fails a hard law: bit 0 of the byte says so, or
+    ``cspace.classical-scott``, which depends on p alone, fails."""
+    if flags & 1 or len(set(_classical_scott(p))) > 1:
+        return None
+    return list(_cspace_findings(*(flags >> b & 1 == 1 for b in range(1, 6))).items())
+
+
 def check_cspace_theorems(r: AuxRelation) -> CheckReport:
-    """Interpolation forces a c-space; the converse directions are findings."""
-    mu = mu_topology(r)
-    cls = classify(r)
+    """Interpolation forces a c-space; the converse directions are findings.
+
+    Decided on the lanes of ``approx`` that a campaign's batch shares
+    (``_cspace_lanes``, ``_base_lanes``): a hard law's witness is the first
+    failing open, in ascending order, or the first section that is not open.
+    """
+    p, w, cls = r.poset, lane_width(r.poset.n), classify(r)
+    if not cls.pre_approximating:
+        raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
+    if r._cspace is None:  # kept by the relation, like its induced topology
+        lanes = _Single(r)
+        opened, fixed = opens = _opens(lanes)
+        if cls.has_int and fixed.bit_count() > MAX_CDL_OPENS:
+            raise BudgetExceeded(f"{fixed.bit_count()} opens is beyond the triple scan")
+        missing = _cspace_lanes(lanes, opened, _spec_rows(lanes, opened))
+        unopened, base = _base_lanes(lanes, opened) if cls.has_int else (0, 0)
+        cdl = cls.has_int and not any(_open_pairs(lanes, opens))
+        r._cspace = missing, unopened, base, cdl
+    missing, unopened, base, cdl = r._cspace
+    uppers = _upper_list(p)
+    block = 8 * w * len(uppers)
+    spec, under = missing & (1 << block) - 1, missing >> block
     rep = CheckReport(_subject(r), "induced topology")
-    cs_spec, witness = is_c_space(mu, "specialization")
-
+    vacuous = "vacuous: no interpolation"
     if cls.has_int:
-        rep.add("cspace.int-implies-cspace", cs_spec, witness)
-
-        sections = r.above
-
-        def not_a_base():
-            for s in sections:
-                if s not in mu._mask_set:
-                    yield {"section": mask_text(s)}
-            for u in mu.masks:
-                cover = 0
-                for y in iter_bits(u):
-                    if sections[y] & ~u == 0:
-                        cover |= sections[y]
-                if cover != u:
-                    yield {"open": mask_text(u)}
-
-        rep.law("cspace.sections-form-base", not_a_base())
+        witness = None
+        if spec:  # the first open that its cover misses, and the least point it misses
+            k = _first_lane(spec, w)
+            element = (spec & -spec).bit_length() - 1 - 8 * w * k
+            witness = {"element": element, "open": uppers[k], "mode": "specialization"}
+        rep.add("cspace.int-implies-cspace", not spec, witness)
+        witness = {"section": mask_text(r.above[_first_lane(unopened, w)])} if unopened else None
+        if base and not unopened:
+            witness = {"open": mask_text(uppers[_first_lane(base, w)])}
+        rep.add("cspace.sections-form-base", witness is None, witness)
     else:
-        rep.add(
-            "cspace.int-implies-cspace", True, note="vacuous: no interpolation"
-        )
-        rep.add(
-            "cspace.sections-form-base", True, note="vacuous: no interpolation"
-        )
+        rep.add("cspace.int-implies-cspace", True, note=vacuous)
+        rep.add("cspace.sections-form-base", True, note=vacuous)
+    findings = _cspace_findings(not spec, not under, cdl, cls.approximating, cls.has_int)
 
-    converse_ok = not (cs_spec and not cls.approximating)
-    rep.add(
-        "cspace.converse-approximating",
-        converse_ok,
-        None
-        if converse_ok
-        else {
-            "c-space-specialization": cs_spec,
-            "c-space-underlying": is_c_space(mu, "underlying")[0],
-            "approximating": cls.approximating,
-        },
-        finding=True,
-        note="converse direction; disagreements are recorded, not failed",
-    )
+    def finding(law: str, note: str) -> None:
+        note += "; disagreements are recorded, not failed"
+        rep.add(law, law not in findings, findings.get(law), finding=True, note=note)
 
+    finding("cspace.converse-approximating", "converse direction")
     if cls.has_int:
-        cdl = opens_completely_distributive(mu)
-        rep.add(
-            "cspace.cdl-vs-approximating",
-            cdl == cls.approximating,
-            None
-            if cdl == cls.approximating
-            else {"completely-distributive": cdl, "approximating": cls.approximating},
-            finding=True,
-            note="corollary linkage; disagreements are recorded, not failed",
-        )
+        finding("cspace.cdl-vs-approximating", "corollary linkage")
     else:
-        rep.add(
-            "cspace.cdl-vs-approximating", True, note="vacuous: no interpolation"
-        )
-
-    cs_sigma, cont = _classical_scott(r.poset)
+        rep.add("cspace.cdl-vs-approximating", True, note=vacuous)
+    cs_sigma, cont = _classical_scott(p)
     rep.add(
         "cspace.classical-scott",
         cs_sigma == cont,
@@ -466,7 +484,10 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     approximating = cls.approximating
-    failing, lanes_of_rows = _mu_lanes(_Single(r), approximating)
+    lanes = _Single(r)
+    opens = _opens(lanes)
+    lanes_of_rows = _spec_rows(lanes, opens[0]) if approximating else 0
+    failing = _mu_lanes(lanes, opens, lanes_of_rows, _open_pairs(lanes, opens))
     rows = [_lane(lanes_of_rows, x, w) for x in range(n)]
     uppers = _upper_list(p)
     rep = CheckReport(_subject(r), scope)

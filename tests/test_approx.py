@@ -3,7 +3,7 @@
 import operator
 import random
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -218,6 +218,38 @@ def test_each_union_gather_matches_the_per_mask_oracle_lane_by_lane(n, density, 
         assert list(unpack(lanes, lane_width(n))) == [oracle(b) for b in masks], (name, masks)
     for bits in masks:
         assert (_lap_mask(r, bits), _uap_mask(r, bits)) == _hit_formula_lap_uap(r, bits), bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5, 8, 9, 12]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+)
+def test_below_is_the_or_of_the_values_whose_key_lies_inside_each_query(n, count, seed, points):
+    """``_below`` on one relation's lanes (through a zeta or unions table up
+    to the table bound) and on a batch's shared lanes, against a scan of the
+    (key, value) pairs of each relation; the default keys are the points."""
+    rng = random.Random(seed)
+    p = random_poset(n, 0.3, seed)
+    rels = [sample_aux(p, seed=seed + k) for k in range(count)]
+    if n > approx.TABLE_MAX_N:
+        rels = rels[:1]
+    lanes = approx._Single(rels[0]) if len(rels) == 1 else approx._batch_operators(p, rels)
+    full = (1 << n) - 1
+    sampled = lambda count: [[rng.randrange(full + 1) for _ in rels] for _ in range(count)]
+    keys = [[1 << i] * len(rels) for i in range(n)] if points else sampled(1 + rng.randrange(6))
+    rows, queries = sampled(len(keys)), sampled(5)  # at lanes (i, k) and (q, k)
+    pack = lambda table: approx._pack([v for row in table for v in row], n)
+    got = unpack(approx._below(lanes, None if points else pack(keys), pack(rows), pack(queries)),
+                 lane_width(n))
+    want = [
+        reduce(operator.or_, (row[k] for key, row in zip(keys, rows) if key[k] & ~q[k] == 0), 0)
+        for q in queries
+        for k in range(len(rels))
+    ]
+    assert list(got) == want
 
 
 def test_each_relation_is_transposed_once(monkeypatch):
@@ -1091,6 +1123,18 @@ def _checker_failures(r, masks):
     return {s: any(rep.failures or rep.findings for rep in reps) for s, reps in reports.items()}
 
 
+def _cspace_verdict(r):
+    """Whether the cspace checker, which runs only on a pre-approximating
+    relation, fails r or raises, and else its findings as (law, witness)."""
+    if not classify(r).pre_approximating:
+        return False, []
+    try:
+        rep = topology.check_cspace_theorems(r)
+    except Exception:
+        return True, None
+    return bool(rep.failures), [(v.law, v.witness) for v in rep.findings]
+
+
 def _perturbed(p, rels, rng):
     """Three relations with arbitrary sections, and each of ``rels`` with one
     section bit flipped: mostly not auxiliary relations."""
@@ -1113,8 +1157,17 @@ def _assert_batches_flag_the_checker_failures(p, rels, masks):
         flags = {s: flags[s] + batch[s] for s in flags}
     failing = Counter()
     for k, r in enumerate(rels):
-        expected = _checker_failures(r, masks)
-        assert {s: flags[s][k] != 0 for s in flags} == expected, (p.up, r.sec)
+        # cspace's byte fails the relation in bit 0 and else says what it finds
+        expected = {**_checker_failures(r, masks), "cspace": _cspace_verdict(r)[0]}
+        assert {s: flags[s][k] & 1 == 1 for s in flags} == expected, (p.up, r.sec)
+        assert {s: flags[s][k] for s in flags if s != "cspace"} == {
+            s: int(expected[s]) for s in flags if s != "cspace"
+        }
+        if classify(r).pre_approximating and not expected["cspace"]:
+            findings = _cspace_verdict(r)[1]
+            assert topology.cspace_entries(p, flags["cspace"][k]) == findings, (p.up, r.sec)
+        elif not classify(r).pre_approximating:
+            assert flags["cspace"][k] == 0
         failing.update(["relations"] * any(expected.values()) + [s for s in flags if expected[s]])
     return failing
 
@@ -1216,8 +1269,10 @@ def _force_lane(out, bit):
         return {**out, first: out[first] | bit}
     if isinstance(out, tuple) and isinstance(out[0], dict):  # _relation_lanes, _mu_lanes
         return (_force_lane(out[0], bit), *out[1:])
-    if isinstance(out, tuple):  # _partition_lanes: the overlap is last
-        return (*out[:-1], out[-1] | bit)
+    if isinstance(out, int):  # _cspace_lanes: what the covers miss
+        return out | bit
+    if isinstance(out, tuple):  # _partition_lanes: the overlap; _base_lanes: what
+        return (*out[:-1], out[-1] | bit)  # the cover misses
     if isinstance(out[0], tuple):  # the pair laws: (law, first, second, bad)
         return [(*out[0][:-1], out[0][-1] | bit), *out[1:]]
     return [out[0] | bit, *out[1:]]  # _int_lanes: statement (2); _chain_lanes: Scott interior
@@ -1235,7 +1290,10 @@ def _force_lane(out, bit):
         ("_int_lanes", "int-char"),
         ("_leq_identities", "algebra"),
         ("_mu_lanes", "mu-topology"),
+        ("_open_pairs", "mu-topology"),
         ("_chain_lanes", "chain"),
+        ("_cspace_lanes", "cspace"),
+        ("_base_lanes", "cspace"),
     ],
 )
 def test_every_lane_law_reaches_the_batch_verdict(monkeypatch, name, suite):
@@ -1249,7 +1307,7 @@ def test_every_lane_law_reaches_the_batch_verdict(monkeypatch, name, suite):
     real = getattr(approx, name)
     monkeypatch.setattr(approx, name, lambda *args: _force_lane(real(*args), 1 << 8 * k))
     flags = approx.batch_failures(p, rels, range(1 << p.n), [suite])[suite]
-    flagged = [i for i, flag in enumerate(flags) if flag]
+    flagged = [i for i, flag in enumerate(flags) if flag & 1]  # cspace's other bits: its findings
     assert flagged == (list(range(len(rels))) if name == "_leq_identities" else [k])
 
 

@@ -5,9 +5,11 @@ import json
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderlab import approx, auxrel, cli, closures, harness, reference, topology
-from orderlab.auxrel import AuxRelation, enumerate_aux
+from orderlab.auxrel import AuxRelation, enumerate_aux, leq_aux
 from orderlab.errors import AxiomViolation, BadParameters, NotUpper
 from orderlab.harness import (
     PROPERTIES,
@@ -29,7 +31,7 @@ from orderlab.harness import (
     run_suite,
     search_counterexample,
 )
-from orderlab.poset import chain, diamond
+from orderlab.poset import _upper_list, antichain, chain, diamond, random_poset
 from orderlab.report import CheckReport
 
 
@@ -285,23 +287,68 @@ def test_batched_and_per_instance_runs_give_the_same_report(
     checked = []
     real_check = harness._check
     monkeypatch.setattr(harness, "_check", lambda *inst: checked.append(inst) or real_check(*inst))
-    suites = ["algebra", "chain", "int-char", "mu-topology", "partition"]
+    suites = ["algebra", "chain", "cspace", "int-char", "mu-topology", "partition"]
     batched = run_suite(scope, suites)
     per_subset_checked = sum(bits is not None for _, _, _, bits, _ in checked)
+    cspace_checked = sum(suite == "cspace" for suite, *_ in checked)
+    batched_checks = len(checked)
     _batches_raise(monkeypatch)
     checked.clear()
     per_instance = run_suite(scope, suites)
     per_subset = sum(bits is not None for _, _, _, bits, _ in checked)
+    cspace = sum(suite == "cspace" for suite, *_ in checked)
     assert batched.to_dict() == per_instance.to_dict()
-    assert batched.attempted == len(checked) and not batched.incomplete
+    # per instance every instance is checked; a batch checks only the
+    # relations that fail, and builds the findings of the others itself
+    assert per_instance.attempted == len(checked) > batched_checks and not batched.incomplete
+    assert batched.findings and 0 < cspace
     if broken:
         # the relations that fail go per instance, the others pass as batches
         assert {e["law"].split(".")[0] for e in batched.failures} == {
-            "basic", "chain", "int-char", "mu", "partition", "topology"
+            "basic", "chain", "cspace", "int-char", "mu", "partition", "topology"
         }
-        assert 0 < per_subset_checked < per_subset
+        assert 0 < per_subset_checked < per_subset and 0 < cspace_checked < cspace
     else:
         assert batched.failures == [] and per_subset_checked == 0 < per_subset
+        assert cspace_checked == 0
+
+
+def test_cspace_batches_give_the_per_instance_report_on_sampled_posets(monkeypatch):
+    """Posets up to n = 8, with more than ``approx.SHARED_MAX_SETS`` upper sets
+    (the relations' own lanes) or fewer (shared lanes), their sampled and
+    builtin relations; on the 8-antichain the order has 256 opens, beyond the
+    budget of complete distributivity, and both paths fail it with
+    ``internal.error``."""
+    sizes = set()
+
+    def both(scope):
+        batched = run_suite(scope, ["cspace", "mu-topology"])
+        with monkeypatch.context() as patched:
+            _batches_raise(patched)
+            per_instance = run_suite(scope, ["cspace", "mu-topology"])
+        assert batched.to_dict() == per_instance.to_dict(), [p.up for p in scope.posets]
+        return batched
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0.1, 0.25, 0.4]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def check(n, density, seed):
+        p = random_poset(n, density, seed)
+        sizes.add(len(_upper_list(p)) > approx.SHARED_MAX_SETS)
+        both(Scope(posets=(p,), rel_mode="sample", rel_sample=12, seed=seed))
+        both(Scope(posets=(p,), rel_mode="builtins", rel_builtins=("leq", "bottom", "way-below")))
+
+    check()
+    assert sizes == {False, True}
+    rep = both(Scope(posets=(antichain(8),), rel_mode="builtins"))
+    assert rep.failures == [{
+        "law": "internal.error",
+        "fingerprint": _fingerprint_of("cspace", antichain(8), leq_aux(antichain(8)), None, None),
+        "witness": "BudgetExceeded: 256 opens is beyond the triple scan",
+    }]
 
 
 def _relation_major(scope, suites):
@@ -317,7 +364,7 @@ def _relation_major(scope, suites):
                 yield from ((s, p, *i) for i in per_suite[s] if i[0] is not None and i[0].sec == r.sec)
 
 
-_CUT_SUITES = ("algebra", "chain", "continuity", "int-char", "mu-topology", "partition")
+_CUT_SUITES = ("algebra", "chain", "continuity", "cspace", "int-char", "mu-topology", "partition")
 
 
 def _prefix_reports(order):
@@ -408,11 +455,12 @@ def test_a_campaign_tabulates_each_relation_and_sweeps_each_poset_once(monkeypat
 
 
 def test_a_max_n_4_campaign_runs_no_mu_or_relation_chain_checker(monkeypatch):
-    """The batch decides the mu laws of all 1,319 pre-approximating relations
-    and the chains of the 242 approximating ones, so the reports a campaign
-    builds are those of the poset-level instances and of cspace (22,471
-    verdicts at the parent, whose checkers ran 1,319 and 242 times)."""
-    calls = {"mu": 0, "chain": 0, "add": 0}
+    """The batch decides the mu laws and the c-space laws of all 1,319
+    pre-approximating relations and the chains of the 242 approximating ones,
+    so the reports a campaign builds are those of the poset-level instances
+    (10,467 verdicts when the cspace checker still ran on each of the 1,319,
+    22,471 when the mu and chain checkers did too)."""
+    calls = {"mu": 0, "chain": 0, "cspace": 0, "add": 0}
 
     def counted(key, real):
         def call(*args, **kwargs):
@@ -425,10 +473,13 @@ def test_a_max_n_4_campaign_runs_no_mu_or_relation_chain_checker(monkeypatch):
     monkeypatch.setattr(
         harness, "check_chain_of_containments", counted("chain", harness.check_chain_of_containments)
     )
+    monkeypatch.setattr(
+        harness, "check_cspace_theorems", counted("cspace", harness.check_cspace_theorems)
+    )
     monkeypatch.setattr(CheckReport, "add", counted("add", CheckReport.add))
     rep = run_suite(Scope(max_n=4), SUITES)
-    assert rep.attempted == 199030 and rep.exit_code == 3
-    assert calls == {"mu": 0, "chain": 0, "add": 10467}
+    assert rep.attempted == 199030 and rep.exit_code == 3 and len(rep.findings) == 1848
+    assert calls == {"mu": 0, "chain": 0, "cspace": 0, "add": 3872}
 
 
 def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch):
@@ -495,6 +546,24 @@ def test_fingerprint_round_trip():
         suite="partition", rows=(1, 3, 7), rel=((0, 0), (0, 1)), subset=5, rel2=None
     )
     assert parse_fingerprint(fingerprint(inst)) == inst
+
+
+def test_fingerprint_matches_the_jsonable_encoding_on_every_shape():
+    """``json`` writes tuples as arrays, so the fingerprint of every instance
+    shape, and of a property search, is the one of its lists, and parses back."""
+    p = diamond()
+    r = leq_aux(p)
+    rel = tuple(r.pairs())
+    instances = [
+        Instance(suite, p.up, rel if has_rel else None, 0b0110 if has_set else None,
+                 rel if has_rel2 else None)
+        for suite, has_rel, has_set, has_rel2 in _SHAPES
+    ]
+    instances.append(Instance("property:cspace-implies-approximating", p.up, rel, None, None))
+    for inst in instances:
+        doc = harness._jsonable([inst.suite, inst.rows, inst.rel, inst.subset, inst.rel2])
+        assert fingerprint(inst) == _encode(doc)
+        assert parse_fingerprint(fingerprint(inst)) == inst
 
 
 def test_fingerprint_rejects_garbage():
@@ -632,7 +701,10 @@ def test_the_shape_table_covers_every_instance_a_campaign_runs_alone(monkeypatch
     assert set(shapes) == set(_SHAPES)
 
 
-def test_the_underlying_c_space_is_computed_only_for_a_converse_finding(monkeypatch):
+def test_each_converse_finding_carries_the_underlying_c_space(monkeypatch):
+    """The batch reads both c-space readings of mu_R off its lanes, so no
+    converse finding scans the opens (1,077 ``is_c_space`` calls in the
+    underlying reading when the checker built them)."""
     calls = []
     real = topology.is_c_space
 
@@ -643,11 +715,18 @@ def test_the_underlying_c_space_is_computed_only_for_a_converse_finding(monkeypa
     monkeypatch.setattr(topology, "is_c_space", counted)
     rep = run_suite(Scope(max_n=4), ["cspace"])
     converse = [e for e in rep.findings if e["law"] == "cspace.converse-approximating"]
-    assert calls.count("underlying") == len(converse) == 1077
-    assert all("c-space-underlying" in e["witness"] for e in converse)
+    assert calls.count("underlying") == 0 and len(converse) == 1077
+    assert all(
+        e["witness"] == {
+            "c-space-specialization": True, "c-space-underlying": True, "approximating": False
+        }
+        for e in converse
+    )
 
 
 def test_the_classical_scott_law_is_decided_once_per_poset(monkeypatch):
+    """Once per poset, and never the relation checker: 1,319 checker runs and
+    1,319 and 1,077 ``is_c_space`` calls on mu_R when cspace ran per instance."""
     calls = []
     real = topology.is_c_space
 
@@ -656,9 +735,14 @@ def test_the_classical_scott_law_is_decided_once_per_poset(monkeypatch):
         return real(t, upset_mode)
 
     monkeypatch.setattr(topology, "is_c_space", counted)
+    checks = []
+    real_check = harness.check_cspace_theorems
+    monkeypatch.setattr(
+        harness, "check_cspace_theorems", lambda r: checks.append(r) or real_check(r)
+    )
     run_suite(Scope(max_n=4), ["cspace"])
     assert calls.count("scott") == 242  # one per labeled poset with 1 <= n <= 4
-    assert calls.count("specialization") == 1319 and calls.count("underlying") == 1077
+    assert calls.count("specialization") == calls.count("underlying") == len(checks) == 0
 
 
 def test_findings_replay_to_the_same_verdict():

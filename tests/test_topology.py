@@ -11,6 +11,7 @@ from orderlab import approx, topology
 from orderlab.approx import _family_scope, _lap_mask, _subject, _uap_mask
 from orderlab.auxrel import (
     AuxRelation,
+    bottom_aux,
     classify,
     enumerate_aux,
     leq_aux,
@@ -636,6 +637,173 @@ def test_mu_and_chain_reports_match_the_scans_on_sampled_posets(break_operators,
     assert bool(failing) == broken
 
 
+def _scanned_cspace(r):
+    """``check_cspace_theorems`` from scans of the opens: ``is_c_space`` in
+    both readings, a scan of the sections and the opens for the base, and
+    ``opens_completely_distributive``."""
+    mu = mu_topology(r)
+    cls = classify(r)
+    rep = CheckReport(_subject(r), "induced topology")
+    cs_spec, witness = is_c_space(mu, "specialization")
+    sections = r.above
+
+    def not_a_base():
+        for s in sections:
+            if s not in mu._mask_set:
+                yield {"section": mask_text(s)}
+        for u in mu.masks:
+            cover = 0
+            for y in range(r.poset.n):
+                if u >> y & 1 and sections[y] & ~u == 0:
+                    cover |= sections[y]
+            if cover != u:
+                yield {"open": mask_text(u)}
+
+    vacuous = "vacuous: no interpolation"
+    if cls.has_int:
+        rep.add("cspace.int-implies-cspace", cs_spec, witness)
+        rep.law("cspace.sections-form-base", not_a_base())
+    else:
+        rep.add("cspace.int-implies-cspace", True, note=vacuous)
+        rep.add("cspace.sections-form-base", True, note=vacuous)
+    converse_ok = not (cs_spec and not cls.approximating)
+    rep.add(
+        "cspace.converse-approximating",
+        converse_ok,
+        None if converse_ok else {
+            "c-space-specialization": cs_spec,
+            "c-space-underlying": is_c_space(mu, "underlying")[0],
+            "approximating": cls.approximating,
+        },
+        finding=True,
+        note="converse direction; disagreements are recorded, not failed",
+    )
+    if cls.has_int:
+        cdl = opens_completely_distributive(mu)
+        rep.add(
+            "cspace.cdl-vs-approximating",
+            cdl == cls.approximating,
+            None if cdl == cls.approximating else {
+                "completely-distributive": cdl, "approximating": cls.approximating
+            },
+            finding=True,
+            note="corollary linkage; disagreements are recorded, not failed",
+        )
+    else:
+        rep.add("cspace.cdl-vs-approximating", True, note=vacuous)
+    cs_sigma, cont = is_c_space(scott_topology(r.poset))[0], is_continuous(r.poset)
+    rep.add(
+        "cspace.classical-scott",
+        cs_sigma == cont,
+        None if cs_sigma == cont else {"c-space": cs_sigma, "continuous": cont},
+    )
+    return rep
+
+
+def _outcome(check, r):
+    """The report of ``check(r)`` as a dict, or the exception it raises."""
+    try:
+        return check(r).to_dict()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_cspace_matches_the_scans(r):
+    """The lane checker gives the report of the scans, or raises as they do.
+    Returns the hard laws that fail, and ``BudgetExceeded`` if both raise it."""
+    lanes, scanned = _outcome(check_cspace_theorems, r), _outcome(_scanned_cspace, r)
+    assert lanes == scanned, (r.poset.up, r.sec)
+    if isinstance(lanes, str):
+        return {"BudgetExceeded"} & {lanes.split(":")[0]}
+    return {v["law"] for v in lanes["verdicts"] if not v["passed"] and not v.get("finding")}
+
+
+def test_cspace_reports_match_the_scans_on_every_small_relation():
+    """Every relation on every labeled poset with n <= 4 passes; of those
+    with arbitrary or perturbed sections, some have sections that are not
+    open or do not cover an open."""
+    rng, pre, failing = random.Random(6), 0, set()
+    for r in _small_relations(rng):
+        failing |= _assert_cspace_matches_the_scans(r)
+        pre += classify(r).pre_approximating
+    assert pre > 1319 and failing == {"cspace.sections-form-base"}
+
+
+def test_one_corrupted_table_entry_gives_the_cspace_scans_first_witnesses(break_operators):
+    """One bit of one lap entry of one relation flipped, for each entry of
+    every relation with n <= 3: both hard laws fail somewhere, and each
+    report names the scan's first failing open or section.  uap does not
+    enter mu_R."""
+    corrupt = {}
+
+    def flip(r, b, v):
+        return v ^ (1 << corrupt["bit"] if (r.sec, b) == (corrupt["sec"], corrupt["entry"]) else 0)
+
+    break_operators(lap=flip)
+    failing, cases = set(), 0
+    for n in range(1, 4):
+        for q in enumerate_posets(n):
+            for sec in [r.sec for r in enumerate_aux(q)]:
+                for b, bit in product(range(1 << n), range(n)):
+                    corrupt.update(sec=sec, entry=b, bit=bit)
+                    failing |= _assert_cspace_matches_the_scans(AuxRelation(Poset(q.up), sec))
+                    cases += 1
+    assert failing == {"cspace.int-implies-cspace", "cspace.sections-form-base"}
+    assert cases > 1000
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_cspace_reports_match_the_scans_on_sampled_posets(break_operators, broken):
+    """Posets with 2 to 10 points, so on both sides of the table bound, with a
+    sampled relation, the order and the bottom relation; broken, lap errs on
+    every third mask of every relation."""
+    if broken:
+        break_operators(lap=lambda r, b, v: v ^ (b % 3 == 0) * (b & -b))
+    failing = set()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from([0.2, 0.3, 0.5]),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def check(n, density, seed):
+        p = random_poset(n, density, seed)
+        for r in (sample_aux(p, seed=seed, density=density), leq_aux(p), bottom_aux(p)):
+            failing.update(_assert_cspace_matches_the_scans(r) - {"BudgetExceeded"})
+
+    check()
+    assert bool(failing) == broken
+    # beyond the budget of complete distributivity both raise
+    assert _assert_cspace_matches_the_scans(leq_aux(antichain(8))) == {"BudgetExceeded"}
+
+
+def test_the_finding_laws_are_decided_alike_on_every_iso_class_up_to_five():
+    """Over every relation on every iso class with n <= 5, the quantities
+    that the cspace lanes compute against the scans of the opens: mu_R is a
+    c-space in both readings, its opens are completely distributive, and a
+    relation is approximating exactly when it is the order."""
+    relations = pre = 0
+    for n in range(1, 6):
+        for p in enumerate_posets(n, up_to_iso=True):
+            rels = list(enumerate_aux(p))
+            flags = approx.batch_failures(p, rels, (), ["cspace"])["cspace"]
+            relations += len(rels)
+            for r, byte in zip(rels, flags):
+                cls = classify(r)
+                assert cls.approximating == (r.sec == p.down)
+                if not cls.pre_approximating:
+                    continue
+                pre += 1
+                mu = mu_topology(r)
+                assert is_c_space(mu, "specialization")[0] and is_c_space(mu, "underlying")[0]
+                assert opens_completely_distributive(mu)
+                # bits 1-5: both c-space readings, complete distributivity,
+                # approximating, interpolation
+                assert byte >> 1 == 0b111 | cls.approximating << 3 | cls.has_int << 4
+    assert (relations, pre) == (5780, 709)
+
+
 def test_only_the_bundled_mu_laws_refuse_a_universe_beyond_the_directed_budget():
     p = chain(MAX_DIRECTED_UNIVERSE + 1)
     r = leq_aux(p)
@@ -643,6 +811,8 @@ def test_only_the_bundled_mu_laws_refuse_a_universe_beyond_the_directed_budget()
     for check in (check_mu_laws, lambda r: check_chain_of_containments(r, p.full_set())):
         with pytest.raises(BudgetExceeded):
             check(r)
-    # the batch leaves both suites to the checkers, and decides the others
-    flags = approx.batch_failures(p, [r], [0], ["chain", "mu-topology", "partition"])
+    # the batch leaves these suites to the checkers, and decides the others
+    flags = approx.batch_failures(p, [r], [0], ["chain", "cspace", "mu-topology", "partition"])
     assert flags == {"partition": b"\0"}
+    with pytest.raises(BudgetExceeded):
+        check_cspace_theorems(r)
