@@ -34,13 +34,11 @@ relation in halving ORs; ``basic.leq-identities``, which does not depend on
 the relation, is decided once per batch.  The laws of the induced topology
 mu_R live here too, for ``topology`` to report: its opens are the upper-set
 lanes that lap fixes (``mu_topology`` lists them from the same lanes), its
-pair laws take lap at the intersection and union of each pair of sets, or
-for a batch read their known open flags, and the chain of containments takes
-the mu interior of each mask from ``_INTERIOR``, one zeta transform of the
-opens up to the table bound.  A specialization row, an interior and a
-c-space cover are each the OR of the values whose key lies inside a set
-(``_below``): for one relation up to the table bound a zeta table too.
-The per-poset tables and set lists come from the one-entry memo of
+pair laws take lap at the intersection and union of each pair of opens, or
+for a batch read their known open flags.  A specialization row, an
+interior and a c-space cover are each the OR of the values whose key lies
+inside a set (``_below``): for one relation up to the table bound one zeta
+transform.  The per-poset tables and set lists come from the one-entry memo of
 ``poset``.  Only this module knows the table bound and the tables behind
 the lanes: other modules pack lanes with ``_pack`` and map them with
 ``_gather`` through an operator ``_Op``, and a table indexed by mask, such as
@@ -49,7 +47,7 @@ a reference table, is its own (``_TABLE``).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Sequence
@@ -755,29 +753,13 @@ def _opens(lanes: _Lanes) -> tuple[bytes, int]:
     return opened.to_bytes(len(tiled), "little"), fixed
 
 
-def _open_masks(lanes: _Lanes) -> list[int]:
-    """The opens of the one relation of ``lanes``, ascending."""
-    opened, fixed = _opens(lanes)
+def _open_masks(lanes: _Lanes, opens: tuple[bytes, int] | None = None) -> list[int]:
+    """The opens of the one relation of ``lanes``, ascending, from its ``opens``
+    of ``_opens`` if given."""
+    opened, fixed = opens or _opens(lanes)
     w = lane_width(lanes.p.n)
     is_open = (fixed >> 8 * w - 1).to_bytes(len(opened), "little")[::w]
     return list(compress(_upper_list(lanes.p), is_open))
-
-
-def _inside(opens: Iterable[int], bits: int) -> int:
-    """The union of the ``opens`` inside the mask ``bits``: its interior."""
-    out = 0
-    for s in opens:
-        if s & ~bits == 0:
-            out |= s
-    return out
-
-
-# The interior in the topology of the opens t[1] on t[0] points: up to the
-# table bound one zeta transform of the opens, above it ``_inside`` per mask.
-_INTERIOR: _Op = (
-    lambda t: submask_unions(t[0], ((s, s) for s in t[1])).ljust(256, b"\0"),
-    _per_mask(lambda t: partial(_inside, t[1])),
-)
 
 
 @_per_poset
@@ -816,6 +798,9 @@ def _below(lanes: _Lanes, keys: bytes | None, values: bytes, queries: bytes) -> 
         table = submask_unions(n, zip(keys, values)) if keys else ByteUnions.byte_table(values)
         return queries.translate(table.ljust(256, b"\0"))
     keys = keys or lanes.tile(_points(n)[0])
+    if count == 1:  # a lane without a value adds nothing
+        kept = [kv for kv in zip(unpack(keys, w), unpack(values, w)) if kv[1]] or [(0, 0)]
+        keys, values = (_pack(x, n) for x in zip(*kept))
     m, q = len(keys) // (w * count), len(queries) // (w * count)
     _, low, high = _lane_constants(m * q * count, w)
     inside = _nonzero(_int(lanes.tile(keys, q)) & ~_int(queries * m), low, high) ^ high
@@ -823,57 +808,55 @@ def _below(lanes: _Lanes, keys: bytes | None, values: bytes, queries: bytes) -> 
     return _fold(found, 8 * len(queries)).to_bytes(len(queries), "little")
 
 
-def _spec_rows(lanes: _Lanes, opened: bytes) -> int:
+def _spec_rows(lanes: _Lanes, opens: tuple[bytes, int]) -> int:
     """Row x of the specialization order of mu_R at lane x for each relation,
-    from the ``opened`` lanes of ``_opens``: the AND of the opens that hold
-    x, full ^ the OR of their complements, which lie inside full ^ {x}."""
-    p, n = lanes.p, lanes.p.n
-    shut = _gather(opened, n, _COMPLEMENT, p)
+    from the ``opens`` of ``_opens``: the AND of the opens that hold x, full
+    ^ the OR of their complements, which lie inside full ^ {x}."""
+    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    opened, fixed = opens
+    shut = (_int(opened) ^ (fixed >> 8 * w - 1) * ((1 << n) - 1)).to_bytes(len(opened), "little")
     return _int(_gather(_below(lanes, shut, shut, lanes.tile(_points(n)[1])), n, _COMPLEMENT, p))
 
 
-def _cspace_lanes(lanes: _Lanes, opened: bytes, rows: int) -> int:
+def _cspace_lanes(lanes: _Lanes, opened: bytes, rows: int, base: bool) -> tuple[int, int, int]:
     """At lane (t, j, k) of an open U_j, the points of U_j that the union over
-    its points of the interiors of their up-sets misses: in the
-    specialization order, whose ``rows`` are given (t = 0), and in p (1)."""
+    its points of the interiors of their up-sets misses, in the
+    specialization order, whose ``rows`` are given (t = 0), and in p (1).
+    If ``base``, also lane (y, k) not 0 where the section above(y) of
+    relation k is not open, and at lane (j, k) the points of U_j that the
+    sections above its points that lie inside U_j miss; else 0, 0."""
     p, n, step = lanes.p, lanes.p.n, lane_width(lanes.p.n) * lanes.count
-    ups = (rows.to_bytes(n * step, "little"), lanes.tile(_pack(p.up, n)))
+    ups = rows.to_bytes(n * step, "little") + lanes.tile(_pack(p.up, n))
     # the union of the opens inside each up-set, then of those of an open's points
-    covers = (_below(lanes, None, _below(lanes, opened, opened, up), opened) for up in ups)
-    return _int(opened * 2) & ~_int(b"".join(covers))
-
-
-def _base_lanes(lanes: _Lanes, opened: bytes) -> tuple[int, int]:
-    """Lane (y, k) not 0 where the section above(y) of relation k is not open,
-    and at lane (j, k) of an open U_j the points of U_j that the union of the
-    sections above its points that lie inside U_j misses."""
-    p, n, step = lanes.p, lanes.p.n, lane_width(lanes.p.n) * lanes.count
+    inner = _below(lanes, opened, opened, ups)
+    covers = (_below(lanes, None, inner[t : t + n * step], opened) for t in (0, n * step))
+    missing = _int(opened * 2) & ~_int(b"".join(covers))
+    if not base:
+        return missing, 0, 0
     sections = b"".join(a.to_bytes(step, "little") for a in lanes.aboves)
     keys = (_int(sections) | _int(lanes.tile(_points(n)[0]))).to_bytes(n * step, "little")
-    missing = _int(opened) & ~_int(_below(lanes, keys, sections, opened))
     moved = _int(lanes.lap(sections)) ^ _int(sections)
     lower = _gather(_gather(sections, n, _UPPER, p), n, _COMPLEMENT, p)  # full where not upper
-    return moved | _int(lower), missing
+    return missing, moved | _int(lower), _int(opened) & ~_int(_below(lanes, keys, sections, opened))
 
 
 def _open_pairs(lanes: _Lanes, opens: tuple[bytes, int]) -> tuple[int, int]:
     """The failing lanes of the binary intersection and union laws of mu_R:
     where both sets of a pair are open and their intersection (union) is
-    not.  One relation has a lane per pair (i, j) of upper sets, i-major,
-    several one per pair of ``_upper_pairs``."""
+    not.  One relation has a lane per pair (i, j) of its opens, i-major
+    (``_open_masks``), several one per pair of ``_upper_pairs``."""
     w, count = lane_width(lanes.p.n), lanes.count
     opened, fixed = opens
-    size, step = len(opened), w * count  # the bytes of all sets, of one
-    flags = fixed.to_bytes(size, "little")
     if count == 1:  # one relation: its lap at each pair's intersection (union)
-        m = size // w
-        both = _int(lanes.tile(flags, m)) & _int(flags * m)  # at lane (i, j): sets i and j open
+        listed = _pack(_open_masks(lanes, opens), lanes.p.n)
+        m = len(listed) // w
         _, low, high = _lane_constants(m * m, w)
-        firsts, seconds = _int(lanes.tile(opened, m)), _int(opened * m)
-        pairs = (op(firsts, seconds).to_bytes(m * size, "little") for op in (and_, or_))
-        return tuple(both & _nonzero(_int(lanes.lap(x)) ^ _int(x), low, high) for x in pairs)
+        firsts, seconds = _int(lanes.tile(listed, m)), _int(listed * m)
+        pairs = (op(firsts, seconds).to_bytes(m * len(listed), "little") for op in (and_, or_))
+        return tuple(_nonzero(_int(lanes.lap(x)) ^ _int(x), low, high) for x in pairs)
     # several: gather the known flags, cheaper than a bitsliced lap on m^2 lanes
-    blocks = [flags[i : i + step] for i in range(0, size, step)]
+    flags, step = fixed.to_bytes(len(opened), "little"), w * count
+    blocks = [flags[i : i + step] for i in range(0, len(opened), step)]
     gathered = (_int(b"".join(map(blocks.__getitem__, k))) for k in _upper_pairs(lanes.p))
     first, second, *combined = gathered
     return tuple(first & second & ~flag for flag in combined)
@@ -918,19 +901,20 @@ def _mu_lanes(
 def _chain_fails(lanes: _Lanes, family: bytes) -> bool:
     """Whether a link of the chain of the one relation of ``lanes`` fails at
     some lane of ``family``."""
-    chain = _chain_lanes(lanes, family, _open_masks(lanes))
+    chain = _chain_lanes(lanes, family)
     return any(below & ~above for below, above in zip(chain, chain[1:]))
 
 
-def _chain_lanes(lanes: _Lanes, family: bytes, opens: Sequence[int]) -> list[int]:
+def _chain_lanes(lanes: _Lanes, family: bytes) -> list[int]:
     """Scott interior, mu interior, lap, the set, uap, mu closure and Scott
-    closure at each lane of ``family``, on the lanes of one relation with the
-    ``opens``: the Scott interior is full ^ down(full ^ b) and the closure
-    down(b); the mu interior is ``_INTERIOR``."""
+    closure at each lane of ``family``, on the lanes of one relation: the
+    Scott interior is full ^ down(full ^ b), the closure down(b), and the mu
+    interior the union of the opens inside b (``_below``)."""
     p, n = lanes.p, lanes.p.n
     h, fulls = len(family), _fulls(family, n)
     both = family + _gather(family, n, _COMPLEMENT, p)
-    mu = _int(_gather(both, n, _INTERIOR, (n, opens)))
+    opened = _opens(lanes)[0]
+    mu = _int(_below(lanes, opened, opened, both))
     down = _int(_gather(both, n, _DOWN, p))
     return [
         down >> 8 * h ^ fulls,
@@ -957,13 +941,11 @@ def batch_failures(
 ) -> dict[str, bytes]:
     """Per suite of ``BATCHED_SUITES`` in ``suites``, one byte per relation of
     ``rels``, bit 0 set exactly where a checker that the suite runs on it (the
-    per-subset ones over ``masks``) fails a law, but cspace.classical-scott.
-    cspace's bits 1-5 (``topology.cspace_entries``) say whether mu_R is a
-    c-space in the specialization and the underlying reading, whether its
-    opens are completely distributive, and whether the relation is
-    approximating and has interpolation.  Relations share lanes up to
-    ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``, above which the m^2 lanes of the
-    pair laws (m upper sets) make shared unions slower than their tables."""
+    per-subset ones over ``masks``) fails a law, but cspace.classical-scott;
+    cspace's bits 1-5 hold what it finds (``topology.cspace_entries``).
+    Relations share lanes up to ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``,
+    above which the m^2 lanes of the pair laws (m upper sets) make shared
+    unions slower than their tables."""
     if len(rels) == 1:
         return _group_failures(p, rels, _Single(rels[0]), masks, suites)
     if p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
@@ -995,8 +977,12 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     # a relation that is not pre-approximating has no mu-topology or cspace instance
     if pre and ("mu-topology" in suites or "cspace" in suites):
         opens = _opens(lanes)
-        rows = _spec_rows(lanes, opens[0]) if app or "cspace" in suites else 0
-        pairs = _open_pairs(lanes, opens)
+        rows = _spec_rows(lanes, opens) if app or "cspace" in suites else 0
+        # only one relation's lanes hold more opens than cdl's budget
+        many = len(rels) == 1 and opens[1].bit_count() > MAX_CDL_OPENS
+        # mu's pair laws, which cdl reads for a relation with interpolation
+        use = "mu-topology" in suites or has_int and not many
+        pairs = _open_pairs(lanes, opens) if use else (0, 0)
     if "mu-topology" in suites:
         laws = list(_mu_lanes(lanes, opens, rows, pairs).values()) if pre else ()
         fails["mu-topology"] = pre and pre & (
@@ -1004,15 +990,13 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
         )
     if "cspace" in suites:
         fails["cspace"] = 0
-        if pre:
-            missing, block = _cspace_lanes(lanes, opens[0], rows), 8 * len(opens[0])
+        if pre:  # bits 1-5: both c-space readings, cdl, approximating, interpolation
+            missing, unopened, base = _cspace_lanes(lanes, opens[0], rows, has_int != 0)
+            block = 8 * len(opens[0])
             spec, under = flag(missing & (1 << block) - 1), flag(missing >> block)
-            base = flag(reduce(or_, _base_lanes(lanes, opens[0]))) if has_int else 0
-            closed = flag(reduce(or_, pairs)) ^ ones
-            # only one relation's lanes hold more opens than cdl's budget
-            many = len(rels) == 1 and opens[1].bit_count() > MAX_CDL_OPENS
-            hard = has_int & (spec | base | many)
-            bits = (hard, spec ^ ones, under ^ ones, closed, app, has_int)
+            hard = has_int & (spec | flag(unopened | base) | many)
+            cdl = has_int & (flag(reduce(or_, pairs)) ^ ones)
+            bits = (hard, spec ^ ones, under ^ ones, cdl, app, has_int)
             fails["cspace"] = pre * 63 & sum(e << b for b, e in enumerate(bits))
     if "chain" in suites:
         # nor has one that is not approximating a chain instance.  On a finite

@@ -28,17 +28,15 @@ class AuxRelation:
     """A relation stored column-wise: sec[j] is the mask of {i : i R j}.
 
     Immutable, so what depends on the relation alone is memoized: its
-    sorted pairs, ``classify`` result, report subject, induced topology and
-    the lanes of its c-space laws, transposed sections and the ``approx``
-    operator tables: on posets of at most ``approx.TABLE_MAX_N`` elements
-    ``bytes`` indexed by mask, which the lane laws also use as translate
-    tables, and above it the byte-sliced ``bitset.ByteUnions`` of the
-    transposed sections.
+    sorted pairs, ``classify`` result, report subject, induced topology,
+    transposed sections and the ``approx`` operator tables: on posets of at
+    most ``approx.TABLE_MAX_N`` elements ``bytes`` indexed by mask, which the
+    lane laws also use as translate tables, and above it the byte-sliced
+    ``bitset.ByteUnions`` of the transposed sections.
     """
 
     __slots__ = (
-        "poset", "sec", "_pairs", "_class", "_subject", "_mu", "_cspace", "_above", "_lap", "_uap",
-        "_hit",
+        "poset", "sec", "_pairs", "_class", "_subject", "_mu", "_above", "_lap", "_uap", "_hit"
     )
 
     def __init__(self, poset: Poset, sec: Iterable[int]):
@@ -48,7 +46,7 @@ class AuxRelation:
             raise PosetMismatch(
                 f"{len(self.sec)} section rows for a poset of {poset.n}"
             )
-        self._pairs = self._class = self._subject = self._mu = self._cspace = None
+        self._pairs = self._class = self._subject = self._mu = None
         self._above = self._lap = self._uap = self._hit = None
 
     @property

@@ -373,9 +373,8 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
                         singles, per_subset = _relation_plan(suite, p, r)
                         count = len(singles) + per_subset * len(subsets)
                         flags = bad[suite][k]  # cspace's byte also holds what it finds
-                        entries = None if flags else ()
-                        if suite == "cspace" and count:
-                            entries = cspace_entries(p, flags)
+                        cspace = suite == "cspace" and count
+                        entries = cspace_entries(p, flags) if cspace else None if flags else ()
                         if (
                             count
                             and (cap is None or attempted + count <= cap)
@@ -384,12 +383,10 @@ def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
                         ):
                             attempted += count
                             passed += count
-                            if entries:
-                                fp = _fingerprint_of(suite, p, r, None, None)
-                                found[suite][1].extend(
-                                    {"law": law, "fingerprint": fp, "witness": witness}
-                                    for law, witness in entries
-                                )
+                            fp = entries and _fingerprint_of(suite, p, r, None, None)
+                            found[suite][1].extend(
+                                {"law": law, "fingerprint": fp, "witness": w} for law, w in entries
+                            )
                             continue
                         yield from ((suite, p, *inst) for inst in singles)
                         if per_subset:

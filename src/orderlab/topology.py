@@ -22,6 +22,7 @@ scan the opens of any topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
@@ -34,14 +35,12 @@ from .approx import (
     _TABLE,
     _UAP,
     _add_pair_laws,
-    _base_lanes,
     _chain_lanes,
     _cspace_lanes,
     _family_masks,
     _family_scope,
     _first_lane,
     _gather,
-    _inside,
     _int,
     _lane,
     _mu_lanes,
@@ -166,7 +165,7 @@ def scott_topology(p: Poset) -> Topology:
 
 
 def _interior_mask(t: Topology, bits: int) -> int:
-    return _inside(t.masks, bits)
+    return reduce(or_, (s for s in t.masks if s & ~bits == 0), 0)
 
 
 def interior(t: Topology, a: ElementSet) -> ElementSet:
@@ -283,7 +282,7 @@ def check_chain_of_containments(
         raise NotApproximating(cls.witnesses.get("approximating"))
     scott_topology(p)  # refuses a universe beyond the directed-set budget
     rep = CheckReport(_subject(r), _family_scope(masks))
-    chain = _chain_lanes(_Single(r), _pack(masks, n), mu_topology(r).masks)
+    chain = _chain_lanes(_Single(r), _pack(masks, n))
     if len(masks) == 1:
         values = {name: mask_text(bits) for name, bits in zip(_CHAIN_NAMES, chain)}
         rep.add("chain.values", True, values, informational=True)
@@ -410,24 +409,19 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     """Interpolation forces a c-space; the converse directions are findings.
 
     Decided on the lanes of ``approx`` that a campaign's batch shares
-    (``_cspace_lanes``, ``_base_lanes``): a hard law's witness is the first
-    failing open, in ascending order, or the first section that is not open.
+    (``_cspace_lanes``): a hard law's witness is the first failing open, in
+    ascending order, or the first section that is not open.
     """
     p, w, cls = r.poset, lane_width(r.poset.n), classify(r)
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
-    if r._cspace is None:  # kept by the relation, like its induced topology
-        lanes = _Single(r)
-        opened, fixed = opens = _opens(lanes)
-        if cls.has_int and fixed.bit_count() > MAX_CDL_OPENS:
-            raise BudgetExceeded(f"{fixed.bit_count()} opens is beyond the triple scan")
-        missing = _cspace_lanes(lanes, opened, _spec_rows(lanes, opened))
-        unopened, base = _base_lanes(lanes, opened) if cls.has_int else (0, 0)
-        cdl = cls.has_int and not any(_open_pairs(lanes, opens))
-        r._cspace = missing, unopened, base, cdl
-    missing, unopened, base, cdl = r._cspace
-    uppers = _upper_list(p)
-    block = 8 * w * len(uppers)
+    lanes = _Single(r)
+    opened, fixed = opens = _opens(lanes)
+    if cls.has_int and fixed.bit_count() > MAX_CDL_OPENS:
+        raise BudgetExceeded(f"{fixed.bit_count()} opens is beyond the triple scan")
+    missing, unopened, base = _cspace_lanes(lanes, opened, _spec_rows(lanes, opens), cls.has_int)
+    cdl = cls.has_int and not any(_open_pairs(lanes, opens))
+    uppers, block = _upper_list(p), 8 * len(opened)
     spec, under = missing & (1 << block) - 1, missing >> block
     rep = CheckReport(_subject(r), "induced topology")
     vacuous = "vacuous: no interpolation"
@@ -486,7 +480,7 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
     approximating = cls.approximating
     lanes = _Single(r)
     opens = _opens(lanes)
-    lanes_of_rows = _spec_rows(lanes, opens[0]) if approximating else 0
+    lanes_of_rows = _spec_rows(lanes, opens) if approximating else 0
     failing = _mu_lanes(lanes, opens, lanes_of_rows, _open_pairs(lanes, opens))
     rows = [_lane(lanes_of_rows, x, w) for x in range(n)]
     uppers = _upper_list(p)
@@ -499,8 +493,9 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
         if not bad or law.startswith("topology.contains"):
             witness = None
         elif law.startswith("topology.binary"):
-            i, j = divmod(k, len(uppers))
-            witness = {"u": uppers[i], "v": uppers[j]}
+            listed = _open_masks(lanes, opens)
+            i, j = divmod(k, len(listed))
+            witness = {"u": listed[i], "v": listed[j]}
         elif law == "mu.specialization-recovers-order":
             twins = (rows[x] >> y & rows[y] >> x & 1 for x in range(n) for y in range(x + 1, n))
             witness = {"rows": rows, "t0": not any(twins)}
