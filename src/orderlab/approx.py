@@ -799,8 +799,8 @@ def _below(lanes: _Lanes, keys: bytes | None, values: bytes, queries: bytes) -> 
         return queries.translate(table.ljust(256, b"\0"))
     keys = keys or lanes.tile(_points(n)[0])
     if count == 1:  # a lane without a value adds nothing
-        kept = [kv for kv in zip(unpack(keys, w), unpack(values, w)) if kv[1]] or [(0, 0)]
-        keys, values = (_pack(x, n) for x in zip(*kept))
+        kept = unpack(values, w)
+        keys, values = _pack(compress(unpack(keys, w), kept), n), _pack(compress(kept, kept), n)
     m, q = len(keys) // (w * count), len(queries) // (w * count)
     _, low, high = _lane_constants(m * q * count, w)
     inside = _nonzero(_int(lanes.tile(keys, q)) & ~_int(queries * m), low, high) ^ high
@@ -901,19 +901,19 @@ def _mu_lanes(
 def _chain_fails(lanes: _Lanes, family: bytes) -> bool:
     """Whether a link of the chain of the one relation of ``lanes`` fails at
     some lane of ``family``."""
-    chain = _chain_lanes(lanes, family)
+    chain = _chain_lanes(lanes, family, _opens(lanes)[0])
     return any(below & ~above for below, above in zip(chain, chain[1:]))
 
 
-def _chain_lanes(lanes: _Lanes, family: bytes) -> list[int]:
+def _chain_lanes(lanes: _Lanes, family: bytes, opened: bytes) -> list[int]:
     """Scott interior, mu interior, lap, the set, uap, mu closure and Scott
-    closure at each lane of ``family``, on the lanes of one relation: the
-    Scott interior is full ^ down(full ^ b), the closure down(b), and the mu
-    interior the union of the opens inside b (``_below``)."""
+    closure at each lane of ``family``, on the lanes of one relation with
+    the ``opened`` sets: the Scott interior is full ^ down(full ^ b), the
+    closure down(b), and the mu interior the union of the opens inside b
+    (``_below``)."""
     p, n = lanes.p, lanes.p.n
     h, fulls = len(family), _fulls(family, n)
     both = family + _gather(family, n, _COMPLEMENT, p)
-    opened = _opens(lanes)[0]
     mu = _int(_below(lanes, opened, opened, both))
     down = _int(_gather(both, n, _DOWN, p))
     return [

@@ -282,7 +282,7 @@ def check_chain_of_containments(
         raise NotApproximating(cls.witnesses.get("approximating"))
     scott_topology(p)  # refuses a universe beyond the directed-set budget
     rep = CheckReport(_subject(r), _family_scope(masks))
-    chain = _chain_lanes(_Single(r), _pack(masks, n))
+    chain = _chain_lanes(_Single(r), _pack(masks, n), _pack(mu_topology(r).masks, n))
     if len(masks) == 1:
         values = {name: mask_text(bits) for name, bits in zip(_CHAIN_NAMES, chain)}
         rep.add("chain.values", True, values, informational=True)
