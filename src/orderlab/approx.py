@@ -742,23 +742,28 @@ def _sup_bit(p: Poset, b: int) -> int:
     return 0 if s is None else 1 << s
 
 
-def _opens(lanes: _Lanes) -> tuple[bytes, int]:
-    """The upper sets on lanes that lap fixes, the others 0, and the top bit of
-    each lane whose set lap fixes."""
+def _fixed(lanes: _Lanes) -> tuple[bytes, int]:
+    """The upper sets on lanes, and the top bit of each lane whose set lap fixes."""
     p, w = lanes.p, lane_width(lanes.p.n)
     tiled = lanes.tile(_upper_lanes(p))
     _, low, high = _lane_constants(len(tiled) // w, w)
-    fixed = _nonzero(_int(lanes.lap(tiled)) ^ _int(tiled), low, high) ^ high
-    opened = _int(tiled) & (fixed >> 8 * w - 1) * ((1 << p.n) - 1)
+    return tiled, _nonzero(_int(lanes.lap(tiled)) ^ _int(tiled), low, high) ^ high
+
+
+def _opens(lanes: _Lanes) -> tuple[bytes, int]:
+    """The upper sets on lanes that lap fixes, the others 0, and the top bits
+    of ``_fixed``."""
+    (tiled, fixed), w = _fixed(lanes), lane_width(lanes.p.n)
+    opened = _int(tiled) & (fixed >> 8 * w - 1) * ((1 << lanes.p.n) - 1)
     return opened.to_bytes(len(tiled), "little"), fixed
 
 
 def _open_masks(lanes: _Lanes, opens: tuple[bytes, int] | None = None) -> list[int]:
     """The opens of the one relation of ``lanes``, ascending, from its ``opens``
     of ``_opens`` if given."""
-    opened, fixed = opens or _opens(lanes)
+    sets, fixed = opens or _fixed(lanes)
     w = lane_width(lanes.p.n)
-    is_open = (fixed >> 8 * w - 1).to_bytes(len(opened), "little")[::w]
+    is_open = (fixed >> 8 * w - 1).to_bytes(len(sets), "little")[::w]
     return list(compress(_upper_list(lanes.p), is_open))
 
 
