@@ -73,7 +73,6 @@ from .harness import (
     Scope,
     fingerprint,
     parse_fingerprint,
-    register_property,
     replay,
     run_suite,
     search_counterexample,

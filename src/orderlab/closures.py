@@ -29,6 +29,7 @@ from .approx import (
     _pack,
     _set_witness,
 )
+from .auxrel import classify
 from .bitset import ElementSet, lane_width
 from .errors import OrderlabError
 from .poset import Poset, down_closure
@@ -114,6 +115,14 @@ def check_sec5_theorems(p: Poset) -> CheckReport:
 
     one_step_prop, osc_witness = has_one_step_closure(p)
     rep.add("onestep.one-step-closure", one_step_prop, osc_witness, informational=True)
+    gap = one_step_prop and not classify(wb).approximating
+    rep.add(
+        "onestep.one-step-implies-continuity",
+        not gap,
+        {"one-step-closure": True, "continuous": False} if gap else None,
+        finding=True,
+        note="finite-trivial: every finite poset is continuous",
+    )
     mc = is_meet_continuous(p)
     rep.add(
         "onestep.meet-continuity-equivalence",

@@ -29,7 +29,15 @@ re-validates what it decodes before re-executing the instance in isolation.
 One table, ``_SHAPES``, maps each instance shape (the suite, and whether a
 relation, a subset and a second relation are given) to its checker: the
 campaign dispatches through it, its keys give the suite lists, and replay
-accepts exactly its shapes, besides the witness of a ``property:`` search.
+accepts exactly its shapes.
+
+A counterexample search is a query over one campaign.  Each property of
+``PROPERTIES`` is a law of one suite, and ``search_counterexample`` runs
+that suite's campaign (``_campaign``, the generator that ``run_suite``
+collects) up to its first entry of the law that the property accepts.  The
+witness's ``property:`` fingerprint names the same instance, and replay
+re-checks it with the suite's checker and reads the law's verdict, so a
+``property:`` fingerprint has a shape exactly when its suite's shape does.
 """
 
 from __future__ import annotations
@@ -62,8 +70,8 @@ from .auxrel import (
     way_below,
 )
 from .bitset import ElementSet, transpose
-from .closures import check_sec5_theorems, has_one_step_closure
-from .errors import BadParameters, BudgetExceeded
+from .closures import check_sec5_theorems
+from .errors import BadParameters, BudgetExceeded, OrderlabError
 from .poset import (
     MAX_UNIVERSE,
     Poset,
@@ -79,10 +87,6 @@ from .topology import (
     check_mu_laws,
     check_mu_way_below_is_scott,
     cspace_entries,
-    is_c_space,
-    is_continuous,
-    mu_topology,
-    opens_completely_distributive,
 )
 
 VERSION = "0.1.0"
@@ -221,10 +225,8 @@ def parse_fingerprint(fp: str) -> Instance:
             ):
                 raise ValueError("relation is not a list of integer pairs")
         shape = (suite, rel is not None, subset is not None, rel2 is not None)
-        if shape not in _SHAPES and not (
-            suite.startswith("property:")
-            and shape[1:] == (_property(suite[9:]).needs_relation, False, False)
-        ):
+        runs = _property(suite[9:])[0] if suite.startswith("property:") else suite
+        if (runs, *shape[1:]) not in _SHAPES:
             raise ValueError(f"no checker for the instance shape {shape}")
     except (ValueError, TypeError) as exc:
         raise BadParameters(f"malformed fingerprint: {exc}") from exc
@@ -244,18 +246,15 @@ def _check(
     suite: str, p: Poset, r: AuxRelation | None, bits: int | None, r2: AuxRelation | None
 ) -> CheckReport:
     """Run one instance's suite on live objects: the one check dispatcher."""
-    if suite.startswith("property:"):
-        prop_id = suite.split(":", 1)[1]
-        detail = _property(prop_id).detail(p, r)
-        rep = CheckReport(f"property {prop_id}", "single instance")
-        rep.add(
-            f"property.{prop_id}",
-            detail is not None,
-            detail,
-            finding=True,
+    if suite.startswith("property:"):  # the verdict of the property's law
+        name = suite[9:]
+        prop_suite, law, test = _property(name)
+        v = _check(prop_suite, p, r, bits, r2).verdict(law)
+        detail = None if v.passed or not test(v.witness) else _jsonable(v.witness)
+        return CheckReport(f"property {name}", "single instance").add(
+            f"property.{name}", detail is not None, detail, finding=True,
             note="passed means the counterexample reproduces",
         )
-        return rep
     shape = (suite, r is not None, bits is not None, r2 is not None)
     if shape not in _SHAPES:
         raise BadParameters(f"no checker for the instance shape {shape}")
@@ -326,104 +325,101 @@ class RunReport:
         return exit_code_of(self.failures, self.findings)
 
 
-def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
-    """Run and tally each instance as it is generated, in one serial pass.
+def _campaign(
+    scope: Scope, suites: tuple[str, ...], tally: RunReport
+) -> Iterator[tuple[str, int, dict]]:
+    """The failures (kind 0) and findings (kind 1) of a campaign as
+    (suite, kind, entry), in run order, tallying its instances on ``tally``.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance and each tally of a passing batch, whose findings
-    join the report in run order as a checked instance's would.  An exception a
-    checker raises fails the hard law ``internal.error`` of its instance, with
-    ``"<Type>: <message>"`` as the witness, and the run goes on.  ``jobs`` is
-    accepted for compatibility and ignored.
+    before each instance and each tally of a passing batch.  An exception a
+    checker raises fails the hard law ``internal.error`` of its instance,
+    with ``"<Type>: <message>"`` as the witness, and the run goes on.
     """
+    deadline = time.monotonic() + scope.wall_time_s if scope.wall_time_s else None
+    cap = scope.max_instances
+    poset_suites = [s for s in suites if s in _POSET_SUITES]
+    rel_suites = [s for s in suites if s in _REL_SUITES]
+    batched = [s for s in rel_suites if s in BATCHED_SUITES]
+
+    def stopped() -> bool:
+        late = deadline is not None and time.monotonic() > deadline
+        tally.incomplete = tally.attempted == cap or late
+        return tally.incomplete
+
+    def checked(inst: tuple) -> Iterator[tuple[str, int, dict]]:
+        try:
+            rep = _check(*inst)
+        except Exception as exc:  # an engine fault fails its instance, not the run
+            rep = CheckReport("", "").add("internal.error", False, f"{type(exc).__name__}: {exc}")
+        tally.attempted += 1
+        bad, flagged = rep.failures, rep.findings
+        tally.passed += not bad
+        if bad or flagged:
+            fp = _fingerprint_of(*inst)
+            for kind, verdicts in enumerate((bad, flagged)):
+                for v in verdicts:
+                    entry = {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
+                    yield inst[0], kind, entry
+
+    for pi, p in enumerate(_scope_posets(scope)):
+        for suite in poset_suites:
+            if stopped():
+                return
+            yield from checked((suite, p, None, None, None))
+        if not rel_suites:
+            continue
+        subsets = _scope_subsets(scope, p, pi)
+        rels = _scope_relations(scope, p, pi)
+        while chunk := list(islice(rels, BATCH)):
+            bad = dict.fromkeys(rel_suites, b"\1" * len(chunk))
+            try:  # a batch that raises leaves its relations to run per instance
+                bad.update(batch_failures(p, chunk, subsets, batched) if batched else {})
+            except Exception:
+                pass
+            for k, r in enumerate(chunk):
+                for suite in rel_suites:
+                    singles, per_subset = _relation_plan(suite, p, r)
+                    count = len(singles) + per_subset * len(subsets)
+                    flags = bad[suite][k]  # cspace's byte also holds what it finds
+                    cspace = suite == "cspace" and count
+                    entries = cspace_entries(p, flags) if cspace else None if flags else ()
+                    if (
+                        count
+                        and (cap is None or tally.attempted + count <= cap)
+                        and (deadline is None or time.monotonic() <= deadline)
+                        and entries is not None
+                    ):
+                        tally.attempted += count
+                        tally.passed += count
+                        fp = entries and _fingerprint_of(suite, p, r, None, None)
+                        for law, w in entries:
+                            yield suite, 1, {"law": law, "fingerprint": fp, "witness": w}
+                        continue
+                    for inst in (*singles, *((r, bits, None) for bits in subsets * per_subset)):
+                        if stopped():
+                            return
+                        yield from checked((suite, p, *inst))
+
+
+def run_suite(scope: Scope, suites: Iterable[str], jobs: int = 1) -> RunReport:
+    """Run and tally each instance as it is generated, in one serial pass
+    (``_campaign``), and join the entries of each suite in suite order.
+    ``jobs`` is accepted for compatibility and ignored."""
     suite_list = tuple(sorted(set(suites)))
     for s in suite_list:
         if s not in SUITES:
             raise BadParameters(f"unknown suite {s!r}")
     start = time.monotonic()
-    deadline = start + scope.wall_time_s if scope.wall_time_s else None
-    cap = scope.max_instances
-    poset_suites = [s for s in suite_list if s in _POSET_SUITES]
-    rel_suites = [s for s in suite_list if s in _REL_SUITES]
-    batched = [s for s in rel_suites if s in BATCHED_SUITES]
-    attempted = passed = 0
-
+    run = RunReport(suite_list, 0, 0, [], [], scope.seed)
     found = {suite: ([], []) for suite in suite_list}  # failures, findings
-
-    def instances() -> Iterable[tuple]:
-        """The campaign's instances in run order; a relation's instances of a
-        suite that pass as a batch are tallied here and not yielded, and the
-        findings of a passing cspace instance are built from its batch byte."""
-        nonlocal attempted, passed
-        for pi, p in enumerate(_scope_posets(scope)):
-            for suite in poset_suites:
-                yield suite, p, None, None, None
-            if not rel_suites:
-                continue
-            subsets = _scope_subsets(scope, p, pi)
-            rels = _scope_relations(scope, p, pi)
-            while chunk := list(islice(rels, BATCH)):
-                bad = dict.fromkeys(rel_suites, b"\1" * len(chunk))
-                try:  # a batch that raises leaves its relations to run per instance
-                    bad.update(batch_failures(p, chunk, subsets, batched) if batched else {})
-                except Exception:
-                    pass
-                for k, r in enumerate(chunk):
-                    for suite in rel_suites:
-                        singles, per_subset = _relation_plan(suite, p, r)
-                        count = len(singles) + per_subset * len(subsets)
-                        flags = bad[suite][k]  # cspace's byte also holds what it finds
-                        cspace = suite == "cspace" and count
-                        entries = cspace_entries(p, flags) if cspace else None if flags else ()
-                        if (
-                            count
-                            and (cap is None or attempted + count <= cap)
-                            and (deadline is None or time.monotonic() <= deadline)
-                            and entries is not None
-                        ):
-                            attempted += count
-                            passed += count
-                            fp = entries and _fingerprint_of(suite, p, r, None, None)
-                            found[suite][1].extend(
-                                {"law": law, "fingerprint": fp, "witness": w} for law, w in entries
-                            )
-                            continue
-                        yield from ((suite, p, *inst) for inst in singles)
-                        if per_subset:
-                            yield from ((suite, p, r, bits, None) for bits in subsets)
-
-    incomplete = False
-    for inst in instances():
-        if attempted == cap or (deadline is not None and time.monotonic() > deadline):
-            incomplete = True
-            break
-        try:
-            rep = _check(*inst)
-        except Exception as exc:  # an engine fault fails its instance, not the run
-            rep = CheckReport("", "").add(
-                "internal.error", False, f"{type(exc).__name__}: {exc}"
-            )
-        attempted += 1
-        bad, flagged = rep.failures, rep.findings
-        if not bad:
-            passed += 1
-        if bad or flagged:
-            fp = _fingerprint_of(*inst)
-            for out, verdicts in zip(found[inst[0]], (bad, flagged)):
-                out.extend(
-                    {"law": v.law, "fingerprint": fp, "witness": _jsonable(v.witness)}
-                    for v in verdicts
-                )
-    return RunReport(
-        suites=suite_list,
-        attempted=attempted,
-        passed=passed,
-        failures=[e for suite in suite_list for e in found[suite][0]],
-        findings=[e for suite in suite_list for e in found[suite][1]],
-        seed=scope.seed,
-        incomplete=incomplete,
-        elapsed_s=time.monotonic() - start,
+    for suite, kind, entry in _campaign(scope, suite_list, run):
+        found[suite][kind].append(entry)
+    run.failures, run.findings = (
+        [e for suite in suite_list for e in found[suite][kind]] for kind in (0, 1)
     )
+    run.elapsed_s = time.monotonic() - start
+    return run
 
 
 def replay(entry: dict | str) -> CheckReport:
@@ -441,98 +437,51 @@ def replay(entry: dict | str) -> CheckReport:
 # -- counterexample search -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertySpec:
-    needs_relation: bool
-    test: Callable
+# property -> (suite, law, test of a witness): a counterexample is an entry of
+# the suite's campaign whose law fails with a witness that passes the test
+# (``bool`` passes any, as every witness of these laws is a nonempty dict)
+PROPERTIES: dict[str, tuple[str, str, Callable[[dict], bool]]] = {
+    "cspace-implies-approximating": ("cspace", "cspace.converse-approximating", bool),
+    "cdl-implies-approximating": (
+        "cspace", "cspace.cdl-vs-approximating", lambda w: w["completely-distributive"]
+    ),
+    "int-equivalence-break": ("int-char", "int-char.agreement", bool),
+    "one-step-without-continuity": ("sec5", "onestep.one-step-implies-continuity", bool),
+}
 
-    def detail(self, p: Poset, r: AuxRelation | None) -> dict | None:
-        """The property's counterexample detail on (p, r), or None."""
-        return self.test(p, r) if self.needs_relation else self.test(p)
 
-
-PROPERTIES: dict[str, PropertySpec] = {}
-
-
-def _property(name: str) -> PropertySpec:
+def _property(name: str) -> tuple[str, str, Callable[[dict], bool]]:
     prop = PROPERTIES.get(name)
     if prop is None:
         raise BadParameters(f"unknown property {name!r}")
     return prop
 
 
-def register_property(name: str, needs_relation: bool, test: Callable) -> None:
-    if name in PROPERTIES:
-        raise BadParameters(f"property {name!r} already registered")
-    PROPERTIES[name] = PropertySpec(needs_relation, test)
-
-
-def _prop_cspace_implies_approximating(p: Poset, r: AuxRelation) -> dict | None:
-    cls = classify(r)
-    if not cls.pre_approximating or cls.approximating:
-        return None
-    mu = mu_topology(r)
-    spec_mode, _ = is_c_space(mu, "specialization")
-    if not spec_mode:
-        return None
-    under_mode, _ = is_c_space(mu, "underlying")
-    return {
-        "c-space-specialization": True,
-        "c-space-underlying": under_mode,
-        "approximating": False,
-    }
-
-
-def _prop_cdl_implies_approximating(p: Poset, r: AuxRelation) -> dict | None:
-    cls = classify(r)
-    if not cls.pre_approximating or not cls.has_int or cls.approximating:
-        return None
-    if not opens_completely_distributive(mu_topology(r)):
-        return None
-    return {"completely-distributive": True, "approximating": False}
-
-
-def _prop_one_step_without_continuity(p: Poset) -> dict | None:
-    one_step_ok, _ = has_one_step_closure(p)
-    if one_step_ok and not is_continuous(p):
-        return {"one-step-closure": True, "continuous": False}
-    return None
-
-
-def _prop_int_equivalence_break(p: Poset, r: AuxRelation) -> dict | None:
-    rep = check_int_equivalences(r)
-    v = rep.verdict("int-char.agreement")
-    if not v.passed:
-        return _jsonable(v.witness) or {"agreement": False}
-    return None
-
-
-register_property("cspace-implies-approximating", True, _prop_cspace_implies_approximating)
-register_property("cdl-implies-approximating", True, _prop_cdl_implies_approximating)
-register_property("one-step-without-continuity", False, _prop_one_step_without_continuity)
-register_property("int-equivalence-break", True, _prop_int_equivalence_break)
-
-
 def search_counterexample(property_id: str, scope: Scope) -> dict | None:
-    """First witness in deterministic scope order, or None."""
-    prop = _property(property_id)
-    deadline = time.monotonic() + scope.wall_time_s if scope.wall_time_s else None
-    tested = 0
-    for pi, p in enumerate(_scope_posets(scope)):
-        for r in _scope_relations(scope, p, pi) if prop.needs_relation else (None,):
-            tested += 1
-            if scope.max_instances is not None and tested > scope.max_instances:
-                raise BudgetExceeded("instance cap reached during search")
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded("wall time exhausted during search")
-            detail = prop.detail(p, r)
-            if detail is not None:
-                fp = _fingerprint_of(f"property:{property_id}", p, r, None, None)
-                return {
-                    "property": property_id,
-                    "fingerprint": fp,
-                    "poset": poset_to_json(p),
-                    "relation": _jsonable(r.pairs()) if r is not None else None,
-                    "detail": _jsonable(detail),
-                }
+    """The first counterexample to a property in the run order of its suite's
+    campaign over scope, or None when the campaign completes without one.
+
+    The cap counts the suite's instances, as in ``run_suite``.  A run that
+    stops before a counterexample raises ``BudgetExceeded``, and an
+    ``internal.error`` before one raises ``OrderlabError``.
+    """
+    suite, law, test = _property(property_id)
+    tally = RunReport((suite,), 0, 0, [], [], scope.seed)
+    for _, _, entry in _campaign(scope, (suite,), tally):
+        if entry["law"] == "internal.error":
+            raise OrderlabError(f"search stopped at an internal error: {entry['witness']}")
+        if entry["law"] == law and test(entry["witness"]):
+            inst = parse_fingerprint(entry["fingerprint"])
+            as_property = Instance(f"property:{property_id}", inst.rows, inst.rel)
+            return {
+                "property": property_id,
+                "fingerprint": fingerprint(as_property),
+                "poset": poset_to_json(Poset(inst.rows)),
+                "relation": _jsonable(inst.rel),
+                "detail": entry["witness"],
+            }
+    if tally.incomplete:
+        if tally.attempted == scope.max_instances:
+            raise BudgetExceeded("instance cap reached during search")
+        raise BudgetExceeded("wall time exhausted during search")
     return None

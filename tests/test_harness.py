@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderlab import approx, auxrel, cli, closures, harness, reference, topology
-from orderlab.auxrel import AuxRelation, enumerate_aux, leq_aux
-from orderlab.errors import AxiomViolation, BadParameters, NotUpper
+from orderlab.auxrel import AuxRelation, classify, enumerate_aux, leq_aux, validate_aux
+from orderlab.closures import has_one_step_closure
+from orderlab.errors import AxiomViolation, BadParameters, BudgetExceeded, NotUpper, OrderlabError
 from orderlab.harness import (
     PROPERTIES,
     SUITES,
@@ -26,13 +27,26 @@ from orderlab.harness import (
     _scope_subsets,
     fingerprint,
     parse_fingerprint,
-    register_property,
     replay,
     run_suite,
     search_counterexample,
 )
-from orderlab.poset import _upper_list, antichain, chain, diamond, random_poset
+from orderlab.poset import (
+    Poset,
+    _upper_list,
+    antichain,
+    chain,
+    diamond,
+    poset_to_json,
+    random_poset,
+)
 from orderlab.report import CheckReport
+from orderlab.topology import (
+    is_c_space,
+    is_continuous,
+    mu_topology,
+    opens_completely_distributive,
+)
 
 
 def _instances_for(suite, scope, p, pi):
@@ -458,8 +472,9 @@ def test_a_max_n_4_campaign_runs_no_mu_or_relation_chain_checker(monkeypatch):
     """The batch decides the mu laws and the c-space laws of all 1,319
     pre-approximating relations and the chains of the 242 approximating ones,
     so the reports a campaign builds are those of the poset-level instances
-    (10,467 verdicts when the cspace checker still ran on each of the 1,319,
-    22,471 when the mu and chain checkers did too)."""
+    (3,872 verdicts before sec5 took ``onestep.one-step-implies-continuity``,
+    one more on each of the 242 posets; 10,467 when the cspace checker still
+    ran on each of the 1,319, 22,471 when the mu and chain checkers did too)."""
     calls = {"mu": 0, "chain": 0, "cspace": 0, "add": 0}
 
     def counted(key, real):
@@ -479,7 +494,7 @@ def test_a_max_n_4_campaign_runs_no_mu_or_relation_chain_checker(monkeypatch):
     monkeypatch.setattr(CheckReport, "add", counted("add", CheckReport.add))
     rep = run_suite(Scope(max_n=4), SUITES)
     assert rep.attempted == 199030 and rep.exit_code == 3 and len(rep.findings) == 1848
-    assert calls == {"mu": 0, "chain": 0, "cspace": 0, "add": 3872}
+    assert calls == {"mu": 0, "chain": 0, "cspace": 0, "add": 4114}
 
 
 def test_the_poset_suites_build_each_reference_value_once_per_poset(monkeypatch):
@@ -670,11 +685,8 @@ def test_a_fingerprint_parses_exactly_when_the_table_has_its_shape(
         suite, [1], [[0, 0]] if has_rel else None, 0 if has_subset else None,
         [[0, 0]] if has_rel2 else None,
     ]
-    if suite.startswith("property:"):
-        needs_rel = PROPERTIES[suite[9:]].needs_relation
-        known = (has_rel, has_subset, has_rel2) == (needs_rel, False, False)
-    else:
-        known = (suite, has_rel, has_subset, has_rel2) in _SHAPES
+    runs = PROPERTIES[suite[9:]][0] if suite.startswith("property:") else suite
+    known = (runs, has_rel, has_subset, has_rel2) in _SHAPES
     if known:
         assert parse_fingerprint(_encode(doc)) == Instance(
             suite, (1,), ((0, 0),) if has_rel else None, doc[3], ((0, 0),) if has_rel2 else None
@@ -815,16 +827,231 @@ def test_search_rejects_unknown_properties():
         search_counterexample("nope", Scope(max_n=2))
 
 
-def test_registered_properties_extend_the_search():
-    def has_four_elements(p):
-        return {"n": p.n} if p.n == 4 else None
+# The property tests and the scan loop that search ran before it read the
+# campaign, kept as its literal oracle: one direct test per (poset, relation)
+# in scope order, the cap counting relations.
 
-    register_property("poset-of-four", needs_relation=False, test=has_four_elements)
+
+def _prop_cspace_implies_approximating(p, r):
+    cls = classify(r)
+    if not cls.pre_approximating or cls.approximating:
+        return None
+    mu = mu_topology(r)
+    spec_mode, _ = is_c_space(mu, "specialization")
+    if not spec_mode:
+        return None
+    under_mode, _ = is_c_space(mu, "underlying")
+    return {
+        "c-space-specialization": True,
+        "c-space-underlying": under_mode,
+        "approximating": False,
+    }
+
+
+def _prop_cdl_implies_approximating(p, r):
+    cls = classify(r)
+    if not cls.pre_approximating or not cls.has_int or cls.approximating:
+        return None
+    if not opens_completely_distributive(mu_topology(r)):
+        return None
+    return {"completely-distributive": True, "approximating": False}
+
+
+def _prop_one_step_without_continuity(p):
+    one_step_ok, _ = has_one_step_closure(p)
+    if one_step_ok and not is_continuous(p):
+        return {"one-step-closure": True, "continuous": False}
+    return None
+
+
+def _prop_int_equivalence_break(p, r):
+    rep = approx.check_int_equivalences(r)
+    v = rep.verdict("int-char.agreement")
+    if not v.passed:
+        return harness._jsonable(v.witness) or {"agreement": False}
+    return None
+
+
+_SCANNED = {  # property -> (needs a relation, test)
+    "cspace-implies-approximating": (True, _prop_cspace_implies_approximating),
+    "cdl-implies-approximating": (True, _prop_cdl_implies_approximating),
+    "one-step-without-continuity": (False, _prop_one_step_without_continuity),
+    "int-equivalence-break": (True, _prop_int_equivalence_break),
+}
+
+
+def _detail(property_id, p, r):
+    needs_relation, test = _SCANNED[property_id]
+    return test(p, r) if needs_relation else test(p)
+
+
+def _scanned_search(property_id, scope):
+    needs_relation = _SCANNED[property_id][0]
+    tested = 0
+    for pi, p in enumerate(_scope_posets(scope)):
+        for r in _scope_relations(scope, p, pi) if needs_relation else (None,):
+            tested += 1
+            if scope.max_instances is not None and tested > scope.max_instances:
+                raise BudgetExceeded("instance cap reached during search")
+            detail = _detail(property_id, p, r)
+            if detail is not None:
+                fp = _fingerprint_of(f"property:{property_id}", p, r, None, None)
+                return {
+                    "property": property_id,
+                    "fingerprint": fp,
+                    "poset": poset_to_json(p),
+                    "relation": harness._jsonable(r.pairs()) if r is not None else None,
+                    "detail": harness._jsonable(detail),
+                }
+    return None
+
+
+def _scanned_replay(fp):
+    """The property report the scan's replay built for a witness."""
+    inst = parse_fingerprint(fp)
+    p = Poset(inst.rows)
+    r = validate_aux(p, inst.rel) if inst.rel is not None else None
+    name = inst.suite[9:]
+    detail = _detail(name, p, r)
+    rep = CheckReport(f"property {name}", "single instance").add(
+        f"property.{name}", detail is not None, detail, finding=True,
+        note="passed means the counterexample reproduces",
+    )
+    return rep.to_dict()
+
+
+def _outcome(search, property_id, scope):
     try:
-        with pytest.raises(BadParameters):
-            register_property("poset-of-four", needs_relation=False, test=has_four_elements)
-        assert search_counterexample("poset-of-four", Scope(max_n=3)) is None
-        witness = search_counterexample("poset-of-four", Scope(posets=(diamond(),)))
-        assert witness is not None and witness["detail"] == {"n": 4}
-    finally:
-        PROPERTIES.pop("poset-of-four", None)
+        return search(property_id, scope)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+_SEARCH_SCOPES = {
+    "max-n-3": Scope(max_n=3),
+    "max-n-4": Scope(max_n=4),
+    "iso-5": Scope(max_n=5, up_to_iso=True),
+    "sampled-5": Scope(
+        max_n=5, rel_mode="sample", rel_sample=1, subset_mode="sample", subset_sample=4, seed=1
+    ),
+    "builtins-5": Scope(max_n=5, rel_mode="builtins", rel_builtins=("bottom", "leq")),
+}
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken"])
+@pytest.mark.parametrize("scope", _SEARCH_SCOPES.values(), ids=_SEARCH_SCOPES)
+def test_search_finds_the_scans_witness_and_replays_to_its_report(break_operators, scope, broken):
+    if broken:
+        _break_lap_and_uap(break_operators)
+    found = {}
+    for name in sorted(PROPERTIES):
+        found[name] = witness = search_counterexample(name, scope)
+        assert witness == _scanned_search(name, scope), name
+        if witness is not None:
+            assert replay(witness["fingerprint"]).to_dict() == _scanned_replay(witness["fingerprint"])
+    assert found["cspace-implies-approximating"] and found["cdl-implies-approximating"]
+    assert found["one-step-without-continuity"] is None
+    if broken:
+        detail = found["int-equivalence-break"]["detail"]
+        assert detail == {"statements": [True, True, True, True, False]}
+    else:
+        assert found["int-equivalence-break"] is None
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken"])
+def test_the_search_cap_counts_the_instances_of_the_propertys_suite(break_operators, broken):
+    """As ``verify --suite S --max-instances N`` does.  The scan counted
+    relations: the same count for int-char and sec5, one instance per
+    relation and per poset, but cspace runs on pre-approximating relations
+    only, so a cap of 3 that stopped the scan lets search reach the witness."""
+    if broken:
+        _break_lap_and_uap(break_operators)
+    for cap in range(1, 13):
+        scope = Scope(max_n=3, max_instances=cap)
+        for name in ("int-equivalence-break", "one-step-without-continuity"):
+            assert _outcome(search_counterexample, name, scope) == _outcome(
+                _scanned_search, name, scope
+            )
+    capped, whole = Scope(max_n=4, max_instances=3), Scope(max_n=4)
+    for name in ("cspace-implies-approximating", "cdl-implies-approximating"):
+        assert _outcome(_scanned_search, name, capped) == "instance cap reached during search"
+        assert search_counterexample(name, capped) == search_counterexample(name, whole)
+    with pytest.raises(BudgetExceeded, match="instance cap"):
+        search_counterexample("cspace-implies-approximating", Scope(max_n=4, max_instances=1))
+
+
+def test_a_cdl_finding_on_opens_that_are_not_completely_distributive_is_skipped(monkeypatch):
+    """The cdl law is flagged either way round; only completely distributive
+    opens without approximation refute the property.  No relation in these
+    scopes gives the other way, so a campaign that does is planted."""
+    real = harness._campaign
+    other = {"completely-distributive": False, "approximating": True}
+
+    def campaign(scope, suites, tally):
+        for suite, kind, entry in real(scope, suites, tally):
+            if entry["law"] == "cspace.cdl-vs-approximating":
+                yield suite, kind, {**entry, "witness": other}
+            yield suite, kind, entry
+
+    scope = Scope(max_n=3)
+    expected = search_counterexample("cdl-implies-approximating", scope)
+    monkeypatch.setattr(harness, "_campaign", campaign)
+    assert search_counterexample("cdl-implies-approximating", scope) == expected
+
+
+def test_an_internal_error_before_the_first_match_stops_the_search(monkeypatch, capsys):
+    def raising(r):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(harness, "check_cspace_theorems", raising)
+    _batches_raise(monkeypatch)
+    with pytest.raises(OrderlabError, match="RuntimeError: planted"):
+        search_counterexample("cspace-implies-approximating", Scope(max_n=2))
+    code = cli.main(["search", "--property", "cspace-implies-approximating", "--max-n", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "orderlab: error: search stopped at an internal error: RuntimeError: planted\n"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=8,
+)
+# posets up to n = 3 with each of their relations, and the instance shapes,
+# so that half the documents pass the parser and reach a checker
+_VALID = [(p.up, [list(pr) for pr in r.pairs()]) for p in _scope_posets(Scope(max_n=3))
+          for r in enumerate_aux(p)]
+_KNOWN_SHAPES = list(_SHAPES) + [
+    (f"property:{name}", *shape[1:])
+    for name, (suite, *_) in sorted(PROPERTIES.items())
+    for shape in _SHAPES if shape[0] == suite
+]
+_PAIRS = st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=2), max_size=6)
+
+
+@st.composite
+def _known_documents(draw):
+    rows, rel = draw(st.sampled_from(_VALID))
+    suite, has_rel, has_subset, has_rel2 = draw(st.sampled_from(_KNOWN_SHAPES))
+    subset = draw(st.integers(0, (1 << len(rows)) - 1)) if has_subset else None
+    return [suite, rows, rel if has_rel else None, subset, rel if has_rel2 else None]
+
+
+@st.composite
+def _other_documents(draw):
+    rows, rel = draw(st.sampled_from(_VALID))
+    suite = draw(st.sampled_from([shape[0] for shape in _KNOWN_SHAPES] + ["nosuch"]) | _JSON)
+    rows = draw(st.just(rows) | st.lists(st.integers(-1, 16), max_size=5) | _JSON)
+    rel, rel2 = (draw(st.sampled_from([rel, None]) | _PAIRS | _JSON) for _ in range(2))
+    return [suite, rows, rel, draw(st.none() | st.integers(-1, 16) | _JSON), rel2]
+
+
+@given(doc=_known_documents() | _other_documents())
+@settings(max_examples=400, deadline=None)
+def test_replay_of_any_five_field_document_returns_a_report_or_raises_an_orderlab_error(doc):
+    try:
+        rep = replay(_encode(doc))
+    except OrderlabError:
+        return
+    assert isinstance(rep, CheckReport)

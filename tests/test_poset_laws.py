@@ -53,6 +53,21 @@ def _scanned_meet_continuous(p):
     return True
 
 
+def _scanned_continuous(p):
+    """Every element is the directed supremum of what is way below it."""
+    for x, below in enumerate(reference.way_below(p).sec):
+        members = list(iter_bits(below))
+        directed = members and all(
+            any(p.up[a] >> c & 1 and p.up[b] >> c & 1 for c in members)
+            for a in members
+            for b in members
+        )
+        bounds = [u for u in range(p.n) if all(p.up[a] >> u & 1 for a in members)]
+        if not (directed and x in bounds and all(p.up[x] >> u & 1 for u in bounds)):
+            return False
+    return True
+
+
 def _scanned_sec5(p):
     inner = reference.scott_interiors(p)
     wb = reference.way_below(p)
@@ -86,6 +101,14 @@ def _scanned_sec5(p):
     )
     one_step_prop, osc_witness = _scanned_one_step_closure(p)
     rep.add("onestep.one-step-closure", one_step_prop, osc_witness, informational=True)
+    gap = one_step_prop and not _scanned_continuous(p)
+    rep.add(
+        "onestep.one-step-implies-continuity",
+        not gap,
+        {"one-step-closure": True, "continuous": False} if gap else None,
+        finding=True,
+        note="finite-trivial: every finite poset is continuous",
+    )
     mc = _scanned_meet_continuous(p)
     rep.add(
         "onestep.meet-continuity-equivalence",

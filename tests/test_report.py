@@ -111,8 +111,15 @@ def test_witnesses_match_the_golden_digest():
     failed = {v.law for rep in reports for v in rep.verdicts if not v.passed and v.witness}
     assert {"basic.sandwich", "adjoint.upper-galois", "onestep.sandwich",
             "topology.binary-union", "cspace.sections-form-base"} <= failed
-    doc = json.dumps([rep.to_dict() for rep in reports], sort_keys=True)
-    assert hashlib.sha256(doc.encode()).hexdigest() == (
+    docs = [rep.to_dict() for rep in reports]
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == (
+        "d46a6f7e2e07ad6d65c77b3e3d2b31dffc4f42f275891ec3163e6c0394b6e0b1"
+    )
+    # without the sec5 finding that search reads, the digest from before it
+    new = "onestep.one-step-implies-continuity"
+    for doc in docs:
+        doc["verdicts"] = [v for v in doc["verdicts"] if v["law"] != new]
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == (
         "59628fde7a5c9a8b8a00948abbab2ac77c6126a5bec6baa15f6f4d0aff5a727c"
     )
 
