@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from orderlab import approx, auxrel, cli, closures, harness, reference, topology
 from orderlab.auxrel import AuxRelation, classify, enumerate_aux, leq_aux, validate_aux
-from orderlab.closures import has_one_step_closure
 from orderlab.errors import AxiomViolation, BadParameters, BudgetExceeded, NotUpper, OrderlabError
 from orderlab.harness import (
     PROPERTIES,
@@ -41,12 +40,6 @@ from orderlab.poset import (
     random_poset,
 )
 from orderlab.report import CheckReport
-from orderlab.topology import (
-    is_c_space,
-    is_continuous,
-    mu_topology,
-    opens_completely_distributive,
-)
 
 
 def _instances_for(suite, scope, p, pi):
@@ -836,11 +829,11 @@ def _prop_cspace_implies_approximating(p, r):
     cls = classify(r)
     if not cls.pre_approximating or cls.approximating:
         return None
-    mu = mu_topology(r)
-    spec_mode, _ = is_c_space(mu, "specialization")
+    mu = topology.mu_topology(r)
+    spec_mode, _ = topology.is_c_space(mu, "specialization")
     if not spec_mode:
         return None
-    under_mode, _ = is_c_space(mu, "underlying")
+    under_mode, _ = topology.is_c_space(mu, "underlying")
     return {
         "c-space-specialization": True,
         "c-space-underlying": under_mode,
@@ -852,14 +845,14 @@ def _prop_cdl_implies_approximating(p, r):
     cls = classify(r)
     if not cls.pre_approximating or not cls.has_int or cls.approximating:
         return None
-    if not opens_completely_distributive(mu_topology(r)):
+    if not topology.opens_completely_distributive(topology.mu_topology(r)):
         return None
     return {"completely-distributive": True, "approximating": False}
 
 
 def _prop_one_step_without_continuity(p):
-    one_step_ok, _ = has_one_step_closure(p)
-    if one_step_ok and not is_continuous(p):
+    one_step_ok, _ = closures.has_one_step_closure(p)
+    if one_step_ok and not topology.is_continuous(p):
         return {"one-step-closure": True, "continuous": False}
     return None
 
