@@ -7,12 +7,31 @@ import json
 import pytest
 
 from orderlab import cli
-from orderlab.auxrel import classify, enumerate_aux
+from orderlab.approx import lap_upper_adjoint
+from orderlab.auxrel import classify, enumerate_aux, validate_aux
 from orderlab.bitset import mask_text
 from orderlab.cli import main
-from orderlab.families import FAMILIES
-from orderlab.harness import _BUILTIN_RELS, _REL_MODES, _SUBSET_MODES
-from orderlab.poset import enumerate_posets, poset_to_json
+from orderlab.closures import is_meet_continuous
+from orderlab.errors import OrderlabError
+from orderlab.families import FAMILIES, get_family, window
+from orderlab.harness import (
+    SUITES,
+    _BUILTIN_RELS,
+    _REL_MODES,
+    _SUBSET_MODES,
+    Scope,
+    run_suite,
+    search_counterexample,
+)
+from orderlab.poset import (
+    antichain,
+    chain,
+    diamond,
+    enumerate_posets,
+    export_dot,
+    hasse,
+    poset_to_json,
+)
 from orderlab.report import CheckReport
 from orderlab.topology import mu_topology, scott_topology
 
@@ -89,6 +108,31 @@ def test_poset_hasse_text(files, capsys):
     assert out.splitlines() == ["0 < 1", "0 < 2", "1 < 3", "2 < 3"]
 
 
+def test_poset_gen_text_lists_the_covers(capsys):
+    code, out, _ = run(capsys, "poset", "gen", "--kind", "diamond", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [f"{a} < {b}" for a, b in hasse(diamond())]
+    code, out, _ = run(capsys, "poset", "gen", "--kind", "antichain", "--n", "3",
+                       "--format", "text")
+    assert code == 0 and hasse(antichain(3)) == [] and out == "antichain of 3\n"
+
+
+def test_poset_enumerate_text_gives_one_row_list_per_line(capsys):
+    code, out, _ = run(capsys, "poset", "enumerate", "--n", "3", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [",".join(map(str, q.up)) for q in enumerate_posets(3)]
+
+
+def test_poset_hasse_json_and_dot(files, capsys):
+    code, out, _ = run(capsys, "poset", "hasse", "--poset", str(files["d4"]),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 4, "covers": [list(c) for c in hasse(diamond())]}
+    code, out, _ = run(capsys, "poset", "hasse", "--poset", str(files["d4"]),
+                       "--format", "dot")
+    assert code == 0 and out.rstrip("\n") == export_dot(diamond()).rstrip("\n")
+
+
 # -- aux ------------------------------------------------------------------------
 
 
@@ -135,6 +179,22 @@ def test_aux_classify_fields(files, capsys):
     assert doc["witnesses"] == {}
 
 
+def test_aux_enumerate_lists_every_relation(files, capsys):
+    code, out, _ = run(capsys, "aux", "enumerate", "--poset", str(files["c3"]))
+    assert code == 0
+    rels = [[list(pr) for pr in r.pairs()] for r in enumerate_aux(chain(3))]
+    assert json.loads(out) == {"count": len(rels), "relations": rels}
+    assert len(rels) > 1
+
+
+def test_aux_enumerate_beyond_its_budget_is_a_usage_error(files, capsys):
+    code, out, err = run(capsys, "aux", "enumerate", "--poset", str(files["c3"]),
+                         "--budget", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("orderlab: error: ") and err.count("\n") == 1
+    assert "internal:" not in err
+
+
 def test_aux_way_below_on_a_chain_is_leq(files, capsys):
     code, out, _ = run(capsys, "aux", "way-below", "--poset", str(files["c3"]))
     assert code == 0
@@ -164,6 +224,20 @@ def test_approx_adjoint(files, capsys):
                        "--rel", str(files["r1"]), "--set", "0,1",
                        "--which", "lower")
     assert code == 0 and out == "0\n"
+
+
+def test_approx_adjoint_upper(files, capsys):
+    r1 = validate_aux(chain(3), [(0, 0), (0, 1), (0, 2), (1, 2)])
+    for text in ("", "2", "1,2", "0,1,2"):
+        code, out, _ = run(capsys, "approx", "adjoint", "--poset", str(files["c3"]),
+                           "--rel", str(files["r1"]), "--set", text,
+                           "--which", "upper", "--format", "json")
+        expected = lap_upper_adjoint(r1, chain(3).parse_subset(text))
+        assert code == 0 and json.loads(out) == {"set": list(expected.indices())}, text
+    code, out, err = run(capsys, "approx", "adjoint", "--poset", str(files["c3"]),
+                         "--rel", str(files["r1"]), "--set", "0", "--which", "upper")
+    assert (code, out) == (2, "")
+    assert err == "orderlab: error: ElementSet([0], n=3) is not an upper set\n"
 
 
 # -- topology ---------------------------------------------------------------------
@@ -304,6 +378,12 @@ def test_closure_meet_continuous(files, capsys):
     assert code == 0 and out == "true\n"
 
 
+def test_closure_meet_continuous_json(files, capsys):
+    code, out, _ = run(capsys, "closure", "meet-continuous", "--poset", str(files["c3"]),
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == {"meet_continuous": is_meet_continuous(chain(3))}
+
+
 # -- family -----------------------------------------------------------------------
 
 
@@ -347,6 +427,19 @@ def test_family_window_json(capsys):
     doc = json.loads(out)
     assert doc["n"] == 7
     assert "top" in doc["labels"]
+
+
+def test_family_window_dot_and_text(capsys):
+    w = window(get_family("ladder"), 1, 2)
+    code, out, _ = run(capsys, "family", "ladder", "window", "--m", "1", "--n", "2",
+                       "--format", "dot")
+    assert code == 0 and out.rstrip("\n") == export_dot(w.poset).rstrip("\n")
+    code, out, _ = run(capsys, "family", "ladder", "window", "--m", "1", "--n", "2",
+                       "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        f"{w.poset.label(a)} < {w.poset.label(b)}" for a, b in hasse(w.poset)
+    ]
 
 
 def test_family_verify_passes(capsys):
@@ -408,6 +501,29 @@ def test_check_single_suite(capsys):
     assert out.startswith("suites=int-char attempted=9 passed=9")
 
 
+def test_check_text_lists_the_findings(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "cspace", "--max-n", "2",
+                       "--format", "text")
+    report = run_suite(Scope(max_n=2), ["cspace"])
+    assert report.findings and not report.failures
+    assert code == 3
+    assert out.splitlines()[1:] == [
+        f"FINDING {e['law']} {e['fingerprint']}" for e in report.findings
+    ]
+
+
+def test_check_text_lists_the_failures_before_the_findings(capsys, break_operators):
+    break_operators(lap=lambda r, b, v: v ^ (b & -b))
+    code, out, _ = run(capsys, "check", "--suite", "all", "--max-n", "2",
+                       "--format", "text")
+    report = run_suite(Scope(max_n=2), SUITES)
+    assert report.failures and report.findings
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        f"FAIL    {e['law']} {e['fingerprint']}" for e in report.failures
+    ] + [f"FINDING {e['law']} {e['fingerprint']}" for e in report.findings]
+
+
 def test_verify_never_reports_failures_and_is_reproducible(capsys):
     argv = ("verify", "--max-n", "2", "--jobs", "1")
     code1, out1, _ = run(capsys, *argv)
@@ -439,6 +555,15 @@ def test_search_reports_a_witness_with_exit_3(capsys):
     assert doc["property"] == "cspace-implies-approximating"
     assert doc["poset"]["n"] == 2
     assert doc["detail"]["approximating"] is False
+
+
+def test_search_text_prints_the_witness(capsys):
+    code, out, _ = run(capsys, "search", "--property", "cspace-implies-approximating",
+                       "--max-n", "3", "--format", "text")
+    witness = search_counterexample("cspace-implies-approximating", Scope(max_n=3))
+    assert code == 3
+    assert out == f"witness {witness['fingerprint']}\n" + json.dumps(
+        witness["detail"], indent=2, sort_keys=True) + "\n"
 
 
 def test_search_clean_property_exits_0(capsys):
@@ -550,6 +675,30 @@ def test_malformed_relation_pair_is_a_usage_error(files, capsys):
         code, _, err = run(capsys, "aux", "validate", "--poset", str(files["c3"]),
                            "--rel", str(ragged))
         assert code == 2 and "malformed pair" in err, pairs
+
+
+@pytest.mark.parametrize("doc", [5, "pairs", {"pairs": 3}, {"other": []}, None])
+def test_relation_document_that_is_not_a_pair_list_is_a_usage_error(files, capsys, doc):
+    rel = files["dir"] / "not-pairs.json"
+    rel.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "aux", "validate", "--poset", str(files["c3"]),
+                         "--rel", str(rel))
+    assert code == 2 and out == ""
+    assert err == (f"orderlab: error: --rel {rel}: expected a pair list or "
+                   '{"pairs": ...}\n')
+
+
+@pytest.mark.parametrize("pairs", [[[1, 0]], [[0, 1]], [[0, 0], [0, 1], [0, 5]]],
+                         ids=["aux-1", "aux-2", "out-of-range"])
+def test_relation_that_fails_the_axioms_is_a_usage_error(files, capsys, pairs):
+    rel = files["dir"] / "bad-axioms.json"
+    rel.write_text(json.dumps(pairs), encoding="utf-8")
+    with pytest.raises(OrderlabError) as exc:
+        validate_aux(chain(3), [tuple(pr) for pr in pairs])
+    for argv in (("aux", "validate"), ("aux", "classify")):
+        code, out, err = run(capsys, *argv, "--poset", str(files["c3"]), "--rel", str(rel))
+        assert code == 2 and out == ""
+        assert err == f"orderlab: error: --rel {rel}: {exc.value}\n"
 
 
 def test_bad_env_seed_is_a_usage_error(capsys, monkeypatch):
