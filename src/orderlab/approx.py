@@ -936,15 +936,13 @@ def _chain_lanes(lanes: _Lanes, family: bytes, opened: bytes) -> list[int]:
 
 BATCH = 64  # relations per batch
 SHARED_MAX_SETS = 48  # the most upper sets of a poset whose relations share lanes
-MAX_CDL_OPENS = 128  # the most opens whose complete distributivity cspace decides
-# every relation suite: ``batch_failures`` decides them all
-BATCHED_SUITES = ("algebra", "chain", "cspace", "int-char", "mu-topology", "partition")
+MAX_CDL_OPENS = 1024  # the most opens whose complete distributivity cspace decides
 
 
 def batch_failures(
     p: Poset, rels: Sequence[AuxRelation], masks: Sequence[int], suites: Iterable[str]
 ) -> dict[str, bytes]:
-    """Per suite of ``BATCHED_SUITES`` in ``suites``, one byte per relation of
+    """Per relation suite of ``suites``, one byte per relation of
     ``rels``, bit 0 set exactly where a checker that the suite runs on it (the
     per-subset ones over ``masks``) fails a law, but cspace.classical-scott;
     cspace's bits 1-5 hold what it finds (``topology.cspace_entries``).

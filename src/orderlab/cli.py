@@ -4,6 +4,13 @@ Git-style subcommands over the whole library.  Machine output goes to
 stdout, diagnostics to stderr; exit codes: 0 pass, 3 pass-with-findings,
 1 law failures, 2 usage or malformed input.  All output is deterministic;
 timing is only included when explicitly requested.
+
+Each subcommand is one row of ``_COMMANDS``: its handler, its arguments
+(shared flags by their name in ``_ARGS``) and its --format choices, the
+first the default.  Before any handler runs, ``_load`` reads its inputs
+in this order: --poset into a poset, --rel into a relation on it (not
+for a Scott topology), the topology, --seed-rel into pairs and --set
+into a subset of the poset.  So no handler reads a file.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from .poset import (
     poset_to_json,
     random_poset,
 )
-from .report import CheckReport, exit_code_of
+from .report import exit_code_of
 from .topology import (
     Topology,
     closure as topo_closure,
@@ -97,7 +104,7 @@ def _read_json(path: str, what: str):
         raise BadParameters(f"{what}: invalid JSON ({exc.msg})")
 
 
-def _load_poset_arg(path: str) -> Poset:
+def _load_poset(path: str) -> Poset:
     doc = _read_json(path, f"--poset {path}")
     try:
         return poset_from_json(doc)
@@ -139,36 +146,32 @@ def _load_rel(p: Poset, spec: str) -> AuxRelation:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """text, ending in one newline, to stdout or to the file out: the same bytes."""
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _emit_set(s, fmt: str, out: str | None = None) -> None:
-    if fmt == "json":
-        _emit(_dump({"set": list(s.indices())}), out)
+def _emit_poset(p: Poset, fmt: str, out: str | None, label=str, empty: str = "") -> None:
+    """p as DOT, as its JSON document or as one ``a < b`` line per cover."""
+    if fmt == "dot":
+        text = export_dot(p)
+    elif fmt == "json":
+        text = _dump(poset_to_json(p))
     else:
-        _emit(s.text(), out)
+        text = "\n".join(f"{label(a)} < {label(b)}" for a, b in hasse(p)) or empty
+    _emit(text, out)
 
 
-def _emit_report(rep: CheckReport, fmt: str) -> int:
-    if fmt == "json":
-        print(_dump(rep.to_dict()))
-    else:
-        for v in rep.verdicts:
-            status = "PASS" if v.passed else ("FINDING" if v.finding else "FAIL")
-            tail = f"  # {v.note}" if v.note else ""
-            print(f"{status:7s} {v.law}{tail}")
-        print(f"failures={len(rep.failures)} findings={len(rep.findings)}")
-    return rep.exit_code
+def _emit_set(s, fmt: str) -> None:
+    print(_dump({"set": list(s.indices())}) if fmt == "json" else s.text())
 
 
 def _opens_dot(t: Topology) -> str:
@@ -180,25 +183,43 @@ def _opens_dot(t: Topology) -> str:
     return export_dot(Poset(up, [f"{{{mask_text(m)}}}" for m in masks]), name="opens")
 
 
-def _emit_topology(t: Topology, fmt: str, out: str | None) -> None:
-    if fmt == "dot":
-        _emit(_opens_dot(t), out)
-    elif fmt == "json":
-        _emit(
-            _dump({"n": t.poset.n, "opens": [list(o.indices()) for o in t.opens]}),
-            out,
-        )
-    else:
-        _emit("\n".join(o.text() for o in t.opens), out)
+def _load(args) -> argparse.Namespace:
+    """A copy of the parsed arguments with the inputs read, in the order of
+    the module docstring."""
+    loaded = vars(args).copy()
+    if "poset" in loaded:
+        p = loaded["poset"] = _load_poset(args.poset)
+    if loaded.get("topology") == "scott":
+        loaded["topology"] = scott_topology(p)
+    elif "rel" in loaded:
+        if args.rel is None:
+            raise BadParameters("--topology mu requires --rel")
+        r = loaded["rel"] = _load_rel(p, args.rel)
+        if "topology" in loaded:
+            loaded["topology"] = mu_topology(r)
+    if "seed_rel" in loaded:
+        loaded["seed_rel"] = _read_pairs(args.seed_rel, f"--seed-rel {args.seed_rel}")
+    if "set" in loaded:
+        loaded["set"] = p.parse_subset(args.set)
+    return argparse.Namespace(**loaded)
+
+
+def _loading(handler):
+    """The function a subcommand runs: its handler on the loaded arguments,
+    a handler that returns nothing exiting 0."""
+    def run(args) -> int:
+        code = handler(_load(args))
+        return 0 if code is None else code
+
+    return run
 
 
 # -- poset ---------------------------------------------------------------------
 
 
-def _cmd_poset_validate(args) -> int:
-    p = _load_poset_arg(args.poset)
+def _cmd_poset_validate(args) -> None:
+    p = args.poset
     print(_dump({"n": p.n, "ok": True, "covers": [list(c) for c in hasse(p)]}))
-    return 0
 
 
 # the --kind choices, each with the poset it builds from the parsed arguments
@@ -211,193 +232,122 @@ _GENERATORS = {
 }
 
 
-def _cmd_poset_gen(args) -> int:
+def _cmd_poset_gen(args) -> None:
     p = _GENERATORS[args.kind](args)
-    if args.format == "dot":
-        _emit(export_dot(p), args.out)
-    elif args.format == "text":
-        _emit(
-            "\n".join(f"{a} < {b}" for a, b in hasse(p)) or f"antichain of {p.n}",
-            args.out,
-        )
-    else:
-        _emit(_dump(poset_to_json(p)), args.out)
-    return 0
+    _emit_poset(p, args.format, args.out, empty=f"antichain of {p.n}")
 
 
-def _cmd_poset_enumerate(args) -> int:
-    rows_list = [list(q.up) for q in enumerate_posets(
-        args.n, up_to_iso=args.up_to_iso, budget=args.budget
-    )]
+def _cmd_poset_enumerate(args) -> None:
+    posets = enumerate_posets(args.n, up_to_iso=args.up_to_iso, budget=args.budget)
+    rows_list = [list(q.up) for q in posets]
     if args.format == "text":
         for rows in rows_list:
             print(",".join(str(r) for r in rows))
     else:
         print(_dump({"n": args.n, "count": len(rows_list), "posets": rows_list}))
-    return 0
 
 
-def _cmd_poset_hasse(args) -> int:
-    p = _load_poset_arg(args.poset)
-    pairs = hasse(p)
-    if args.format == "dot":
-        _emit(export_dot(p), args.out)
-    elif args.format == "json":
-        _emit(_dump({"n": p.n, "covers": [list(c) for c in pairs]}), args.out)
+def _cmd_poset_hasse(args) -> None:
+    p = args.poset
+    if args.format == "json":
+        _emit(_dump({"n": p.n, "covers": [list(c) for c in hasse(p)]}), args.out)
     else:
-        _emit("\n".join(f"{a} < {b}" for a, b in pairs), args.out)
-    return 0
+        _emit_poset(p, args.format, args.out)
 
 
 # -- aux -----------------------------------------------------------------------
 
 
-def _cmd_aux_validate(args) -> int:
-    p = _load_poset_arg(args.poset)
-    r = _load_rel(p, args.rel)
-    print(_dump({"ok": True, "pairs": [list(pr) for pr in r.pairs()]}))
-    return 0
+def _cmd_aux_pairs(args) -> None:
+    """The pairs of --rel, of the closure of --seed-rel or of way-below."""
+    if args.sub == "validate":
+        r, doc = args.rel, {"ok": True}
+    else:
+        r = aux_closure(args.poset, args.seed_rel) if args.sub == "close" else way_below(args.poset)
+        doc = {}
+    doc["pairs"] = [list(pr) for pr in r.pairs()]
+    print(_dump(doc))
 
 
-def _cmd_aux_close(args) -> int:
-    p = _load_poset_arg(args.poset)
-    r = aux_closure(p, _read_pairs(args.seed_rel, f"--seed-rel {args.seed_rel}"))
-    print(_dump({"pairs": [list(pr) for pr in r.pairs()]}))
-    return 0
+def _cmd_aux_classify(args) -> None:
+    cls = classify(args.rel)
+    witnesses = {k: list(v) if isinstance(v, tuple) else v for k, v in cls.witnesses.items()}
+    print(_dump({
+        "pre_approximating": cls.pre_approximating,
+        "approximating": cls.approximating,
+        "has_int": cls.has_int,
+        "witnesses": witnesses,
+    }))
 
 
-def _cmd_aux_classify(args) -> int:
-    p = _load_poset_arg(args.poset)
-    cls = classify(_load_rel(p, args.rel))
-    print(
-        _dump(
-            {
-                "pre_approximating": cls.pre_approximating,
-                "approximating": cls.approximating,
-                "has_int": cls.has_int,
-                "witnesses": {k: list(v) if isinstance(v, tuple) else v
-                              for k, v in cls.witnesses.items()},
-            }
-        )
-    )
-    return 0
-
-
-def _cmd_aux_way_below(args) -> int:
-    p = _load_poset_arg(args.poset)
-    r = way_below(p)
-    print(_dump({"pairs": [list(pr) for pr in r.pairs()]}))
-    return 0
-
-
-def _cmd_aux_enumerate(args) -> int:
-    p = _load_poset_arg(args.poset)
-    rels = [[list(pr) for pr in r.pairs()] for r in enumerate_aux(p, budget=args.budget)]
+def _cmd_aux_enumerate(args) -> None:
+    rels = enumerate_aux(args.poset, budget=args.budget)
+    rels = [[list(pr) for pr in r.pairs()] for r in rels]
     print(_dump({"count": len(rels), "relations": rels}))
-    return 0
 
 
-# -- approx --------------------------------------------------------------------
+# -- approx, topology, closure -------------------------------------------------
+
+# approx lap and uap by name, adjoint by --which
+_APPROX = {"lap": lap, "uap": uap, "lower": uap_lower_adjoint, "upper": lap_upper_adjoint}
 
 
-def _cmd_approx(args) -> int:
-    p = _load_poset_arg(args.poset)
-    r = _load_rel(p, args.rel)
-    a = p.parse_subset(args.set)
-    if args.sub == "lap":
-        result = lap(r, a)
-    elif args.sub == "uap":
-        result = uap(r, a)
-    elif args.which == "lower":
-        result = uap_lower_adjoint(r, a)
+def _cmd_approx(args) -> None:
+    _emit_set(_APPROX[getattr(args, "which", args.sub)](args.rel, args.set), args.format)
+
+
+def _cmd_topology(args) -> None:
+    t = args.topology
+    if args.sub == "interior":
+        _emit_set(topo_interior(t, args.set), args.format)
+    elif args.sub == "closure":
+        _emit_set(topo_closure(t, args.set), args.format)
+    elif args.sub == "cspace":
+        ok, witness = is_c_space(t, args.upset)
+        print(_dump({"c_space": ok, "upset_mode": args.upset, "witness": witness}))
+    elif args.format == "dot":
+        _emit(_opens_dot(t), args.out)
+    elif args.format == "json":
+        _emit(_dump({"n": t.poset.n, "opens": [list(o.indices()) for o in t.opens]}), args.out)
     else:
-        result = lap_upper_adjoint(r, a)
-    _emit_set(result, args.format)
-    return 0
+        _emit("\n".join(o.text() for o in t.opens), args.out)
 
 
-# -- topology ------------------------------------------------------------------
+def _cmd_closure_one_step(args) -> None:
+    _emit_set(one_step(args.poset, args.set), args.format)
 
 
-def _topology_for(args, p: Poset) -> Topology:
-    if args.topology == "mu":
-        if args.rel is None:
-            raise BadParameters("--topology mu requires --rel")
-        return mu_topology(_load_rel(p, args.rel))
-    return scott_topology(p)
-
-
-def _cmd_topology(args) -> int:
-    p = _load_poset_arg(args.poset)
-    _emit_topology(_topology_for(args, p), args.format, args.out)
-    return 0
-
-
-def _cmd_topology_interior(args) -> int:
-    p = _load_poset_arg(args.poset)
-    t = _topology_for(args, p)
-    a = p.parse_subset(args.set)
-    result = topo_interior(t, a) if args.sub == "interior" else topo_closure(t, a)
-    _emit_set(result, args.format)
-    return 0
-
-
-def _cmd_topology_cspace(args) -> int:
-    p = _load_poset_arg(args.poset)
-    t = _topology_for(args, p)
-    ok, witness = is_c_space(t, args.upset)
-    print(_dump({"c_space": ok, "upset_mode": args.upset, "witness": witness}))
-    return 0
-
-
-# -- closure -------------------------------------------------------------------
-
-
-def _cmd_closure_one_step(args) -> int:
-    p = _load_poset_arg(args.poset)
-    _emit_set(one_step(p, p.parse_subset(args.set)), args.format)
-    return 0
-
-
-def _cmd_closure_meet_continuous(args) -> int:
-    p = _load_poset_arg(args.poset)
-    value = is_meet_continuous(p)
-    if args.format == "json":
-        print(_dump({"meet_continuous": value}))
-    else:
-        print("true" if value else "false")
-    return 0
+def _cmd_closure_meet_continuous(args) -> None:
+    value = is_meet_continuous(args.poset)
+    print(_dump({"meet_continuous": value}) if args.format == "json" else str(value).lower())
 
 
 # -- family --------------------------------------------------------------------
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> int | None:
     fam = get_family(args.family)
     if args.sub in ("order", "member", "wb"):
         x = FamilyElement.parse(args.x)
         operands = (args.set_name, x) if args.sub == "member" else (x, FamilyElement.parse(args.y))
         print("true" if args.query(fam, *operands) else "false")
-        return 0
-    if args.sub == "window":
-        w = window(fam, args.m, args.n)
-        if args.format == "dot":
-            _emit(export_dot(w.poset), args.out)
-        elif args.format == "text":
-            _emit(
-                "\n".join(
-                    f"{w.poset.label(a)} < {w.poset.label(b)}"
-                    for a, b in hasse(w.poset)
-                ),
-                args.out,
-            )
+    elif args.sub == "window":
+        p = window(fam, args.m, args.n).poset
+        _emit_poset(p, args.format, args.out, p.label)
+    else:
+        rep = verify_window_soundness(fam, args.m, args.n)
+        if args.format == "json":
+            print(_dump(rep.to_dict()))
         else:
-            _emit(_dump(poset_to_json(w.poset)), args.out)
-        return 0
-    return _emit_report(verify_window_soundness(fam, args.m, args.n), args.format)
+            for v in rep.verdicts:
+                status = "PASS" if v.passed else ("FINDING" if v.finding else "FAIL")
+                tail = f"  # {v.note}" if v.note else ""
+                print(f"{status:7s} {v.law}{tail}")
+            print(f"failures={len(rep.failures)} findings={len(rep.findings)}")
+        return rep.exit_code
 
 
-# -- check / search / verify ----------------------------------------------------
+# -- check / search / verify ---------------------------------------------------
 
 
 def _scope_from_args(args) -> Scope:
@@ -406,9 +356,7 @@ def _scope_from_args(args) -> Scope:
         up_to_iso=args.up_to_iso,
         rel_mode=args.rel_mode,
         rel_sample=args.rel_sample,
-        rel_builtins=tuple(
-            s.strip() for s in args.rel_builtins.split(",") if s.strip()
-        ),
+        rel_builtins=tuple(s.strip() for s in args.rel_builtins.split(",") if s.strip()),
         subset_mode=args.subset_mode,
         subset_sample=args.subset_sample,
         seed=args.seed if args.seed is not None else _default_seed(),
@@ -448,24 +396,141 @@ def _cmd_search(args) -> int:
     return exit_code_of(False, witness is not None)  # a witness is a finding
 
 
-def _add_scope_flags(sp) -> None:
-    sp.add_argument("--max-n", type=int, default=3, dest="max_n")
-    sp.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-    sp.add_argument("--rel-mode", choices=_REL_MODES, default="enumerate", dest="rel_mode")
-    sp.add_argument("--rel-sample", type=int, default=5, dest="rel_sample")
-    sp.add_argument(
-        "--rel-builtins", default="leq", dest="rel_builtins",
-        help=f"comma-separated: {','.join(_BUILTIN_RELS)}",
-    )
-    sp.add_argument("--subset-mode", choices=_SUBSET_MODES, default="all", dest="subset_mode")
-    sp.add_argument("--subset-sample", type=int, default=8, dest="subset_sample")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--max-instances", type=int, default=None, dest="max_instances")
-    sp.add_argument("--wall-time", type=float, default=None, dest="wall_time")
+# -- the parser ----------------------------------------------------------------
+
+# the flags that several subcommands share, by name
+_ARGS = {
+    "poset": ("--poset", {"required": True}),
+    "rel": ("--rel", {"required": True}),
+    "rel?": ("--rel", {"default": None}),
+    "set": ("--set", {"required": True}),
+    "out": ("--out", {"default": None}),
+    "budget": ("--budget", {"type": int, "default": None}),
+    "topology": ("--topology", {"choices": ("scott", "mu"), "default": "scott"}),
+    "x": ("--x", {"required": True}),
+    "y": ("--y", {"required": True}),
+    "m": ("--m", {"type": int, "default": 0}),
+    "n": ("--n", {"type": int, "required": True}),
+    "up-to-iso": ("--up-to-iso", {"action": "store_true"}),
+}
+
+# the scope of check, verify and search
+_SCOPE = (
+    ("--max-n", {"type": int, "default": 3}),
+    "up-to-iso",
+    ("--rel-mode", {"choices": _REL_MODES, "default": "enumerate"}),
+    ("--rel-sample", {"type": int, "default": 5}),
+    ("--rel-builtins", {"default": "leq", "help": f"comma-separated: {','.join(_BUILTIN_RELS)}"}),
+    ("--subset-mode", {"choices": _SUBSET_MODES, "default": "all"}),
+    ("--subset-sample", {"type": int, "default": 8}),
+    ("--seed", {"type": int, "default": None}),
+    ("--max-instances", {"type": int, "default": None}),
+    ("--wall-time", {"type": float, "default": None}),
+)
+
+# --format choices, the first the default
+_TEXT, _JSON, _OPENS = ("text", "json"), ("json", "text"), ("json", "text", "dot")
 
 
-def _fmt(sp, choices=("text", "json"), default="text") -> None:
-    sp.add_argument("--format", choices=choices, default=default)
+def _row(handler, *args, formats=(), **defaults):
+    """One subcommand: its handler, its arguments in order, each a name of
+    ``_ARGS`` or a (flag, keywords) pair, its --format choices and the
+    values that it sets without a flag."""
+    return handler, args, formats, defaults
+
+
+_CHECK = _row(
+    _cmd_check,
+    ("--suite", {"choices": ("all",) + SUITES, "default": "all"}),
+    *_SCOPE,
+    ("--jobs", {
+        "type": _jobs, "default": 1,
+        "help": "accepted for compatibility; has no effect (campaigns run serially)",
+    }),
+    ("--timing", {"action": "store_true"}),
+    formats=_JSON,
+)
+
+
+# command -> (help, its subcommands' rows by name or its own row, and the
+# positional arguments that come before a subcommand)
+_COMMANDS = {
+    "poset": ("build, validate, and render posets", {
+        "validate": _row(_cmd_poset_validate, "poset"),
+        "gen": _row(
+            _cmd_poset_gen,
+            ("--kind", {"required": True, "choices": _GENERATORS}),
+            ("--n", {"type": int, "default": 2}),
+            ("--k", {"type": int, "default": 2}),
+            ("--p", {"type": float, "default": 0.3}),
+            ("--seed", {"type": int, "default": 0}),
+            "out",
+            formats=("json", "dot", "text"),
+        ),
+        "enumerate": _row(_cmd_poset_enumerate, "n", "up-to-iso", "budget", formats=_JSON),
+        "hasse": _row(_cmd_poset_hasse, "poset", "out", formats=("text", "json", "dot")),
+    }),
+    "aux": ("auxiliary relations on a poset", {
+        "validate": _row(_cmd_aux_pairs, "poset", "rel"),
+        "close": _row(_cmd_aux_pairs, "poset", ("--seed-rel", {"required": True})),
+        "classify": _row(_cmd_aux_classify, "poset", "rel"),
+        "way-below": _row(_cmd_aux_pairs, "poset"),
+        "enumerate": _row(_cmd_aux_enumerate, "poset", "budget"),
+    }),
+    "approx": ("lower/upper approximations", {
+        "lap": _row(_cmd_approx, "poset", "rel", "set", formats=_TEXT),
+        "uap": _row(_cmd_approx, "poset", "rel", "set", formats=_TEXT),
+        "adjoint": _row(
+            _cmd_approx, "poset", "rel", "set",
+            ("--which", {"choices": ("lower", "upper"), "required": True}),
+            formats=_TEXT,
+        ),
+    }),
+    "topology": ("induced and Scott topologies", {
+        "mu": _row(_cmd_topology, "poset", "rel", "out", formats=_OPENS, topology="mu"),
+        "scott": _row(_cmd_topology, "poset", "out", formats=_OPENS, topology="scott"),
+        "interior": _row(_cmd_topology, "poset", "set", "topology", "rel?", formats=_TEXT),
+        "closure": _row(_cmd_topology, "poset", "set", "topology", "rel?", formats=_TEXT),
+        "cspace": _row(
+            _cmd_topology, "poset", "topology", "rel?",
+            ("--upset", {"choices": ("specialization", "underlying"), "default": "specialization"}),
+        ),
+    }),
+    "closure": ("one-step closure operator", {
+        "one-step": _row(_cmd_closure_one_step, "poset", "set", formats=_TEXT),
+        "meet-continuous": _row(_cmd_closure_meet_continuous, "poset", formats=_TEXT),
+    }),
+    "family": ("symbolic infinite poset families", {
+        "order": _row(_cmd_family, "x", "y", query=family_order),
+        "member": _row(
+            _cmd_family,
+            ("--set-name", {"required": True, "choices": ("A", "downA", "Aprime", "scott_closure_A")}),
+            "x",
+            query=family_membership,
+        ),
+        "wb": _row(_cmd_family, "x", "y", query=family_way_below),
+        "window": _row(_cmd_family, "m", "n", "out", formats=("json", "dot", "text")),
+        "verify": _row(_cmd_family, "m", "n", formats=_JSON),
+    }, ("family", {"choices": FAMILIES})),
+    "check": ("run law suites over a scope", _CHECK),
+    "verify": ("run every suite; alias for check", _CHECK),
+    "search": ("first counterexample in scope order", _row(
+        _cmd_search,
+        ("--property", {"required": True, "choices": tuple(sorted(PROPERTIES))}),
+        *_SCOPE,
+        formats=_JSON,
+    )),
+}
+
+
+def _add_row(sp, row) -> None:
+    handler, args, formats, defaults = row
+    for arg in args:
+        flag, keywords = _ARGS[arg] if isinstance(arg, str) else arg
+        sp.add_argument(flag, **keywords)
+    if formats:
+        sp.add_argument("--format", choices=formats, default=formats[0])
+    sp.set_defaults(func=_loading(handler), **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,171 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
         "suites on finite posets and symbolic infinite families.",
     )
     top = parser.add_subparsers(dest="cmd", required=True)
-
-    # poset
-    poset_p = top.add_parser("poset", help="build, validate, and render posets")
-    psub = poset_p.add_subparsers(dest="sub", required=True)
-    sp = psub.add_parser("validate")
-    sp.add_argument("--poset", required=True)
-    sp.set_defaults(func=_cmd_poset_validate)
-    sp = psub.add_parser("gen")
-    sp.add_argument("--kind", required=True, choices=_GENERATORS)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--p", type=float, default=0.3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    _fmt(sp, ("json", "dot", "text"), "json")
-    sp.set_defaults(func=_cmd_poset_gen)
-    sp = psub.add_parser("enumerate")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--up-to-iso", action="store_true", dest="up_to_iso")
-    sp.add_argument("--budget", type=int, default=None)
-    _fmt(sp, ("json", "text"), "json")
-    sp.set_defaults(func=_cmd_poset_enumerate)
-    sp = psub.add_parser("hasse")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--out", default=None)
-    _fmt(sp, ("text", "json", "dot"), "text")
-    sp.set_defaults(func=_cmd_poset_hasse)
-
-    # aux
-    aux_p = top.add_parser("aux", help="auxiliary relations on a poset")
-    asub = aux_p.add_subparsers(dest="sub", required=True)
-    sp = asub.add_parser("validate")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--rel", required=True)
-    sp.set_defaults(func=_cmd_aux_validate)
-    sp = asub.add_parser("close")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--seed-rel", required=True, dest="seed_rel")
-    sp.set_defaults(func=_cmd_aux_close)
-    sp = asub.add_parser("classify")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--rel", required=True)
-    sp.set_defaults(func=_cmd_aux_classify)
-    sp = asub.add_parser("way-below")
-    sp.add_argument("--poset", required=True)
-    sp.set_defaults(func=_cmd_aux_way_below)
-    sp = asub.add_parser("enumerate")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.set_defaults(func=_cmd_aux_enumerate)
-
-    # approx
-    approx_p = top.add_parser("approx", help="lower/upper approximations")
-    apsub = approx_p.add_subparsers(dest="sub", required=True)
-    for name in ("lap", "uap"):
-        sp = apsub.add_parser(name)
-        sp.add_argument("--poset", required=True)
-        sp.add_argument("--rel", required=True)
-        sp.add_argument("--set", required=True)
-        _fmt(sp)
-        sp.set_defaults(func=_cmd_approx)
-    sp = apsub.add_parser("adjoint")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--rel", required=True)
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--which", choices=("lower", "upper"), required=True)
-    _fmt(sp)
-    sp.set_defaults(func=_cmd_approx)
-
-    # topology
-    topo_p = top.add_parser("topology", help="induced and Scott topologies")
-    tsub = topo_p.add_subparsers(dest="sub", required=True)
-    for name in ("mu", "scott"):
-        sp = tsub.add_parser(name)
-        sp.add_argument("--poset", required=True)
-        if name == "mu":
-            sp.add_argument("--rel", required=True)
-        sp.add_argument("--out", default=None)
-        _fmt(sp, ("json", "text", "dot"), "json")
-        sp.set_defaults(func=_cmd_topology, topology=name)
-    for name in ("interior", "closure"):
-        sp = tsub.add_parser(name)
-        sp.add_argument("--poset", required=True)
-        sp.add_argument("--set", required=True)
-        sp.add_argument("--topology", choices=("scott", "mu"), default="scott")
-        sp.add_argument("--rel", default=None)
-        _fmt(sp)
-        sp.set_defaults(func=_cmd_topology_interior)
-    sp = tsub.add_parser("cspace")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--topology", choices=("scott", "mu"), default="scott")
-    sp.add_argument("--rel", default=None)
-    sp.add_argument(
-        "--upset", choices=("specialization", "underlying"), default="specialization"
-    )
-    sp.set_defaults(func=_cmd_topology_cspace)
-
-    # closure
-    clo_p = top.add_parser("closure", help="one-step closure operator")
-    csub = clo_p.add_subparsers(dest="sub", required=True)
-    sp = csub.add_parser("one-step")
-    sp.add_argument("--poset", required=True)
-    sp.add_argument("--set", required=True)
-    _fmt(sp)
-    sp.set_defaults(func=_cmd_closure_one_step)
-    sp = csub.add_parser("meet-continuous")
-    sp.add_argument("--poset", required=True)
-    _fmt(sp)
-    sp.set_defaults(func=_cmd_closure_meet_continuous)
-
-    # family
-    fam_p = top.add_parser("family", help="symbolic infinite poset families")
-    fam_p.add_argument("family", choices=FAMILIES)
-    fsub = fam_p.add_subparsers(dest="sub", required=True)
-    sp = fsub.add_parser("order")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.set_defaults(func=_cmd_family, query=family_order)
-    sp = fsub.add_parser("member")
-    sp.add_argument(
-        "--set-name",
-        required=True,
-        choices=("A", "downA", "Aprime", "scott_closure_A"),
-        dest="set_name",
-    )
-    sp.add_argument("--x", required=True)
-    sp.set_defaults(func=_cmd_family, query=family_membership)
-    sp = fsub.add_parser("wb")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.set_defaults(func=_cmd_family, query=family_way_below)
-    sp = fsub.add_parser("window")
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", default=None)
-    _fmt(sp, ("json", "dot", "text"), "json")
-    sp.set_defaults(func=_cmd_family)
-    sp = fsub.add_parser("verify")
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--n", type=int, required=True)
-    _fmt(sp, ("json", "text"), "json")
-    sp.set_defaults(func=_cmd_family)
-
-    # check / search / verify
-    for name, help_text in (
-        ("check", "run law suites over a scope"),
-        ("verify", "run every suite; alias for check"),
-    ):
+    for name, (help_text, rows, *positionals) in _COMMANDS.items():
         sp = top.add_parser(name, help=help_text)
-        sp.add_argument("--suite", choices=("all",) + SUITES, default="all")
-        _add_scope_flags(sp)
-        sp.add_argument(
-            "--jobs", type=_jobs, default=1,
-            help="accepted for compatibility; has no effect (campaigns run serially)",
-        )
-        sp.add_argument("--timing", action="store_true")
-        _fmt(sp, ("json", "text"), "json")
-        sp.set_defaults(func=_cmd_check)
-
-    sp = top.add_parser("search", help="first counterexample in scope order")
-    sp.add_argument("--property", required=True, choices=tuple(sorted(PROPERTIES)))
-    _add_scope_flags(sp)
-    _fmt(sp, ("json", "text"), "json")
-    sp.set_defaults(func=_cmd_search)
-
+        if not isinstance(rows, dict):
+            _add_row(sp, rows)
+            continue
+        for flag, keywords in positionals:
+            sp.add_argument(flag, **keywords)
+        sub = sp.add_subparsers(dest="sub", required=True)
+        for sub_name, row in rows.items():
+            _add_row(sub.add_parser(sub_name), row)
     return parser
 
 

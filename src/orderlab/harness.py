@@ -50,7 +50,6 @@ from typing import Callable, Iterable, Iterator
 
 from .approx import (
     BATCH,
-    BATCHED_SUITES,
     batch_failures,
     check_adjunction,
     check_algebra,
@@ -340,7 +339,6 @@ def _campaign(
     cap = scope.max_instances
     poset_suites = [s for s in suites if s in _POSET_SUITES]
     rel_suites = [s for s in suites if s in _REL_SUITES]
-    batched = [s for s in rel_suites if s in BATCHED_SUITES]
 
     def stopped() -> bool:
         late = deadline is not None and time.monotonic() > deadline
@@ -374,7 +372,7 @@ def _campaign(
         while chunk := list(islice(rels, BATCH)):
             bad = dict.fromkeys(rel_suites, b"\1" * len(chunk))
             try:  # a batch that raises leaves its relations to run per instance
-                bad.update(batch_failures(p, chunk, subsets, batched) if batched else {})
+                bad.update(batch_failures(p, chunk, subsets, rel_suites))
             except Exception:
                 pass
             for k, r in enumerate(chunk):

@@ -247,7 +247,7 @@ def opens_completely_distributive(t: Topology) -> bool:
     raise ``BudgetExceeded``.
     """
     if len(t.masks) > MAX_CDL_OPENS:
-        raise BudgetExceeded(f"{len(t.masks)} opens is beyond the triple scan")
+        raise BudgetExceeded(f"{len(t.masks)} opens is beyond the pair scan")
     return not any(next(_unclosed_pairs(t, op), None) for op in (and_, or_))
 
 
@@ -418,7 +418,7 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     lanes = _Single(r)
     opened, fixed = opens = _opens(lanes)
     if cls.has_int and fixed.bit_count() > MAX_CDL_OPENS:
-        raise BudgetExceeded(f"{fixed.bit_count()} opens is beyond the triple scan")
+        raise BudgetExceeded(f"{fixed.bit_count()} opens is beyond the pair scan")
     missing, unopened, base = _cspace_lanes(lanes, opened, _spec_rows(lanes, opens), cls.has_int)
     cdl = cls.has_int and not any(_open_pairs(lanes, opens))
     uppers, block = _upper_list(p), 8 * len(opened)

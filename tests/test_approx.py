@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orderlab import approx, auxrel, topology
+from orderlab import approx, auxrel, harness, topology
 from orderlab.approx import (
     _lap_mask,
     _uap_mask,
@@ -1151,7 +1151,7 @@ def _assert_batches_flag_the_checker_failures(p, rels, masks):
     """Batches of ``approx.BATCH`` relations flag exactly the relations whose
     checkers fail, suite by suite.  Counts the relations that fail, under
     "relations", and those that fail each suite."""
-    flags = {s: b"" for s in approx.BATCHED_SUITES}
+    flags = {s: b"" for s in harness._REL_SUITES}
     for start in range(0, len(rels), approx.BATCH):
         batch = approx.batch_failures(p, rels[start : start + approx.BATCH], masks, flags)
         flags = {s: flags[s] + batch[s] for s in flags}
@@ -1220,7 +1220,7 @@ def test_batches_under_broken_operators_flag_exactly_the_failing_relations(break
     for n in range(1, 4):
         for p in enumerate_posets(n):
             failing += _assert_batches_flag_the_checker_failures(p, list(enumerate_aux(p)), range(1 << n))
-    assert set(failing) == {"relations", *approx.BATCHED_SUITES}, failing
+    assert set(failing) == {"relations", *harness._REL_SUITES}, failing
 
 
 def test_batches_flag_a_broken_sections_join_that_only_the_adjunction_reads(monkeypatch):

@@ -95,6 +95,25 @@ def test_poset_gen_writes_out_file(files, capsys):
     assert json.loads(target.read_text())["n"] == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("poset", "gen", "--kind", "diamond"),
+    ("poset", "gen", "--kind", "boolean", "--k", "2"),
+    ("poset", "gen", "--kind", "antichain", "--n", "2"),
+    ("poset", "hasse", "--poset", "{d4}"),
+    ("topology", "scott", "--poset", "{c3}"),
+    ("topology", "mu", "--poset", "{d4}", "--rel", "builtin:leq"),
+    ("family", "ladder", "window", "--m", "1", "--n", "2"),
+])
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_stdout_gets_the_bytes_that_out_writes(files, capsys, argv, fmt):
+    argv = [arg.format(c3=files["c3"], d4=files["d4"]) for arg in argv] + ["--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    target = files["dir"] / "same.txt"
+    assert code == 0 and run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out and out.endswith("\n")
+    assert not out.endswith("\n\n") or out == "\n"
+
+
 def test_poset_enumerate_counts(capsys):
     code, out, _ = run(capsys, "poset", "enumerate", "--n", "2")
     assert code == 0 and json.loads(out)["count"] == 3
@@ -130,7 +149,7 @@ def test_poset_hasse_json_and_dot(files, capsys):
     assert json.loads(out) == {"n": 4, "covers": [list(c) for c in hasse(diamond())]}
     code, out, _ = run(capsys, "poset", "hasse", "--poset", str(files["d4"]),
                        "--format", "dot")
-    assert code == 0 and out.rstrip("\n") == export_dot(diamond()).rstrip("\n")
+    assert code == 0 and out == export_dot(diamond())
 
 
 # -- aux ------------------------------------------------------------------------
@@ -269,8 +288,7 @@ def test_topology_opens_lattice_dot(files, capsys):
 
 
 def _opens_dot_by_scan(masks) -> str:
-    """The Hasse diagram of the opens as DOT, from a scan of every triple,
-    as the CLI prints it: with one more newline."""
+    """The Hasse diagram of the opens as DOT, from a scan of every triple."""
     lines = ["digraph opens {", "  rankdir=BT;"]
     for k, m in enumerate(masks):
         lines.append(f'  {k} [label="{{{mask_text(m)}}}"];')
@@ -285,7 +303,7 @@ def _opens_dot_by_scan(masks) -> str:
             if not covered:
                 lines.append(f"  {a} -> {b};")
     lines.append("}")
-    return "\n".join(lines) + "\n\n"
+    return "\n".join(lines) + "\n"
 
 
 def test_opens_dot_matches_the_triple_scan_on_every_small_topology(tmp_path, capsys):
@@ -433,7 +451,7 @@ def test_family_window_dot_and_text(capsys):
     w = window(get_family("ladder"), 1, 2)
     code, out, _ = run(capsys, "family", "ladder", "window", "--m", "1", "--n", "2",
                        "--format", "dot")
-    assert code == 0 and out.rstrip("\n") == export_dot(w.poset).rstrip("\n")
+    assert code == 0 and out == export_dot(w.poset)
     code, out, _ = run(capsys, "family", "ladder", "window", "--m", "1", "--n", "2",
                        "--format", "text")
     assert code == 0
@@ -728,3 +746,94 @@ def test_unknown_search_property_is_rejected_by_the_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--property", "nope"])
     assert exc.value.code == 2
+
+
+# -- fuzzing -----------------------------------------------------------------------
+
+
+def _subcommands(parser, path=()):
+    """(argv prefix, parser) for every subcommand, each family by name."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+        return
+    names = [a.choices for a in parser._actions if not a.option_strings and a is not subparsers[0]]
+    for name, child in subparsers[0].choices.items():
+        for prefix in names[0] if names else [""]:
+            yield from _subcommands(child, path + tuple(filter(None, [prefix])) + (name,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_values(files):
+    """Per flag, values to draw for it: valid ones and malformed ones."""
+    d = files["dir"]
+    (d / "not-pairs.json").write_text(json.dumps({"other": 1}), encoding="utf-8")
+    (d / "off-order.json").write_text(json.dumps([[1, 0]]), encoding="utf-8")
+    posets = [str(files[k]) for k in ("c3", "d4", "bad", "dir")] + [str(d / "ghost.json")]
+    rels = ["builtin:leq", "builtin:bottom", "builtin:wb", "builtin:nope", str(files["r1"]),
+            "file:" + str(files["r1"]), str(d / "not-pairs.json"), str(d / "off-order.json"),
+            str(files["bad"]), str(d / "ghost.json")]
+    counts = ["0", "1", "2", "-1", "x"]
+    return {
+        "--poset": posets, "--rel": rels, "--seed-rel": [str(files["seed"])] + rels[4:],
+        "--set": ["", "0", "1,2", "2", "9", "x", "0,,1"], "--out": [str(d / "fuzz.out"), str(d)],
+        "--max-n": ["0", "1", "2", "x"], "--n": counts + ["3"], "--m": counts, "--k": counts,
+        "--budget": counts, "--rel-sample": counts, "--subset-sample": counts,
+        "--max-instances": counts, "--jobs": counts, "--seed": counts, "--p": ["0.5", "2", "x"],
+        "--wall-time": ["0", "5", "-1", "x"], "--rel-builtins": ["leq", "leq,bottom,wb", "nope", ""],
+        "--x": ["top", "a(0,1)", "b(2)", "nat(1)", "omega", "a(-1,0)", "junk"],
+        "--y": ["top", "b(3)", "omega", "junk"],
+    }
+
+
+def test_fuzzed_argv_exits_by_the_contract(fuzz_values):
+    """argv drawn from the parser's own vocabulary, with valid and malformed
+    values and dropped options: main returns 0, 2 or 3 or argparse exits 2,
+    and an error is one ``orderlab: error:`` line on stderr and nothing on
+    stdout, never an internal one."""
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    subcommands = list(_subcommands(cli.build_parser()))
+
+    @st.composite
+    def argvs(draw):
+        path, parser = draw(st.sampled_from(subcommands))
+        argv = list(path)
+        for action in parser._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if flag in (None, "-h"):
+                continue
+            if flag != "--max-n" and not draw(st.booleans()) and (
+                not action.required or draw(st.integers(0, 9)) == 0
+            ):
+                continue  # dropped; once in ten times a required one
+            if action.nargs == 0:
+                argv.append(flag)
+            elif action.choices is not None:
+                argv += [flag, draw(st.sampled_from([*action.choices, "bogus"]))]
+            else:
+                argv += [flag, draw(st.sampled_from(fuzz_values[flag]))]
+        return argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                assert stop.code == 2, argv
+                return
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("orderlab: error: "), argv
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+            assert "internal:" not in err.getvalue(), argv
+
+    check()

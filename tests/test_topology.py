@@ -248,7 +248,7 @@ def test_opens_not_closed_under_union_or_intersection_are_not_distributive(t):
 
 def test_complete_distributivity_guard():
     with pytest.raises(BudgetExceeded):
-        opens_completely_distributive(scott_topology(antichain(8)))
+        opens_completely_distributive(scott_topology(antichain(11)))
 
 
 # -- containment chain --------------------------------------------------------------------
@@ -776,7 +776,7 @@ def test_cspace_reports_match_the_scans_on_sampled_posets(break_operators, broke
     check()
     assert bool(failing) == broken
     # beyond the budget of complete distributivity both raise
-    assert _assert_cspace_matches_the_scans(leq_aux(antichain(8))) == {"BudgetExceeded"}
+    assert _assert_cspace_matches_the_scans(leq_aux(antichain(11))) == {"BudgetExceeded"}
 
 
 def test_cspace_on_two_opens_among_many_upper_sets_stays_small():
