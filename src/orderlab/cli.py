@@ -504,7 +504,9 @@ _COMMANDS = {
         "order": _row(_cmd_family, "x", "y", query=family_order),
         "member": _row(
             _cmd_family,
-            ("--set-name", {"required": True, "choices": ("A", "downA", "Aprime", "scott_closure_A")}),
+            ("--set-name", {
+                "required": True, "choices": ("A", "downA", "Aprime", "scott_closure_A"),
+            }),
             "x",
             query=family_membership,
         ),

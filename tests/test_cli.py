@@ -1,10 +1,15 @@
 """End-to-end command-line tests, run in process through main()."""
 
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderlab import cli
 from orderlab.approx import lap_upper_adjoint
@@ -752,15 +757,16 @@ def test_unknown_search_property_is_rejected_by_the_parser(capsys):
 
 
 def _subcommands(parser, path=()):
-    """(argv prefix, parser) for every subcommand, each family by name."""
+    """(argv prefix, parser) for every subcommand, once per value of the
+    positional arguments before it (the family)."""
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:
         yield path, parser
         return
-    names = [a.choices for a in parser._actions if not a.option_strings and a is not subparsers[0]]
-    for name, child in subparsers[0].choices.items():
-        for prefix in names[0] if names else [""]:
-            yield from _subcommands(child, path + tuple(filter(None, [prefix])) + (name,))
+    before = [a.choices for a in parser._actions if not a.option_strings and a is not subparsers[0]]
+    for prefix in itertools.product(*before):
+        for name, child in subparsers[0].choices.items():
+            yield from _subcommands(child, path + prefix + (name,))
 
 
 @pytest.fixture(scope="module")
@@ -780,7 +786,8 @@ def fuzz_values(files):
         "--max-n": ["0", "1", "2", "x"], "--n": counts + ["3"], "--m": counts, "--k": counts,
         "--budget": counts, "--rel-sample": counts, "--subset-sample": counts,
         "--max-instances": counts, "--jobs": counts, "--seed": counts, "--p": ["0.5", "2", "x"],
-        "--wall-time": ["0", "5", "-1", "x"], "--rel-builtins": ["leq", "leq,bottom,wb", "nope", ""],
+        "--wall-time": ["0", "5", "-1", "x"],
+        "--rel-builtins": ["leq", "leq,bottom,wb", "nope", ""],
         "--x": ["top", "a(0,1)", "b(2)", "nat(1)", "omega", "a(-1,0)", "junk"],
         "--y": ["top", "b(3)", "omega", "junk"],
     }
@@ -791,12 +798,6 @@ def test_fuzzed_argv_exits_by_the_contract(fuzz_values):
     values and dropped options: main returns 0, 2 or 3 or argparse exits 2,
     and an error is one ``orderlab: error:`` line on stderr and nothing on
     stdout, never an internal one."""
-    import contextlib
-    import io
-
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     subcommands = list(_subcommands(cli.build_parser()))
 
     @st.composite
@@ -810,7 +811,7 @@ def test_fuzzed_argv_exits_by_the_contract(fuzz_values):
             if flag != "--max-n" and not draw(st.booleans()) and (
                 not action.required or draw(st.integers(0, 9)) == 0
             ):
-                continue  # dropped; once in ten times a required one
+                continue  # dropped: half the optional flags, one required flag in twenty
             if action.nargs == 0:
                 argv.append(flag)
             elif action.choices is not None:

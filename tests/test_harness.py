@@ -5,7 +5,7 @@ import json
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orderlab import approx, auxrel, cli, closures, harness, reference, topology
@@ -342,6 +342,8 @@ def test_cspace_batches_give_the_per_instance_report_on_sampled_posets(monkeypat
         st.sampled_from([0.1, 0.25, 0.4]),
         st.integers(min_value=0, max_value=10**6),
     )
+    @example(3, 0.4, 0)  # 8 upper sets
+    @example(8, 0.1, 0)  # 256 upper sets
     def check(n, density, seed):
         p = random_poset(n, density, seed)
         sizes.add(len(_upper_list(p)) > approx.SHARED_MAX_SETS)
