@@ -56,7 +56,6 @@ from .auxrel import AuxRelation, aux_subset, classify, leq_aux
 from .bitset import ByteUnions, ElementSet, lane_width, mask_text, pack, submask_unions, unpack
 from .errors import NotLower, NotUpper, PosetMismatch
 from .poset import (
-    MAX_DIRECTED_UNIVERSE,
     Poset,
     _check_universe,
     _closed,
@@ -946,12 +945,12 @@ def batch_failures(
     ``rels``, bit 0 set exactly where a checker that the suite runs on it (the
     per-subset ones over ``masks``) fails a law, but cspace.classical-scott;
     cspace's bits 1-5 hold what it finds (``topology.cspace_entries``).
-    Relations share lanes up to ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``,
-    above which the m^2 lanes of the pair laws (m upper sets) make shared
-    unions slower than their tables."""
-    if len(rels) == 1:
-        return _group_failures(p, rels, _Single(rels[0]), masks, suites)
-    if p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
+    No suite reads a directed subset, so each is decided at every n, as its
+    checkers decide it.  Relations
+    share lanes up to ``TABLE_MAX_N`` and ``SHARED_MAX_SETS``, above which
+    the m^2 lanes of the pair laws (m upper sets) make shared unions slower
+    than their tables; a lone relation has its own."""
+    if len(rels) == 1 or p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
         each = [_group_failures(p, [r], _Single(r), masks, suites) for r in rels]
         return {s: b"".join(f[s] for f in each) for s in each[0]}
     return _group_failures(p, rels, _batch_operators(p, rels), masks, suites)
@@ -970,8 +969,6 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     packed = _pack(masks, n)
     family = lanes.tile(packed)
     fails = {}
-    if n > MAX_DIRECTED_UNIVERSE:  # the checkers' Scott side refuses p: they run per instance
-        suites = [s for s in suites if s not in ("chain", "cspace", "mu-topology")]
     pre = app = has_int = 0  # bit 0 of the lane of each relation of the class
     for k, r in enumerate(rels if {"cspace", "int-char", "mu-topology"} & set(suites) else ()):
         cls, bit = classify(r), 1 << 8 * w * k

@@ -18,9 +18,9 @@ call of ``approx.batch_failures`` per batch decides, for every relation
 pass on it.  A (suite, relation) that passes is tallied as passed, all its
 instances at once, with no report built; the findings of a passing
 ``cspace`` instance are built from its batch byte
-(``topology.cspace_entries``).  One that fails, a batch that raises, and a
-tally that would cross the instance cap or start past the deadline run per
-instance instead, so their entries are exactly those of a per-instance run,
+(``topology.cspace_entries``), and a tally that the cap cuts or that starts
+past the deadline stops the run.  Only one that fails and a batch that raises
+run per instance, so their entries are exactly those of a per-instance run,
 and a capped run counts its first instances in the order above.
 
 Each failure or finding carries a fingerprint that reconstructs the
@@ -331,9 +331,9 @@ def _campaign(
     (suite, kind, entry), in run order, tallying its instances on ``tally``.
 
     The cap and the deadline (which starts before generation) are checked
-    before each instance and each tally of a passing batch.  An exception a
-    checker raises fails the hard law ``internal.error`` of its instance,
-    with ``"<Type>: <message>"`` as the witness, and the run goes on.
+    before each instance and each tally of a passing (suite, relation).  An
+    exception a checker raises fails the hard law ``internal.error`` of its
+    instance, with ``"<Type>: <message>"`` as the witness, and the run goes on.
     """
     deadline = time.monotonic() + scope.wall_time_s if scope.wall_time_s else None
     cap = scope.max_instances
@@ -382,14 +382,14 @@ def _campaign(
                     flags = bad[suite][k]  # cspace's byte also holds what it finds
                     cspace = suite == "cspace" and count
                     entries = cspace_entries(p, flags) if cspace else None if flags else ()
-                    if (
-                        count
-                        and (cap is None or tally.attempted + count <= cap)
-                        and (deadline is None or time.monotonic() <= deadline)
-                        and entries is not None
-                    ):
-                        tally.attempted += count
-                        tally.passed += count
+                    if count and entries is not None:  # it passes: tallied, never run
+                        if stopped():
+                            return
+                        taken = count if cap is None else min(count, cap - tally.attempted)
+                        tally.attempted += taken
+                        tally.passed += taken
+                        if taken < count and stopped():  # where a per-instance run stops
+                            return
                         fp = entries and _fingerprint_of(suite, p, r, None, None)
                         for law, w in entries:
                             yield suite, 1, {"law": law, "fingerprint": fp, "witness": w}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import random
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .bitset import ElementSet, iter_bits, mask_text, row_unions, transpose
@@ -314,16 +314,25 @@ def _per_poset(build: Callable[[Poset], _T]) -> Callable[[Poset], _T]:
     return memoized
 
 
+def _listed(up: tuple[int, ...], down: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """The upper sets of ``up``, ascending: at most 2^``MAX_DIRECTED_UNIVERSE``."""
+    cap = 1 << MAX_DIRECTED_UNIVERSE
+    sets = tuple(islice(_upper_masks(up, down), cap + 1))
+    if len(sets) > cap:
+        raise BudgetExceeded(f"more than {cap} {what}")
+    return sets
+
+
 @_per_poset
 def _upper_list(p: Poset) -> tuple[int, ...]:
     """Every upper set of p, ascending."""
-    return tuple(_upper_masks(p.up, p.down))
+    return _listed(p.up, p.down, "upper sets")
 
 
 @_per_poset
 def _lower_list(p: Poset) -> tuple[int, ...]:
     """Every lower set of p, ascending."""
-    return tuple(_upper_masks(p.down, p.up))
+    return _listed(p.down, p.up, "lower sets")
 
 
 @_per_poset

@@ -62,7 +62,6 @@ from .errors import (
     NotPreApproximating,
 )
 from .poset import (
-    MAX_DIRECTED_UNIVERSE,
     Poset,
     _check_universe,
     _closed,
@@ -156,8 +155,6 @@ def scott_topology(p: Poset) -> Topology:
     ``reference.scott_masks`` keeps the directed-subset definition.  Calls
     in a row on p share one topology.
     """
-    if p.n > MAX_DIRECTED_UNIVERSE:
-        raise BudgetExceeded(f"universe of {p.n} exceeds {MAX_DIRECTED_UNIVERSE}")
     return Topology(p, _upper_list(p))
 
 
@@ -280,7 +277,6 @@ def check_chain_of_containments(
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     if not cls.approximating:
         raise NotApproximating(cls.witnesses.get("approximating"))
-    scott_topology(p)  # refuses a universe beyond the directed-set budget
     rep = CheckReport(_subject(r), _family_scope(masks))
     chain = _chain_lanes(_Single(r), _pack(masks, n), _pack(mu_topology(r).masks, n))
     if len(masks) == 1:
@@ -514,6 +510,4 @@ def check_mu_inaccessibility(r: AuxRelation) -> CheckReport:
 
 def check_mu_laws(r: AuxRelation) -> CheckReport:
     """Bundle of structural laws for the induced topology."""
-    rep = _mu_report(r, "induced topology", slice(None))
-    scott_topology(r.poset)  # refuses a universe beyond the directed-set budget
-    return rep
+    return _mu_report(r, "induced topology", slice(None))

@@ -17,7 +17,7 @@ from orderlab.auxrel import classify, enumerate_aux, validate_aux
 from orderlab.bitset import mask_text
 from orderlab.cli import main
 from orderlab.closures import is_meet_continuous
-from orderlab.errors import OrderlabError
+from orderlab.errors import BudgetExceeded, OrderlabError
 from orderlab.families import FAMILIES, get_family, window
 from orderlab.harness import (
     SUITES,
@@ -33,6 +33,7 @@ from orderlab.poset import (
     chain,
     diamond,
     enumerate_posets,
+    enumerate_upper_sets,
     export_dot,
     hasse,
     poset_to_json,
@@ -335,6 +336,21 @@ def test_opens_dot_matches_the_triple_scan_on_every_small_topology(tmp_path, cap
                 assert out == _opens_dot_by_scan(mu_topology(r).masks), r.sec
                 rendered += 1
     assert rendered == 1319
+
+
+def test_topologies_with_more_upper_sets_than_the_listed_budget_exit_2(tmp_path, capsys):
+    """The 21-antichain has 2^21 upper sets, twice the 2^20 that any
+    universe of ``MAX_DIRECTED_UNIVERSE`` points can have: both topologies
+    stop at that bound, and the lazy enumerator keeps its own budget."""
+    path = tmp_path / "a21.json"
+    assert main(["poset", "gen", "--kind", "antichain", "--n", "21", "--out", str(path)]) == 0
+    for argv in (("mu", "--rel", "builtin:leq"), ("scott",)):
+        code, out, err = run(capsys, "topology", argv[0], "--poset", str(path), *argv[1:])
+        assert (code, out, err) == (2, "", "orderlab: error: more than 1048576 upper sets\n")
+    got = []
+    with pytest.raises(BudgetExceeded, match="^more than 5 upper sets$"):
+        got.extend(enumerate_upper_sets(antichain(21), budget=5))
+    assert len(got) == 5
 
 
 def test_opens_dot_renders_128_opens_and_refuses_more(tmp_path, capsys):

@@ -423,6 +423,23 @@ def test_a_cap_inside_a_batch_stops_where_the_per_instance_loop_does(break_opera
     assert {order[cap][0] for cap in caps} >= set(harness._REL_SUITES)
 
 
+def test_a_cap_inside_a_passing_relation_runs_none_of_its_instances(monkeypatch):
+    """With unbroken operators every relation passes, and the batch decides
+    them all: a cap that cuts a relation's instances counts their prefix and
+    stops the run without checking one of them."""
+    suites = ("mu-topology", "partition")
+    order = list(_relation_major(Scope(max_n=3), suites))
+    caps = [cap for cap in range(1, len(order)) if order[cap][:3] == order[cap - 1][:3]]
+    checked = []
+    real_check = harness._check
+    monkeypatch.setattr(harness, "_check", lambda *inst: checked.append(inst) or real_check(*inst))
+    for cap in caps[:: len(caps) // 8]:
+        rep = run_suite(Scope(max_n=3, max_instances=cap), suites)
+        assert order[cap][0] == "partition" and order[cap][3] is not None
+        assert (rep.attempted, rep.passed, rep.incomplete, rep.failures) == (cap, cap, True, [])
+    assert checked == []
+
+
 def test_a_deadline_inside_a_batch_stops_at_an_instance_boundary(monkeypatch, break_operators):
     """The clock passes the deadline after a given number of readings; the run
     then holds exactly its first ``attempted`` instances in run order."""

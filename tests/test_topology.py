@@ -5,11 +5,11 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orderlab import approx, topology
-from orderlab.approx import _family_scope, _lap_mask, _subject, _uap_mask
+from orderlab.approx import _family_scope, _lap_mask, _subject, _uap_mask, check_partition
 from orderlab.auxrel import (
     AuxRelation,
     bottom_aux,
@@ -21,6 +21,7 @@ from orderlab.auxrel import (
     way_below,
 )
 from orderlab.bitset import ElementSet, mask_text
+from orderlab.closures import check_sec5_theorems
 from orderlab.errors import BadParameters, BudgetExceeded, NotApproximating, NotPreApproximating
 from orderlab.poset import (
     MAX_DIRECTED_UNIVERSE,
@@ -828,15 +829,49 @@ def test_the_finding_laws_are_decided_alike_on_every_iso_class_up_to_five():
     assert (relations, pre) == (5780, 709)
 
 
-def test_only_the_bundled_mu_laws_refuse_a_universe_beyond_the_directed_budget():
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([0.1, 0.25, 0.4]),
+    st.integers(min_value=0, max_value=10**6),
+)
+@example(5, 1.0, 0)  # a chain: its bottom relation is pre-approximating, not the order
+def test_the_finding_laws_hold_on_sampled_posets_up_to_eight(n, density, seed):
+    """Above the exhaustive n <= 5, on sampled relations and the builtins:
+    (a) a relation is approximating exactly when its sections are the
+    down-sets (docs/finite-trivial.md), and every mu_R is (c) a c-space in
+    the specialization reading, with (d) completely distributive opens."""
+    p = random_poset(n, density, seed)
+    sampled = [sample_aux(p, seed=seed + k, density=d) for k, d in enumerate((0.2, 0.5, 0.8))]
+    for r in (*sampled, leq_aux(p), bottom_aux(p), way_below(p)):
+        cls = classify(r)
+        assert cls.approximating == (r.sec == p.down)
+        if cls.pre_approximating:
+            mu = mu_topology(r)
+            assert is_c_space(mu, "specialization")[0]
+            assert opens_completely_distributive(mu)
+
+
+def test_only_the_directed_set_definitions_refuse_a_universe_beyond_the_directed_budget():
+    """The mu laws, the chain of containments and the c-space laws are
+    closed forms on lanes: alone and in the batch they decide a universe of
+    any size.  The laws that read the directed subsets of ``reference``
+    refuse one beyond ``MAX_DIRECTED_UNIVERSE``."""
     p = chain(MAX_DIRECTED_UNIVERSE + 1)
-    r = leq_aux(p)
-    assert check_mu_inaccessibility(r).ok
-    for check in (check_mu_laws, lambda r: check_chain_of_containments(r, p.full_set())):
-        with pytest.raises(BudgetExceeded):
-            check(r)
-    # the batch leaves these suites to the checkers, and decides the others
-    flags = approx.batch_failures(p, [r], [0], ["chain", "cspace", "mu-topology", "partition"])
-    assert flags == {"partition": b"\0"}
-    with pytest.raises(BudgetExceeded):
-        check_cspace_theorems(r)
+    sets = [ElementSet(m, p.n) for m in (0, 0b111 << 9, p.full_set().bits)]
+    suites = ["chain", "cspace", "mu-topology", "partition"]
+    for r, found in ((bottom_aux(p), 2), (leq_aux(p), 0)):
+        cspace = check_cspace_theorems(r)
+        reports = [check_mu_laws(r), check_mu_inaccessibility(r), cspace]
+        reports += [check_partition(r, a) for a in sets]
+        if classify(r).approximating:  # leq; bottom has no chain instance
+            reports += [check_chain_of_containments(r, a) for a in sets]
+        assert all(rep.ok for rep in reports)
+        flags = approx.batch_failures(p, [r], [a.bits for a in sets], suites)
+        assert [flags[s][0] & 1 for s in suites] == [0] * 4
+        findings = [(v.law, v.witness) for v in cspace.findings]
+        assert topology.cspace_entries(p, flags["cspace"][0]) == findings
+        assert len(findings) == found
+    for check in (check_mu_way_below_is_scott, check_continuity_characterization, check_sec5_theorems):
+        with pytest.raises(BudgetExceeded, match="^universe of 21 exceeds 20$"):
+            check(p)
