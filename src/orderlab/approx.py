@@ -33,16 +33,19 @@ witness is the set at the lowest one, and a batch folds them to one lane per
 relation in halving ORs; ``basic.leq-identities``, which does not depend on
 the relation, is decided once per batch.  The laws of the induced topology
 mu_R live here too, for ``topology`` to report: its opens are the upper-set
-lanes that lap fixes (``mu_topology`` lists them from the same lanes), its
-pair laws take lap at the intersection and union of each pair of opens, or
-for a batch read their known open flags.  A specialization row, an
+lanes that lap fixes (``mu_topology`` lists them from the same lanes), and
+they are closed under binary intersection (union) exactly when, for every
+upper set T, the intersection of the opens that hold T is full or open (the
+union of those inside T empty or open), one lap per T for one relation as
+for a batch.  A specialization row, such an intersection or union, an
 interior and a c-space cover are each the OR of the values whose key lies
-inside a set (``_below``): for one relation up to the table bound one zeta
-transform.  The per-poset tables and set lists come from the one-entry memo of
-``poset``.  Only this module knows the table bound and the tables behind
-the lanes: other modules pack lanes with ``_pack`` and map them with
-``_gather`` through an operator ``_Op``, and a table indexed by mask, such as
-a reference table, is its own (``_TABLE``).
+inside a set (``_below``): for one relation one zeta transform, up to the
+table bound or where its table is the smaller.  The per-poset tables and
+set lists come from the one-entry memo of ``poset``.  Only this module knows
+the table bound and the tables behind the lanes: other modules pack lanes
+with ``_pack`` and map them with ``_gather`` through an operator ``_Op``, and
+a table indexed by mask, such as a reference table, is its own
+(``_TABLE``).
 """
 
 from __future__ import annotations
@@ -766,45 +769,36 @@ def _open_masks(lanes: _Lanes, opens: tuple[bytes, int] | None = None) -> list[i
     return list(compress(_upper_list(lanes.p), is_open))
 
 
-@_per_poset
-def _upper_pairs(p: Poset) -> tuple[bytes, ...]:
-    """For each incomparable pair of the upper sets of p, first-major, the
-    index among them of its first set, of its second, of their intersection
-    and of their union, in a byte: p has at most ``TABLE_MAX_N`` points, so
-    at most 256 upper sets.  A comparable pair holds its intersection and
-    union, so only an incomparable one can fail a pair law."""
-    uppers = _upper_list(p)
-    index = {u: k for k, u in enumerate(uppers)}
-    # ascending, so a set never holds a later one
-    pairs = [
-        (i, j, index[a & b], index[a | b])
-        for i, a in enumerate(uppers)
-        for j, b in enumerate(uppers[i + 1 :], i + 1)
-        if a & ~b
-    ]
-    return tuple(map(bytes, zip(*pairs))) or (b"",) * 4
-
-
 @lru_cache(maxsize=None)
 def _points(n: int) -> tuple[bytes, bytes]:
     """The one-point sets {x} at lane x, and their complements."""
     return _pack([1 << x for x in range(n)], n), _pack([(1 << n) - 1 ^ 1 << x for x in range(n)], n)
 
 
+@lru_cache(maxsize=4)  # one relation's laws share a few tables of 256 bytes
+def _zeta(n: int, keys: bytes, values: bytes) -> bytes:
+    """``submask_unions`` of one-byte lanes as a translate table."""
+    return submask_unions(n, zip(keys, values)).ljust(256, b"\0")
+
+
 def _below(lanes: _Lanes, keys: bytes | None, values: bytes, queries: bytes) -> bytes:
     """At lane (q, k) of ``queries``, the OR of the values at the lanes (i, k)
     whose key lies inside query q of relation k; by default the keys are the
-    points.  One relation up to the table bound translates the queries
-    through the zeta table of its (key, value) pairs, or for the points the
-    table of the values' unions; otherwise each lane (i, q, k) is tested."""
+    points.  One relation reads the zeta table of its (key, value) pairs, or
+    for the points the table of the values' unions, up to the table bound,
+    and above it where the table has fewer lanes than the tests; otherwise
+    each lane (i, q, k) is tested."""
     p, n, w, count = lanes.p, lanes.p.n, lane_width(lanes.p.n), lanes.count
     if count == 1 and n <= TABLE_MAX_N:
-        table = submask_unions(n, zip(keys, values)) if keys else ByteUnions.byte_table(values)
-        return queries.translate(table.ljust(256, b"\0"))
+        return queries.translate(_zeta(n, keys, values) if keys else ByteUnions.byte_table(values))
     keys = keys or lanes.tile(_points(n)[0])
     if count == 1:  # a lane without a value adds nothing
         kept = unpack(values, w)
-        keys, values = _pack(compress(unpack(keys, w), kept), n), _pack(compress(kept, kept), n)
+        keys, values = list(compress(unpack(keys, w), kept)), list(compress(kept, kept))
+        if len(keys) * len(queries) // w >= 1 << n:
+            table = submask_unions(n, zip(keys, values))
+            return _pack(map(table.__getitem__, unpack(queries, w)), n)
+        keys, values = _pack(keys, n), _pack(values, n)
     m, q = len(keys) // (w * count), len(queries) // (w * count)
     _, low, high = _lane_constants(m * q * count, w)
     inside = _nonzero(_int(lanes.tile(keys, q)) & ~_int(queries * m), low, high) ^ high
@@ -812,13 +806,18 @@ def _below(lanes: _Lanes, keys: bytes | None, values: bytes, queries: bytes) -> 
     return _fold(found, 8 * len(queries)).to_bytes(len(queries), "little")
 
 
+def _shut(opens: tuple[bytes, int], n: int) -> bytes:
+    """Each open's complement at its lane of the ``opens`` of ``_opens``, 0 elsewhere."""
+    opened, fixed = opens
+    full = (fixed >> 8 * lane_width(n) - 1) * ((1 << n) - 1)
+    return (_int(opened) ^ full).to_bytes(len(opened), "little")
+
+
 def _spec_rows(lanes: _Lanes, opens: tuple[bytes, int]) -> int:
     """Row x of the specialization order of mu_R at lane x for each relation,
     from the ``opens`` of ``_opens``: the AND of the opens that hold x, full
     ^ the OR of their complements, which lie inside full ^ {x}."""
-    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
-    opened, fixed = opens
-    shut = (_int(opened) ^ (fixed >> 8 * w - 1) * ((1 << n) - 1)).to_bytes(len(opened), "little")
+    p, n, shut = lanes.p, lanes.p.n, _shut(opens, lanes.p.n)
     return _int(_gather(_below(lanes, shut, shut, lanes.tile(_points(n)[1])), n, _COMPLEMENT, p))
 
 
@@ -844,35 +843,34 @@ def _cspace_lanes(lanes: _Lanes, opened: bytes, rows: int, base: bool) -> tuple[
     return missing, moved | _int(lower), _int(opened) & ~_int(_below(lanes, keys, sections, opened))
 
 
-def _open_pairs(lanes: _Lanes, opens: tuple[bytes, int]) -> tuple[int, int]:
-    """The failing lanes of the binary intersection and union laws of mu_R:
-    where both sets of a pair are open and their intersection (union) is
-    not.  One relation has a lane per pair (i, j) of its opens, i-major
-    (``_open_masks``), several one per pair of ``_upper_pairs``."""
-    w, count = lane_width(lanes.p.n), lanes.count
-    opened, fixed = opens
-    if count == 1:  # one relation: its lap at each pair's intersection (union)
-        listed = _pack(_open_masks(lanes, opens), lanes.p.n)
-        m = len(listed) // w
-        _, low, high = _lane_constants(m * m, w)
-        firsts, seconds = _int(lanes.tile(listed, m)), _int(listed * m)
-        pairs = (op(firsts, seconds).to_bytes(m * len(listed), "little") for op in (and_, or_))
-        return tuple(_nonzero(_int(lanes.lap(x)) ^ _int(x), low, high) for x in pairs)
-    # several: gather the known flags, cheaper than a bitsliced lap on m^2 lanes
-    flags, step = fixed.to_bytes(len(opened), "little"), w * count
-    blocks = [flags[i : i + step] for i in range(0, len(opened), step)]
-    gathered = (_int(b"".join(map(blocks.__getitem__, k))) for k in _upper_pairs(lanes.p))
-    first, second, *combined = gathered
-    return tuple(first & second & ~flag for flag in combined)
+def _binary_lanes(lanes: _Lanes, opens: tuple[bytes, int]) -> tuple[int, int]:
+    """The failing lanes of the binary intersection and union laws of mu_R,
+    from the ``opens`` of ``_opens``, one per upper set T: where M(T), the
+    intersection of the opens that hold T, is neither full nor open, and
+    where J(T), the union of the opens inside T, is neither empty nor open.
+    The opens are closed under binary intersection (union) exactly when no
+    lane fails (docs/closure-lemma.md).  M(T) and J(T) are upper sets, so
+    they are open where lap fixes them."""
+    p, n, w = lanes.p, lanes.p.n, lane_width(lanes.p.n)
+    opened, shut, tiled = opens[0], _shut(opens, n), lanes.tile(_upper_lanes(p))
+    size = len(tiled)
+    # full ^ M(T) is the union of the complements of the opens that hold T
+    outside = _below(lanes, shut, shut, _gather(tiled, n, _COMPLEMENT, p))
+    joins = _below(lanes, opened, opened, tiled)
+    values = (_int(outside) ^ _fulls(tiled, n)).to_bytes(size, "little") + joins
+    _, low, high = _lane_constants(2 * size // w, w)
+    moved = _nonzero(_int(lanes.lap(values)) ^ _int(values), low, high)
+    bad = moved & _nonzero(_int(outside + joins), low, high)
+    return bad & (1 << 8 * size) - 1, bad >> 8 * size
 
 
 def _mu_lanes(
-    lanes: _Lanes, opens: tuple[bytes, int], rows: int, pairs: tuple[int, int]
+    lanes: _Lanes, opens: tuple[bytes, int], rows: int, binary: tuple[int, int]
 ) -> dict[str, int]:
     """The failing lanes of the laws of ``check_mu_laws`` in report order, the
     last three those of approximating relations, from the ``opens`` of
     ``_opens``, the ``rows`` of ``_spec_rows``, 0 if no relation is
-    approximating, and the ``pairs`` of ``_open_pairs``."""
+    approximating, and the ``binary`` lanes of ``_binary_lanes``."""
     p, n, w, count = lanes.p, lanes.p.n, lane_width(lanes.p.n), lanes.count
     fixed, tiled = opens[1], lanes.tile(_upper_lanes(p))
     size, step = len(tiled), w * count  # the bytes of all sets, of one
@@ -880,7 +878,7 @@ def _mu_lanes(
     # the constants of the (element, set) lanes: a narrower family's are their low lanes
     _, low, high = _lane_constants(n * m * count, w)
     shut = fixed ^ high & (1 << 8 * size) - 1
-    meet, join = pairs
+    meet, join = binary
     # lanes (x, set): sup(sec x) lies in the set, and sec x misses it
     secs = b"".join(sec.to_bytes(step, "little") for sec in lanes.secs)
     masks = unpack(secs, w)
@@ -935,7 +933,6 @@ def _chain_lanes(lanes: _Lanes, family: bytes, opened: bytes) -> list[int]:
 
 BATCH = 64  # relations per batch
 SHARED_MAX_SETS = 48  # the most upper sets of a poset whose relations share lanes
-MAX_CDL_OPENS = 1024  # the most opens whose complete distributivity cspace decides
 
 
 def batch_failures(
@@ -952,7 +949,7 @@ def batch_failures(
     than their tables; a lone relation has its own."""
     if len(rels) == 1 or p.n > TABLE_MAX_N or len(_upper_list(p)) > SHARED_MAX_SETS:
         each = [_group_failures(p, [r], _Single(r), masks, suites) for r in rels]
-        return {s: b"".join(f[s] for f in each) for s in each[0]}
+        return dict(zip(each[0], map(b"".join, zip(*(f.values() for f in each)))))
     return _group_failures(p, rels, _batch_operators(p, rels), masks, suites)
 
 
@@ -978,13 +975,10 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
     if pre and ("mu-topology" in suites or "cspace" in suites):
         opens = _opens(lanes)
         rows = _spec_rows(lanes, opens) if app or "cspace" in suites else 0
-        # only one relation's lanes hold more opens than cdl's budget
-        many = len(rels) == 1 and opens[1].bit_count() > MAX_CDL_OPENS
-        # mu's pair laws, which cdl reads for a relation with interpolation
-        use = "mu-topology" in suites or has_int and not many
-        pairs = _open_pairs(lanes, opens) if use else (0, 0)
+        # mu's binary laws, which cdl reads for a relation with interpolation
+        binary = _binary_lanes(lanes, opens) if "mu-topology" in suites or has_int else (0, 0)
     if "mu-topology" in suites:
-        laws = list(_mu_lanes(lanes, opens, rows, pairs).values()) if pre else ()
+        laws = list(_mu_lanes(lanes, opens, rows, binary).values()) if pre else ()
         fails["mu-topology"] = pre and pre & (
             flag(reduce(or_, laws[:5])) | app & flag(reduce(or_, laws[5:]))
         )
@@ -994,8 +988,8 @@ def _group_failures(p: Poset, rels, lanes: _Lanes, masks, suites) -> dict[str, b
             missing, unopened, base = _cspace_lanes(lanes, opens[0], rows, has_int != 0)
             block = 8 * len(opens[0])
             spec, under = flag(missing & (1 << block) - 1), flag(missing >> block)
-            hard = has_int & (spec | flag(unopened | base) | many)
-            cdl = has_int & (flag(reduce(or_, pairs)) ^ ones)
+            hard = has_int & (spec | flag(unopened | base))
+            cdl = has_int & (flag(reduce(or_, binary)) ^ ones)
             bits = (hard, spec ^ ones, under ^ ones, cdl, app, has_int)
             fails["cspace"] = pre * 63 & sum(e << b for b, e in enumerate(bits))
     if "chain" in suites:

@@ -28,13 +28,13 @@ from typing import Callable, Iterable, Iterator
 
 from . import reference
 from .approx import (
-    MAX_CDL_OPENS,
     _COMPLEMENT,
     _LAP,
     _Single,
     _TABLE,
     _UAP,
     _add_pair_laws,
+    _binary_lanes,
     _chain_lanes,
     _cspace_lanes,
     _family_masks,
@@ -43,9 +43,9 @@ from .approx import (
     _gather,
     _int,
     _lane,
+    _lap_mask,
     _mu_lanes,
     _open_masks,
-    _open_pairs,
     _opens,
     _pack,
     _set_witness,
@@ -70,6 +70,9 @@ from .poset import (
     _upper_list,
 )
 from .report import CheckReport
+
+
+MAX_CDL_OPENS = 1024  # the most opens whose pairs opens_completely_distributive scans
 
 
 class Topology:
@@ -412,11 +415,9 @@ def check_cspace_theorems(r: AuxRelation) -> CheckReport:
     if not cls.pre_approximating:
         raise NotPreApproximating(cls.witnesses.get("pre_approximating"))
     lanes = _Single(r)
-    opened, fixed = opens = _opens(lanes)
-    if cls.has_int and fixed.bit_count() > MAX_CDL_OPENS:
-        raise BudgetExceeded(f"{fixed.bit_count()} opens is beyond the pair scan")
+    opened, _ = opens = _opens(lanes)
     missing, unopened, base = _cspace_lanes(lanes, opened, _spec_rows(lanes, opens), cls.has_int)
-    cdl = cls.has_int and not any(_open_pairs(lanes, opens))
+    cdl = cls.has_int and not any(_binary_lanes(lanes, opens))
     uppers, block = _upper_list(p), 8 * len(opened)
     spec, under = missing & (1 << block) - 1, missing >> block
     rep = CheckReport(_subject(r), "induced topology")
@@ -477,7 +478,7 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
     lanes = _Single(r)
     opens = _opens(lanes)
     lanes_of_rows = _spec_rows(lanes, opens) if approximating else 0
-    failing = _mu_lanes(lanes, opens, lanes_of_rows, _open_pairs(lanes, opens))
+    failing = _mu_lanes(lanes, opens, lanes_of_rows, _binary_lanes(lanes, opens))
     rows = [_lane(lanes_of_rows, x, w) for x in range(n)]
     uppers = _upper_list(p)
     rep = CheckReport(_subject(r), scope)
@@ -488,10 +489,10 @@ def _mu_report(r: AuxRelation, scope: str, laws: slice) -> CheckReport:
         k = _first_lane(bad, w)
         if not bad or law.startswith("topology.contains"):
             witness = None
-        elif law.startswith("topology.binary"):
-            listed = _open_masks(lanes, opens)
-            i, j = divmod(k, len(listed))
-            witness = {"u": listed[i], "v": listed[j]}
+        elif law.startswith("topology.binary"):  # the first pair of opens that fails
+            op, listed = and_ if law.endswith("intersection") else or_, _open_masks(lanes, opens)
+            pairs = ((u, v, op(u, v)) for u in listed for v in listed)
+            witness = next({"u": u, "v": v} for u, v, b in pairs if _lap_mask(r, b) != b)
         elif law == "mu.specialization-recovers-order":
             twins = (rows[x] >> y & rows[y] >> x & 1 for x in range(n) for y in range(x + 1, n))
             witness = {"rows": rows, "t0": not any(twins)}

@@ -226,11 +226,14 @@ def test_each_union_gather_matches_the_per_mask_oracle_lane_by_lane(n, density, 
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=10**6),
     st.booleans(),
+    st.booleans(),
 )
-def test_below_is_the_or_of_the_values_whose_key_lies_inside_each_query(n, count, seed, points):
+@example(12, 1, 0, False, True)
+def test_below_is_the_or_of_the_values_whose_key_lies_inside_each_query(n, count, seed, points, many):
     """``_below`` on one relation's lanes (through a zeta or unions table up
-    to the table bound) and on a batch's shared lanes, against a scan of the
-    (key, value) pairs of each relation; the default keys are the points."""
+    to the table bound, and above it with ``many``, 2^n, queries) and on a
+    batch's shared lanes, against a scan of the (key, value) pairs of each
+    relation; the default keys are the points."""
     rng = random.Random(seed)
     p = random_poset(n, 0.3, seed)
     rels = [sample_aux(p, seed=seed + k) for k in range(count)]
@@ -240,7 +243,7 @@ def test_below_is_the_or_of_the_values_whose_key_lies_inside_each_query(n, count
     full = (1 << n) - 1
     sampled = lambda count: [[rng.randrange(full + 1) for _ in rels] for _ in range(count)]
     keys = [[1 << i] * len(rels) for i in range(n)] if points else sampled(1 + rng.randrange(6))
-    rows, queries = sampled(len(keys)), sampled(5)  # at lanes (i, k) and (q, k)
+    rows, queries = sampled(len(keys)), sampled(1 << n if many else 5)  # at lanes (i, k), (q, k)
     pack = lambda table: approx._pack([v for row in table for v in row], n)
     got = unpack(approx._below(lanes, None if points else pack(keys), pack(rows), pack(queries)),
                  lane_width(n))
@@ -1291,7 +1294,7 @@ def _force_lane(out, bit, at=-1):
         ("_int_lanes", "int-char"),
         ("_leq_identities", "algebra"),
         ("_mu_lanes", "mu-topology"),
-        ("_open_pairs", "mu-topology"),
+        ("_binary_lanes", "mu-topology"),
         ("_chain_lanes", "chain"),
         ("_cspace_lanes", "cspace"),
     ],
