@@ -261,9 +261,9 @@ def enumerate_aux(p: Poset, budget: int | None = None) -> Iterator[AuxRelation]:
     Bit b of the encoding stands for the order pair ``_leq_pairs(p)[b]``.
     The relations are exactly the upper sets of the pair order
     (x, y) <= (u, z) iff u <= x and y <= z that contain the bottom pairs,
-    so the output-sensitive upper-set enumerator lists them with no cap
-    on the number of pairs.  A relation's sections are one lane int, lane j
-    holding sec[j], looked up byte by byte of its encoding in a
+    so ``poset._upper_masks`` lists them in sorted chunks of at most 2^16
+    relations, with no cap on the pairs.  A relation's sections are one lane
+    int, lane j holding sec[j], looked up byte by byte of its encoding in a
     ``bitset.ByteUnions`` where pair b = (i, j) sets bit i of lane j.
     """
     pairs = _leq_pairs(p)

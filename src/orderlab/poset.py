@@ -25,7 +25,9 @@ from .errors import (
 )
 
 MAX_UNIVERSE = 24
-MAX_DIRECTED_UNIVERSE = 20
+MAX_DIRECTED_UNIVERSE = 20  # also caps the upper sets that _listed holds at 2^20
+CHUNK_FREE = 16  # and _upper_masks builds at most 2^16 of them at once,
+CHUNK_MIN_N = 8  # in chunks only on orders of 8 elements or more, where chunks are faster
 MAX_LABELED_ENUM = 5
 MAX_ISO_ENUM = 6
 
@@ -270,22 +272,34 @@ def _upper_masks(
 ) -> Iterator[int]:
     """Every upper set containing the upper set ``start``, ascending.
 
-    Depth-first over the highest undecided element: excluding it rules
-    out its down-set, including it takes in its up-set.  Both choices
-    always extend to an upper set, so the work is proportional to the
-    output and the stack never holds more than n + 1 entries.
+    Walks depth-first over the highest undecided element (excluding it rules
+    out its down-set, including it takes in its up-set).  On orders of
+    ``CHUNK_MIN_N`` or more elements, a node with ``CHUNK_FREE`` free ones or
+    fewer doubles over them: one sorted chunk, sharing the node's high bits.
     """
     full = (1 << len(up)) - 1
+    # a chunk lists closed sets, the walk's leaves only on an order (``Poset`` does not check)
+    big = len(up) >= CHUNK_MIN_N
+    chunked = big and all(row & down[i] == 1 << i and _closed(up, row) for i, row in enumerate(up))
+    rows = sorted(zip(up, down)) if chunked else ()  # each element after those above it
     stack = [(start, 0)]
     while stack:
         inside, outside = stack.pop()
         free = full & ~(inside | outside)
         if not free:
             yield inside
-            continue
-        x = free.bit_length() - 1
-        stack.append((inside | up[x], outside))
-        stack.append((inside, outside | down[x]))
+        elif not chunked or free.bit_count() > CHUNK_FREE:
+            x = free.bit_length() - 1
+            stack.append((inside | up[x], outside))
+            stack.append((inside, outside | down[x]))
+        else:
+            sets = [inside]
+            for above, below in rows:
+                bit = above & below
+                if free & bit:
+                    need = above ^ bit  # the strict up-set
+                    sets += [u | bit for u in sets if u & need == need]
+            yield from sorted(sets)
 
 
 _memo_poset: "Poset | None" = None
@@ -355,8 +369,8 @@ def _budgeted_sets(
 def enumerate_upper_sets(p: Poset, budget: int | None = None) -> Iterator[ElementSet]:
     """All upper sets, ascending by bit value. Includes the empty set.
 
-    Output-sensitive: the work is proportional to the number of upper
-    sets, not to the 2^n subsets.
+    Output-sensitive: ``_upper_masks`` builds them in sorted chunks of at
+    most 2^``CHUNK_FREE``, so a budget stops within one chunk.
     """
     yield from _budgeted_sets(p, p.up, p.down, budget, "upper sets")
 
@@ -469,8 +483,8 @@ def _classes(n: int) -> list[tuple[int, ...]]:
 
     Removing a maximal element leaves a poset on n - 1 points, so each
     class arises from a class on n - 1 points by a new maximal element
-    above one of its lower sets (canonical augmentation: McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    above one of its lower sets.  Every such extension of every class is
+    built, and their full ``canonical_form``s are deduplicated in a set.
     """
     classes: list[tuple[int, ...]] = [()]
     for m in range(n):

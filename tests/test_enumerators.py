@@ -4,11 +4,15 @@ The oracles below are the definitions read off directly: every reflexive
 0/1 matrix filtered by the order axioms, every mask of the universe
 filtered for upper or lower sets, and every subset of the order pairs
 filtered by the auxiliary-relation axioms.  The enumerators must give
-the same output in the same (ascending) order.
+the same output in the same (ascending) order.  Past the sweeps' reach,
+the chunked upper-set lister is checked against the plain depth-first
+walk, ``upper_masks_by_dfs``.
 """
 
+import random
 import time
-from itertools import permutations
+import tracemalloc
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,11 +29,17 @@ from orderlab.auxrel import (
 from orderlab.bitset import iter_bits, transpose
 from orderlab.errors import AxiomViolation, BudgetExceeded
 from orderlab.poset import (
+    CHUNK_FREE,
     Poset,
     _axiom_check,
     _closed,
+    _join,
     _relabel,
+    _transitive_close,
+    _upper_list,
+    _upper_masks,
     antichain,
+    bottom,
     canonical_form,
     chain,
     enumerate_lower_sets,
@@ -80,6 +90,39 @@ def aux_by_sweep(p):
             continue
         out.append(tuple(sec))
     return out
+
+
+def upper_masks_by_dfs(up, down, start=0):
+    """The upper sets above ``start``, ascending, by the plain depth-first
+    walk over the highest undecided element: excluding it rules out its
+    down-set, including it takes in its up-set, and each leaf is one set.
+    On rows that are not an order, its leaves are what ``_upper_masks``
+    must give too."""
+    full = (1 << len(up)) - 1
+    stack = [(start, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        free = full & ~(inside | outside)
+        if not free:
+            yield inside
+            continue
+        x = free.bit_length() - 1
+        stack.append((inside | up[x], outside))
+        stack.append((inside, outside | down[x]))
+
+
+def pair_order(p):
+    """The order on ``_leq_pairs(p)`` whose upper sets above the bottom pairs
+    are the auxiliary relations, and that start set, as ``enumerate_aux``
+    builds them."""
+    pairs = _leq_pairs(p)
+    index = {pair: b for b, pair in enumerate(pairs)}
+    order = Poset(
+        sum(1 << index[u, z] for u in iter_bits(p.down[x]) for z in iter_bits(p.up[y]))
+        for x, y in pairs
+    )
+    bot = bottom(p)
+    return order, 0 if bot is None else sum(1 << index[bot, y] for y in range(p.n))
 
 
 def encoder(p):
@@ -208,3 +251,135 @@ def test_budget_yields_exactly_budget_items_then_raises(enumerate_):
             got.append(item)
     assert len(got) == 1000
     assert time.monotonic() - start < 1.0
+
+
+# -- the chunked lister against the depth-first walk --------------------------------
+
+
+PREFIX = 200_000  # more than three chunks of 2^CHUNK_FREE sets
+
+
+def _assert_lists_the_walk(up, down, start=0, prefix=PREFIX):
+    got = list(islice(_upper_masks(up, down, start), prefix))
+    assert got == list(islice(upper_masks_by_dfs(up, down, start), prefix))
+    return got
+
+
+def _relabeled(p, seed):
+    """p under a seeded permutation, so that index order is no linear extension."""
+    perm = list(range(p.n))
+    random.Random(seed).shuffle(perm)
+    return Poset(_relabel(p.up, tuple(perm)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(min_value=CHUNK_FREE + 1, max_value=24),
+    st.sampled_from([0.02, 0.05, 0.1, 0.15]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=(1 << 24) - 1),
+)
+@example(17, 0.05, 3, 0)
+@example(24, 0.1, 11, 0b1001 << 18)
+def test_chunks_past_the_bound_give_the_walk_in_both_orders_and_above_a_start_set(
+    n, density, seed, picked
+):
+    """Sparse posets on 17 to 24 points, relabeled: the walk decides some
+    elements, possibly forcing others, before a chunk starts mid-walk.  The
+    order and its dual, from the empty set and from a sampled upper set."""
+    p = _relabeled(random_poset(n, density, seed), seed)
+    picked &= (1 << n) - 1
+    for up, down in ((p.up, p.down), (p.down, p.up)):
+        for start in (0, _join(up, picked)):
+            got = _assert_lists_the_walk(up, down, start)
+            assert got == sorted(set(got))
+            assert all(_closed(up, m) and m & start == start for m in got)
+
+
+def _poset_with_pairs(n, seed, low=CHUNK_FREE + 1, high=24):
+    """A relabeled poset on n points grown by seeded random edges, each kept
+    while the order has at most ``high`` pairs, until it has ``low``."""
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(edges)
+    rows = [1 << i for i in range(n)]
+    for i, j in edges:
+        if sum(map(int.bit_count, rows)) >= low:
+            break
+        grown = [row | (1 << j if k == i else 0) for k, row in enumerate(rows)]
+        grown = _transitive_close(grown, n)
+        if sum(map(int.bit_count, grown)) <= high:
+            rows = grown
+    return _relabeled(Poset(rows), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=6, max_value=16), st.integers(min_value=0, max_value=10**6))
+@example(8, 5)
+def test_chunks_of_pair_orders_past_the_bound_give_the_walk(n, seed):
+    """The pair orders of sampled posets with 17 to 24 order pairs, above
+    their bottom pairs: ``enumerate_aux`` lists the walk's masks."""
+    p = _poset_with_pairs(n, seed)
+    assert CHUNK_FREE < len(_leq_pairs(p)) <= 24
+    order, start = pair_order(p)
+    got = _assert_lists_the_walk(order.up, order.down, start)
+    encode = encoder(p)
+    listed = [encode(r.pairs()) for r in islice(enumerate_aux(p), 20_000)]
+    assert listed == got[:20_000]
+
+
+def test_chunks_past_the_bound_give_the_whole_walk_on_small_outputs():
+    """Complete outputs: the 17-antichain (2^17 sets, two chunks), a 20-chain
+    and the pair order of the 6-chain (21 pairs, the 132 Catalan relations)."""
+    for p in (antichain(17), chain(20)):
+        got = _assert_lists_the_walk(p.up, p.down, prefix=None)
+        assert len(got) == (1 << 17 if p.n == 17 else 21)
+    order, start = pair_order(chain(6))
+    assert order.n == 21
+    assert len(_assert_lists_the_walk(order.up, order.down, start, prefix=None)) == 132
+
+
+def test_rows_that_are_no_order_give_the_walk():
+    """``Poset`` does not check its axioms: on every reflexive relation with
+    n <= 4 and on sampled ones large enough for chunks, the lister gives the
+    walk's leaves, which need not be closed sets."""
+    differs = 0
+    for n in range(1, 5):
+        off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for mask in range(1 << len(off_diagonal)):
+            rows = [1 << i for i in range(n)]
+            for b in iter_bits(mask):
+                i, j = off_diagonal[b]
+                rows[i] |= 1 << j
+            up, down = tuple(rows), transpose(rows)
+            got = _assert_lists_the_walk(up, down)
+            differs += got != [m for m in range(1 << n) if _closed(up, m)]
+    assert differs > 0
+    rng = random.Random(7)
+    for n in (8, 12, 17, 20):
+        sparse = (rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n))
+        up = tuple(1 << i | bits for i, bits in enumerate(sparse))
+        with pytest.raises(AxiomViolation):
+            _axiom_check(up, transpose(up))
+        _assert_lists_the_walk(up, transpose(up), prefix=20_000)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_aux, enumerate_upper_sets])
+def test_a_budgeted_prefix_holds_one_chunk_at_most(enumerate_):
+    """At the 24-antichain a budget of 1,000 stops inside the first chunk of
+    2^16 sets, so the prefix peaks under 8 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            for _ in enumerate_(antichain(24), budget=1000):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
+def test_the_listed_upper_sets_reach_the_cap_at_twenty_points():
+    sets = _upper_list(antichain(20))
+    assert len(sets) == 1 << 20
+    assert sets[:3] == (0, 1, 2) and sets[-1] == (1 << 20) - 1

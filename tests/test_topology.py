@@ -424,6 +424,49 @@ def test_bundled_laws_for_approximating_relations():
                 assert "vacuous" in finer.note and "vacuous" in spec.note
 
 
+_INACCESSIBILITY_LAWS = ("mu.open-implies-inaccessible", "mu.inaccessible-implies-open")
+
+
+def test_inaccessibility_builds_neither_the_binary_lanes_nor_the_specialization_rows(monkeypatch):
+    """It reports laws 4-5 only, so it leaves the lanes of the others alone."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(topology, name)
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("_binary_lanes", "_spec_rows"):
+        monkeypatch.setattr(topology, name, counted(name))
+    for r in (leq_aux(antichain(6)), leq_aux(diamond()), way_below(chain(4))):
+        assert check_mu_inaccessibility(r).ok
+    assert calls == Counter()
+    check_mu_laws(leq_aux(diamond()))
+    assert calls == Counter({"_binary_lanes": 1, "_spec_rows": 1})
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_inaccessibility_is_the_inaccessibility_part_of_the_mu_laws(break_operators, broken):
+    """On every pre-approximating relation on every labeled poset with n <= 4,
+    true or with lap erring on every third mask."""
+    if broken:
+        break_operators(lap=lambda r, b, v: v ^ (b % 3 == 0) * (b & -b))
+    failed = relations = 0
+    for n in range(1, 5):
+        for q in enumerate_posets(n):
+            for sec in [r.sec for r in enumerate_aux(q)]:
+                r = AuxRelation(Poset(q.up), sec)  # a fresh relation, tabulated anew
+                if not classify(r).pre_approximating:
+                    continue
+                full = check_mu_laws(r)
+                part = [v for v in full.verdicts if v.law in _INACCESSIBILITY_LAWS]
+                expected = CheckReport(full.subject, "all upper sets", part).to_dict()
+                assert check_mu_inaccessibility(r).to_dict() == expected, (q.up, sec)
+                failed += not all(v.passed for v in part)
+                relations += 1
+    assert relations > 1000
+    assert bool(failed) == broken
+
+
 # -- the lane checkers against the per-open scans they replaced --------------------------
 
 
